@@ -334,9 +334,16 @@ impl Shared {
 
     /// Lowers the job gate; wakes [`Shared::wait_jobs`] waiters at zero.
     pub(crate) fn job_done(&self) {
-        let mut jobs = self.jobs.lock();
-        *jobs -= 1;
-        if *jobs == 0 {
+        let drained = {
+            let mut jobs = self.jobs.lock();
+            *jobs -= 1;
+            *jobs == 0
+        };
+        // Notify after unlocking, as `Baton::put` does and for the same
+        // reason: a waiter woken under the lock runs into the held mutex
+        // and sleeps again, several µs per hand-off on one CPU. A late
+        // notify is harmless: `wait_jobs` re-checks the count.
+        if drained {
             self.jobs_cv.notify_all();
         }
     }
@@ -1459,4 +1466,77 @@ pub(crate) fn shutdown(shared: &Arc<Shared>) {
     // `run_process` catches, so the gate always falls; a genuine panic was
     // already reported via the baton before the body returned.
     shared.wait_jobs();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
+    use std::thread;
+
+    /// `job_done` notifies after unlocking, so the count can reach zero
+    /// before the notify is sent. Workers churn the gate concurrently while
+    /// a waiter sits in `wait_jobs`; the test itself holds one job open, so
+    /// the waiter must still be waiting after every worker has finished,
+    /// and must return once that last job is done, whether the notify finds
+    /// it waiting or it finds the count at zero first.
+    #[test]
+    fn wait_jobs_returns_only_at_zero_under_concurrent_churn() {
+        const WORKERS: usize = 4;
+        const CHURN: usize = 2_000;
+        for _ in 0..20 {
+            let shared = Shared::new(&SimConfig::default(), FaultRuntime::default());
+            shared.job_begin(); // the test's own job, held open below
+            for _ in 0..WORKERS {
+                shared.job_begin();
+            }
+            let start = Arc::new(Barrier::new(WORKERS + 2));
+            let returned = Arc::new(AtomicBool::new(false));
+            let waiter = {
+                let (shared, start, returned) = (
+                    Arc::clone(&shared),
+                    Arc::clone(&start),
+                    Arc::clone(&returned),
+                );
+                thread::spawn(move || {
+                    start.wait();
+                    shared.wait_jobs();
+                    returned.store(true, Ordering::SeqCst);
+                    assert_eq!(*shared.jobs.lock(), 0, "wait_jobs returned early");
+                })
+            };
+            let finished = Arc::new(AtomicUsize::new(0));
+            let workers: Vec<_> = (0..WORKERS)
+                .map(|_| {
+                    let (shared, start, finished) = (
+                        Arc::clone(&shared),
+                        Arc::clone(&start),
+                        Arc::clone(&finished),
+                    );
+                    thread::spawn(move || {
+                        start.wait();
+                        for _ in 0..CHURN {
+                            shared.job_begin();
+                            shared.job_done();
+                        }
+                        finished.fetch_add(1, Ordering::SeqCst);
+                        shared.job_done();
+                    })
+                })
+                .collect();
+            start.wait();
+            for w in workers {
+                w.join().unwrap();
+            }
+            assert_eq!(finished.load(Ordering::SeqCst), WORKERS);
+            assert!(
+                !returned.load(Ordering::SeqCst),
+                "wait_jobs returned with a job still open"
+            );
+            shared.job_done();
+            waiter.join().unwrap();
+            assert!(returned.load(Ordering::SeqCst));
+        }
+    }
 }
