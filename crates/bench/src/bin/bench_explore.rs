@@ -387,7 +387,9 @@ fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
 ///
 /// Soundness while measuring: all four modes must report identical
 /// schedule and prune counts — the CI explore job re-asserts this from
-/// the JSON, plus a throughput-ratio floor for the pooled kernel.
+/// the JSON, plus a throughput-ratio floor for the pooled kernel. Each
+/// mode also records its host-protocol counts per run (see
+/// [`HandoffCounts`]), which CI gates exactly.
 fn bench_kernel() -> String {
     // Warm the host pool so its one-time thread spawns don't bill the
     // first-measured mode.
@@ -415,14 +417,16 @@ fn bench_kernel() -> String {
             .checkpoint(spacing);
         let start = Instant::now();
         let mut stats = ExploreStats::default();
+        let mut counts = HandoffCounts::default();
         for _ in 0..iters {
             let (journal, s) = config.run(
                 || anomaly_bg_tree_on(reuse_hosts),
-                |_, result| result.is_err(),
+                |_, result| (result.is_err(), HandoffCounts::of(result)),
             );
             stats = s;
             assert!(stats.complete);
-            std::hint::black_box(journal.iter().filter(|r| r.value).count());
+            std::hint::black_box(journal.iter().filter(|r| r.value.0).count());
+            counts = HandoffCounts::sum(journal.iter().map(|r| &r.value.1));
         }
         let secs = start.elapsed().as_secs_f64() / iters as f64;
         let per_sec = stats.schedules as f64 / secs;
@@ -450,8 +454,10 @@ fn bench_kernel() -> String {
         entries.push(format!(
             "{{ \"mode\": \"{name}\", \"schedules\": {}, \"pruned\": {}, \
              \"secs\": {secs:.6}, \"schedules_per_sec\": {per_sec:.0}, \
-             \"speedup_vs_legacy\": {speedup:.2} }}",
-            stats.schedules, stats.pruned
+             \"speedup_vs_legacy\": {speedup:.2}, {} }}",
+            stats.schedules,
+            stats.pruned,
+            counts.per_run_json(stats.schedules)
         ));
     }
     format!(
@@ -460,10 +466,57 @@ fn bench_kernel() -> String {
     )
 }
 
+/// Host-protocol counts summed over a journal's runs: dispatches, and how
+/// many of them stayed on the stopping thread or woke the scheduler loop
+/// (`SimMetrics::self_resumes`/`loop_wakes`). OS hand-offs per run are
+/// `dispatches - self_resumes + loop_wakes`; unlike seconds, these counts
+/// do not depend on the host, so CI can gate them exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct HandoffCounts {
+    dispatches: u64,
+    self_resumes: u64,
+    loop_wakes: u64,
+}
+
+impl HandoffCounts {
+    fn of(result: &Result<SimReport, SimError>) -> Self {
+        let m = match result {
+            Ok(report) => &report.metrics,
+            Err(err) => &err.report.metrics,
+        };
+        HandoffCounts {
+            dispatches: m.dispatches,
+            self_resumes: m.self_resumes,
+            loop_wakes: m.loop_wakes,
+        }
+    }
+
+    fn sum<'a>(runs: impl Iterator<Item = &'a HandoffCounts>) -> Self {
+        runs.fold(HandoffCounts::default(), |acc, c| HandoffCounts {
+            dispatches: acc.dispatches + c.dispatches,
+            self_resumes: acc.self_resumes + c.self_resumes,
+            loop_wakes: acc.loop_wakes + c.loop_wakes,
+        })
+    }
+
+    /// The three per-run averages as JSON members.
+    fn per_run_json(&self, runs: usize) -> String {
+        let per_run = |total: u64| total as f64 / runs as f64;
+        format!(
+            "\"dispatches_per_run\": {:.4}, \"self_resumes_per_run\": {:.4}, \
+             \"loop_wakes_per_run\": {:.4}",
+            per_run(self.dispatches),
+            per_run(self.self_resumes),
+            per_run(self.loop_wakes)
+        )
+    }
+}
+
 /// `--sample`: throughput of the R3 samplers on one scaled starvation
 /// tree. Violation counts are deterministic (seeded, worker-count
-/// independent — asserted here across every worker count); the
-/// schedules-per-second figures are measurements.
+/// independent — asserted here across every worker count), and so are
+/// the per-run hand-off counts; the schedules-per-second figures are
+/// measurements.
 fn bench_samplers() -> Vec<String> {
     let spec = WorkloadSpec::new(0xB5A)
         .clients(24)
@@ -483,7 +536,7 @@ fn bench_samplers() -> Vec<String> {
         ("walk-weak-24", SampleStrategy::Walk),
     ] {
         let iterations = 40;
-        let mut baseline: Option<(Vec<Vec<u32>>, u64)> = None;
+        let mut baseline: Option<(Vec<Vec<u32>>, u64, HandoffCounts)> = None;
         let mut entry_parts = Vec::new();
         for &threads in &THREAD_COUNTS {
             let start = Instant::now();
@@ -492,7 +545,7 @@ fn bench_samplers() -> Vec<String> {
                 iterations,
                 0xB5A,
                 || starvation_at_scale(LiveMechanism::SemaphoreWeak, &spec),
-                |_, result| ((), laws.violated(result)),
+                |_, result| (HandoffCounts::of(result), laws.violated(result)),
             );
             let secs = start.elapsed().as_secs_f64();
             let sampling = stats.sampling.expect("sampler stats");
@@ -501,15 +554,17 @@ fn bench_samplers() -> Vec<String> {
                 .get("starvation-free")
                 .copied()
                 .unwrap_or(0);
+            let counts = HandoffCounts::sum(journal.iter().map(|r| &r.value));
             let choices: Vec<Vec<u32>> = journal.into_iter().map(|r| r.choices).collect();
             match &baseline {
-                None => baseline = Some((choices, hits)),
-                Some((expect_choices, expect_hits)) => {
+                None => baseline = Some((choices, hits, counts)),
+                Some((expect_choices, expect_hits, expect_counts)) => {
                     assert_eq!(
                         &choices, expect_choices,
                         "{name}: sampled journal diverged at {threads} threads"
                     );
                     assert_eq!(hits, *expect_hits);
+                    assert_eq!(counts, *expect_counts);
                 }
             }
             eprintln!(
@@ -523,10 +578,11 @@ fn bench_samplers() -> Vec<String> {
                 iterations as f64 / secs
             ));
         }
-        let hits = baseline.expect("at least one worker count").1;
+        let (_, hits, counts) = baseline.expect("at least one worker count");
         entries.push(format!(
             "{{\n      \"name\": \"{name}\",\n      \"iterations\": 40,\n      \
-             \"violations\": {hits},\n      \"workers\": [\n        {}\n      ]\n    }}",
+             \"violations\": {hits},\n      {},\n      \"workers\": [\n        {}\n      ]\n    }}",
+            counts.per_run_json(iterations),
             entry_parts.join(",\n        ")
         ));
     }

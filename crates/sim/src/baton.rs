@@ -99,8 +99,9 @@ pub(crate) enum Report {
     /// The process finished unwinding after a deadlock-recovery abort.
     Aborted,
     /// The stopping process already accounted for its own stop inline
-    /// (phase 3) but hit a condition only the scheduler loop can handle —
-    /// run termination, an empty ready list (timers or deadlock), the step
+    /// (phase 3) and fired any due timers, but hit a condition only the
+    /// scheduler loop can handle — run termination, an empty ready list
+    /// with no timer pending (deadlock detection or recovery), the step
     /// budget, or a held-run pause point. The loop must re-run phase 1
     /// from scratch and must NOT run phase 3 for this report.
     Rescan,

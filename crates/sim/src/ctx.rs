@@ -200,9 +200,9 @@ impl Ctx {
             Arc::clone(&st.procs[self.pid.index()].baton)
         };
         match stop_process(&self.shared, self.pid, Report::Slept { ticks }) {
-            // A sleeping process leaves the ready list, so it can never be
-            // the inline continuation's next pick.
-            StopOutcome::SelfResume => unreachable!("a sleeping process cannot be re-picked"),
+            // With nobody else ready, the inline continuation fired our own
+            // timer and picked us right back: keep running.
+            StopOutcome::SelfResume => {}
             StopOutcome::Handed => obey(baton.take()),
         }
     }
@@ -231,9 +231,11 @@ impl Ctx {
                 reason: reason.to_string(),
             };
             match stop_process(&self.shared, self.pid, report) {
-                // A parked process leaves the ready list (and fault-plan
-                // spurious wakes never arm the inline path), so it can
-                // never be the inline continuation's next pick.
+                // Only another process's unpark readies a plain park: no
+                // timer of ours can fire for it (a stale park timeout
+                // carries an older token), and fault-plan spurious wakes
+                // never arm the inline path. So it is never the inline
+                // continuation's next pick.
                 StopOutcome::SelfResume => unreachable!("a parked process cannot be re-picked"),
                 StopOutcome::Handed => obey(baton.take()),
             }
@@ -289,7 +291,9 @@ impl Ctx {
             ticks,
         };
         match stop_process(&self.shared, self.pid, report) {
-            StopOutcome::SelfResume => unreachable!("a parked process cannot be re-picked"),
+            // With nobody else ready, the inline continuation fired our own
+            // timeout and picked us right back: `timed_out` is set.
+            StopOutcome::SelfResume => {}
             StopOutcome::Handed => obey(baton.take()),
         }
         let mut st = self.shared.state.lock();

@@ -296,13 +296,14 @@ pub(crate) struct Shared {
     pub jobs: Mutex<usize>,
     pub jobs_cv: Condvar,
     /// Whether the *inline continuation* fast path is armed for the active
-    /// [`drive`] call: a stopping process runs phase 3 and the common case
-    /// of phase 1 itself (see [`stop_process`]) instead of waking the
+    /// [`drive`] call: a stopping process runs phase 3, due timers and
+    /// phase 1 itself (see [`stop_process`]) instead of waking the
     /// scheduler loop, halving the context switches per quantum. Armed
-    /// only when pooled hosts are in use and neither fault injection nor
-    /// the starvation watchdog is active — those paths need the scheduler
-    /// loop's hand-shakes, and legacy mode (`reuse_hosts == false`) keeps
-    /// the seed protocol as the honest exploration baseline.
+    /// whenever pooled hosts are in use and no fault plan is active — the
+    /// kill hand-shake needs the scheduler loop, and legacy mode
+    /// (`reuse_hosts == false`) keeps the seed protocol as the honest
+    /// exploration baseline. The starvation watchdog runs inside
+    /// [`pick_and_dispatch`], so it works on either side.
     pub inline: AtomicBool,
 }
 
@@ -750,8 +751,8 @@ fn pick_and_dispatch(st: &mut State) -> Picked {
     // Starvation watchdog: a dispatch means *somebody* is making progress;
     // any non-daemon still blocked whose current wait episode is older
     // than the bound has been bypassed that whole time. Flag it (once per
-    // episode) — detection, not recovery. (A set bound disarms the inline
-    // path, so this only ever runs on the scheduler loop.)
+    // episode) — detection, not recovery. Runs on whichever thread made
+    // the pick: the scheduler loop or an inline continuation.
     if let Some(bound) = st.starvation_bound {
         let clock = st.clock;
         let mut flagged = Vec::new();
@@ -762,20 +763,20 @@ fn pick_and_dispatch(st: &mut State) -> Picked {
             {
                 continue;
             }
-            let Some((reason, since)) = p.wait_started.clone() else {
+            let Some((reason, since)) = &p.wait_started else {
                 continue;
             };
             let age = clock.0 - since.0;
             if age > bound {
-                p.starvation_flagged = true;
                 flagged.push(StarvationFlag {
                     pid: Pid(i as u32),
                     name: p.name.clone(),
-                    reason,
-                    since,
+                    reason: reason.clone(),
+                    since: *since,
                     flagged_at: clock,
                     age,
                 });
+                p.starvation_flagged = true;
             }
         }
         for flag in flagged {
@@ -986,10 +987,60 @@ fn apply_stop(st: &mut State, pid: Pid, report: Report) {
     }
 }
 
+/// Fires due timers while the ready list is empty, jumping the clock
+/// forward as often as needed: a batch may consist entirely of stale
+/// timers, in which case the next deadline must be tried too. Leaves the
+/// ready list empty only if no timer is pending. Shared by the scheduler
+/// loop's phase 1 and the inline continuation ([`stop_process`]).
+fn fire_timers(st: &mut State) {
+    while st.ready.is_empty() {
+        let Some(&Reverse((deadline, _, _, _))) = st.timers.peek() else {
+            break;
+        };
+        if deadline > st.clock {
+            st.clock = deadline;
+        }
+        while let Some(&Reverse((d, _, pid, kind))) = st.timers.peek() {
+            if d > st.clock {
+                break;
+            }
+            st.timers.pop();
+            let fire = match kind {
+                TimerKind::Sleep => {
+                    matches!(st.procs[pid.index()].status, ProcessStatus::Sleeping { .. })
+                }
+                TimerKind::ParkTimeout { token } => {
+                    let slot = &st.procs[pid.index()];
+                    slot.park_token == token && matches!(slot.status, ProcessStatus::Blocked { .. })
+                }
+            };
+            if !fire {
+                continue; // stale timer from an earlier park/sleep
+            }
+            if let TimerKind::ParkTimeout { .. } = kind {
+                st.procs[pid.index()].timed_out = true;
+                if let ProcessStatus::Blocked { reason } = &st.procs[pid.index()].status {
+                    let reason = reason.clone();
+                    SimMetrics::bump(&mut st.metrics.timeout_wakes, &reason);
+                }
+                st.settle_blocked_time(pid);
+            }
+            st.procs[pid.index()].status = ProcessStatus::Ready;
+            st.ready.push(pid);
+            if st.record_sched_events {
+                let clock = st.clock;
+                st.trace.push(clock, pid, EventKind::TimerFired);
+            }
+        }
+    }
+}
+
 /// Where the CPU went after a [`stop_process`] call.
 pub(crate) enum StopOutcome {
-    /// The inline continuation picked the stopping process right back
-    /// (only possible after a yield): keep running, zero hand-offs.
+    /// The inline continuation picked the stopping process right back:
+    /// keep running, zero hand-offs. A yield lands here when the policy
+    /// re-picks it; a sleep or a timed park when its own timer fired with
+    /// no other process ready.
     SelfResume,
     /// The CPU went elsewhere — to the next process directly, or back to
     /// the scheduler loop via [`Report::Rescan`]. A still-live caller must
@@ -1000,18 +1051,19 @@ pub(crate) enum StopOutcome {
 /// A running process stops here (yield, park, sleep, finish).
 ///
 /// In the seed protocol every stop wakes the scheduler loop, which does
-/// phase 3 (account the stop) and phase 1 (pick next) and then wakes the
-/// chosen process: two thread hand-offs per quantum even when the pick is
-/// forced. When [`Shared::inline`] is armed, the stopping process instead
-/// runs both phases itself under the state lock — the one-running-process
-/// invariant makes it the only executing process, so the state it sees and
-/// the mutations it applies are exactly the ones the scheduler loop would
-/// have seen and applied, in the same order — and hands the CPU directly
-/// to the next process (or keeps it, if the pick comes back to itself).
-/// The scheduler loop stays parked in `sched_baton.take()` the whole time
-/// and is only woken, via [`Report::Rescan`], for the cases it alone can
-/// handle: run termination, an empty ready list (timer firing, deadlock
-/// detection and recovery), the step budget, and held-run pause points.
+/// phase 3 (account the stop) and phase 1 (fire due timers, pick next)
+/// and then wakes the chosen process: two thread hand-offs per quantum
+/// even when the pick is forced. When [`Shared::inline`] is armed, the
+/// stopping process instead runs both phases itself under the state lock
+/// — the one-running-process invariant makes it the only executing
+/// process, so the state it sees and the mutations it applies are exactly
+/// the ones the scheduler loop would have seen and applied, in the same
+/// order, starvation watchdog included — and hands the CPU directly to
+/// the next process (or keeps it, if the pick comes back to itself). The
+/// scheduler loop stays parked in `sched_baton.take()` the whole time and
+/// is only woken, via [`Report::Rescan`], for the cases it alone can
+/// handle: run termination, deadlock detection and recovery, the step
+/// budget, and held-run pause points.
 pub(crate) fn stop_process(shared: &Arc<Shared>, pid: Pid, report: Report) -> StopOutcome {
     if !shared.inline.load(Ordering::Relaxed) {
         // Seed protocol: hand the report to the scheduler loop, which does
@@ -1024,13 +1076,15 @@ pub(crate) fn stop_process(shared: &Arc<Shared>, pid: Pid, report: Report) -> St
     // soundly skipped: an active fault plan never arms the inline path.
     account_stop(shared, &mut st, pid, &report);
     apply_stop(&mut st, pid, report);
-    // Phase 1 inline, common case only. Defer to the scheduler loop for
-    // everything else; it re-runs phase 1 from scratch (and must not run
-    // phase 3 again — Rescan tells it so).
-    if st.ready.is_empty()
-        || st.step >= st.max_steps
-        || st.procs.iter().all(|p| p.daemon || !p.status.is_live())
-    {
+    // Phase 1 inline, in the scheduler loop's order: termination, due
+    // timers, deadlock, step budget, pick. Defer to the loop for all but
+    // the timers and the pick; it re-runs phase 1 from scratch (firing
+    // nothing twice, and never phase 3 — Rescan tells it so).
+    let terminated = st.procs.iter().all(|p| p.daemon || !p.status.is_live());
+    if !terminated {
+        fire_timers(&mut st);
+    }
+    if terminated || st.ready.is_empty() || st.step >= st.max_steps {
         drop(st);
         shared.sched_baton.put(Report::Rescan);
         return StopOutcome::Handed;
@@ -1046,10 +1100,10 @@ pub(crate) fn stop_process(shared: &Arc<Shared>, pid: Pid, report: Report) -> St
             baton: _,
             pending,
         } if next == pid => {
-            // Picked right back: skip both hand-offs. Only a yield can
-            // land here (any other stop leaves the caller off the ready
-            // list), so the body was dispatched long ago.
+            // Picked right back: skip both hand-offs (see `SelfResume`).
+            // The caller is running, so its body was dispatched long ago.
             debug_assert!(pending.is_none());
+            st.metrics.self_resumes += 1;
             drop(st);
             shared.quantum_dirty.store(false, Ordering::Relaxed);
             shared.quantum_all.store(false, Ordering::Relaxed);
@@ -1091,9 +1145,10 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
         st.pause_at = pause_at;
         // Arm the inline continuation fast path (see `stop_process`).
         // Fault plans need the kill/spurious hand-shakes of the scheduler
-        // loop, the watchdog must run at every dispatch on the loop's
-        // clock, and legacy mode keeps the seed protocol byte-for-byte.
-        let inline = st.reuse_hosts && !st.faults.active() && st.starvation_bound.is_none();
+        // loop, and legacy mode keeps the seed protocol byte-for-byte.
+        // The starvation watchdog does not disarm it: its check is part of
+        // every dispatch, on whichever thread makes the pick.
+        let inline = st.reuse_hosts && !st.faults.active();
         shared.inline.store(inline, Ordering::Relaxed);
     }
     loop {
@@ -1109,56 +1164,7 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
                 error = None;
                 break;
             }
-            // Fire due timers, jumping the clock forward as often as
-            // needed: a batch may consist entirely of stale timers, in
-            // which case the next deadline must be tried too.
-            while st.ready.is_empty() {
-                let Some(&Reverse((deadline, _, _, _))) = st.timers.peek() else {
-                    break;
-                };
-                {
-                    if deadline > st.clock {
-                        st.clock = deadline;
-                    }
-                    while let Some(&Reverse((d, _, pid, kind))) = st.timers.peek() {
-                        if d > st.clock {
-                            break;
-                        }
-                        st.timers.pop();
-                        let fire = match kind {
-                            TimerKind::Sleep => {
-                                matches!(
-                                    st.procs[pid.index()].status,
-                                    ProcessStatus::Sleeping { .. }
-                                )
-                            }
-                            TimerKind::ParkTimeout { token } => {
-                                let slot = &st.procs[pid.index()];
-                                slot.park_token == token
-                                    && matches!(slot.status, ProcessStatus::Blocked { .. })
-                            }
-                        };
-                        if !fire {
-                            continue; // stale timer from an earlier park/sleep
-                        }
-                        if let TimerKind::ParkTimeout { .. } = kind {
-                            st.procs[pid.index()].timed_out = true;
-                            if let ProcessStatus::Blocked { reason } = &st.procs[pid.index()].status
-                            {
-                                let reason = reason.clone();
-                                SimMetrics::bump(&mut st.metrics.timeout_wakes, &reason);
-                            }
-                            st.settle_blocked_time(pid);
-                        }
-                        st.procs[pid.index()].status = ProcessStatus::Ready;
-                        st.ready.push(pid);
-                        if st.record_sched_events {
-                            let clock = st.clock;
-                            st.trace.push(clock, pid, EventKind::TimerFired);
-                        }
-                    }
-                }
-            }
+            fire_timers(&mut st);
             if st.ready.is_empty() {
                 let blocked: Vec<(Pid, String, String)> = st
                     .procs
@@ -1213,10 +1219,12 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
                     // unwinds it is the only executing process, exactly as in
                     // the kill hand-shake above.
                     victim_baton.put(Go::Abort);
-                    match shared.sched_baton.take() {
+                    let ack = shared.sched_baton.take();
+                    let mut st = shared.state.lock();
+                    st.metrics.loop_wakes += 1;
+                    match ack {
                         Report::Aborted => {}
                         Report::Panicked { message, .. } => {
-                            let mut st = shared.state.lock();
                             st.procs[victim.index()].status = ProcessStatus::Panicked {
                                 message: message.clone(),
                             };
@@ -1234,7 +1242,6 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
                         }
                         _ => unreachable!("abort unwind reports Aborted or Panicked"),
                     }
-                    let mut st = shared.state.lock();
                     // Record the unwind as a forced bookkeeping quantum of
                     // the victim so the sleep-set walk sees its effects
                     // (`ready: None` keeps it out of the decision
@@ -1306,6 +1313,8 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
         // panic.
         hand_cpu(shared, next, &baton, pending);
         let report = shared.sched_baton.take();
+        let mut st = shared.state.lock();
+        st.metrics.loop_wakes += 1;
         if matches!(report, Report::Rescan) {
             // The stop was already accounted inline; re-run phase 1 only.
             continue;
@@ -1318,7 +1327,6 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
             Report::Panicked { pid, .. } => *pid,
             _ => next,
         };
-        let mut st = shared.state.lock();
         account_stop(shared, &mut st, stop_pid, &report);
         let clock = st.clock;
         // Fault plane: a yield/park/sleep is a scheduling point of the
@@ -1349,12 +1357,14 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
             // lock state, emit trace events, and try_unpark — but must
             // never park or panic.
             baton.put(Go::Kill);
-            match shared.sched_baton.take() {
+            let ack = shared.sched_baton.take();
+            let mut st = shared.state.lock();
+            st.metrics.loop_wakes += 1;
+            match ack {
                 Report::Killed => {}
                 Report::Panicked { message, .. } => {
                     // A drop guard panicked during the kill unwind: surface
                     // it as the mechanism bug it is.
-                    let mut st = shared.state.lock();
                     st.procs[stop_pid.index()].status = ProcessStatus::Panicked {
                         message: message.clone(),
                     };
@@ -1372,7 +1382,6 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
                 }
                 _ => unreachable!("kill unwind reports Killed or Panicked"),
             }
-            let mut st = shared.state.lock();
             // The victim's body has fully unwound (gate lowered).
             st.procs[stop_pid.index()].status = ProcessStatus::Killed;
             continue;
@@ -1471,9 +1480,79 @@ pub(crate) fn shutdown(shared: &Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Sim;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
     use std::thread;
+
+    /// A lone sleeper: with nobody else ready, each sleep fires its own
+    /// timer inline and the sleeper is re-picked on its own thread, so the
+    /// loop wakes once, at the end of the run; the watchdog does not
+    /// disarm this. The seed protocol reports every stop to the loop.
+    #[test]
+    fn lone_sleeper_resumes_itself_with_or_without_watchdog() {
+        for k in [0, 1, 5] {
+            for watchdog in [false, true] {
+                for reuse_hosts in [true, false] {
+                    let mut sim = Sim::with_config(SimConfig {
+                        reuse_hosts,
+                        ..SimConfig::default()
+                    });
+                    if watchdog {
+                        sim.set_starvation_bound(3);
+                    }
+                    sim.spawn("sleeper", move |ctx| {
+                        for _ in 0..k {
+                            ctx.sleep(2);
+                        }
+                    });
+                    let m = sim.run().expect("a lone sleeper finishes").metrics;
+                    let expected = if reuse_hosts {
+                        (k + 1, k, 1)
+                    } else {
+                        (k + 1, 0, k + 1)
+                    };
+                    assert_eq!(
+                        (m.dispatches, m.self_resumes, m.loop_wakes),
+                        expected,
+                        "k={k} watchdog={watchdog} reuse_hosts={reuse_hosts}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A lone timed park expires through its own timer, fired inline: the
+    /// waiter is re-picked without a hand-off and sees the timeout.
+    #[test]
+    fn lone_park_timeout_expires_through_a_self_resume() {
+        for reuse_hosts in [true, false] {
+            let mut sim = Sim::with_config(SimConfig {
+                reuse_hosts,
+                ..SimConfig::default()
+            });
+            let woken = Arc::new(AtomicBool::new(true));
+            let seen = Arc::clone(&woken);
+            sim.spawn("waiter", move |ctx| {
+                seen.store(ctx.park_timeout("nobody", 4), Ordering::SeqCst);
+            });
+            let report = sim.run().expect("the timeout ends the wait");
+            assert!(!woken.load(Ordering::SeqCst), "reuse_hosts={reuse_hosts}");
+            let m = &report.metrics;
+            assert_eq!(m.timeout_wakes["nobody"], 1);
+            assert_eq!(
+                report.final_time,
+                Time(6),
+                "dispatch, 4-tick wait, dispatch"
+            );
+            let expected = if reuse_hosts { (2, 1, 1) } else { (2, 0, 2) };
+            assert_eq!(
+                (m.dispatches, m.self_resumes, m.loop_wakes),
+                expected,
+                "reuse_hosts={reuse_hosts}"
+            );
+        }
+    }
 
     /// `job_done` notifies after unlocking, so the count can reach zero
     /// before the notify is sent. Workers churn the gate concurrently while

@@ -7,7 +7,10 @@
 //! kernel, the policies, or the mechanisms — so two runs that differ only
 //! in who looks at the metrics are the same run. That guarantee is what
 //! lets the explorers assert byte-identical metrics across worker thread
-//! counts (`tests/parallel_explore.rs`).
+//! counts (`tests/parallel_explore.rs`). The two host-protocol counters,
+//! [`SimMetrics::self_resumes`] and [`SimMetrics::loop_wakes`], count how
+//! the kernel moved the CPU between OS threads rather than what the run
+//! did, so they are left out of exports and cross-mode comparisons.
 //!
 //! All keyed counters use [`BTreeMap`] so that iteration order (and thus
 //! any report or export derived from the metrics) is deterministic.
@@ -89,6 +92,21 @@ pub struct SimMetrics {
     /// Replay divergence observed by the run's policy (all zero unless the
     /// policy was a [`crate::ReplayPolicy`] that diverged).
     pub replay: ReplayDivergence,
+    /// Dispatches that kept the CPU on the stopping process's own thread:
+    /// the inline continuation re-picked it, so no OS hand-off happened.
+    /// Always 0 under the seed protocol ([`crate::SimConfig::reuse_hosts`]
+    /// `== false`) and under a fault plan. A cost of the host protocol,
+    /// not part of the schedule: not exported, and it may differ between
+    /// runs of one schedule under different kernel modes or checkpoint
+    /// spacings.
+    pub self_resumes: u64,
+    /// Times the scheduler loop woke from waiting on a report: one per
+    /// quantum under the seed protocol, otherwise one per deferral to the
+    /// loop (run end, deadlock, step budget, held-run pause) plus one per
+    /// kill or abort acknowledgement. OS hand-offs per run are
+    /// `dispatches - self_resumes + loop_wakes`. Same caveats as
+    /// [`SimMetrics::self_resumes`].
+    pub loop_wakes: u64,
 }
 
 impl SimMetrics {

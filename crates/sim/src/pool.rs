@@ -18,9 +18,14 @@
 //!   therefore untouched — verified byte-for-byte by the equivalence tests
 //!   against the seed protocol (`SimConfig::reuse_hosts = false`).
 //! * A host is returned to the pool only after the process body has fully
-//!   returned or unwound **and** its simulation's job gate has been
-//!   notified, so a recycled host can never observe state from its
-//!   previous tenant.
+//!   returned or unwound, so a recycled host can never observe state from
+//!   its previous tenant. It re-idles *before* it lowers its simulation's
+//!   job gate: the gate is what the simulation waits on before it returns,
+//!   so by then every host it used is back on the idle stack, and the
+//!   next simulation's first dispatches reuse them instead of growing the
+//!   pool. Lowering the gate after re-idling is safe: the host holds its
+//!   own handle to the finished simulation, and a job handed to its inbox
+//!   meanwhile waits in the baton until the host takes it.
 //!
 //! The pool grows to the high-water mark of concurrently live processes
 //! across all simulations in the OS process (explorer workers each run one
@@ -87,9 +92,10 @@ fn host_main(inbox: Arc<Baton<Job>>) {
         let job = inbox.take();
         let shared = Arc::clone(&job.shared);
         run_process(&job.shared, job.pid, job.f);
-        // Lower the simulation's job gate before re-idling so a shutdown
-        // waiting on the gate cannot race with this host's reuse.
-        shared.job_done();
+        // Re-idle, then lower the job gate (see the module docs): a
+        // simulation returns only after its gate falls, so the next one
+        // finds this host idle and the pool size is exact.
         pool().idle.lock().push(Arc::clone(&inbox));
+        shared.job_done();
     }
 }

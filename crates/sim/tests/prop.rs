@@ -2,7 +2,10 @@
 
 #![deny(deprecated)]
 
-use bloom_sim::{RandomPolicy, ReplayPolicy, Sim, SimConfig};
+use bloom_sim::{
+    Decision, Event, ProcessStatus, RandomPolicy, ReplayPolicy, Sim, SimConfig, SimError,
+    SimMetrics, SimReport, StarvationFlag, Time, WaitQueue,
+};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -31,8 +34,147 @@ fn scenario(procs: usize, ops: usize) -> (Sim, OpLog) {
     (sim, log)
 }
 
+/// One step of a differential-test program.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Yield,
+    Sleep(u64),
+    /// A timed wait on the shared queue `q`; its outcome goes in the trace.
+    TimedWait(u64),
+    /// Wakes the front of `q`, if anyone waits there.
+    Wake,
+    /// Takes a permit, re-parking on `gate` until one is free: a weak
+    /// semaphore's re-contend loop, one wait episode for the watchdog.
+    Acquire,
+    /// Returns a permit and wakes the front of `gate`.
+    Release,
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        Just(Op::Yield),
+        (1u64..4).prop_map(Op::Sleep),
+        (1u64..6).prop_map(Op::TimedWait),
+        Just(Op::Wake),
+        Just(Op::Acquire),
+        Just(Op::Release),
+    ]
+}
+
+/// Runs `program` (one op list per process) under a seeded random policy,
+/// with the starvation watchdog at `bound` (0: off).
+fn run_program(
+    program: &[Vec<Op>],
+    seed: u64,
+    bound: u64,
+    reuse_hosts: bool,
+) -> Result<SimReport, SimError> {
+    let mut sim = Sim::with_config(SimConfig {
+        max_steps: 10_000,
+        reuse_hosts,
+        ..SimConfig::default()
+    });
+    sim.set_policy(RandomPolicy::new(seed));
+    if bound > 0 {
+        sim.set_starvation_bound(bound);
+    }
+    let q = Arc::new(WaitQueue::new("q"));
+    let gate = Arc::new(WaitQueue::new("gate"));
+    let permits = Arc::new(Mutex::new(0u32));
+    for (i, ops) in program.iter().enumerate() {
+        let ops = ops.clone();
+        let (q, gate, permits) = (Arc::clone(&q), Arc::clone(&gate), Arc::clone(&permits));
+        sim.spawn(&format!("p{i}"), move |ctx| {
+            for op in ops {
+                match op {
+                    Op::Yield => ctx.yield_now(),
+                    Op::Sleep(ticks) => ctx.sleep(ticks),
+                    Op::TimedWait(ticks) => {
+                        let woken = q.wait_by(ctx, ticks);
+                        ctx.emit("timed", &[woken as i64]);
+                    }
+                    Op::Wake => {
+                        q.wake_one(ctx);
+                    }
+                    Op::Acquire => loop {
+                        ctx.note_sync();
+                        let mut free = permits.lock();
+                        if *free > 0 {
+                            *free -= 1;
+                            break;
+                        }
+                        drop(free);
+                        gate.wait(ctx);
+                    },
+                    Op::Release => {
+                        ctx.note_sync();
+                        *permits.lock() += 1;
+                        gate.wake_one(ctx);
+                    }
+                }
+            }
+        });
+    }
+    sim.run()
+}
+
+/// Everything a run shows apart from the host-protocol counters.
+type Observed = (
+    Option<String>,
+    Vec<Event>,
+    Vec<Decision>,
+    Vec<StarvationFlag>,
+    Time,
+    Vec<ProcessStatus>,
+    SimMetrics,
+);
+
+fn report_of(result: &Result<SimReport, SimError>) -> &SimReport {
+    match result {
+        Ok(report) => report,
+        Err(err) => &err.report,
+    }
+}
+
+fn observed(result: &Result<SimReport, SimError>) -> Observed {
+    let report = report_of(result);
+    let mut metrics = report.metrics.clone();
+    metrics.self_resumes = 0;
+    metrics.loop_wakes = 0;
+    (
+        result.as_ref().err().map(|err| format!("{:?}", err.kind)),
+        report.trace.events().to_vec(),
+        report.decisions.clone(),
+        report.starvation.clone(),
+        report.final_time,
+        report.processes.iter().map(|p| p.status.clone()).collect(),
+        metrics,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// The inline continuation (pooled hosts) and the seed protocol
+    /// (`reuse_hosts: false`) are the same kernel: for random programs of
+    /// yields, sleeps, timed waits and wakes, and re-park loops, with or
+    /// without the starvation watchdog, both give the same trace,
+    /// decisions, flags, clock, statuses and metrics. Only how the CPU
+    /// moved between OS threads differs: the seed protocol wakes the loop
+    /// at every dispatch, the inline one only at the end of the run.
+    #[test]
+    fn inline_continuation_matches_seed_protocol(
+        program in prop::collection::vec(prop::collection::vec(op(), 0..6), 1..5),
+        seed in any::<u64>(),
+        bound in 0u64..6,
+    ) {
+        let pooled = run_program(&program, seed, bound, true);
+        let legacy = run_program(&program, seed, bound, false);
+        prop_assert_eq!(observed(&pooled), observed(&legacy));
+        let (pooled, legacy) = (&report_of(&pooled).metrics, &report_of(&legacy).metrics);
+        prop_assert_eq!(pooled.loop_wakes, 1);
+        prop_assert_eq!((legacy.self_resumes, legacy.loop_wakes), (0, legacy.dispatches));
+    }
 
     /// Whatever the schedule, every operation of every process happens
     /// exactly once and per-process order is preserved.
