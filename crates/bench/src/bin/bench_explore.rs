@@ -1,16 +1,13 @@
-//! Exploration baselines: serial [`Explorer`] vs the work-sharing
-//! [`ParallelExplorer`] at 1/2/4/8 workers over two real schedule trees
-//! (E1, throughput), the equivalence prune's three layers — the pure-
-//! stutter-only prune of PR 3 vs the object-granular sleep-set prune vs
-//! the reads-from revisit mode (E4) —
-//! on the same trees plus a stutter-heavy dining scenario (E2, schedule
-//! counts), and the exploration-kernel execution modes — legacy
-//! spawn-per-run replay vs the pooled host kernel, replay vs
-//! checkpointed resume — on the pruned anomaly+background tree (E3,
+//! Exploration baselines: the default engine (one worker, inline on the
+//! caller's thread — the "serial" column) vs 1/2/4/8 pooled workers over
+//! two real schedule trees (E1, throughput), the full tree vs the
+//! object-granular sleep-set prune vs the reads-from revisit mode (E2/E4)
+//! on the same trees plus a stutter-heavy dining scenario (schedule
+//! counts), and the two exploration kernels — legacy spawn-per-run vs
+//! the pooled host kernel — on the pruned anomaly+background tree (E3,
 //! throughput, with schedule/prune counts asserted identical across
-//! modes). Writes `BENCH_explore.json` at the repo root (archived in
-//! EXPERIMENTS.md §E1/§E2/§E3); the CI explore job gates on the E3
-//! section.
+//! kernels). Writes `BENCH_explore.json` at the repo root (archived in
+//! EXPERIMENTS.md §E1/§E2/§E3); the CI explore job gates on it.
 //!
 //! ```text
 //! cargo run --release -p bloom-bench --bin bench_explore            # E1/E2
@@ -230,10 +227,10 @@ fn behavior(result: &Result<SimReport, SimError>) -> String {
     )
 }
 
-/// One serial exploration under `config`, returning the full
-/// (decision-vector, behavior) journal alongside the stats. The unified
-/// verb sorts the journal by decision vector, so it is directly
-/// comparable to any other engine's.
+/// One exploration under `config` on the default inline worker,
+/// returning the full (decision-vector, behavior) journal alongside the
+/// stats. The journal is sorted by decision vector, so it is directly
+/// comparable to any other worker count's.
 fn explore_serial(
     config: &ExploreConfig,
     setup: impl Fn() -> Sim + Sync,
@@ -246,20 +243,18 @@ fn explore_serial(
     )
 }
 
-/// E2: full tree vs the PR 3 pure-stutter prune ("coarse") vs the
-/// object-granular sleep-set prune vs the reads-from revisit mode
-/// (DESIGN.md §2.14) on one tree. Asserts, while counting: all four
-/// modes observe the identical behavior set, each prune layer visits
-/// strictly fewer schedules than the one before it (granular < coarse,
-/// revisit < granular), the revisit accounting invariant holds, and
-/// every pruned tree is byte-identical across 1/2/4/8 worker threads.
+/// E2: full tree vs the object-granular sleep-set prune vs the
+/// reads-from revisit mode (DESIGN.md §2.14) on one tree. Asserts, while
+/// counting: all three modes observe the identical behavior set, each
+/// prune mode visits strictly fewer schedules than the one before it
+/// (granular < full, revisit < granular), the revisit accounting
+/// invariant holds, and every pruned tree is byte-identical across
+/// 1/2/4/8 worker threads.
 fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
     let budget = ExploreConfig::new(usize::MAX);
-    let coarse_config = budget.clone().prune(true).granular(false);
-    let granular_config = budget.clone().prune(true);
+    let granular_config = budget.clone().mode(PruneMode::Granular);
     let revisit_config = budget.clone().mode(PruneMode::Revisit);
     let (full_journal, full_stats) = explore_serial(&budget, &setup);
-    let (coarse_journal, coarse_stats) = explore_serial(&coarse_config, &setup);
     let (granular_journal, granular_stats) = explore_serial(&granular_config, &setup);
     let (revisit_journal, revisit_stats) = explore_serial(&revisit_config, &setup);
 
@@ -270,11 +265,6 @@ fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
     };
     let full_set = behaviors(&full_journal);
     assert_eq!(
-        behaviors(&coarse_journal),
-        full_set,
-        "{name}: coarse prune changed the behavior set"
-    );
-    assert_eq!(
         behaviors(&granular_journal),
         full_set,
         "{name}: granular prune changed the behavior set"
@@ -284,13 +274,12 @@ fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
         full_set,
         "{name}: revisit prune changed the behavior set"
     );
-    assert!(coarse_stats.schedules <= full_stats.schedules);
     assert!(
-        granular_stats.schedules < coarse_stats.schedules,
-        "{name}: object-granular prune must beat the pure-only prune \
+        granular_stats.schedules < full_stats.schedules,
+        "{name}: the object-granular prune must cut the full tree \
          ({} vs {} schedules)",
         granular_stats.schedules,
-        coarse_stats.schedules
+        full_stats.schedules
     );
     assert!(
         revisit_stats.schedules < granular_stats.schedules,
@@ -306,10 +295,9 @@ fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
         "{name}: every revisit schedule past the root run is a grant"
     );
 
-    // Thread-count invariance: every pruned tree merges to the serial
-    // journal byte-for-byte at every worker count.
+    // Worker-count invariance: every pruned tree merges to the inline
+    // worker's journal byte-for-byte at every worker count.
     for (config, serial_journal, serial_stats) in [
-        (&coarse_config, &coarse_journal, &coarse_stats),
         (&granular_config, &granular_journal, &granular_stats),
         (&revisit_config, &revisit_journal, &revisit_stats),
     ] {
@@ -335,13 +323,11 @@ fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
     let evictions: u64 = granular_stats.conflicts.values().sum();
     let races: u64 = revisit_stats.conflicts.values().sum();
     eprintln!(
-        "pruning({name}): {} full, {} coarse (pure-only), {} granular \
-         ({} + {} subtrees cut, {} conflict evictions), {} revisit \
-         ({} races, {} requests, {} grants)",
+        "pruning({name}): {} full, {} granular ({} subtrees cut, \
+         {} conflict evictions), {} revisit ({} races, {} requests, \
+         {} grants)",
         full_stats.schedules,
-        coarse_stats.schedules,
         granular_stats.schedules,
-        coarse_stats.pruned,
         granular_stats.pruned,
         evictions,
         revisit_stats.schedules,
@@ -351,15 +337,12 @@ fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
     );
     format!(
         "{{\n      \"tree\": \"{name}\",\n      \"full_schedules\": {},\n      \
-         \"coarse_schedules\": {},\n      \"coarse_pruned\": {},\n      \
          \"granular_schedules\": {},\n      \"granular_pruned\": {},\n      \
          \"conflict_evictions\": {},\n      \
          \"revisit_schedules\": {},\n      \"revisit_pruned\": {},\n      \
          \"revisit_races\": {},\n      \"revisit_requests\": {},\n      \
          \"revisit_grants\": {}\n    }}",
         full_stats.schedules,
-        coarse_stats.schedules,
-        coarse_stats.pruned,
         granular_stats.schedules,
         granular_stats.pruned,
         evictions,
@@ -371,50 +354,29 @@ fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
     )
 }
 
-/// E3: the exploration-kernel execution modes on the pruned
-/// anomaly+background tree (1112 granular schedules). Four modes, one
-/// axis each:
+/// E3: the two exploration kernels on the pruned anomaly+background tree
+/// (1112 granular schedules), both replaying each schedule's whole
+/// prefix:
 ///
-/// * `legacy-replay` — spawn-per-run kernel (`reuse_hosts: false`),
-///   whole-prefix replay: the pre-pool baseline every ratio is against;
-/// * `pooled-replay` — host-pool kernel, whole-prefix replay: the
-///   default, and the fastest (the conservation bound in DESIGN.md
-///   §2.13 explains why checkpointing cannot beat it — every held run
-///   still executes its full prefix at birth);
-/// * `pooled-dense-64` / `pooled-geom-8` — host-pool kernel resuming
-///   from a spine of held runs under the two non-replay
-///   [`CheckpointSpacing`] policies.
+/// * `legacy-replay` — spawn-per-run kernel (`reuse_hosts: false`): the
+///   pre-pool baseline every ratio is against;
+/// * `pooled-replay` — host-pool kernel: the default.
 ///
-/// Soundness while measuring: all four modes must report identical
-/// schedule and prune counts — the CI explore job re-asserts this from
-/// the JSON, plus a throughput-ratio floor for the pooled kernel. Each
-/// mode also records its host-protocol counts per run (see
-/// [`HandoffCounts`]), which CI gates exactly.
+/// Soundness while measuring: both modes must report identical schedule
+/// and prune counts — the CI explore job re-asserts this from the JSON,
+/// plus a throughput-ratio floor for the pooled kernel. Each mode also
+/// records its host-protocol counts per run (see [`HandoffCounts`]),
+/// which CI gates exactly.
 fn bench_kernel() -> String {
     // Warm the host pool so its one-time thread spawns don't bill the
     // first-measured mode.
     anomaly_bg_tree().run().expect("warmup run is clean");
-    let modes: [(&str, bool, CheckpointSpacing); 4] = [
-        ("legacy-replay", false, CheckpointSpacing::Replay),
-        ("pooled-replay", true, CheckpointSpacing::Replay),
-        (
-            "pooled-dense-64",
-            true,
-            CheckpointSpacing::Dense { budget: 64 },
-        ),
-        (
-            "pooled-geom-8",
-            true,
-            CheckpointSpacing::Geometric { budget: 8 },
-        ),
-    ];
+    let modes = [("legacy-replay", false), ("pooled-replay", true)];
     let iters = 5;
     let mut baseline: Option<(usize, usize, f64)> = None;
     let mut entries = Vec::new();
-    for (name, reuse_hosts, spacing) in modes {
-        let config = ExploreConfig::new(usize::MAX)
-            .prune(true)
-            .checkpoint(spacing);
+    let config = ExploreConfig::new(usize::MAX).mode(PruneMode::Granular);
+    for (name, reuse_hosts) in modes {
         let start = Instant::now();
         let mut stats = ExploreStats::default();
         let mut counts = HandoffCounts::default();

@@ -491,7 +491,7 @@ const R3_LADDER: [(usize, u64); 3] = [(10, 40), (100, 6), (1000, 4)];
 /// R3: measured violation rates under sampled schedules, at populations
 /// far beyond the exhaustive explorers.
 ///
-/// Each rung of the [`r3_spec`] ladder samples the scaled starvation
+/// Each rung of the `r3_spec` ladder samples the scaled starvation
 /// scenario under PCT for both semaphore disciplines, and the
 /// nested-monitor race under seeded random walks at the 100-client
 /// rung, checking every run against its law set

@@ -49,7 +49,7 @@ use bloom_rt::{
 };
 use bloom_semaphore::{Lock, Semaphore, TryResult};
 use bloom_serializer::Serializer;
-use bloom_sim::{ExploreConfig, Sim, SimError, SimReport};
+use bloom_sim::{ExploreConfig, PruneMode, Sim, SimError, SimReport};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -844,7 +844,7 @@ pub fn crash_scenarios() -> Vec<CrashScenario> {
 /// [`ENVELOPE_BUDGET`] — an incomplete envelope proves nothing.
 pub fn sim_envelope(s: &Scenario) -> BTreeSet<String> {
     let (journal, stats) = ExploreConfig::new(ENVELOPE_BUDGET)
-        .prune(true)
+        .mode(PruneMode::Granular)
         .run(s.sim, |_, result| (s.verdict)(result));
     let verdicts: BTreeSet<String> = journal.into_iter().map(|r| r.value).collect();
     assert!(
@@ -872,7 +872,7 @@ pub fn rt_verdict(s: &Scenario, seed: u64) -> String {
 /// produce.
 pub fn sim_crash_envelope(c: &CrashScenario) -> BTreeSet<CrashOutcome> {
     let (journal, stats) = ExploreConfig::new(ENVELOPE_BUDGET)
-        .prune(true)
+        .mode(PruneMode::Granular)
         .run_kill_points(c.victim, c.max_points, c.sim, |_, _, result| {
             classify_crash(result)
         });

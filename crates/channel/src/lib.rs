@@ -691,8 +691,7 @@ mod tests {
     /// half-completed rendezvous impossible.
     #[test]
     fn timeout_rendezvous_race_explored_exhaustively() {
-        let explorer = bloom_sim::Explorer::new(20_000);
-        let stats = explorer.run(
+        let (_, stats) = bloom_sim::ExploreConfig::new(20_000).run(
             || {
                 let mut sim = Sim::new();
                 let ch = Arc::new(Channel::new("ch"));

@@ -40,7 +40,8 @@ pub enum LivenessOutcome {
     Recovers,
     /// Every requester was eventually served, but only after at least one
     /// clean withdrawal (`timed-out:`/`retry:` in the trace) — recovery
-    /// with a visible retry cost, kept distinct from [`Degrades`].
+    /// with a visible retry cost, kept distinct from
+    /// [`LivenessOutcome::Degrades`].
     RecoversAfterRetry,
     /// The system kept going, but visibly worse off: poison, a starvation
     /// flag, a permanent give-up, or no survivor progress.

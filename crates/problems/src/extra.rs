@@ -159,7 +159,7 @@ pub mod dining {
         /// of the ordered solution does.
         #[test]
         fn exhaustive_exploration_quantifies_the_deadlock() {
-            use bloom_sim::{Engine, ExploreConfig};
+            use bloom_sim::ExploreConfig;
 
             let naive = |n: usize| {
                 move || {
@@ -182,7 +182,7 @@ pub mod dining {
                 }
             };
             let (journal, stats) = ExploreConfig::new(300_000)
-                .engine(Engine::Parallel)
+                .threads(4)
                 .run(naive(3), |_, result| result.is_err());
             let schedules = journal.len();
             let deadlocks = journal.iter().filter(|r| r.value).count();
@@ -219,7 +219,7 @@ pub mod dining {
                 sim
             };
             let (journal, stats) = ExploreConfig::new(300_000)
-                .engine(Engine::Parallel)
+                .threads(4)
                 .run(ordered, |_, result| result.is_err());
             let ordered_deadlocks = journal.iter().filter(|r| r.value).count();
             assert!(stats.complete);

@@ -619,7 +619,7 @@ pub fn deadlock_recovery_sim(mech: LiveMechanism) -> Sim {
 // ---------------------------------------------------------------------------
 
 /// Builds the starvation scenario: two readers cycle the resource
-/// [`ROUNDS`] times while a writer retries with the [`ATTEMPTS`] patience
+/// `ROUNDS` times while a writer retries with the [`ATTEMPTS`] patience
 /// schedule under a [`STARVATION_BOUND`] watchdog. The writer emits
 /// `retry:res` per withdrawal and `gave-up:res` if the budget runs dry.
 pub fn starvation_sim(mech: LiveMechanism) -> Sim {

@@ -90,7 +90,7 @@ fn service_interval(spec: &WorkloadSpec) -> u64 {
 }
 
 /// The writer's patience schedule for a workload: four exponentially
-/// growing attempts starting at one [`service_interval`] — R2's
+/// growing attempts starting at one `service_interval` — R2's
 /// `ATTEMPTS = [4, 8, 16, 32]` re-derived for populations where a
 /// single hand-off costs the active set's whole spin budget.
 pub fn writer_attempts(spec: &WorkloadSpec) -> [u64; 4] {

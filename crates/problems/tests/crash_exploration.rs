@@ -2,7 +2,7 @@
 //! crash scenarios.
 //!
 //! The per-kill-point sweeps in `faults` run one canonical schedule; this
-//! suite drives [`Explorer::run_kill_points`] over *every* schedule of the
+//! suite drives [`ExploreConfig::run_kill_points`] over *every* schedule of the
 //! three-process readers/writers scenario for each mechanism, checking
 //! that crash containment and the poison protocol hold on all of them —
 //! and that the whole exploration is deterministic, decision vectors
@@ -15,7 +15,7 @@
 
 use bloom_core::{check_crash_containment, check_poison_propagation, classify_crash, CrashOutcome};
 use bloom_problems::faults::{crash_sim, CrashMechanism, CrashProblem, VICTIM};
-use bloom_sim::{Engine, ExploreConfig};
+use bloom_sim::ExploreConfig;
 
 const KILL_POINTS: u64 = 6;
 const BUDGET: usize = 20_000;
@@ -26,35 +26,33 @@ const BUDGET: usize = 20_000;
 /// outcome — plus whether the whole tree was covered within `budget`.
 fn explore_journal(mech: CrashMechanism, budget: usize) -> (Vec<String>, bool) {
     let problem = CrashProblem::ReadersWriters;
-    let (records, stats) = ExploreConfig::new(budget)
-        .engine(Engine::Parallel)
-        .run_kill_points(
-            VICTIM,
-            KILL_POINTS,
-            || crash_sim(mech, problem),
-            |point, decisions, result| {
-                let victims = match result {
-                    Ok(report) => report.killed(),
-                    Err(err) => err.report.killed(),
-                };
-                let violations = check_crash_containment(result, &victims);
-                assert!(
-                    violations.is_empty(),
-                    "{mech}/{problem} kill point {point}: {violations:?}"
-                );
-                let trace = match result {
-                    Ok(report) => &report.trace,
-                    Err(err) => &err.report.trace,
-                };
-                let protocol = check_poison_propagation(trace);
-                assert!(
-                    protocol.is_empty(),
-                    "{mech}/{problem} kill point {point}: {protocol:?}"
-                );
-                let choices: Vec<u32> = decisions.iter().map(|d| d.chosen).collect();
-                format!("k{point} {choices:?} {}", classify_crash(result))
-            },
-        );
+    let (records, stats) = ExploreConfig::new(budget).threads(4).run_kill_points(
+        VICTIM,
+        KILL_POINTS,
+        || crash_sim(mech, problem),
+        |point, decisions, result| {
+            let victims = match result {
+                Ok(report) => report.killed(),
+                Err(err) => err.report.killed(),
+            };
+            let violations = check_crash_containment(result, &victims);
+            assert!(
+                violations.is_empty(),
+                "{mech}/{problem} kill point {point}: {violations:?}"
+            );
+            let trace = match result {
+                Ok(report) => &report.trace,
+                Err(err) => &err.report.trace,
+            };
+            let protocol = check_poison_propagation(trace);
+            assert!(
+                protocol.is_empty(),
+                "{mech}/{problem} kill point {point}: {protocol:?}"
+            );
+            let choices: Vec<u32> = decisions.iter().map(|d| d.chosen).collect();
+            format!("k{point} {choices:?} {}", classify_crash(result))
+        },
+    );
     let journal = records.into_iter().map(|(_, r)| r.value).collect();
     (journal, stats.complete)
 }

@@ -2,7 +2,7 @@
 //! scenarios.
 //!
 //! The R2 matrix in `liveness` runs one canonical FIFO schedule per cell;
-//! this suite drives [`Explorer`] over *every* interleaving of the
+//! this suite drives [`ExploreConfig::run`] over *every* interleaving of the
 //! recovery scenarios, proving the verdicts are schedule-independent for
 //! the shared-memory mechanisms: dining philosophers recover from every
 //! deadlock the scheduler can produce (and from the schedules that never
@@ -14,7 +14,7 @@
 
 use bloom_core::liveness::{check_recovery_containment, classify_liveness, LivenessOutcome};
 use bloom_problems::liveness::{deadlock_recovery_sim, LiveMechanism};
-use bloom_sim::{Engine, ExploreConfig};
+use bloom_sim::ExploreConfig;
 
 const BUDGET: usize = 50_000;
 
@@ -23,7 +23,7 @@ const BUDGET: usize = 50_000;
 /// line per schedule (decision vector, victim count, verdict) plus
 /// whether the tree was exhausted within the budget.
 fn explore_journal(mech: LiveMechanism, budget: usize) -> (Vec<String>, bool) {
-    let (records, stats) = ExploreConfig::new(budget).engine(Engine::Parallel).run(
+    let (records, stats) = ExploreConfig::new(budget).threads(4).run(
         || deadlock_recovery_sim(mech),
         |decisions, result| {
             let violations = check_recovery_containment(result);

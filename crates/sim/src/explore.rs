@@ -1,25 +1,26 @@
 //! Bounded exhaustive schedule exploration.
 //!
 //! Every contested scheduling decision in a run is recorded as a
-//! [`Decision`]. The [`Explorer`] performs a depth-first walk over the tree
-//! of such decisions: it reruns the scenario with a [`ReplayPolicy`] prefix,
-//! reads back the full decision vector, and backtracks on the last decision
-//! that still has unexplored branches. For scenarios with a few processes
-//! and a few operations each, this *proves* properties over all
-//! interleavings — which is exactly what Bloom's footnote-3 argument about
-//! the Figure-1 path-expression solution requires.
+//! [`Decision`]. [`ExploreConfig::run`] walks the tree of such decisions:
+//! it reruns the scenario with a [`crate::ReplayPolicy`] prefix, reads back
+//! the full decision vector, and branches at every decision that still has
+//! unexplored siblings. For scenarios with a few processes and a few
+//! operations each, this *proves* properties over all interleavings —
+//! which is exactly what Bloom's footnote-3 argument about the Figure-1
+//! path-expression solution requires.
 //!
-//! For large trees, [`crate::ParallelExplorer`] explores the same space
-//! with a pool of worker threads and byte-identical results.
+//! One engine does the walking: the frontier worker of `parallel.rs`. One
+//! worker, run inline on the caller's thread, visits the tree depth-first;
+//! [`ExploreConfig::threads`] adds workers with byte-identical results.
 //!
 //! # The equivalence prune
 //!
-//! With [`Explorer::with_pruning`], two layers of reduction apply; both
+//! With [`PruneMode::Granular`], two layers of reduction apply; both
 //! preserve the set of distinct user-event traces while shrinking the
 //! schedule count, and skipped branches are counted in
 //! [`ExploreStats::pruned`].
 //!
-//! 1. **Purity** ([`Decision::pure`], PR 3): when the canonical (choice-0)
+//! 1. **Purity** ([`Decision::pure`]): when the canonical (choice-0)
 //!    quantum of a decision was a stutter that touched nothing any other
 //!    process can see, *all* sibling branches are skipped — deferring a
 //!    stutter commutes with every intervening quantum, so the
@@ -27,21 +28,20 @@
 //!    stutter-first subtree. (In persistent-set terms, a globally
 //!    independent transition is a singleton persistent set.)
 //!
-//! 2. **Sleep sets** (object-granular, this layer): each executed run
-//!    carries a footprint log ([`crate::SimReport::quanta`]) of which
-//!    objects every quantum read or wrote. The explorers maintain
-//!    classical sleep sets over it: after branch `c` of a node is
-//!    explored, the canonical quantum's `(pid, footprint)` joins the
-//!    sleep set inherited by the later siblings, and a sibling whose
-//!    dispatched process is still asleep when its node is reached is
-//!    skipped — every schedule below it commutes, footprint-wise, into
-//!    the subtree already explored. An entry leaves the sleep set as soon
-//!    as any executed quantum's footprint *conflicts* with it (same
-//!    object, at least one write — see [`crate::Footprint`]); those
-//!    wake-ups are tallied per object in [`ExploreStats::conflicts`].
-//!    When a run's *canonical* choice dispatches a sleeping process, the
-//!    run past that point is a redundant probe and its continuation is
-//!    cut (see `walk_run`).
+//! 2. **Sleep sets** (object-granular): each executed run carries a
+//!    footprint log ([`crate::SimReport::quanta`]) of which objects every
+//!    quantum read or wrote. The engine maintains classical sleep sets over
+//!    it: after branch `c` of a node is explored, the canonical quantum's
+//!    `(pid, footprint)` joins the sleep set inherited by the later
+//!    siblings, and a sibling whose dispatched process is still asleep
+//!    when its node is reached is skipped — every schedule below it
+//!    commutes, footprint-wise, into the subtree already explored. An
+//!    entry leaves the sleep set as soon as any executed quantum's
+//!    footprint *conflicts* with it (same object, at least one write — see
+//!    [`crate::Footprint`]); those wake-ups are tallied per object in
+//!    [`ExploreStats::conflicts`]. When a run's *canonical* choice
+//!    dispatches a sleeping process, the run past that point is a
+//!    redundant probe and its continuation is cut (see `walk_run`).
 //!
 //! The run-level `prune_safe` gate is unchanged: timers, faults, clock
 //! reads, and the starvation watchdog strip both the `pure` bits and the
@@ -60,159 +60,41 @@
 //! requested are counted as pruned without being expanded at all, which
 //! is why the mode explores strictly fewer schedules than the sleep-set
 //! prune on contended trees. The explored set is a least fixed point of
-//! the per-run request function, so the serial worklist
-//! ([`Explorer::run`] in this mode) and the parallel frontier
-//! ([`crate::ParallelExplorer`]) execute the identical schedule set; only
-//! the serial *visit order* is worklist order rather than depth-first
-//! order (sort by decision vector to compare journals).
+//! the per-run request function, so every worker count executes the
+//! identical schedule set; one worker drains the worklist
+//! least-prefix-first rather than depth-first.
 
 use crate::error::SimError;
 use crate::fault::FaultPlan;
 use crate::footprint::{Footprint, QuantumRecord};
 use crate::kernel::{ProcessStatus, SimReport};
-use crate::parallel::ScheduleRecord;
-use crate::policy::{CheckpointSpacing, ReplayPolicy};
-use crate::revisit::plan_revisits;
+use crate::parallel::{explore, ScheduleRecord};
 use crate::sample::{SampleRecord, SampleStrategy, Sampler};
-use crate::sim::{HeldRun, RunProgress, Sim};
+use crate::sim::Sim;
 use crate::trace::Decision;
 use crate::types::Pid;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Executes one schedule per call, resuming from a spine of checkpointed
-/// runs instead of replaying each schedule's whole decision prefix from
-/// the root when checkpointing is enabled.
+/// Which reduction [`ExploreConfig::mode`] applies.
 ///
-/// The spine holds [`HeldRun`]s parked at branch points along the current
-/// depth-first path, at strictly increasing depths whose choice vectors
-/// form a prefix chain (each entry's choices extend the previous entry's).
-/// Both invariants are maintained structurally: entries are only deposited
-/// at the depth of the schedule being run, and entries that are not a
-/// prefix of the next schedule are dropped before it runs — so the spine
-/// is always sorted by depth without ever being sorted explicitly.
-///
-/// For each schedule the runner:
-///
-/// 1. drops spine entries that are not prefixes of the schedule (they
-///    belong to subtrees the DFS has left for good),
-/// 2. pops the deepest survivor — a live run whose first `k` decisions
-///    match the schedule's — to resume (a held run is *consumed* by
-///    driving it; it cannot serve two schedules),
-/// 3. if the spacing policy wants a checkpoint at this schedule's depth,
-///    starts a fresh twin run and parks it at that depth as a deposit for
-///    the schedule's future siblings (enforcing the spine budget by
-///    evicting the shallowest entry),
-/// 4. finishes the resumed run with the schedule's residual decisions as
-///    its continuation — or falls back to a fresh whole-prefix replay
-///    when no checkpoint covered any prefix of this schedule.
-///
-/// Determinism is untouched: a resumed run has, by construction, already
-/// made exactly the decisions the schedule prescribes up to its depth, and
-/// replays the residual decisions through the same [`ReplayPolicy`]
-/// machinery a fresh run would use, so journals, reports, and stats are
-/// byte-identical between checkpointed and replay execution. The
-/// equivalence prune, fault plans, and liveness gates live entirely in the
-/// report-consuming layers above and are unaffected.
-pub(crate) struct SpineRunner {
-    spacing: CheckpointSpacing,
-    spine: Vec<(Vec<u32>, HeldRun)>,
-}
-
-impl SpineRunner {
-    pub(crate) fn new(spacing: CheckpointSpacing) -> Self {
-        SpineRunner {
-            spacing,
-            spine: Vec::new(),
-        }
-    }
-
-    /// Builds a fresh run set up to replay `prefix`.
-    fn fresh<S: FnMut() -> Sim>(setup: &mut S, prefix: &[u32], record_quanta: Option<bool>) -> Sim {
-        let mut sim = setup();
-        sim.set_policy(ReplayPolicy::prefix(prefix.to_vec()));
-        if let Some(granular) = record_quanta {
-            sim.set_record_quanta(granular);
-        }
-        sim
-    }
-
-    /// Runs the schedule given by `prefix` (canonical choice 0 past its
-    /// end) and returns its result, exactly as a whole-prefix replay
-    /// would. `record_quanta` is `Some(granular)` when the caller's prune
-    /// needs the footprint log (see [`Explorer::run`]).
-    pub(crate) fn run_schedule<S: FnMut() -> Sim>(
-        &mut self,
-        setup: &mut S,
-        prefix: &[u32],
-        record_quanta: Option<bool>,
-    ) -> Result<SimReport, SimError> {
-        if matches!(self.spacing, CheckpointSpacing::Replay) {
-            return Self::fresh(setup, prefix, record_quanta).run();
-        }
-        self.spine
-            .retain(|(choices, _)| prefix.starts_with(choices));
-        // The deepest survivor is strictly shallower than `prefix`: an
-        // entry is deposited at the depth of a schedule, and any sibling
-        // visited later diverges from that schedule at or before that
-        // depth, so an entry as deep as `prefix` cannot be its prefix.
-        let resumed = self.spine.pop();
-        if self.spacing.wants(prefix.len()) {
-            // Deposit a twin of this schedule, parked at the branch point,
-            // for the siblings the DFS will visit under this node. The
-            // schedule itself still runs to completion below.
-            match Self::fresh(setup, prefix, record_quanta)
-                .into_held()
-                .advance_to(prefix.len())
-            {
-                RunProgress::Held(held) => {
-                    if self.spine.len() >= self.spacing.budget() {
-                        self.spine.remove(0); // evict the shallowest
-                    }
-                    self.spine.push((prefix.to_vec(), held));
-                }
-                RunProgress::Done(result) => {
-                    // The run ended before reaching the branch point: the
-                    // twin executed this whole schedule already, so return
-                    // its result and put the unused survivor back.
-                    if let Some(entry) = resumed {
-                        self.spine.push(entry);
-                    }
-                    return *result;
-                }
-            }
-        }
-        match resumed {
-            Some((choices, mut held)) => {
-                held.set_continuation(&prefix[choices.len()..]);
-                held.finish()
-            }
-            None => Self::fresh(setup, prefix, record_quanta).run(),
-        }
-    }
-}
-
-/// Which reduction the explorers apply when pruning is enabled.
-///
-/// All three modes preserve the set of distinct user-event traces; they
-/// differ in how much of the schedule tree they must execute to cover it
-/// (`Coarse` ⊇ `Granular` ⊇ `Revisit`, schedule-count-wise, on contended
-/// trees) and in what [`ExploreStats::conflicts`] tallies.
+/// Both modes preserve the set of distinct user-event traces; they differ
+/// in how much of the schedule tree they must execute to cover it
+/// (`Granular` ⊇ `Revisit`, schedule-count-wise, on contended trees) and
+/// in what [`ExploreStats::conflicts`] tallies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneMode {
-    /// Pure-stutter siblings only (the PR 3 prune): a decision whose
-    /// canonical quantum touched nothing prunes all its siblings. Kept
-    /// addressable so the finer layers' contributions can be measured.
-    Coarse,
-    /// Object-granular sleep sets over the footprint log (the PR 5
-    /// prune, `DESIGN.md` §2.10). Subsumes `Coarse`. The default.
+    /// Pure-stutter siblings plus object-granular sleep sets over the
+    /// footprint log (see the module docs and `DESIGN.md` §2.10).
     Granular,
     /// Race-driven revisits (classical happens-before DPOR, `DESIGN.md`
     /// §2.14): siblings are only ever *scheduled* when a detected race
     /// requests them, instead of being expanded and then put to sleep.
     /// Near-optimal — strictly fewer schedules than `Granular` on every
-    /// benchmarked tree. The serial visit order is worklist order, not
-    /// depth-first order (the executed *set* is identical).
+    /// benchmarked tree. One worker drains the worklist
+    /// least-prefix-first, not depth-first (the executed *set* is the
+    /// same at every worker count).
     Revisit,
 }
 
@@ -220,14 +102,13 @@ pub enum PruneMode {
 /// replay it: the full decision vector that produced the failure and the
 /// failure itself (whose report carries the partial trace and metrics).
 ///
-/// "First" is deterministic regardless of exploration strategy or thread
-/// count: it is the failing schedule whose decision vector comes first in
-/// canonical depth-first order — the order [`Explorer`] visits natively
-/// and [`crate::ParallelExplorer`] reconstructs by sorting.
+/// "First" is deterministic regardless of prune mode or worker count: it
+/// is the failing schedule whose decision vector comes first in canonical
+/// depth-first order — the order the journal is sorted in.
 #[derive(Debug, Clone)]
 pub struct ExploreError {
     /// The decision vector (one chosen index per contested decision) of
-    /// the failing schedule; feed it to [`ReplayPolicy::new`] to rerun it.
+    /// the failing schedule; feed it to [`crate::ReplayPolicy::new`] to rerun it.
     pub choices: Vec<u32>,
     /// The failure.
     pub error: SimError,
@@ -268,7 +149,7 @@ pub struct ExploreStats {
     /// [`PruneMode::Revisit`] only: total race-derived branch requests
     /// generated across all executed runs, *including* requests whose
     /// branch was already scheduled (each run's requests are a pure
-    /// function of that run, so the sum is strategy-independent). Always
+    /// function of that run, so the sum is order-independent). Always
     /// 0 in the other modes.
     pub revisit_requests: u64,
     /// [`PruneMode::Revisit`] only: how many requested branches were
@@ -295,34 +176,22 @@ pub struct ExploreStats {
     /// The first failed schedule in canonical depth-first order, if any
     /// schedule failed. Exploration does not stop at a failure — the rest
     /// of the tree is still covered — but the canonical-first failure is
-    /// kept for replay and is identical across explorer thread counts.
+    /// kept for replay and is identical across worker counts.
     pub first_error: Option<ExploreError>,
     /// Bug-finding statistics when the schedules were *sampled* rather
-    /// than enumerated ([`crate::Sampler`]); `None` for the exhaustive
-    /// explorers. A sampling run never proves absence — `complete` then
+    /// than enumerated ([`crate::Sampler`]); `None` for exhaustive
+    /// exploration. A sampling run never proves absence — `complete` then
     /// means only "every requested iteration ran".
     pub sampling: Option<crate::sample::SampleStats>,
 }
 
 impl ExploreStats {
-    /// Folds one schedule into the depth histogram.
-    pub(crate) fn count_schedule_at_depth(&mut self, depth: usize) {
-        bump_depth(&mut self.depth_schedules, depth, 1);
-        self.schedules += 1;
-    }
-
-    /// Folds pruned sibling branches at `depth` into the prune histogram.
-    pub(crate) fn count_pruned_at_depth(&mut self, depth: usize, branches: usize) {
-        bump_depth(&mut self.depth_pruned, depth, branches);
-        self.pruned += branches;
-    }
-
-    /// Asserts the accounting invariants that hold in every mode and
-    /// through every execution strategy: the per-depth histograms are
-    /// exact decompositions of their totals (no drift, no trailing empty
-    /// buckets) and the revisit tallies are mutually consistent. Both
-    /// explorers run this under `debug_assertions` on every stats value
-    /// they return; tests call it directly on release builds.
+    /// Asserts the accounting invariants that hold in every mode and at
+    /// every worker count: the per-depth histograms are exact
+    /// decompositions of their totals (no drift, no trailing empty
+    /// buckets) and the revisit tallies are mutually consistent. The
+    /// engine runs this under `debug_assertions` on every stats value it
+    /// returns; tests call it directly on release builds.
     ///
     /// # Panics
     ///
@@ -404,8 +273,8 @@ pub(crate) fn merge_conflicts(dst: &mut BTreeMap<String, u64>, src: &BTreeMap<St
 ///
 /// A `Vec` in insertion order, not a map: sets are tiny (bounded by the
 /// process count), cloning must be cheap, and deterministic iteration
-/// order keeps the per-object conflict tallies identical across explorer
-/// strategies.
+/// order keeps the per-object conflict tallies identical across worker
+/// counts.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SleepSet {
     entries: Vec<(Pid, Footprint)>,
@@ -454,10 +323,10 @@ pub(crate) struct NodeInfo {
     /// the node plus the canonical quantum's own `(pid, footprint)` entry
     /// (omitted when the footprint is opaque `All` — an unknowable
     /// quantum can vouch for no commutation). Identical for every sibling
-    /// by construction, which is what keeps the serial and parallel
-    /// explorers' pruned trees byte-identical: neither may use what a
-    /// *sibling's* quantum turned out to touch, because the other
-    /// explorer might expand the node before ever running that sibling.
+    /// by construction, which is what keeps the pruned tree byte-identical
+    /// across worker counts: no worker may use what a *sibling's* quantum
+    /// turned out to touch, because another worker might expand the node
+    /// before that sibling ever runs.
     pub(crate) child_sleep: SleepSet,
 }
 
@@ -478,10 +347,10 @@ pub(crate) struct NodeInfo {
 /// expands nothing deeper, and counts the abandoned canonical
 /// continuation as one pruned branch at the cut node's depth.
 ///
-/// Both explorers call this once per executed run with identical
-/// arguments, so every derived quantity (prune verdicts, child sleep
-/// sets, conflict tallies, the cut position) is independent of
-/// exploration strategy.
+/// The engine calls this once per executed run, with arguments that
+/// depend only on the run and its branch point, so every derived quantity
+/// (prune verdicts, child sleep sets, conflict tallies, the cut position)
+/// is independent of the worker count.
 pub(crate) fn walk_run(
     decisions: &[Decision],
     quanta: &[QuantumRecord],
@@ -503,7 +372,7 @@ pub(crate) fn walk_run(
         .collect();
     let contested = quanta.iter().filter(|q| q.ready.is_some()).count();
     if contested != sched_indices.len() {
-        // No usable footprint log (the explorers force `record_quanta` on,
+        // No usable footprint log (the engine forces `record_quanta` on,
         // so this is only reachable through a hand-built `Sim` path):
         // degrade to the pure-only prune with empty sleep sets.
         debug_assert!(quanta.is_empty(), "partial quantum log");
@@ -605,7 +474,8 @@ pub(crate) fn walk_run(
     out
 }
 
-/// Result summary of a kill-point sweep ([`Explorer::run_kill_points`]).
+/// Result summary of a kill-point sweep
+/// ([`ExploreConfig::run_kill_points`]).
 #[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct KillPointStats {
@@ -641,7 +511,7 @@ pub struct KillPointStats {
     pub sym_grants: u64,
     /// The first failed schedule: the canonical-first failure of the
     /// earliest kill point that had one (points are swept in order, so
-    /// this too is deterministic across strategies and thread counts).
+    /// this too is deterministic across worker counts).
     pub first_error: Option<ExploreError>,
 }
 
@@ -709,79 +579,88 @@ impl std::fmt::Debug for ProgressCallback {
     }
 }
 
-/// Depth-first enumerator of all schedules of a scenario.
+/// The front door for exploration: one builder, one visitor signature,
+/// three verbs.
+///
+/// Collects the knobs — budget, prune mode, worker count, progress
+/// callback — once, then runs the campaign with [`ExploreConfig::run`]
+/// (exhaustive), [`ExploreConfig::run_kill_points`] (exhaustive × fault
+/// sweep), or [`ExploreConfig::sample`] (seeded sampling for trees too big
+/// to enumerate). All three verbs share the `(setup, map)` shape: `setup`
+/// builds a fresh [`Sim`] per run, `map` sees each run's decision vector
+/// and outcome, and the journal of mapped values comes back sorted — so
+/// results are identical whatever the worker count:
+///
+/// ```
+/// use bloom_sim::{ExploreConfig, PruneMode};
+/// let config = ExploreConfig::new(10_000).mode(PruneMode::Revisit);
+/// let (one_worker, _) = config.run(
+///     || {
+///         let mut sim = bloom_sim::Sim::new();
+///         sim.spawn("a", |ctx| ctx.emit("a", &[]));
+///         sim.spawn("b", |ctx| ctx.emit("b", &[]));
+///         sim
+///     },
+///     |decisions, _| decisions.len(),
+/// );
+/// let (four_workers, _) = config.clone().threads(4).run(
+///     || {
+///         let mut sim = bloom_sim::Sim::new();
+///         sim.spawn("a", |ctx| ctx.emit("a", &[]));
+///         sim.spawn("b", |ctx| ctx.emit("b", &[]));
+///         sim
+///     },
+///     |decisions, _| decisions.len(),
+/// );
+/// assert_eq!(one_worker, four_workers);
+/// ```
 #[derive(Debug, Clone)]
-pub struct Explorer {
-    max_schedules: usize,
-    prune: bool,
-    mode: PruneMode,
-    checkpoint: CheckpointSpacing,
-    progress_every: usize,
-    progress: ProgressCallback,
+pub struct ExploreConfig {
+    pub(crate) budget: usize,
+    pub(crate) mode: Option<PruneMode>,
+    pub(crate) threads: Option<usize>,
+    pub(crate) progress_every: usize,
+    pub(crate) progress: ProgressCallback,
 }
 
-impl Explorer {
-    /// Creates an explorer that runs at most `max_schedules` schedules.
-    pub fn new(max_schedules: usize) -> Self {
-        Explorer {
-            max_schedules,
-            prune: false,
-            mode: PruneMode::Granular,
-            checkpoint: CheckpointSpacing::default(),
+impl ExploreConfig {
+    /// Creates a configuration with the given schedule budget: unpruned,
+    /// worker count unset, no progress callback.
+    pub fn new(budget: usize) -> Self {
+        ExploreConfig {
+            budget,
+            mode: None,
+            threads: None,
             progress_every: 0,
             progress: ProgressCallback::default(),
         }
     }
 
-    /// Selects how schedules are executed: by whole-prefix replay
-    /// ([`CheckpointSpacing::Replay`]) or by resuming held runs parked at
-    /// branch points along the depth-first path (see [`CheckpointSpacing`]
-    /// and `DESIGN.md` §2.13). Results are byte-identical either way.
-    pub fn with_checkpointing(mut self, spacing: CheckpointSpacing) -> Self {
-        self.checkpoint = spacing;
+    /// Selects a prune mode (see [`PruneMode`]). Unset, every schedule
+    /// runs.
+    pub fn mode(mut self, mode: PruneMode) -> Self {
+        self.mode = Some(mode);
         self
     }
 
-    /// Enables the equivalence prune (see the module docs): branches whose
-    /// subtrees are provably equivalent to already-explored ones are
-    /// skipped and counted in [`ExploreStats::pruned`].
-    pub fn with_pruning(mut self) -> Self {
-        self.prune = true;
-        self.mode = PruneMode::Granular;
+    /// Sets the worker count (min 1). Unset, [`ExploreConfig::run`] and
+    /// [`ExploreConfig::run_kill_points`] run one worker inline on the
+    /// caller's thread, and [`ExploreConfig::sample`] uses the sampler's
+    /// per-core default. Results are identical for every count; this only
+    /// tunes throughput.
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.threads = Some(threads.max(1));
         self
     }
 
-    /// Enables only the *first* layer of the equivalence prune — pure
-    /// stutter siblings — leaving the object-granular sleep-set layer
-    /// off. This is the pre-footprint prune, kept addressable so the
-    /// sleep-set layer's contribution can be measured (see
-    /// `bench_explore`); for actual exploration prefer
-    /// [`Explorer::with_pruning`], which subsumes it.
-    pub fn with_coarse_pruning(mut self) -> Self {
-        self.prune = true;
-        self.mode = PruneMode::Coarse;
-        self
-    }
-
-    /// Enables the race-driven revisit prune ([`PruneMode::Revisit`], see
-    /// the module docs and `DESIGN.md` §2.14): only sibling branches that
-    /// reverse a detected race are scheduled, every other sibling is
-    /// counted as pruned without being expanded. Explores strictly fewer
-    /// schedules than [`Explorer::with_pruning`] on contended trees;
-    /// `visit` is invoked in deterministic worklist order rather than
-    /// depth-first order.
-    pub fn with_revisit_pruning(mut self) -> Self {
-        self.prune = true;
-        self.mode = PruneMode::Revisit;
-        self
-    }
-
-    /// Installs a progress callback fired once per `every` executed
-    /// schedules, with the running schedule count as argument (see
-    /// [`crate::ParallelExplorer::with_progress`] — for the serial
-    /// explorer the milestones are simply every `every`-th schedule in
-    /// depth-first order). `every == 0` disables the callback.
-    pub fn with_progress<F>(mut self, every: usize, callback: F) -> Self
+    /// Installs a progress callback fired at *virtual* milestones — once
+    /// for every `every`-th schedule claimed from the budget, with the
+    /// running claim count as argument — never on wall-clock time, so
+    /// observing progress cannot perturb determinism. For an exhaustive
+    /// exploration the set of milestones is a pure function of the tree;
+    /// only the thread a callback runs on varies. `every == 0` disables
+    /// the callback.
+    pub fn progress<F>(mut self, every: usize, callback: F) -> Self
     where
         F: Fn(usize) + Send + Sync + 'static,
     {
@@ -790,368 +669,69 @@ impl Explorer {
         self
     }
 
-    /// Explores the scenario produced by `setup`.
+    /// Explores every schedule (up to the budget) and returns the journal
+    /// of mapped values plus the campaign statistics.
     ///
     /// `setup` must build an identical simulation each time it is called
-    /// (the explorer overrides the policy). `visit` is invoked once per
-    /// schedule with the decision vector taken and the run outcome.
+    /// (the engine overrides the policy). `map` is invoked once per
+    /// executed schedule with the decision vector taken and the run
+    /// outcome; with more than one worker, both run concurrently on worker
+    /// threads. The journal is sorted by decision vector (canonical
+    /// depth-first order), so it is identical across worker counts.
     ///
     /// A failed schedule (deadlock, panic, step-budget overrun) does not
-    /// abort the exploration: the failure is still passed to `visit`, the
+    /// abort the exploration: the failure is still passed to `map`, the
     /// rest of the tree is covered, and the canonical-first failure is
     /// returned in [`ExploreStats::first_error`].
     ///
     /// # Panics
     ///
     /// Panics if `setup` produces runs whose decision structure is not a
-    /// function of prior decisions (i.e. a nondeterministic scenario), which
-    /// manifests as a replay prefix mismatch.
-    pub fn run<S, V>(&self, mut setup: S, mut visit: V) -> ExploreStats
+    /// function of prior decisions (a nondeterministic scenario), which
+    /// shows as a replay prefix mismatch. A panic in `setup` or `map`
+    /// stops the exploration and propagates.
+    pub fn run<S, M, T>(&self, setup: S, map: M) -> (Vec<ScheduleRecord<T>>, ExploreStats)
     where
-        S: FnMut() -> Sim,
-        V: FnMut(&[Decision], &Result<SimReport, SimError>),
+        S: Fn() -> Sim + Sync,
+        M: Fn(&[Decision], &Result<SimReport, SimError>) -> T + Sync,
+        T: Send,
     {
-        if self.prune && self.mode == PruneMode::Revisit {
-            return self.run_revisit(setup, visit);
-        }
-        let mut prefix: Vec<u32> = Vec::new();
-        // Per-depth prune facts for the nodes on the current path, recorded
-        // when each node is first discovered (by the run that first reached
-        // it). Using the discovery run's verdicts — rather than any later
-        // run's — keeps the pruned tree identical to ParallelExplorer's,
-        // which can only consult the discovering run.
-        let mut path: Vec<NodeInfo> = Vec::new();
-        // The sleep set in force at the start of the next run: the
-        // branched-from node's `child_sleep` (empty for the root run).
-        let mut pending_sleep = SleepSet::default();
-        let mut stats = ExploreStats::default();
-        // The sleep-set layer needs the footprint log; the coarse mode
-        // drops it, degrading `walk_run` to the pure-only prune with
-        // empty sleep sets.
-        let record_quanta = if self.prune {
-            Some(self.mode == PruneMode::Granular)
-        } else {
-            None
-        };
-        let mut spine = SpineRunner::new(self.checkpoint);
-        loop {
-            let result = spine.run_schedule(&mut setup, &prefix, record_quanta);
-            let (decisions, quanta, metrics): (&[Decision], &[QuantumRecord], _) = match &result {
-                Ok(report) => (&report.decisions, &report.quanta, &report.metrics),
-                Err(err) => (
-                    &err.report.decisions,
-                    &err.report.quanta,
-                    &err.report.metrics,
-                ),
-            };
-            // An exhaustive walk replays only prefixes of vectors the tree
-            // itself produced, so any recorded divergence means the
-            // scenario is not a function of its decisions.
-            debug_assert!(
-                !metrics.replay.diverged(),
-                "replay diverged ({:?}) during exploration: scenario is nondeterministic",
-                metrics.replay
-            );
-            for (i, want) in prefix.iter().enumerate() {
-                assert!(
-                    decisions.get(i).map(|d| d.chosen) == Some(*want),
-                    "replay prefix diverged at decision {i}: scenario is nondeterministic"
-                );
-            }
-            // Decisions past the replay prefix take the canonical choice 0;
-            // this run discovers those nodes, so it fixes their prune facts.
-            debug_assert!(decisions[prefix.len()..].iter().all(|d| d.chosen == 0));
-            if self.prune {
-                let start = path.len();
-                path.extend(walk_run(
-                    decisions,
-                    quanta,
-                    start,
-                    &pending_sleep,
-                    &mut stats.conflicts,
-                ));
-                if path.len() < decisions.len() {
-                    // The walk cut this run at `path.len() - 1`: its
-                    // canonical continuation is redundant. Count the
-                    // abandoned continuation as one pruned branch; the
-                    // backtrack scan below never looks past the cut.
-                    stats.count_pruned_at_depth(path.len() - 1, 1);
-                }
-            }
-            visit(decisions, &result);
-            stats.count_schedule_at_depth(decisions.len());
-            if self.progress_every > 0 && stats.schedules.is_multiple_of(self.progress_every) {
-                if let Some(progress) = &self.progress.0 {
-                    progress(stats.schedules);
-                }
-            }
-            if let Err(err) = &result {
-                // Depth-first order *is* canonical order, so the first
-                // failure seen wins.
-                if stats.first_error.is_none() {
-                    stats.first_error = Some(ExploreError {
-                        choices: decisions.iter().map(|d| d.chosen).collect(),
-                        error: err.clone(),
-                    });
-                }
-            }
-            // Backtrack to the deepest decision with an unexplored,
-            // unpruned branch — checked *before* the budget so a tree of
-            // exactly `max_schedules` schedules still reports `complete`.
-            // With the prune on, decisions past a cut are not on the path
-            // and are never scanned (their subtrees are covered).
-            let scan_len = if self.prune {
-                path.len().min(decisions.len())
-            } else {
-                decisions.len()
-            };
-            let mut next_branch = None;
-            'scan: for i in (0..scan_len).rev() {
-                let (chosen, arity) = (decisions[i].chosen, decisions[i].arity);
-                if chosen + 1 >= arity {
-                    continue;
-                }
-                if !self.prune {
-                    next_branch = Some((i, chosen + 1));
-                    break;
-                }
-                if path[i].pure {
-                    stats.count_pruned_at_depth(i, (arity - 1 - chosen) as usize);
-                    continue;
-                }
-                for c in (chosen + 1)..arity {
-                    if path[i].asleep[c as usize] {
-                        stats.count_pruned_at_depth(i, 1);
-                    } else {
-                        next_branch = Some((i, c));
-                        break 'scan;
-                    }
-                }
-            }
-            let Some((i, c)) = next_branch else {
-                stats.complete = true;
-                #[cfg(debug_assertions)]
-                stats.assert_consistent();
-                return stats;
-            };
-            if stats.schedules >= self.max_schedules {
-                #[cfg(debug_assertions)]
-                stats.assert_consistent();
-                return stats;
-            }
-            // Advance the prefix in place: entries below `i` already match
-            // the decision vector (asserted above).
-            let keep = i.min(prefix.len());
-            prefix.truncate(keep);
-            prefix.extend(decisions[keep..i].iter().map(|d| d.chosen));
-            prefix.push(c);
-            if self.prune {
-                pending_sleep = path[i].child_sleep.clone();
-                path.truncate(i + 1);
-            }
-        }
-    }
-
-    /// The [`PruneMode::Revisit`] strategy: a deterministic worklist
-    /// fixed point instead of a depth-first walk.
-    ///
-    /// The worklist starts with the root schedule. Each popped prefix is
-    /// executed, its newly discovered decision nodes are registered (with
-    /// a marker for their canonical choice-0 branch, which the run itself
-    /// explores), and its race analysis ([`plan_revisits`]) produces the
-    /// sibling branches to schedule; a request is granted only if its
-    /// branch was never scheduled before. Because each run's requests are
-    /// a pure function of that run, the executed set is the least fixed
-    /// point of "the root, plus everything any executed run requests" —
-    /// independent of pop order, which is what makes the parallel
-    /// frontier execute the byte-identical set.
-    ///
-    /// Pruned-branch accounting is settled at the end: every sibling of
-    /// every discovered contested node that was never granted is a pruned
-    /// branch at that node's depth. (A granted-but-unexecuted branch
-    /// under a budget cut is neither executed nor pruned, exactly like an
-    /// unvisited frontier entry in the other modes.)
-    fn run_revisit<S, V>(&self, mut setup: S, mut visit: V) -> ExploreStats
-    where
-        S: FnMut() -> Sim,
-        V: FnMut(&[Decision], &Result<SimReport, SimError>),
-    {
-        let mut pending: BTreeSet<Vec<u32>> = BTreeSet::new();
-        // Every branch prefix ever scheduled: granted revisits plus the
-        // canonical choice-0 markers of discovered nodes. Grants are
-        // fresh insertions, so a branch can never run (or be counted)
-        // twice — in particular a race requesting choice 0 at a node
-        // reached through a non-canonical prefix is recognised as already
-        // covered by the run that discovered the node.
-        let mut scheduled: BTreeSet<Vec<u32>> = BTreeSet::new();
-        pending.insert(Vec::new());
-        scheduled.insert(Vec::new());
-        // Per-depth sibling capacity of discovered contested nodes
-        // (arity - 1 each) and per-depth granted revisits; their
-        // difference is the prune histogram. Data decisions are accounted
-        // in their own pair so the symbolic-collapse tallies stay
-        // separable from the race-revisit ones.
-        let mut potential: Vec<usize> = Vec::new();
-        let mut granted: Vec<usize> = Vec::new();
-        let mut data_potential: Vec<usize> = Vec::new();
-        let mut data_granted: Vec<usize> = Vec::new();
-        let mut stats = ExploreStats::default();
-        let mut spine = SpineRunner::new(self.checkpoint);
-        while let Some(prefix) = pending.pop_first() {
-            if stats.schedules >= self.max_schedules {
-                pending.insert(prefix); // budget hit with work left
-                break;
-            }
-            // The race analysis always needs the footprint log.
-            let result = spine.run_schedule(&mut setup, &prefix, Some(true));
-            let (decisions, quanta, metrics): (&[Decision], &[QuantumRecord], _) = match &result {
-                Ok(report) => (&report.decisions, &report.quanta, &report.metrics),
-                Err(err) => (
-                    &err.report.decisions,
-                    &err.report.quanta,
-                    &err.report.metrics,
-                ),
-            };
-            debug_assert!(
-                !metrics.replay.diverged(),
-                "replay diverged ({:?}) during exploration: scenario is nondeterministic",
-                metrics.replay
-            );
-            for (i, want) in prefix.iter().enumerate() {
-                assert!(
-                    decisions.get(i).map(|d| d.chosen) == Some(*want),
-                    "replay prefix diverged at decision {i}: scenario is nondeterministic"
-                );
-            }
-            debug_assert!(decisions[prefix.len()..].iter().all(|d| d.chosen == 0));
-            let choices: Vec<u32> = decisions.iter().map(|d| d.chosen).collect();
-            // Register the nodes this run discovered, with their
-            // canonical-branch markers.
-            for (i, d) in decisions.iter().enumerate().skip(prefix.len()) {
-                if d.arity > 1 {
-                    let capacity = if d.is_sched() {
-                        &mut potential
-                    } else {
-                        &mut data_potential
-                    };
-                    bump_depth(capacity, i, d.arity as usize - 1);
-                    scheduled.insert(choices[..=i].to_vec());
-                }
-            }
-            let plan = plan_revisits(decisions, quanta, prefix.len(), &mut stats.conflicts);
-            stats.revisit_requests += plan.requests.len() as u64;
-            for (i, c) in plan.requests {
-                let mut branch = choices[..i].to_vec();
-                branch.push(c);
-                if scheduled.insert(branch.clone()) {
-                    bump_depth(&mut granted, i, 1);
-                    stats.revisits += 1;
-                    pending.insert(branch);
-                }
-            }
-            // Symbolic collapse over the run's data decisions: each
-            // [`crate::DataChoice`] partitions its domain by the constraint
-            // outcomes this run recorded, and one representative of every
-            // class the chosen value does not cover is requested.
-            // Constraints recorded *after* the branch point can split
-            // classes at earlier slots, so every slot is re-examined on
-            // every run — requests stay a pure function of the run, and
-            // grants are fresh insertions into `scheduled`, preserving the
-            // order-independent fixed point.
-            let data_choices = match &result {
-                Ok(report) => &report.data_choices,
-                Err(err) => &err.report.data_choices,
-            };
-            let mut slot = 0usize;
-            for (i, d) in decisions.iter().enumerate() {
-                if !d.is_data() {
-                    continue;
-                }
-                let requests = data_choices[slot].collapse_requests();
-                slot += 1;
-                stats.sym_requests += requests.len() as u64;
-                for c in requests {
-                    let mut branch = choices[..i].to_vec();
-                    branch.push(c);
-                    if scheduled.insert(branch.clone()) {
-                        bump_depth(&mut data_granted, i, 1);
-                        stats.sym_grants += 1;
-                        pending.insert(branch);
-                    }
-                }
-            }
-            debug_assert_eq!(slot, data_choices.len(), "data decision/choice drift");
-            visit(decisions, &result);
-            stats.count_schedule_at_depth(decisions.len());
-            if self.progress_every > 0 && stats.schedules.is_multiple_of(self.progress_every) {
-                if let Some(progress) = &self.progress.0 {
-                    progress(stats.schedules);
-                }
-            }
-            if let Err(err) = &result {
-                // Worklist pop order is not canonical depth-first order,
-                // so keep the lexicographic minimum explicitly (the same
-                // winner the parallel explorer's merge picks).
-                let candidate = ExploreError {
-                    choices,
-                    error: err.clone(),
-                };
-                match &stats.first_error {
-                    Some(cur) if cur.choices <= candidate.choices => {}
-                    _ => stats.first_error = Some(candidate),
-                }
-            }
-        }
-        stats.complete = pending.is_empty();
-        for (depth, &cap) in potential.iter().enumerate() {
-            let taken = granted.get(depth).copied().unwrap_or(0);
-            debug_assert!(taken <= cap, "granted more siblings than exist");
-            if cap > taken {
-                stats.count_pruned_at_depth(depth, cap - taken);
-            }
-        }
-        for (depth, &cap) in data_potential.iter().enumerate() {
-            let taken = data_granted.get(depth).copied().unwrap_or(0);
-            debug_assert!(taken <= cap, "granted more value siblings than exist");
-            if cap > taken {
-                stats.count_pruned_at_depth(depth, cap - taken);
-            }
-        }
-        #[cfg(debug_assertions)]
-        stats.assert_consistent();
-        stats
+        explore(self, &setup, &map)
     }
 
     /// Explores the (schedule × kill-point) space of a scenario: for each
-    /// kill point `k` in `1..=max_points`, every schedule of the scenario
-    /// is run with `victim` killed at its `k`-th scheduling point.
+    /// kill point `k` in `1..=max_points`, every schedule is run with
+    /// `victim` killed at its `k`-th scheduling point. `map` additionally
+    /// receives the kill point; the journal is sorted by
+    /// `(point, decision vector)`.
     ///
-    /// `visit` receives the kill point, the decision vector, and the run
-    /// outcome. The sweep stops early once a kill point never fires in any
+    /// The sweep stops early once a kill point never fires in any
     /// schedule: the victim's scheduling-point count is then below `k` in
     /// every interleaving, and an armed-but-idle kill plan leaves the tree
     /// identical to the unfaulted one, so no later point can fire either.
     /// `max_points` may therefore be a loose upper bound at no cost. The
-    /// per-call schedule budget applies to each kill point separately;
-    /// `schedules` in the returned stats is the total.
-    pub fn run_kill_points<S, V>(
+    /// schedule budget applies to each kill point separately; `schedules`
+    /// in the returned stats is the total.
+    pub fn run_kill_points<S, M, T>(
         &self,
         victim: &str,
         max_points: u64,
-        mut setup: S,
-        mut visit: V,
-    ) -> KillPointStats
+        setup: S,
+        map: M,
+    ) -> (Vec<(u64, ScheduleRecord<T>)>, KillPointStats)
     where
-        S: FnMut() -> Sim,
-        V: FnMut(u64, &[Decision], &Result<SimReport, SimError>),
+        S: Fn() -> Sim + Sync,
+        M: Fn(u64, &[Decision], &Result<SimReport, SimError>) -> T + Sync,
+        T: Send,
     {
+        let mut journal = Vec::new();
         let mut stats = KillPointStats {
             complete: true,
             ..KillPointStats::default()
         };
         for point in 1..=max_points {
-            let mut kills = 0usize;
-            let point_stats = self.run(
+            let kills = AtomicUsize::new(0);
+            let (point_journal, point_stats) = self.run(
                 || {
                     let mut sim = setup();
                     sim.set_fault_plan(FaultPlan::new().kill(victim, point));
@@ -1159,11 +739,12 @@ impl Explorer {
                 },
                 |decisions, result| {
                     if victim_killed(victim, result) {
-                        kills += 1;
+                        kills.fetch_add(1, Ordering::Relaxed);
                     }
-                    visit(point, decisions, result);
+                    map(point, decisions, result)
                 },
             );
+            let kills = kills.into_inner();
             stats.schedules += point_stats.schedules;
             stats.complete &= point_stats.complete;
             stats.pruned += point_stats.pruned;
@@ -1182,248 +763,20 @@ impl Explorer {
                 schedules: point_stats.schedules,
                 kills,
             });
+            journal.extend(point_journal.into_iter().map(|r| (point, r)));
             if kills == 0 && point_stats.complete {
                 break; // the victim never reaches `point` scheduling points
             }
         }
         #[cfg(debug_assertions)]
         stats.assert_consistent();
-        stats
-    }
-}
-
-/// Which execution engine [`ExploreConfig::run`] and
-/// [`ExploreConfig::run_kill_points`] dispatch to.
-///
-/// The engines differ only in *how* they walk the tree; the journal (and,
-/// in [`PruneMode::Revisit`], every statistic) is byte-identical across
-/// engines and worker counts, so the choice is purely a throughput knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The in-process depth-first worklist ([`Explorer`]); the default.
-    #[default]
-    Serial,
-    /// The work-sharing thread pool ([`crate::ParallelExplorer`]).
-    Parallel,
-}
-
-/// Unified front door for exploration: one builder, one visitor
-/// signature, three verbs.
-///
-/// Collects the knobs the exploration engines share — budget, prune mode,
-/// checkpoint spacing, progress callback, thread count — once, then runs
-/// the campaign with [`ExploreConfig::run`] (exhaustive),
-/// [`ExploreConfig::run_kill_points`] (exhaustive × fault sweep), or
-/// [`ExploreConfig::sample`] (seeded sampling for trees too big to
-/// enumerate). All three verbs share the `(setup, map)` shape: `setup`
-/// builds a fresh [`Sim`] per run, `map` sees each run's decision vector
-/// and outcome, and the journal of mapped values comes back sorted — so
-/// results are identical whichever [`Engine`] or worker count executes
-/// them:
-///
-/// ```
-/// use bloom_sim::{ExploreConfig, PruneMode};
-/// let config = ExploreConfig::new(10_000).mode(PruneMode::Revisit);
-/// let (serial, _) = config.run(
-///     || {
-///         let mut sim = bloom_sim::Sim::new();
-///         sim.spawn("a", |ctx| ctx.emit("a", &[]));
-///         sim.spawn("b", |ctx| ctx.emit("b", &[]));
-///         sim
-///     },
-///     |decisions, _| decisions.len(),
-/// );
-/// let (parallel, _) = config.clone().threads(4).run(
-///     || {
-///         let mut sim = bloom_sim::Sim::new();
-///         sim.spawn("a", |ctx| ctx.emit("a", &[]));
-///         sim.spawn("b", |ctx| ctx.emit("b", &[]));
-///         sim
-///     },
-///     |decisions, _| decisions.len(),
-/// );
-/// assert_eq!(serial, parallel);
-/// ```
-///
-/// The materialisers [`ExploreConfig::serial`] and
-/// [`ExploreConfig::parallel`] remain as the *engine-level* API: they
-/// hand out the underlying [`Explorer`] / [`crate::ParallelExplorer`] for
-/// call sites that need an engine-specific capability (the serial
-/// engine's `FnMut` visitor, engine-identity tests, benchmarks timing the
-/// engines against each other). New code should prefer the unified verbs.
-#[derive(Debug, Clone)]
-pub struct ExploreConfig {
-    budget: usize,
-    prune: bool,
-    mode: PruneMode,
-    checkpoint: CheckpointSpacing,
-    engine: Engine,
-    threads: Option<usize>,
-    progress_every: usize,
-    progress: ProgressCallback,
-}
-
-impl ExploreConfig {
-    /// Creates a configuration with the given schedule budget; pruning
-    /// off, granular mode, whole-prefix replay, default thread count, no
-    /// progress callback.
-    pub fn new(budget: usize) -> Self {
-        ExploreConfig {
-            budget,
-            prune: false,
-            mode: PruneMode::Granular,
-            checkpoint: CheckpointSpacing::default(),
-            engine: Engine::Serial,
-            threads: None,
-            progress_every: 0,
-            progress: ProgressCallback::default(),
-        }
+        (journal, stats)
     }
 
-    /// Selects the execution engine the unified verbs dispatch to.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Selects the schedule execution strategy: whole-prefix replay or
-    /// resume-from-checkpoint (see [`Explorer::with_checkpointing`]).
-    pub fn checkpoint(mut self, spacing: CheckpointSpacing) -> Self {
-        self.checkpoint = spacing;
-        self
-    }
-
-    /// Enables or disables the equivalence prune (see
-    /// [`Explorer::with_pruning`]).
-    pub fn prune(mut self, on: bool) -> Self {
-        self.prune = on;
-        self
-    }
-
-    /// Selects between the object-granular sleep-set prune (`true`, the
-    /// default) and the coarse pure-stutter-only layer (`false`; see
-    /// [`Explorer::with_coarse_pruning`]). Shorthand for
-    /// [`ExploreConfig::mode`] with [`PruneMode::Granular`] or
-    /// [`PruneMode::Coarse`]. No effect while pruning is off.
-    pub fn granular(mut self, on: bool) -> Self {
-        self.mode = if on {
-            PruneMode::Granular
-        } else {
-            PruneMode::Coarse
-        };
-        self
-    }
-
-    /// Selects a prune mode and enables pruning (see [`PruneMode`]; for
-    /// [`PruneMode::Revisit`] see [`Explorer::with_revisit_pruning`]).
-    pub fn mode(mut self, mode: PruneMode) -> Self {
-        self.prune = true;
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the worker count and selects [`Engine::Parallel`] (the way
-    /// [`ExploreConfig::mode`] selects pruning). The count also carries
-    /// to [`ExploreConfig::sample`]'s worker pool. To run parallel with
-    /// the default per-core count (capped at 8), use
-    /// [`ExploreConfig::engine`] without calling this.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.engine = Engine::Parallel;
-        self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Installs a progress callback fired every `every` schedules (see
-    /// [`Explorer::with_progress`] and
-    /// [`crate::ParallelExplorer::with_progress`] for each strategy's
-    /// milestone semantics). `every == 0` disables it.
-    pub fn progress<F>(mut self, every: usize, callback: F) -> Self
-    where
-        F: Fn(usize) + Send + Sync + 'static,
-    {
-        self.progress_every = every;
-        self.progress = ProgressCallback(Some(Arc::new(callback)));
-        self
-    }
-
-    /// Explores every schedule (up to the budget) on the configured
-    /// engine and returns the journal of mapped values plus the campaign
-    /// statistics.
-    ///
-    /// `map` is invoked once per executed schedule with the decision
-    /// vector taken and the run outcome; the journal is sorted by
-    /// decision vector, so it is identical across engines and worker
-    /// counts (see [`crate::ParallelExplorer::run`] for the merge
-    /// contract the parallel engine upholds).
-    pub fn run<S, M, T>(&self, setup: S, map: M) -> (Vec<ScheduleRecord<T>>, ExploreStats)
-    where
-        S: Fn() -> Sim + Sync,
-        M: Fn(&[Decision], &Result<SimReport, SimError>) -> T + Sync,
-        T: Send,
-    {
-        match self.engine {
-            Engine::Serial => {
-                let mut journal = Vec::new();
-                let stats = self.serial().run(setup, |decisions, result| {
-                    journal.push(ScheduleRecord {
-                        choices: decisions.iter().map(|d| d.chosen).collect(),
-                        value: map(decisions, result),
-                    });
-                });
-                journal.sort_unstable_by(|a, b| a.choices.cmp(&b.choices));
-                (journal, stats)
-            }
-            Engine::Parallel => self.parallel().run(setup, map),
-        }
-    }
-
-    /// Sweeps kill points `1..=max_points` for `victim`, exploring every
-    /// schedule of every faulted scenario on the configured engine (see
-    /// [`Explorer::run_kill_points`] for the sweep semantics and early
-    /// exit). `map` additionally receives the kill point; the journal is
-    /// sorted by `(point, decision vector)`.
-    pub fn run_kill_points<S, M, T>(
-        &self,
-        victim: &str,
-        max_points: u64,
-        setup: S,
-        map: M,
-    ) -> (Vec<(u64, ScheduleRecord<T>)>, KillPointStats)
-    where
-        S: Fn() -> Sim + Sync,
-        M: Fn(u64, &[Decision], &Result<SimReport, SimError>) -> T + Sync,
-        T: Send,
-    {
-        match self.engine {
-            Engine::Serial => {
-                let mut journal = Vec::new();
-                let stats = self.serial().run_kill_points(
-                    victim,
-                    max_points,
-                    setup,
-                    |point, decisions, result| {
-                        journal.push((
-                            point,
-                            ScheduleRecord {
-                                choices: decisions.iter().map(|d| d.chosen).collect(),
-                                value: map(point, decisions, result),
-                            },
-                        ));
-                    },
-                );
-                journal.sort_unstable_by(|a, b| (a.0, &a.1.choices).cmp(&(b.0, &b.1.choices)));
-                (journal, stats)
-            }
-            Engine::Parallel => self
-                .parallel()
-                .run_kill_points(victim, max_points, setup, map),
-        }
-    }
-
-    /// Samples `iterations` seeded schedules instead of enumerating (the
-    /// third engine; see [`crate::Sampler`]). The schedule budget and
-    /// prune knobs do not apply — `iterations` *is* the budget, and
-    /// sampling proves nothing exhaustively — but the thread count does.
+    /// Samples `iterations` seeded schedules instead of enumerating (see
+    /// [`crate::Sampler`]). The schedule budget and prune mode do not
+    /// apply — `iterations` *is* the budget, and sampling proves nothing
+    /// exhaustively — but the worker count does.
     ///
     /// Same visitor shape as [`ExploreConfig::run`], except `map` also
     /// returns the *law keys* the run violated (empty when clean), which
@@ -1448,50 +801,10 @@ impl ExploreConfig {
         }
         sampler.run(setup, map)
     }
-
-    /// Materialises a serial [`Explorer`] with this configuration
-    /// (engine-level API; prefer [`ExploreConfig::run`]).
-    pub fn serial(&self) -> Explorer {
-        let mut explorer = Explorer::new(self.budget).with_checkpointing(self.checkpoint);
-        if self.prune {
-            explorer = match self.mode {
-                PruneMode::Coarse => explorer.with_coarse_pruning(),
-                PruneMode::Granular => explorer.with_pruning(),
-                PruneMode::Revisit => explorer.with_revisit_pruning(),
-            };
-        }
-        if let Some(progress) = &self.progress.0 {
-            let progress = Arc::clone(progress);
-            explorer = explorer.with_progress(self.progress_every, move |n| progress(n));
-        }
-        explorer
-    }
-
-    /// Materialises a [`crate::ParallelExplorer`] with this configuration
-    /// (engine-level API; prefer [`ExploreConfig::run`]).
-    pub fn parallel(&self) -> crate::ParallelExplorer {
-        let mut explorer =
-            crate::ParallelExplorer::new(self.budget).with_checkpointing(self.checkpoint);
-        if let Some(threads) = self.threads {
-            explorer = explorer.threads(threads);
-        }
-        if self.prune {
-            explorer = match self.mode {
-                PruneMode::Coarse => explorer.with_coarse_pruning(),
-                PruneMode::Granular => explorer.with_pruning(),
-                PruneMode::Revisit => explorer.with_revisit_pruning(),
-            };
-        }
-        if let Some(progress) = &self.progress.0 {
-            let progress = Arc::clone(progress);
-            explorer = explorer.with_progress(self.progress_every, move |n| progress(n));
-        }
-        explorer
-    }
 }
 
 /// Whether the named victim ended the run killed by the fault plan.
-pub(crate) fn victim_killed(victim: &str, result: &Result<SimReport, SimError>) -> bool {
+fn victim_killed(victim: &str, result: &Result<SimReport, SimError>) -> bool {
     let report = match result {
         Ok(report) => report,
         Err(err) => &err.report,
@@ -1507,34 +820,38 @@ mod tests {
     use super::*;
     use parking_lot::Mutex;
     use std::collections::BTreeSet;
-    use std::sync::Arc;
+
+    /// The ordered user-event labels of a run that cannot fail.
+    fn labels(result: &Result<SimReport, SimError>) -> Vec<String> {
+        let report = result.as_ref().expect("no failure possible");
+        report
+            .trace
+            .user_events()
+            .map(|(_, l, _)| l.to_string())
+            .collect()
+    }
+
+    /// The set of distinct values in a journal.
+    fn behaviors<T: Clone + Ord>(journal: &[ScheduleRecord<T>]) -> BTreeSet<T> {
+        journal.iter().map(|r| r.value.clone()).collect()
+    }
 
     /// Two processes emitting one event each: exactly 2 interleavings at the
     /// first decision point... but yields create more decision points, so we
     /// just check that both orders are observed and exploration terminates.
     #[test]
     fn explores_both_orders_of_two_processes() {
-        let seen = Arc::new(Mutex::new(BTreeSet::new()));
-        let seen2 = Arc::clone(&seen);
-        let stats = Explorer::new(1000).run(
+        let (journal, stats) = ExploreConfig::new(1000).run(
             || {
                 let mut sim = Sim::new();
                 sim.spawn("a", |ctx| ctx.emit("a", &[]));
                 sim.spawn("b", |ctx| ctx.emit("b", &[]));
                 sim
             },
-            move |_, result| {
-                let report = result.as_ref().expect("no failure possible");
-                let order: Vec<String> = report
-                    .trace
-                    .user_events()
-                    .map(|(_, l, _)| l.to_string())
-                    .collect();
-                seen2.lock().insert(order);
-            },
+            |_, result| labels(result),
         );
         assert!(stats.complete, "tiny scenario must be fully explored");
-        let seen = seen.lock();
+        let seen = behaviors(&journal);
         assert!(seen.contains(&vec!["a".to_string(), "b".to_string()]));
         assert!(seen.contains(&vec!["b".to_string(), "a".to_string()]));
     }
@@ -1543,9 +860,7 @@ mod tests {
     /// processes (each schedule is one permutation).
     #[test]
     fn covers_all_permutations_of_three() {
-        let seen = Arc::new(Mutex::new(BTreeSet::new()));
-        let seen2 = Arc::clone(&seen);
-        let stats = Explorer::new(10_000).run(
+        let (journal, stats) = ExploreConfig::new(10_000).run(
             || {
                 let mut sim = Sim::new();
                 for i in 0..3 {
@@ -1553,84 +868,25 @@ mod tests {
                 }
                 sim
             },
-            move |_, result| {
-                let Ok(report) = result else { return };
-                let order: Vec<i64> = report
+            |_, result| {
+                let Ok(report) = result else {
+                    return Vec::new();
+                };
+                report
                     .trace
                     .user_events()
                     .map(|(_, _, params)| params[0])
-                    .collect();
-                seen2.lock().insert(order);
+                    .collect::<Vec<i64>>()
             },
         );
         assert!(stats.complete);
-        assert_eq!(seen.lock().len(), 6, "3! = 6 distinct orders");
-    }
-
-    /// The checkpointed execution strategies visit exactly the same
-    /// schedules, with the same user-event traces and stats, as
-    /// whole-prefix replay — including with the equivalence prune on.
-    /// (The full byte-identity root test lives in `tests/parallel_explore`;
-    /// this is the fast in-crate version.)
-    #[test]
-    fn checkpointing_is_observably_identical_to_replay() {
-        let scenario = || {
-            let mut sim = Sim::new();
-            for i in 0..3 {
-                sim.spawn(&format!("p{i}"), move |ctx| {
-                    ctx.emit("a", &[i]);
-                    ctx.yield_now();
-                    ctx.emit("b", &[i]);
-                });
-            }
-            sim
-        };
-        let journal_of = |explorer: Explorer| {
-            let journal = Arc::new(Mutex::new(Vec::new()));
-            let journal2 = Arc::clone(&journal);
-            let stats = explorer.run(scenario, move |decisions, result| {
-                let report = result.as_ref().expect("no failure possible");
-                let events: Vec<(String, i64)> = report
-                    .trace
-                    .user_events()
-                    .map(|(_, l, p)| (l.to_string(), p[0]))
-                    .collect();
-                journal2.lock().push((
-                    decisions.iter().map(|d| d.chosen).collect::<Vec<u32>>(),
-                    events,
-                ));
-            });
-            (Arc::into_inner(journal).unwrap().into_inner(), stats)
-        };
-        for prune in [false, true] {
-            let build = |spacing| {
-                let mut e = Explorer::new(100_000).with_checkpointing(spacing);
-                if prune {
-                    e = e.with_pruning();
-                }
-                e
-            };
-            let (base_journal, base_stats) = journal_of(build(CheckpointSpacing::Replay));
-            for spacing in [
-                CheckpointSpacing::Dense { budget: 2 },
-                CheckpointSpacing::Dense { budget: 64 },
-                CheckpointSpacing::Geometric { budget: 4 },
-            ] {
-                let (journal, stats) = journal_of(build(spacing));
-                assert_eq!(journal, base_journal, "{spacing:?} prune={prune}");
-                assert_eq!(stats.schedules, base_stats.schedules);
-                assert_eq!(stats.pruned, base_stats.pruned);
-                assert_eq!(stats.depth_schedules, base_stats.depth_schedules);
-                assert_eq!(stats.conflicts, base_stats.conflicts);
-                assert!(stats.complete);
-            }
-        }
+        assert_eq!(behaviors(&journal).len(), 6, "3! = 6 distinct orders");
     }
 
     /// The depth histograms are exact decompositions of the totals.
     #[test]
     fn depth_histograms_sum_to_totals() {
-        let stats = Explorer::new(10_000).run(
+        let (_, stats) = ExploreConfig::new(10_000).run(
             || {
                 let mut sim = Sim::new();
                 for i in 0..3 {
@@ -1638,7 +894,7 @@ mod tests {
                 }
                 sim
             },
-            |_, _| {},
+            |_, _| (),
         );
         assert_eq!(stats.depth_schedules.iter().sum::<usize>(), stats.schedules);
         assert_eq!(stats.depth_pruned.iter().sum::<usize>(), stats.pruned);
@@ -1665,37 +921,22 @@ mod tests {
             });
             sim
         };
-        let outcomes = Arc::new(Mutex::new(Vec::new()));
-        let outcomes2 = Arc::clone(&outcomes);
-        let stats = Explorer::new(1000).run(scenario, move |decisions, result| {
-            outcomes2.lock().push((
-                decisions.iter().map(|d| d.chosen).collect::<Vec<u32>>(),
-                result.is_ok(),
-            ));
-        });
+        let (outcomes, stats) = ExploreConfig::new(1000).run(scenario, |_, result| result.is_ok());
         assert!(stats.complete, "a failure must not cut the walk short");
-        let outcomes = outcomes.lock();
-        assert!(outcomes.iter().any(|(_, ok)| *ok), "some schedule succeeds");
-        assert!(
-            outcomes.iter().any(|(_, ok)| !*ok),
-            "some schedule deadlocks"
-        );
+        assert!(outcomes.iter().any(|r| r.value), "some schedule succeeds");
+        assert!(outcomes.iter().any(|r| !r.value), "some schedule deadlocks");
         let first = stats.first_error.as_ref().expect("failure is propagated");
         assert!(first.error.is_deadlock());
-        let canonical_first_failure = outcomes
-            .iter()
-            .find(|(_, ok)| !*ok)
-            .map(|(choices, _)| choices.clone())
-            .unwrap();
+        let canonical_first_failure = outcomes.iter().find(|r| !r.value).unwrap();
         assert_eq!(
-            first.choices, canonical_first_failure,
+            first.choices, canonical_first_failure.choices,
             "first error is the first failure in depth-first order"
         );
     }
 
     #[test]
     fn budget_cutoff_reports_incomplete() {
-        let stats = Explorer::new(2).run(
+        let (_, stats) = ExploreConfig::new(2).run(
             || {
                 let mut sim = Sim::new();
                 for i in 0..4 {
@@ -1703,25 +944,25 @@ mod tests {
                 }
                 sim
             },
-            |_, _| {},
+            |_, _| (),
         );
         assert_eq!(stats.schedules, 2);
         assert!(!stats.complete);
     }
 
     /// Regression: a budget of exactly the tree size must still prove
-    /// completeness — the unexplored-branch check runs before the budget
-    /// check. Two one-emit processes have exactly 2 schedules.
+    /// completeness — an empty frontier is checked before the budget. Two
+    /// one-emit processes have exactly 2 schedules.
     #[test]
     fn exact_budget_still_reports_complete() {
-        let stats = Explorer::new(2).run(
+        let (_, stats) = ExploreConfig::new(2).run(
             || {
                 let mut sim = Sim::new();
                 sim.spawn("a", |ctx| ctx.emit("a", &[]));
                 sim.spawn("b", |ctx| ctx.emit("b", &[]));
                 sim
             },
-            |_, _| {},
+            |_, _| (),
         );
         assert_eq!(stats.schedules, 2);
         assert!(
@@ -1751,29 +992,13 @@ mod tests {
             });
             sim
         };
-        let traces = |prune: bool| {
-            let seen = Arc::new(Mutex::new(BTreeSet::new()));
-            let seen2 = Arc::clone(&seen);
-            let explorer = if prune {
-                Explorer::new(100_000).with_pruning()
-            } else {
-                Explorer::new(100_000)
-            };
-            let stats = explorer.run(scenario, move |_, result| {
-                let report = result.as_ref().expect("no failure possible");
-                let order: Vec<String> = report
-                    .trace
-                    .user_events()
-                    .map(|(_, l, _)| l.to_string())
-                    .collect();
-                seen2.lock().insert(order);
-            });
-            assert!(stats.complete);
-            let seen = Arc::try_unwrap(seen).unwrap().into_inner();
-            (seen, stats)
-        };
-        let (full_traces, full) = traces(false);
-        let (pruned_traces, pruned) = traces(true);
+        let config = ExploreConfig::new(100_000);
+        let (full_journal, full) = config.run(scenario, |_, result| labels(result));
+        let (pruned_journal, pruned) = config
+            .clone()
+            .mode(PruneMode::Granular)
+            .run(scenario, |_, result| labels(result));
+        assert!(full.complete && pruned.complete);
         assert_eq!(full.pruned, 0);
         assert!(pruned.pruned > 0, "the stutter yields must prune something");
         assert!(
@@ -1783,7 +1008,8 @@ mod tests {
             full.schedules
         );
         assert_eq!(
-            pruned_traces, full_traces,
+            behaviors(&pruned_journal),
+            behaviors(&full_journal),
             "pruning must preserve the set of observable behaviors"
         );
     }
@@ -1810,10 +1036,12 @@ mod tests {
             });
             sim
         };
-        let full = Explorer::new(100_000).run(scenario, |_, _| {});
-        let pruned = Explorer::new(100_000)
-            .with_pruning()
-            .run(scenario, |_, _| {});
+        let config = ExploreConfig::new(100_000);
+        let (_, full) = config.run(scenario, |_, _| ());
+        let (_, pruned) = config
+            .clone()
+            .mode(PruneMode::Granular)
+            .run(scenario, |_, _| ());
         assert!(full.complete && pruned.complete);
         assert_eq!(full.pruned, 0);
         assert!(
@@ -1850,35 +1078,22 @@ mod tests {
             });
             sim
         };
-        let traces = |prune: bool| {
-            let seen = Arc::new(Mutex::new(BTreeSet::new()));
-            let seen2 = Arc::clone(&seen);
-            let explorer = if prune {
-                Explorer::new(100_000).with_pruning()
-            } else {
-                Explorer::new(100_000)
-            };
-            let stats = explorer.run(scenario, move |_, result| {
-                let report = result.as_ref().expect("no failure possible");
-                let order: Vec<String> = report
-                    .trace
-                    .user_events()
-                    .map(|(_, l, _)| l.to_string())
-                    .collect();
-                seen2.lock().insert(order);
-            });
-            assert!(stats.complete);
-            (Arc::try_unwrap(seen).unwrap().into_inner(), stats)
-        };
-        let (full_traces, full) = traces(false);
-        let (pruned_traces, pruned) = traces(true);
+        let config = ExploreConfig::new(100_000);
+        let (full_journal, full) = config.run(scenario, |_, result| labels(result));
+        let (pruned_journal, pruned) = config
+            .clone()
+            .mode(PruneMode::Granular)
+            .run(scenario, |_, result| labels(result));
+        assert!(full.complete && pruned.complete);
+        let full_traces = behaviors(&full_journal);
         assert!(
             full_traces.contains(&vec!["a".to_string(), "b".to_string()])
                 && full_traces.contains(&vec!["b".to_string(), "a".to_string()]),
             "both event orders are real behaviors"
         );
         assert_eq!(
-            pruned_traces, full_traces,
+            behaviors(&pruned_journal),
+            full_traces,
             "sleep sets must preserve the set of observable behaviors"
         );
         assert!(
@@ -1906,19 +1121,24 @@ mod tests {
             });
             sim
         };
-        let stats = Explorer::new(1000).with_pruning().run(scenario, |_, _| {});
+        let config = ExploreConfig::new(1000);
+        let (_, stats) = config
+            .clone()
+            .mode(PruneMode::Granular)
+            .run(scenario, |_, _| ());
         assert!(stats.complete);
         assert!(
             stats.conflicts.get("queue:gate").copied().unwrap_or(0) > 0,
             "the contended queue must appear in the tally: {:?}",
             stats.conflicts
         );
-        let unpruned = Explorer::new(1000).run(scenario, |_, _| {});
+        let (_, unpruned) = config.run(scenario, |_, _| ());
         assert!(unpruned.conflicts.is_empty(), "tally requires pruning");
     }
 
-    /// One `ExploreConfig` materialises both strategies with the same
-    /// knobs; serial progress milestones fire every `every` schedules.
+    /// One `ExploreConfig` drives both ways of running the engine — one
+    /// inline worker and a pool of workers — with the same knobs; the
+    /// inline worker's progress milestones fire every `every` schedules.
     #[test]
     fn explore_config_builds_both_strategies() {
         let three = || {
@@ -1931,24 +1151,22 @@ mod tests {
         let ticks = Arc::new(Mutex::new(Vec::new()));
         let ticks2 = Arc::clone(&ticks);
         let config = ExploreConfig::new(10_000)
-            .prune(true)
-            .threads(2)
+            .mode(PruneMode::Granular)
             .progress(2, move |n| ticks2.lock().push(n));
-        let serial = config.serial().run(three, |_, _| {});
-        let mut serial_ticks = std::mem::take(&mut *ticks.lock());
-        serial_ticks.sort_unstable();
+        let (_, inline) = config.run(three, |_, _| ());
+        let inline_ticks = std::mem::take(&mut *ticks.lock());
         assert_eq!(
-            serial_ticks,
-            (1..=serial.schedules / 2)
+            inline_ticks,
+            (1..=inline.schedules / 2)
                 .map(|i| i * 2)
                 .collect::<Vec<_>>(),
-            "serial milestones fire every 2 schedules"
+            "inline milestones fire every 2 schedules, in order"
         );
-        let (_, parallel) = config.parallel().run(three, |_, _| ());
-        assert_eq!(parallel.schedules, serial.schedules);
-        assert_eq!(parallel.pruned, serial.pruned);
-        assert_eq!(parallel.conflicts, serial.conflicts);
-        assert_eq!(parallel.depth_schedules, serial.depth_schedules);
+        let (_, pooled) = config.threads(2).run(three, |_, _| ());
+        assert_eq!(pooled.schedules, inline.schedules);
+        assert_eq!(pooled.pruned, inline.pruned);
+        assert_eq!(pooled.conflicts, inline.conflicts);
+        assert_eq!(pooled.depth_schedules, inline.depth_schedules);
     }
 
     /// A scenario with both real conflicts (a shared queue) and commuting
@@ -1979,24 +1197,15 @@ mod tests {
     /// run is a granted revisit.
     #[test]
     fn revisit_preserves_behaviors_and_accounts_every_schedule() {
-        let traces = |explorer: Explorer| {
-            let seen = Arc::new(Mutex::new(BTreeSet::new()));
-            let seen2 = Arc::clone(&seen);
-            let stats = explorer.run(mixed_conflict_scenario, move |_, result| {
-                let report = result.as_ref().expect("no failure possible");
-                let order: Vec<String> = report
-                    .trace
-                    .user_events()
-                    .map(|(_, l, _)| l.to_string())
-                    .collect();
-                seen2.lock().insert(order);
-            });
+        let traces = |config: ExploreConfig| {
+            let (journal, stats) = config.run(mixed_conflict_scenario, |_, result| labels(result));
             assert!(stats.complete);
-            (Arc::try_unwrap(seen).unwrap().into_inner(), stats)
+            (behaviors(&journal), stats)
         };
-        let (full_traces, full) = traces(Explorer::new(100_000));
-        let (granular_traces, granular) = traces(Explorer::new(100_000).with_pruning());
-        let (revisit_traces, revisit) = traces(Explorer::new(100_000).with_revisit_pruning());
+        let config = ExploreConfig::new(100_000);
+        let (full_traces, full) = traces(config.clone());
+        let (granular_traces, granular) = traces(config.clone().mode(PruneMode::Granular));
+        let (revisit_traces, revisit) = traces(config.mode(PruneMode::Revisit));
         assert_eq!(granular_traces, full_traces);
         assert_eq!(
             revisit_traces, full_traces,
@@ -2027,48 +1236,6 @@ mod tests {
         revisit.assert_consistent();
     }
 
-    /// Revisit mode under the checkpoint spine: every spacing reproduces
-    /// whole-prefix replay exactly — the race analysis feeds on footprints
-    /// recorded during runs resumed from held checkpoints.
-    #[test]
-    fn revisit_checkpointing_is_observably_identical_to_replay() {
-        let journal_of = |spacing| {
-            let journal = Arc::new(Mutex::new(Vec::new()));
-            let journal2 = Arc::clone(&journal);
-            let stats = Explorer::new(100_000)
-                .with_revisit_pruning()
-                .with_checkpointing(spacing)
-                .run(mixed_conflict_scenario, move |decisions, result| {
-                    let report = result.as_ref().expect("no failure possible");
-                    let events: Vec<String> = report
-                        .trace
-                        .user_events()
-                        .map(|(_, l, _)| l.to_string())
-                        .collect();
-                    journal2.lock().push((
-                        decisions.iter().map(|d| d.chosen).collect::<Vec<u32>>(),
-                        events,
-                    ));
-                });
-            assert!(stats.complete);
-            (Arc::into_inner(journal).unwrap().into_inner(), stats)
-        };
-        let (base_journal, base) = journal_of(CheckpointSpacing::Replay);
-        for spacing in [
-            CheckpointSpacing::Dense { budget: 2 },
-            CheckpointSpacing::Dense { budget: 64 },
-            CheckpointSpacing::Geometric { budget: 4 },
-        ] {
-            let (journal, stats) = journal_of(spacing);
-            assert_eq!(journal, base_journal, "{spacing:?}");
-            assert_eq!(stats.schedules, base.schedules);
-            assert_eq!(stats.pruned, base.pruned);
-            assert_eq!(stats.revisit_requests, base.revisit_requests);
-            assert_eq!(stats.revisits, base.revisits);
-            assert_eq!(stats.conflicts, base.conflicts);
-        }
-    }
-
     /// Revisit mode composes with the kill-point sweep: the sweep stops at
     /// the same point as the granular one, fires the same points, and its
     /// merged accounting stays consistent. (Fault-injected runs are not
@@ -2091,15 +1258,14 @@ mod tests {
             });
             sim
         };
-        let granular = Explorer::new(10_000).with_pruning().run_kill_points(
-            "victim",
-            8,
-            scenario,
-            |_, _, _| {},
-        );
-        let revisit = Explorer::new(10_000)
-            .with_revisit_pruning()
-            .run_kill_points("victim", 8, scenario, |_, _, _| {});
+        let sweep = |mode| {
+            ExploreConfig::new(10_000)
+                .mode(mode)
+                .run_kill_points("victim", 8, scenario, |_, _, _| ())
+                .1
+        };
+        let granular = sweep(PruneMode::Granular);
+        let revisit = sweep(PruneMode::Revisit);
         assert!(granular.complete && revisit.complete);
         revisit.assert_consistent();
         let fired = |stats: &KillPointStats| {
@@ -2136,8 +1302,8 @@ mod tests {
     }
 
     /// The unified verbs return byte-identical journals and statistics
-    /// whichever engine executes them — including symbolic data
-    /// decisions.
+    /// however the engine runs — one inline worker or a pool of 1, 2 or 4
+    /// — including symbolic data decisions.
     #[test]
     fn unified_run_is_engine_independent() {
         let vector = |d: &[Decision]| d.iter().map(|x| x.chosen).collect::<Vec<u32>>();
@@ -2165,15 +1331,9 @@ mod tests {
             assert_eq!(stats.sym_grants, ref_stats.sym_grants);
             assert_eq!(stats.revisits, ref_stats.revisits);
         }
-        // The explicit engine selector is equivalent to the default.
-        let (explicit, _) = config
-            .clone()
-            .engine(Engine::Serial)
-            .run(chooser_scenario, |d, _| vector(d));
-        assert_eq!(explicit, reference);
     }
 
-    /// The unified kill-point sweep agrees across engines too.
+    /// The unified kill-point sweep agrees across worker counts too.
     #[test]
     fn unified_kill_points_are_engine_independent() {
         let scenario = || {
@@ -2198,7 +1358,7 @@ mod tests {
         assert_eq!(stats.per_point, ref_stats.per_point);
     }
 
-    /// The sampling verb drives the third engine through the same config.
+    /// The sampling verb drives the sampler through the same config.
     #[test]
     fn unified_sample_smoke() {
         let (journal, stats) = ExploreConfig::new(0).threads(2).sample(

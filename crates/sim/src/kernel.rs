@@ -148,10 +148,7 @@ pub(crate) struct State {
     /// Whether to record `quanta`. On by default; the explorers force it
     /// on when their object-granular prune is enabled.
     pub record_quanta: bool,
-    /// The scheduling policy consulted at contested dispatches. Lives in
-    /// the kernel state rather than the [`crate::Sim`] builder so a held
-    /// run can retarget its replay script between drives (see
-    /// [`crate::HeldRun`]).
+    /// The scheduling policy consulted at contested dispatches.
     pub policy: Box<dyn SchedPolicy>,
     /// Copied from [`SimConfig::max_steps`] at construction.
     pub max_steps: u64,
@@ -163,10 +160,6 @@ pub(crate) struct State {
     pub deadlock_recovery: bool,
     /// Copied from [`SimConfig::reuse_hosts`] at construction.
     pub reuse_hosts: bool,
-    /// The active [`drive`] call's pause budget, stored in state (rather
-    /// than on the scheduler loop's stack) so the inline continuation path
-    /// can honor held-run pause points too.
-    pub pause_at: Option<usize>,
     /// Whether the quantum currently holding the CPU came from a
     /// *contested* dispatch. Set by `pick_and_dispatch`, consumed by
     /// `account_stop` — kernel state rather than a scheduler-loop local so
@@ -218,7 +211,6 @@ impl State {
             starvation_bound: cfg.starvation_bound,
             deadlock_recovery: cfg.deadlock_recovery,
             reuse_hosts: cfg.reuse_hosts,
-            pause_at: None,
             cur_decided: false,
             cur_sched_decision: None,
             cur_ready: None,
@@ -662,27 +654,12 @@ fn snapshot(st: &mut State) -> SimReport {
     }
 }
 
-/// What one [`drive`] call produced.
-pub(crate) enum DriveOutcome {
-    /// The run reached `pause_at` contested decisions and is parked at the
-    /// next contested dispatch, nothing mutated for it yet: a frozen,
-    /// resumable snapshot (see [`crate::HeldRun`]).
-    Paused,
-    /// The run finished (boxed: a report is large, a pause is nothing).
-    Done(Box<Result<SimReport, SimError>>),
-}
-
-/// Result of the phase-1 dispatch tail ([`pick_and_dispatch`]).
-enum Picked {
-    /// The pause hook fired: `pause_at` contested decisions reached and
-    /// nothing mutated for the next one (see [`crate::HeldRun`]).
-    Paused,
-    /// A process was chosen and all dispatch bookkeeping is done.
-    Go {
-        next: Pid,
-        baton: Arc<Baton<Go>>,
-        pending: Option<PendingJob>,
-    },
+/// Result of the phase-1 dispatch tail ([`pick_and_dispatch`]): the
+/// chosen process, with all dispatch bookkeeping done.
+struct Picked {
+    next: Pid,
+    baton: Arc<Baton<Go>>,
+    pending: Option<PendingJob>,
 }
 
 /// The dispatch tail of phase 1, shared by the scheduler loop and the
@@ -697,12 +674,6 @@ fn pick_and_dispatch(st: &mut State) -> Picked {
         st.cur_sched_decision = None;
         0
     } else {
-        // Pause hook for held runs: the policy has not been consulted and
-        // nothing has been mutated for this decision yet, so the run can
-        // resume later as if uninterrupted.
-        if st.pause_at == Some(st.decisions.len()) {
-            return Picked::Paused;
-        }
         st.cur_decided = true;
         // The trait contract promises policies at least two candidates at
         // a contested dispatch; assert the kernel keeps that promise (the
@@ -792,7 +763,7 @@ fn pick_and_dispatch(st: &mut State) -> Picked {
         let clock = st.clock;
         st.trace.push(clock, next, EventKind::Scheduled);
     }
-    Picked::Go {
+    Picked {
         baton: Arc::clone(&st.procs[next.index()].baton),
         pending: st.procs[next.index()].pending.take(),
         next,
@@ -1062,8 +1033,8 @@ pub(crate) enum StopOutcome {
 /// the next process (or keeps it, if the pick comes back to itself). The
 /// scheduler loop stays parked in `sched_baton.take()` the whole time and
 /// is only woken, via [`Report::Rescan`], for the cases it alone can
-/// handle: run termination, deadlock detection and recovery, the step
-/// budget, and held-run pause points.
+/// handle: run termination, deadlock detection and recovery, and the step
+/// budget.
 pub(crate) fn stop_process(shared: &Arc<Shared>, pid: Pid, report: Report) -> StopOutcome {
     if !shared.inline.load(Ordering::Relaxed) {
         // Seed protocol: hand the report to the scheduler loop, which does
@@ -1089,60 +1060,39 @@ pub(crate) fn stop_process(shared: &Arc<Shared>, pid: Pid, report: Report) -> St
         shared.sched_baton.put(Report::Rescan);
         return StopOutcome::Handed;
     }
-    match pick_and_dispatch(&mut st) {
-        Picked::Paused => {
-            drop(st);
-            shared.sched_baton.put(Report::Rescan);
-            StopOutcome::Handed
-        }
-        Picked::Go {
-            next,
-            baton: _,
-            pending,
-        } if next == pid => {
-            // Picked right back: skip both hand-offs (see `SelfResume`).
-            // The caller is running, so its body was dispatched long ago.
-            debug_assert!(pending.is_none());
-            st.metrics.self_resumes += 1;
-            drop(st);
-            shared.quantum_dirty.store(false, Ordering::Relaxed);
-            shared.quantum_all.store(false, Ordering::Relaxed);
-            StopOutcome::SelfResume
-        }
-        Picked::Go {
-            next,
-            baton,
-            pending,
-        } => {
-            drop(st);
-            hand_cpu(shared, next, &baton, pending);
-            StopOutcome::Handed
-        }
+    let Picked {
+        next,
+        baton,
+        pending,
+    } = pick_and_dispatch(&mut st);
+    if next == pid {
+        // Picked right back: skip both hand-offs (see `SelfResume`).
+        // The caller is running, so its body was dispatched long ago.
+        debug_assert!(pending.is_none());
+        st.metrics.self_resumes += 1;
+        drop(st);
+        shared.quantum_dirty.store(false, Ordering::Relaxed);
+        shared.quantum_all.store(false, Ordering::Relaxed);
+        return StopOutcome::SelfResume;
     }
+    drop(st);
+    hand_cpu(shared, next, &baton, pending);
+    StopOutcome::Handed
 }
 
 /// The scheduler loop. Runs on the thread that called [`crate::Sim::run`]
-/// (or [`crate::HeldRun::finish`]/[`crate::HeldRun::advance_to`], which
-/// re-enter it — the loop is resumable because everything it needs lives
-/// in [`State`], not on this stack).
-///
-/// With `pause_at == Some(k)` the loop returns [`DriveOutcome::Paused`]
-/// just before consulting the policy for contested decision `k`; the
-/// one-running-process invariant means no process is mid-quantum then, so
-/// a later call picks up exactly where this one stopped.
-pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutcome {
+/// and returns the finished run.
+pub(crate) fn drive(shared: &Arc<Shared>) -> Result<SimReport, SimError> {
     let error: Option<SimErrorKind>;
     {
         // Static prune-safety gate: fault plans reorder effects around kill
         // points and the starvation watchdog's verdicts depend on absolute
         // wait ages, so both void the commutation argument behind
-        // `Decision::pure` for the whole run. (Re-running the gate on
-        // resume is an idempotent store.)
+        // `Decision::pure` for the whole run.
         let mut st = shared.state.lock();
         if st.faults.active() || st.starvation_bound.is_some() {
             st.prune_safe = false;
         }
-        st.pause_at = pause_at;
         // Arm the inline continuation fast path (see `stop_process`).
         // Fault plans need the kill/spurious hand-shakes of the scheduler
         // loop, and legacy mode keeps the seed protocol byte-for-byte.
@@ -1232,13 +1182,13 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
                             shutdown(shared);
                             let mut st = shared.state.lock();
                             let report = snapshot(&mut st);
-                            return DriveOutcome::Done(Box::new(Err(SimError {
+                            return Err(SimError {
                                 kind: SimErrorKind::ProcessPanicked {
                                     pid: victim,
                                     message,
                                 },
                                 report: Box::new(report),
-                            })));
+                            });
                         }
                         _ => unreachable!("abort unwind reports Aborted or Panicked"),
                     }
@@ -1292,18 +1242,10 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
                 });
                 break;
             }
-            match pick_and_dispatch(&mut st) {
-                Picked::Paused => return DriveOutcome::Paused,
-                Picked::Go {
-                    next: n,
-                    baton: b,
-                    pending: p,
-                } => {
-                    next = n;
-                    baton = b;
-                    pending = p;
-                }
-            }
+            let picked = pick_and_dispatch(&mut st);
+            next = picked.next;
+            baton = picked.baton;
+            pending = picked.pending;
         }
 
         // Phase 2: hand over the CPU and wait for a report. Under the
@@ -1372,13 +1314,13 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
                     shutdown(shared);
                     let mut st = shared.state.lock();
                     let report = snapshot(&mut st);
-                    return DriveOutcome::Done(Box::new(Err(SimError {
+                    return Err(SimError {
                         kind: SimErrorKind::ProcessPanicked {
                             pid: stop_pid,
                             message,
                         },
                         report: Box::new(report),
-                    })));
+                    });
                 }
                 _ => unreachable!("kill unwind reports Killed or Panicked"),
             }
@@ -1395,10 +1337,10 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
                 shutdown(shared);
                 let mut st = shared.state.lock();
                 let report = snapshot(&mut st);
-                return DriveOutcome::Done(Box::new(Err(SimError {
+                return Err(SimError {
                     kind: SimErrorKind::ProcessPanicked { pid, message },
                     report: Box::new(report),
-                })));
+                });
             }
             // Only ever sent in response to Go::Kill, which the kill path
             // above consumes directly.
@@ -1433,20 +1375,19 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
     }
     let mut st = shared.state.lock();
     let report = snapshot(&mut st);
-    DriveOutcome::Done(Box::new(match error {
+    match error {
         None => Ok(report),
         Some(kind) => Err(SimError {
             kind,
             report: Box::new(report),
         }),
-    }))
+    }
 }
 
 /// Cancels every still-live process and waits (via the job gate) for all
 /// started process bodies to return or unwind — the seed's thread joins,
 /// reformulated so it works for pooled hosts too. Idempotent: a second
-/// call finds no live process, no pending body, and a zero gate, which is
-/// what lets [`crate::HeldRun`]'s `Drop` call it unconditionally.
+/// call finds no live process, no pending body, and a zero gate.
 pub(crate) fn shutdown(shared: &Arc<Shared>) {
     // Raise the flag before any cancellation: cancelled threads unwind
     // concurrently, and their drop guards check it (via Ctx::cancelling)

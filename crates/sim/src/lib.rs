@@ -15,7 +15,7 @@
 //! This determinism is what makes the paper's *behavioral* claims testable:
 //! Bloom's analysis of the Figure-1 path-expression solution (footnote 3)
 //! hinges on one specific interleaving of three processes, which
-//! [`Explorer`] can find mechanically.
+//! [`ExploreConfig::run`] can find mechanically.
 //!
 //! # Architecture
 //!
@@ -27,8 +27,9 @@
 //!   monitors, serializers and path expressions are all built from it.
 //! * [`Trace`] / [`Event`] — the totally ordered event log of a run;
 //!   higher-level crates derive their correctness checks from it.
-//! * [`Explorer`] — bounded exhaustive enumeration of schedules (and,
-//!   via [`Explorer::run_kill_points`], of schedule × kill-point spaces).
+//! * [`ExploreConfig`] — bounded exhaustive enumeration of schedules
+//!   (and, via [`ExploreConfig::run_kill_points`], of schedule ×
+//!   kill-point spaces) on one inline worker or a pool of them.
 //! * [`FaultPlan`] — deterministic fault injection: kill a named process
 //!   at its Nth scheduling point, wake a park spuriously, delay a wake.
 //!   Faults are part of the run's coordinates, so a crash scenario replays
@@ -95,23 +96,20 @@ mod waitq;
 pub use ctx::Ctx;
 pub use error::{SimError, SimErrorKind};
 pub use explore::{
-    Engine, ExploreConfig, ExploreError, ExploreStats, Explorer, KillPointCount, KillPointStats,
-    PruneMode,
+    ExploreConfig, ExploreError, ExploreStats, KillPointCount, KillPointStats, PruneMode,
 };
 pub use fault::{DelaySpec, FaultPlan, KillSpec, Poisoned, SpuriousSpec};
 pub use footprint::{Access, Footprint, ObjId, QuantumRecord};
 pub use kernel::{ProcessStatus, ProcessSummary, SimReport, StarvationFlag};
 pub use metrics::{PidMetrics, ReplayDivergence, SimMetrics};
-pub use parallel::{ParallelExplorer, ScheduleRecord};
-pub use policy::{
-    CheckpointSpacing, FifoPolicy, LifoPolicy, RandomPolicy, ReplayPolicy, SchedPolicy, SplitMix64,
-};
+pub use parallel::ScheduleRecord;
+pub use policy::{FifoPolicy, LifoPolicy, RandomPolicy, ReplayPolicy, SchedPolicy, SplitMix64};
 pub use retry::{retry_with_backoff, Backoff, RetryOutcome};
 pub use sample::{
     replay_exact, replay_prefix, shrink_prefix, PctPolicy, SampleRecord, SampleStats,
     SampleStrategy, Sampler,
 };
-pub use sim::{HeldRun, RunProgress, Sim, SimConfig};
+pub use sim::{Sim, SimConfig};
 pub use symbolic::{CmpOp, DataChoice, SymValue};
 pub use trace::{Decision, DecisionKind, Event, EventKind, Trace};
 pub use types::{Deadline, Pid, Time};

@@ -97,12 +97,11 @@ pub struct SimMetrics {
     /// Always 0 under the seed protocol ([`crate::SimConfig::reuse_hosts`]
     /// `== false`) and under a fault plan. A cost of the host protocol,
     /// not part of the schedule: not exported, and it may differ between
-    /// runs of one schedule under different kernel modes or checkpoint
-    /// spacings.
+    /// runs of one schedule under different kernel modes.
     pub self_resumes: u64,
     /// Times the scheduler loop woke from waiting on a report: one per
     /// quantum under the seed protocol, otherwise one per deferral to the
-    /// loop (run end, deadlock, step budget, held-run pause) plus one per
+    /// loop (run end, deadlock, step budget) plus one per
     /// kill or abort acknowledgement. OS hand-offs per run are
     /// `dispatches - self_resumes + loop_wakes`. Same caveats as
     /// [`SimMetrics::self_resumes`].

@@ -1,55 +1,60 @@
-//! Work-sharing parallel schedule exploration.
+//! The exploration engine: a frontier of branch prefixes and the workers
+//! that drain it.
 //!
-//! [`ParallelExplorer`] explores the same decision tree as
-//! [`crate::Explorer`], but with a pool of worker threads
-//! (`std::thread::scope` — no extra dependencies, no unsafe). The tree is
-//! embarrassingly parallel at prefix boundaries:
+//! [`ExploreConfig::run`] and [`ExploreConfig::run_kill_points`] both end
+//! up here, in every prune mode and at every worker count. The tree is
+//! split at prefix boundaries:
 //!
-//! * A shared frontier (`Mutex<Vec<Vec<u32>>>`) holds unexplored branch
-//!   prefixes, seeded with the empty prefix (the canonical first schedule).
-//! * A worker pops a prefix, runs the scenario under a [`crate::ReplayPolicy`]
-//!   for it (decisions past the prefix take the canonical choice 0), and
-//!   for every decision point the run *discovered* — indices at or beyond
-//!   the prefix length — pushes each sibling branch `decisions[..i] ⧺ [c]`,
-//!   `c ∈ 1..arity`, back onto the frontier. Each leaf is generated exactly
-//!   once: by the prefix that ends at its last non-zero choice.
+//! * A shared frontier holds unexplored branch prefixes, seeded with the
+//!   empty prefix (the canonical first schedule), ordered by prefix.
+//! * A worker pops the lexicographically least prefix, runs the scenario
+//!   under a [`ReplayPolicy`] for it (decisions past the prefix take the
+//!   canonical choice 0), and for every decision point the run
+//!   *discovered* — indices at or beyond the prefix length — pushes each
+//!   sibling branch `decisions[..i] ⧺ [c]`, `c ∈ 1..arity`, back onto the
+//!   frontier, minus the siblings the prune mode skips. Each leaf is
+//!   generated exactly once: by the prefix that ends at its last non-zero
+//!   choice.
 //! * The run's outcome is mapped to a journal entry on the spot (outcomes
-//!   are never buffered whole — a 300k-schedule tree of full [`SimReport`]s
-//!   would not fit in memory) and appended to the worker's own journal.
+//!   are never buffered whole — a 300k-schedule tree of full
+//!   [`SimReport`]s would not fit in memory) and appended to the worker's
+//!   own journal.
+//!
+//! **One worker is the serial order.** With one worker — the default —
+//! the engine runs inline on the caller's thread. Every prefix a run
+//! pushes extends the run's own decision vector, so the least prefix on
+//! the frontier is always the next leaf in depth-first order: the unpruned
+//! and granular modes visit the tree depth-first, and the revisit mode
+//! drains its worklist least-prefix-first. A budget of `k` therefore runs
+//! exactly the first `k` schedules of that order.
 //!
 //! Determinism is load-bearing in this repository, so the merge is
 //! canonical: per-worker journals are concatenated and sorted by the full
-//! decision vector of each schedule, which is exactly the depth-first
-//! visit order of the serial explorer. Schedule counts, journals, and any
-//! report text derived from them are byte-identical for every thread
-//! count — and identical to [`crate::Explorer`] (verified by the
-//! `parallel_explore` integration test).
+//! decision vector of each schedule. Schedule counts, journals, stats, and
+//! any report text derived from them are byte-identical for every worker
+//! count (verified by the `parallel_explore` integration test).
 //!
-//! The budget is also deterministic: workers claim budget slots from an
+//! The budget is deterministic too: workers claim budget slots from an
 //! atomic counter before running, so exactly `min(budget, tree)` schedules
-//! execute regardless of interleaving; *which* schedules run under an
-//! exhausted budget is scheduling-dependent, so only `schedules` and
-//! `complete` (not the journal) are guaranteed stable for budget-cut
-//! explorations. All exhaustive call sites in this repository are
-//! budgeted above their tree size.
+//! execute regardless of interleaving. With more than one worker, *which*
+//! schedules run under an exhausted budget is scheduling-dependent, so
+//! only `schedules` and `complete` (not the journal) are stable for
+//! budget-cut explorations. All exhaustive call sites in this repository
+//! are budgeted above their tree size.
 
 use crate::error::SimError;
-use crate::explore::victim_killed;
 use crate::explore::{
-    bump_depth, merge_conflicts, merge_depth, walk_run, ExploreError, ExploreStats, KillPointCount,
-    KillPointStats, ProgressCallback, PruneMode, SleepSet, SpineRunner,
+    bump_depth, merge_conflicts, merge_depth, walk_run, ExploreConfig, ExploreError, ExploreStats,
+    PruneMode, SleepSet,
 };
-use crate::fault::FaultPlan;
-use crate::footprint::QuantumRecord;
 use crate::kernel::SimReport;
-use crate::policy::CheckpointSpacing;
+use crate::policy::ReplayPolicy;
 use crate::revisit::plan_revisits;
 use crate::sim::Sim;
 use crate::trace::Decision;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// One schedule's entry in a merged exploration journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,11 +67,15 @@ pub struct ScheduleRecord<T> {
 
 /// Shared frontier of unexplored branch prefixes, each carrying the sleep
 /// set its run inherits (the branched-from node's `child_sleep` — see
-/// [`crate::explore`]'s module docs; empty when pruning is off).
+/// [`crate::explore`]'s module docs; empty outside the granular mode).
 struct Frontier {
-    stack: Vec<(Vec<u32>, SleepSet)>,
+    /// Keyed by prefix, so `pop_first` takes the least one.
+    pending: BTreeMap<Vec<u32>, SleepSet>,
     /// Workers currently expanding a popped prefix (may push more work).
     active: usize,
+    /// Workers blocked in [`Coordinator::pop`]: the only ones a change to
+    /// the frontier has to wake.
+    waiting: usize,
     /// Raised on budget exhaustion or worker panic: drain and exit.
     stop: bool,
 }
@@ -74,6 +83,54 @@ struct Frontier {
 struct Coordinator {
     frontier: Mutex<Frontier>,
     available: Condvar,
+}
+
+impl Coordinator {
+    fn new() -> Self {
+        Coordinator {
+            frontier: Mutex::new(Frontier {
+                pending: BTreeMap::from([(Vec::new(), SleepSet::default())]),
+                active: 0,
+                waiting: 0,
+                stop: false,
+            }),
+            available: Condvar::new(),
+        }
+    }
+
+    /// Pops the least prefix and counts its worker active; `None` once
+    /// `stop` is raised, or once no work exists and nobody is expanding
+    /// (an active worker may still push more).
+    fn pop(&self) -> Option<(Vec<u32>, SleepSet)> {
+        let mut f = self.frontier.lock();
+        loop {
+            if f.stop {
+                return None;
+            }
+            if let Some(entry) = f.pending.pop_first() {
+                f.active += 1;
+                return Some(entry);
+            }
+            if f.active == 0 {
+                return None;
+            }
+            f.waiting += 1;
+            self.available.wait(&mut f);
+            f.waiting -= 1;
+        }
+    }
+
+    /// Applies `change` to the frontier, then wakes the waiting workers —
+    /// after unlocking (see `vendor/README.md`), and only if one waits.
+    fn update(&self, change: impl FnOnce(&mut Frontier)) {
+        let mut f = self.frontier.lock();
+        change(&mut f);
+        let wake = f.waiting > 0;
+        drop(f);
+        if wake {
+            self.available.notify_all();
+        }
+    }
 }
 
 /// Decrements `active` when an expansion ends — including by panic, where
@@ -85,33 +142,20 @@ struct ActiveGuard<'a> {
 
 impl Drop for ActiveGuard<'_> {
     fn drop(&mut self) {
-        let mut f = self.sync.frontier.lock();
-        f.active -= 1;
-        if std::thread::panicking() {
-            f.stop = true;
-        }
-        self.sync.available.notify_all();
+        let panicking = std::thread::panicking();
+        self.sync.update(|f| {
+            f.active -= 1;
+            f.stop |= panicking;
+        });
     }
 }
 
-/// Mutable exploration state shared by the workers. Everything here is
-/// merge-order-independent (atomic adds, elementwise histogram adds, a
-/// lexicographic minimum), which is what keeps the final [`ExploreStats`]
-/// byte-identical across thread counts.
-struct SharedStats {
+/// Exploration state every worker reads and writes: the budget counter
+/// and, in the revisit mode, the grant set.
+struct Shared {
     claimed: AtomicUsize,
     budget_hit: AtomicBool,
-    depth_pruned: Mutex<Vec<usize>>,
-    conflicts: Mutex<BTreeMap<String, u64>>,
-    first_error: Mutex<Option<ExploreError>>,
-    /// Total race-derived branch requests (including already-scheduled
-    /// duplicates); a per-run pure function, so the sum is
-    /// order-independent. See [`ExploreStats::revisit_requests`].
-    revisit_requests: AtomicU64,
-    /// Total symbolic value requests (including duplicates); also a
-    /// per-run pure function. See [`ExploreStats::sym_requests`].
-    sym_requests: AtomicU64,
-    /// Revisit-mode grant state; `None` in the sleep-set modes.
+    /// Revisit-mode grant state; `None` in the other modes.
     revisit: Option<Mutex<RevisitShared>>,
 }
 
@@ -135,531 +179,359 @@ struct RevisitShared {
     data_granted: Vec<usize>,
 }
 
-impl SharedStats {
-    fn new(revisit: bool) -> Self {
-        SharedStats {
-            claimed: AtomicUsize::new(0),
-            budget_hit: AtomicBool::new(false),
-            depth_pruned: Mutex::new(Vec::new()),
-            conflicts: Mutex::new(BTreeMap::new()),
-            first_error: Mutex::new(None),
-            revisit_requests: AtomicU64::new(0),
-            sym_requests: AtomicU64::new(0),
-            revisit: revisit.then(|| {
-                Mutex::new(RevisitShared {
-                    scheduled: BTreeSet::from([Vec::new()]),
-                    potential: Vec::new(),
-                    granted: Vec::new(),
-                    data_potential: Vec::new(),
-                    data_granted: Vec::new(),
-                })
-            }),
-        }
-    }
+/// What one worker counted besides its journal. Every field merges
+/// order-independently (elementwise and additive sums, a lexicographic
+/// minimum), which is what keeps the final [`ExploreStats`] identical
+/// across worker counts.
+#[derive(Default)]
+struct Tally {
+    /// The prune histogram of the sleep-set mode (the revisit mode settles
+    /// its own from [`RevisitShared`] at the end).
+    depth_pruned: Vec<usize>,
+    conflicts: BTreeMap<String, u64>,
+    /// Race-derived branch requests, including already-scheduled
+    /// duplicates (see [`ExploreStats::revisit_requests`]).
+    revisit_requests: u64,
+    /// Symbolic value requests, including duplicates (see
+    /// [`ExploreStats::sym_requests`]).
+    sym_requests: u64,
+    first_error: Option<ExploreError>,
+}
 
+impl Tally {
     /// Keeps the failure whose decision vector is least in canonical
     /// depth-first order — the same winner regardless of which worker
     /// found which failure first.
-    fn offer_error(&self, candidate: ExploreError) {
-        let mut slot = self.first_error.lock();
-        match &*slot {
+    fn offer_error(&mut self, candidate: ExploreError) {
+        match &self.first_error {
             Some(cur) if cur.choices <= candidate.choices => {}
-            _ => *slot = Some(candidate),
+            _ => self.first_error = Some(candidate),
+        }
+    }
+
+    fn merge(&mut self, other: Tally) {
+        merge_depth(&mut self.depth_pruned, &other.depth_pruned);
+        merge_conflicts(&mut self.conflicts, &other.conflicts);
+        self.revisit_requests += other.revisit_requests;
+        self.sym_requests += other.sym_requests;
+        if let Some(error) = other.first_error {
+            self.offer_error(error);
         }
     }
 }
 
-/// Work-sharing parallel version of [`crate::Explorer`].
-#[derive(Debug, Clone)]
-pub struct ParallelExplorer {
-    max_schedules: usize,
-    threads: usize,
-    prune: bool,
-    mode: PruneMode,
-    checkpoint: CheckpointSpacing,
-    progress_every: usize,
-    progress: ProgressCallback,
-}
-
-impl ParallelExplorer {
-    /// Creates an explorer that runs at most `max_schedules` schedules,
-    /// with one worker per available core (capped at 8).
-    pub fn new(max_schedules: usize) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8);
-        ParallelExplorer {
-            max_schedules,
-            threads,
-            prune: false,
-            mode: PruneMode::Granular,
-            checkpoint: CheckpointSpacing::default(),
-            progress_every: 0,
-            progress: ProgressCallback::default(),
-        }
-    }
-
-    /// Selects the schedule execution strategy (see
-    /// [`crate::Explorer::with_checkpointing`]). Each worker keeps its own
-    /// private spine over the prefixes it happens to claim, so the win is
-    /// smaller than the serial explorer's — popped prefixes are only
-    /// *mostly* depth-first per worker — but results stay byte-identical.
-    pub fn with_checkpointing(mut self, spacing: CheckpointSpacing) -> Self {
-        self.checkpoint = spacing;
-        self
-    }
-
-    /// Sets the worker count (min 1). Results are identical for every
-    /// thread count; this only tunes throughput.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables the equivalence prune (see [`crate::Explorer::with_pruning`]
-    /// — the pruned tree is identical to the serial explorer's).
-    pub fn with_pruning(mut self) -> Self {
-        self.prune = true;
-        self.mode = PruneMode::Granular;
-        self
-    }
-
-    /// Enables only the pure-stutter layer of the prune (see
-    /// [`crate::Explorer::with_coarse_pruning`] — again byte-identical to
-    /// the serial explorer in the same mode).
-    pub fn with_coarse_pruning(mut self) -> Self {
-        self.prune = true;
-        self.mode = PruneMode::Coarse;
-        self
-    }
-
-    /// Enables the race-driven revisit prune (see
-    /// [`crate::Explorer::with_revisit_pruning`]). The explored schedule
-    /// *set* — and therefore the canonically sorted journal and every
-    /// stat — is identical to the serial explorer's and across thread
-    /// counts: grants are fresh insertions into a shared scheduled set,
-    /// so the set of executed schedules is the same least fixed point no
-    /// matter which worker detects which race first.
-    pub fn with_revisit_pruning(mut self) -> Self {
-        self.prune = true;
-        self.mode = PruneMode::Revisit;
-        self
-    }
-
-    /// Installs a progress callback fired at *virtual* milestones — once
-    /// for every `every`-th schedule claimed from the budget counter, with
-    /// the running claim count as argument — never on wall-clock time, so
-    /// observing progress cannot perturb determinism. For an exhaustive
-    /// exploration the set of milestones is a pure function of the tree
-    /// (claims = schedules); only the thread a callback runs on varies.
-    /// Under a budget cut-off the over-claims that detect exhaustion are
-    /// scheduling-dependent, so the last milestone may vary — the same
-    /// caveat as the journal (see the module docs). `every == 0` disables
-    /// the callback.
-    pub fn with_progress<F>(mut self, every: usize, callback: F) -> Self
-    where
-        F: Fn(usize) + Send + Sync + 'static,
-    {
-        self.progress_every = every;
-        self.progress = ProgressCallback(Some(Arc::new(callback)));
-        self
-    }
-
-    /// Explores the scenario produced by `setup`, mapping every schedule
-    /// to a journal entry via `map`, and returns the journal merged in
-    /// canonical (serial depth-first) order together with the stats.
-    ///
-    /// `setup` must build an identical simulation each time it is called;
-    /// it and `map` run concurrently on worker threads. A panic in either
-    /// (including assertion failures inside `map`) stops the exploration
-    /// and propagates.
-    pub fn run<S, M, T>(&self, setup: S, map: M) -> (Vec<ScheduleRecord<T>>, ExploreStats)
-    where
-        S: Fn() -> Sim + Sync,
-        M: Fn(&[Decision], &Result<SimReport, SimError>) -> T + Sync,
-        T: Send,
-    {
-        let sync = Coordinator {
-            frontier: Mutex::new(Frontier {
-                stack: vec![(Vec::new(), SleepSet::default())],
-                active: 0,
-                stop: false,
-            }),
-            available: Condvar::new(),
-        };
-        let shared = SharedStats::new(self.prune && self.mode == PruneMode::Revisit);
-        let journals: Mutex<Vec<Vec<ScheduleRecord<T>>>> = Mutex::new(Vec::new());
-
+/// Explores the scenario produced by `setup` under `config`, mapping every
+/// schedule to a journal entry via `map`, and returns the journal merged
+/// in canonical (depth-first) order together with the stats.
+pub(crate) fn explore<S, M, T>(
+    config: &ExploreConfig,
+    setup: &S,
+    map: &M,
+) -> (Vec<ScheduleRecord<T>>, ExploreStats)
+where
+    S: Fn() -> Sim + Sync,
+    M: Fn(&[Decision], &Result<SimReport, SimError>) -> T + Sync,
+    T: Send,
+{
+    let sync = Coordinator::new();
+    let shared = Shared {
+        claimed: AtomicUsize::new(0),
+        budget_hit: AtomicBool::new(false),
+        revisit: (config.mode == Some(PruneMode::Revisit)).then(|| {
+            Mutex::new(RevisitShared {
+                scheduled: BTreeSet::from([Vec::new()]),
+                potential: Vec::new(),
+                granted: Vec::new(),
+                data_potential: Vec::new(),
+                data_granted: Vec::new(),
+            })
+        }),
+    };
+    let threads = config.threads.unwrap_or(1);
+    let (mut journal, tally) = if threads == 1 {
+        worker(config, &sync, &shared, setup, map)
+    } else {
+        let outputs = Mutex::new(Vec::with_capacity(threads));
         std::thread::scope(|scope| {
-            for _ in 0..self.threads {
+            for _ in 0..threads {
                 scope.spawn(|| {
-                    let journal = self.worker(&sync, &shared, &setup, &map);
-                    journals.lock().push(journal);
+                    let output = worker(config, &sync, &shared, setup, map);
+                    outputs.lock().push(output);
                 });
             }
         });
-
-        let mut journal: Vec<ScheduleRecord<T>> =
-            journals.into_inner().into_iter().flatten().collect();
-        journal.sort_unstable_by(|a, b| a.choices.cmp(&b.choices));
-        // The schedule depth histogram is derived from the merged journal
-        // (one record per executed schedule), so it is canonical by
-        // construction; the prune histogram and first error were merged
-        // order-independently as the workers ran.
-        let mut depth_schedules = Vec::new();
-        for r in &journal {
-            bump_depth(&mut depth_schedules, r.choices.len(), 1);
-        }
-        // In revisit mode the prune histogram is settled now, exactly as
-        // in the serial worklist: every sibling of every discovered
-        // contested node that was never granted is a pruned branch.
-        let (depth_pruned, revisits, sym_grants) = match shared.revisit {
-            Some(revisit) => {
-                let rs = revisit.into_inner();
-                let mut depth_pruned = Vec::new();
-                let mut revisits = 0u64;
-                for (depth, &cap) in rs.potential.iter().enumerate() {
-                    let taken = rs.granted.get(depth).copied().unwrap_or(0);
-                    debug_assert!(taken <= cap, "granted more siblings than exist");
-                    if cap > taken {
-                        bump_depth(&mut depth_pruned, depth, cap - taken);
-                    }
-                    revisits += taken as u64;
-                }
-                let mut sym_grants = 0u64;
-                for (depth, &cap) in rs.data_potential.iter().enumerate() {
-                    let taken = rs.data_granted.get(depth).copied().unwrap_or(0);
-                    debug_assert!(taken <= cap, "granted more value siblings than exist");
-                    if cap > taken {
-                        bump_depth(&mut depth_pruned, depth, cap - taken);
-                    }
-                    sym_grants += taken as u64;
-                }
-                (depth_pruned, revisits, sym_grants)
-            }
-            None => (shared.depth_pruned.into_inner(), 0, 0),
-        };
-        let stats = ExploreStats {
-            schedules: journal.len(),
-            complete: !shared.budget_hit.load(Ordering::Relaxed),
-            pruned: depth_pruned.iter().sum(),
-            depth_schedules,
-            depth_pruned,
-            conflicts: shared.conflicts.into_inner(),
-            revisit_requests: shared.revisit_requests.into_inner(),
-            revisits,
-            sym_requests: shared.sym_requests.into_inner(),
-            sym_grants,
-            first_error: shared.first_error.into_inner(),
-            sampling: None,
-        };
-        #[cfg(debug_assertions)]
-        stats.assert_consistent();
-        (journal, stats)
-    }
-
-    /// One worker: pop a prefix, run it, expand its discovered siblings,
-    /// journal the outcome; exit when the frontier drains or `stop` rises.
-    fn worker<S, M, T>(
-        &self,
-        sync: &Coordinator,
-        shared: &SharedStats,
-        setup: &S,
-        map: &M,
-    ) -> Vec<ScheduleRecord<T>>
-    where
-        S: Fn() -> Sim + Sync,
-        M: Fn(&[Decision], &Result<SimReport, SimError>) -> T + Sync,
-        T: Send,
-    {
         let mut journal = Vec::new();
-        let mut make = || setup();
-        let record_quanta = if self.prune {
-            // The sleep-set and revisit layers need the footprint log;
-            // coarse mode drops it, degrading the walk to the pure-only
-            // prune.
-            Some(self.mode != PruneMode::Coarse)
-        } else {
-            None
-        };
-        let mut spine = SpineRunner::new(self.checkpoint);
-        loop {
-            // Pop a prefix, or exit once no work exists and nobody is
-            // expanding (an active worker may still push more).
-            let (prefix, inherited) = {
-                let mut f = sync.frontier.lock();
-                loop {
-                    if f.stop {
-                        return journal;
-                    }
-                    if let Some(p) = f.stack.pop() {
-                        f.active += 1;
-                        break p;
-                    }
-                    if f.active == 0 {
-                        return journal;
-                    }
-                    sync.available.wait(&mut f);
+        let mut tally = Tally::default();
+        for (part, counts) in outputs.into_inner() {
+            journal.extend(part);
+            tally.merge(counts);
+        }
+        (journal, tally)
+    };
+    journal.sort_unstable_by(|a, b| a.choices.cmp(&b.choices));
+    // The schedule depth histogram is derived from the merged journal
+    // (one record per executed schedule), so it is canonical by
+    // construction.
+    let mut depth_schedules = Vec::new();
+    for r in &journal {
+        bump_depth(&mut depth_schedules, r.choices.len(), 1);
+    }
+    // In revisit mode the prune histogram is settled now: every sibling of
+    // every discovered contested node that was never granted is a pruned
+    // branch at that node's depth. (A granted-but-unexecuted branch under
+    // a budget cut is neither executed nor pruned.)
+    let (depth_pruned, revisits, sym_grants) = match shared.revisit {
+        Some(revisit) => {
+            let rs = revisit.into_inner();
+            let mut depth_pruned = Vec::new();
+            let mut revisits = 0u64;
+            for (depth, &cap) in rs.potential.iter().enumerate() {
+                let taken = rs.granted.get(depth).copied().unwrap_or(0);
+                debug_assert!(taken <= cap, "granted more siblings than exist");
+                if cap > taken {
+                    bump_depth(&mut depth_pruned, depth, cap - taken);
                 }
-            };
-            let _guard = ActiveGuard { sync };
-            // Claim a budget slot *before* running: exactly
-            // min(budget, tree) schedules execute, deterministically.
-            let claim = shared.claimed.fetch_add(1, Ordering::Relaxed);
-            if claim >= self.max_schedules {
-                shared.budget_hit.store(true, Ordering::Relaxed);
-                let mut f = sync.frontier.lock();
-                f.stop = true;
-                sync.available.notify_all();
-                return journal;
+                revisits += taken as u64;
             }
-            if self.progress_every > 0 && (claim + 1).is_multiple_of(self.progress_every) {
-                if let Some(progress) = &self.progress.0 {
-                    progress(claim + 1);
+            let mut sym_grants = 0u64;
+            for (depth, &cap) in rs.data_potential.iter().enumerate() {
+                let taken = rs.data_granted.get(depth).copied().unwrap_or(0);
+                debug_assert!(taken <= cap, "granted more value siblings than exist");
+                if cap > taken {
+                    bump_depth(&mut depth_pruned, depth, cap - taken);
                 }
+                sym_grants += taken as u64;
             }
+            (depth_pruned, revisits, sym_grants)
+        }
+        None => (tally.depth_pruned, 0, 0),
+    };
+    let stats = ExploreStats {
+        schedules: journal.len(),
+        complete: !shared.budget_hit.load(Ordering::Relaxed),
+        pruned: depth_pruned.iter().sum(),
+        depth_schedules,
+        depth_pruned,
+        conflicts: tally.conflicts,
+        revisit_requests: tally.revisit_requests,
+        revisits,
+        sym_requests: tally.sym_requests,
+        sym_grants,
+        first_error: tally.first_error,
+        sampling: None,
+    };
+    #[cfg(debug_assertions)]
+    stats.assert_consistent();
+    (journal, stats)
+}
 
-            let result = spine.run_schedule(&mut make, &prefix, record_quanta);
-            let (decisions, quanta, metrics): (&[Decision], &[QuantumRecord], _) = match &result {
-                Ok(report) => (&report.decisions, &report.quanta, &report.metrics),
-                Err(err) => (
-                    &err.report.decisions,
-                    &err.report.quanta,
-                    &err.report.metrics,
-                ),
-            };
-            debug_assert!(
-                !metrics.replay.diverged(),
-                "replay diverged ({:?}) during exploration: scenario is nondeterministic",
-                metrics.replay
+/// One worker: pop a prefix, run it, expand its discovered siblings,
+/// journal the outcome; exit when the frontier drains or `stop` rises.
+fn worker<S, M, T>(
+    config: &ExploreConfig,
+    sync: &Coordinator,
+    shared: &Shared,
+    setup: &S,
+    map: &M,
+) -> (Vec<ScheduleRecord<T>>, Tally)
+where
+    S: Fn() -> Sim + Sync,
+    M: Fn(&[Decision], &Result<SimReport, SimError>) -> T + Sync,
+    T: Send,
+{
+    let mut journal = Vec::new();
+    let mut tally = Tally::default();
+    let mut fresh: Vec<(Vec<u32>, SleepSet)> = Vec::new();
+    while let Some((prefix, inherited)) = sync.pop() {
+        let _guard = ActiveGuard { sync };
+        // Claim a budget slot *before* running: exactly
+        // min(budget, tree) schedules execute, deterministically.
+        let claim = shared.claimed.fetch_add(1, Ordering::Relaxed);
+        if claim >= config.budget {
+            shared.budget_hit.store(true, Ordering::Relaxed);
+            sync.update(|f| f.stop = true);
+            break;
+        }
+        if config.progress_every > 0 && (claim + 1).is_multiple_of(config.progress_every) {
+            if let Some(progress) = &config.progress.0 {
+                progress(claim + 1);
+            }
+        }
+
+        let mut sim = setup();
+        sim.set_policy(ReplayPolicy::prefix(prefix.clone()));
+        if config.mode.is_some() {
+            // Both prune modes read the footprint log.
+            sim.set_record_quanta(true);
+        }
+        let result = sim.run();
+        let report = match &result {
+            Ok(report) => report,
+            Err(err) => &err.report,
+        };
+        let decisions = &report.decisions[..];
+        let choices: Vec<u32> = decisions.iter().map(|d| d.chosen).collect();
+        // An exhaustive walk replays only prefixes of vectors the tree
+        // itself produced, so any divergence means the scenario is not a
+        // function of its decisions.
+        debug_assert!(
+            !report.metrics.replay.diverged(),
+            "replay diverged ({:?}) during exploration: scenario is nondeterministic",
+            report.metrics.replay
+        );
+        for (i, want) in prefix.iter().enumerate() {
+            assert!(
+                choices.get(i) == Some(want),
+                "replay prefix diverged at decision {i}: scenario is nondeterministic"
             );
-            for (i, want) in prefix.iter().enumerate() {
-                assert!(
-                    decisions.get(i).map(|d| d.chosen) == Some(*want),
-                    "replay prefix diverged at decision {i}: scenario is nondeterministic"
-                );
-            }
-            if let Err(err) = &result {
-                shared.offer_error(ExploreError {
-                    choices: decisions.iter().map(|d| d.chosen).collect(),
-                    error: err.clone(),
-                });
-            }
-            // Expand the decision points this run discovered. Points below
-            // the prefix length were expanded by the run that discovered
-            // the prefix; the rest are seen here first (with the canonical
-            // choice 0, which is what licenses the prune checks). With the
-            // prune on, the walk over the footprint log supplies the same
-            // per-node facts the serial explorer derives, so the pruned
-            // trees are identical.
-            let mut fresh: Vec<(Vec<u32>, SleepSet)> = Vec::new();
-            if let Some(revisit) = &shared.revisit {
-                // Race-driven expansion: analyse this run for reversible
-                // races, register the nodes it discovered, and schedule
-                // only the fresh race-derived requests. All of it under
-                // one lock acquisition, before the frontier push, so a
-                // node's canonical marker is always visible before any
-                // descendant run can request choice 0 there.
-                let mut local_races = BTreeMap::new();
-                let plan = plan_revisits(decisions, quanta, prefix.len(), &mut local_races);
-                if !local_races.is_empty() {
-                    merge_conflicts(&mut shared.conflicts.lock(), &local_races);
-                }
-                shared
-                    .revisit_requests
-                    .fetch_add(plan.requests.len() as u64, Ordering::Relaxed);
-                let choices: Vec<u32> = decisions.iter().map(|d| d.chosen).collect();
-                let mut rs = revisit.lock();
-                for (i, d) in decisions.iter().enumerate().skip(prefix.len()) {
-                    debug_assert_eq!(d.chosen, 0, "past-prefix replay takes choice 0");
-                    if d.arity > 1 {
-                        if d.is_sched() {
-                            bump_depth(&mut rs.potential, i, d.arity as usize - 1);
-                        } else {
-                            bump_depth(&mut rs.data_potential, i, d.arity as usize - 1);
-                        }
-                        rs.scheduled.insert(choices[..=i].to_vec());
+        }
+        if let Err(err) = &result {
+            tally.offer_error(ExploreError {
+                choices: choices.clone(),
+                error: err.clone(),
+            });
+        }
+        // Expand the decision points this run discovered. Points below
+        // the prefix length were expanded by the run that discovered the
+        // prefix; the rest are seen here first, with the canonical choice
+        // 0, which is what licenses the prune checks.
+        if let Some(revisit) = &shared.revisit {
+            // Race-driven expansion: analyse this run for reversible
+            // races, register the nodes it discovered, and schedule
+            // only the fresh race-derived requests. All of it under
+            // one lock acquisition, before the frontier push, so a
+            // node's canonical marker is always visible before any
+            // descendant run can request choice 0 there.
+            let plan = plan_revisits(
+                decisions,
+                &report.quanta,
+                prefix.len(),
+                &mut tally.conflicts,
+            );
+            tally.revisit_requests += plan.requests.len() as u64;
+            let mut rs = revisit.lock();
+            for (i, d) in decisions.iter().enumerate().skip(prefix.len()) {
+                debug_assert_eq!(d.chosen, 0, "past-prefix replay takes choice 0");
+                if d.arity > 1 {
+                    if d.is_sched() {
+                        bump_depth(&mut rs.potential, i, d.arity as usize - 1);
+                    } else {
+                        bump_depth(&mut rs.data_potential, i, d.arity as usize - 1);
                     }
+                    rs.scheduled.insert(choices[..=i].to_vec());
                 }
-                for (i, c) in plan.requests {
-                    let mut branch = choices[..i].to_vec();
-                    branch.push(c);
+            }
+            for (i, c) in plan.requests {
+                let branch = sibling(&choices, i, c);
+                if rs.scheduled.insert(branch.clone()) {
+                    bump_depth(&mut rs.granted, i, 1);
+                    fresh.push((branch, SleepSet::default()));
+                }
+            }
+            // Symbolic collapse over the run's data decisions: each
+            // [`crate::DataChoice`] partitions its domain by the
+            // constraint outcomes this run recorded, and one
+            // representative of every class the chosen value does not
+            // cover is requested. Constraints recorded *after* the
+            // branch point can split classes at earlier slots, so
+            // every slot is re-examined on every run — requests stay
+            // a pure function of the run, and grants are fresh
+            // insertions, preserving the order-independent fixed
+            // point.
+            let mut slot = 0usize;
+            for (i, d) in decisions.iter().enumerate() {
+                if !d.is_data() {
+                    continue;
+                }
+                let requests = report.data_choices[slot].collapse_requests();
+                slot += 1;
+                tally.sym_requests += requests.len() as u64;
+                for c in requests {
+                    let branch = sibling(&choices, i, c);
                     if rs.scheduled.insert(branch.clone()) {
-                        bump_depth(&mut rs.granted, i, 1);
-                        fresh.push((branch, SleepSet::default()));
-                    }
-                }
-                // Symbolic collapse: request one representative per
-                // constraint class at every data decision of this run
-                // (a per-run pure function, like the race plan), and
-                // grant the fresh ones under the same lock acquisition.
-                let data_choices = match &result {
-                    Ok(report) => &report.data_choices,
-                    Err(err) => &err.report.data_choices,
-                };
-                let mut slot = 0usize;
-                for (i, d) in decisions.iter().enumerate() {
-                    if !d.is_data() {
-                        continue;
-                    }
-                    let requests = data_choices[slot].collapse_requests();
-                    slot += 1;
-                    shared
-                        .sym_requests
-                        .fetch_add(requests.len() as u64, Ordering::Relaxed);
-                    for c in requests {
-                        let mut branch = choices[..i].to_vec();
-                        branch.push(c);
-                        if rs.scheduled.insert(branch.clone()) {
-                            bump_depth(&mut rs.data_granted, i, 1);
-                            fresh.push((branch, SleepSet::default()));
-                        }
-                    }
-                }
-                debug_assert_eq!(slot, data_choices.len(), "data decision/choice drift");
-            } else if self.prune {
-                let mut local_conflicts = BTreeMap::new();
-                let infos = walk_run(
-                    decisions,
-                    quanta,
-                    prefix.len(),
-                    &inherited,
-                    &mut local_conflicts,
-                );
-                if !local_conflicts.is_empty() {
-                    merge_conflicts(&mut shared.conflicts.lock(), &local_conflicts);
-                }
-                if prefix.len() + infos.len() < decisions.len() {
-                    // The walk cut this run (see `walk_run`): count the
-                    // abandoned canonical continuation as one pruned
-                    // branch; nodes past the cut are never expanded.
-                    bump_depth(
-                        &mut shared.depth_pruned.lock(),
-                        prefix.len() + infos.len() - 1,
-                        1,
-                    );
-                }
-                for (j, info) in infos.iter().enumerate() {
-                    let i = prefix.len() + j;
-                    let d = decisions[i];
-                    debug_assert_eq!(d.chosen, 0, "past-prefix replay takes choice 0");
-                    if d.arity <= 1 {
-                        continue;
-                    }
-                    if info.pure {
-                        bump_depth(&mut shared.depth_pruned.lock(), i, d.arity as usize - 1);
-                        continue;
-                    }
-                    for c in 1..d.arity {
-                        if info.asleep[c as usize] {
-                            bump_depth(&mut shared.depth_pruned.lock(), i, 1);
-                            continue;
-                        }
-                        let mut branch = Vec::with_capacity(i + 1);
-                        branch.extend(decisions[..i].iter().map(|d| d.chosen));
-                        branch.push(c);
-                        fresh.push((branch, info.child_sleep.clone()));
-                    }
-                }
-            } else {
-                for i in prefix.len()..decisions.len() {
-                    let d = decisions[i];
-                    debug_assert_eq!(d.chosen, 0, "past-prefix replay takes choice 0");
-                    if d.arity <= 1 {
-                        continue;
-                    }
-                    for c in 1..d.arity {
-                        let mut branch = Vec::with_capacity(i + 1);
-                        branch.extend(decisions[..i].iter().map(|d| d.chosen));
-                        branch.push(c);
+                        bump_depth(&mut rs.data_granted, i, 1);
                         fresh.push((branch, SleepSet::default()));
                     }
                 }
             }
-            if !fresh.is_empty() {
-                let mut f = sync.frontier.lock();
-                f.stack.append(&mut fresh);
-                sync.available.notify_all();
-            }
-            journal.push(ScheduleRecord {
-                choices: decisions.iter().map(|d| d.chosen).collect(),
-                value: map(decisions, &result),
-            });
-        }
-    }
-
-    /// Parallel version of [`crate::Explorer::run_kill_points`]: explores
-    /// the (schedule × kill-point) space, stopping the sweep at the first
-    /// kill point that can no longer fire. Journal entries carry the kill
-    /// point in `value` position via the `map` closure's first argument;
-    /// the merged journal is ordered by `(kill point, decision vector)`.
-    pub fn run_kill_points<S, M, T>(
-        &self,
-        victim: &str,
-        max_points: u64,
-        setup: S,
-        map: M,
-    ) -> (Vec<(u64, ScheduleRecord<T>)>, KillPointStats)
-    where
-        S: Fn() -> Sim + Sync,
-        M: Fn(u64, &[Decision], &Result<SimReport, SimError>) -> T + Sync,
-        T: Send,
-    {
-        let mut journal = Vec::new();
-        let mut stats = KillPointStats {
-            complete: true,
-            ..KillPointStats::default()
-        };
-        for point in 1..=max_points {
-            let kills = AtomicUsize::new(0);
-            let (point_journal, point_stats) = self.run(
-                || {
-                    let mut sim = setup();
-                    sim.set_fault_plan(FaultPlan::new().kill(victim, point));
-                    sim
-                },
-                |decisions, result| {
-                    if victim_killed(victim, result) {
-                        kills.fetch_add(1, Ordering::Relaxed);
-                    }
-                    map(point, decisions, result)
-                },
+            debug_assert_eq!(
+                slot,
+                report.data_choices.len(),
+                "data decision/choice drift"
             );
-            let kills = kills.into_inner();
-            stats.schedules += point_stats.schedules;
-            stats.complete &= point_stats.complete;
-            stats.pruned += point_stats.pruned;
-            merge_depth(&mut stats.depth_schedules, &point_stats.depth_schedules);
-            merge_depth(&mut stats.depth_pruned, &point_stats.depth_pruned);
-            merge_conflicts(&mut stats.conflicts, &point_stats.conflicts);
-            stats.revisit_requests += point_stats.revisit_requests;
-            stats.revisits += point_stats.revisits;
-            stats.sym_requests += point_stats.sym_requests;
-            stats.sym_grants += point_stats.sym_grants;
-            if stats.first_error.is_none() {
-                stats.first_error = point_stats.first_error;
+        } else if config.mode.is_some() {
+            // The sleep-set walk over the footprint log supplies the
+            // per-node prune facts.
+            let infos = walk_run(
+                decisions,
+                &report.quanta,
+                prefix.len(),
+                &inherited,
+                &mut tally.conflicts,
+            );
+            if prefix.len() + infos.len() < decisions.len() {
+                // The walk cut this run (see `walk_run`): count the
+                // abandoned canonical continuation as one pruned
+                // branch; nodes past the cut are never expanded.
+                bump_depth(&mut tally.depth_pruned, prefix.len() + infos.len() - 1, 1);
             }
-            stats.per_point.push(KillPointCount {
-                point,
-                schedules: point_stats.schedules,
-                kills,
-            });
-            journal.extend(point_journal.into_iter().map(|r| (point, r)));
-            if kills == 0 && point_stats.complete {
-                break; // the victim never reaches `point` scheduling points
+            for (j, info) in infos.iter().enumerate() {
+                let i = prefix.len() + j;
+                let d = decisions[i];
+                debug_assert_eq!(d.chosen, 0, "past-prefix replay takes choice 0");
+                if d.arity <= 1 {
+                    continue;
+                }
+                if info.pure {
+                    bump_depth(&mut tally.depth_pruned, i, d.arity as usize - 1);
+                    continue;
+                }
+                for c in 1..d.arity {
+                    if info.asleep[c as usize] {
+                        bump_depth(&mut tally.depth_pruned, i, 1);
+                        continue;
+                    }
+                    fresh.push((sibling(&choices, i, c), info.child_sleep.clone()));
+                }
+            }
+        } else {
+            for (i, d) in decisions.iter().enumerate().skip(prefix.len()) {
+                debug_assert_eq!(d.chosen, 0, "past-prefix replay takes choice 0");
+                for c in 1..d.arity {
+                    fresh.push((sibling(&choices, i, c), SleepSet::default()));
+                }
             }
         }
-        #[cfg(debug_assertions)]
-        stats.assert_consistent();
-        (journal, stats)
+        if !fresh.is_empty() {
+            sync.update(|f| {
+                for (branch, sleep) in fresh.drain(..) {
+                    let dup = f.pending.insert(branch, sleep);
+                    debug_assert!(dup.is_none(), "a branch was pushed twice");
+                }
+            });
+        }
+        journal.push(ScheduleRecord {
+            value: map(decisions, &result),
+            choices,
+        });
     }
+    (journal, tally)
+}
+
+/// The branch that takes choice `c` at decision `i` of the run whose
+/// decision vector is `choices`.
+fn sibling(choices: &[u32], i: usize, c: u32) -> Vec<u32> {
+    let mut branch = Vec::with_capacity(i + 1);
+    branch.extend_from_slice(&choices[..i]);
+    branch.push(c);
+    branch
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use std::sync::Arc;
 
     fn three_emitters() -> Sim {
         let mut sim = Sim::new();
@@ -669,49 +541,50 @@ mod tests {
         sim
     }
 
-    #[test]
-    fn matches_serial_explorer_for_every_thread_count() {
-        let mut serial: Vec<(Vec<u32>, Vec<i64>)> = Vec::new();
-        let serial_stats = crate::Explorer::new(10_000).run(three_emitters, |decisions, result| {
-            let Ok(report) = result else { return };
-            serial.push((
-                decisions.iter().map(|d| d.chosen).collect(),
+    /// The ordered user-event labels of a run (empty for a failed run).
+    fn trace_of(result: &Result<SimReport, SimError>) -> Vec<String> {
+        result
+            .as_ref()
+            .map(|report| {
                 report
                     .trace
                     .user_events()
-                    .map(|(_, _, params)| params[0])
-                    .collect(),
-            ));
-        });
+                    .map(|(_, l, _)| l.to_string())
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn matches_serial_explorer_for_every_thread_count() {
+        let params = |_: &[Decision], result: &Result<SimReport, SimError>| {
+            let Ok(report) = result else {
+                return Vec::new();
+            };
+            report
+                .trace
+                .user_events()
+                .map(|(_, _, params)| params[0])
+                .collect::<Vec<i64>>()
+        };
+        let config = ExploreConfig::new(10_000);
+        let (serial, serial_stats) = config.run(three_emitters, params);
+        assert_eq!(serial_stats.schedules, 6, "3! = 6 schedules");
         for threads in [1, 2, 4, 8] {
-            let (journal, stats) =
-                ParallelExplorer::new(10_000)
-                    .threads(threads)
-                    .run(three_emitters, |_, result| {
-                        let Ok(report) = result else {
-                            return Vec::new();
-                        };
-                        report
-                            .trace
-                            .user_events()
-                            .map(|(_, _, params)| params[0])
-                            .collect::<Vec<i64>>()
-                    });
+            let (journal, stats) = config.clone().threads(threads).run(three_emitters, params);
             assert_eq!(stats.schedules, serial_stats.schedules);
             assert!(stats.complete);
             assert_eq!(stats.depth_schedules, serial_stats.depth_schedules);
             assert_eq!(stats.depth_pruned, serial_stats.depth_pruned);
             assert!(stats.first_error.is_none());
-            let merged: Vec<(Vec<u32>, Vec<i64>)> =
-                journal.into_iter().map(|r| (r.choices, r.value)).collect();
-            assert_eq!(merged, serial, "journal must match serial visit order");
+            assert_eq!(journal, serial, "journal must match the one-worker order");
         }
     }
 
     #[test]
     fn budget_claims_are_deterministic() {
         for threads in [1, 2, 4, 8] {
-            let (journal, stats) = ParallelExplorer::new(2)
+            let (journal, stats) = ExploreConfig::new(2)
                 .threads(threads)
                 .run(three_emitters, |_, _| ());
             assert_eq!(stats.schedules, 2);
@@ -723,7 +596,7 @@ mod tests {
     #[test]
     fn exact_budget_reports_complete() {
         // 3 one-emit processes: 3! = 6 schedules exactly.
-        let (_, stats) = ParallelExplorer::new(6)
+        let (_, stats) = ExploreConfig::new(6)
             .threads(4)
             .run(three_emitters, |_, _| ());
         assert_eq!(stats.schedules, 6);
@@ -747,49 +620,27 @@ mod tests {
             });
             sim
         };
-        let trace_of = |result: &Result<SimReport, SimError>| {
-            result
-                .as_ref()
-                .map(|report| {
-                    report
-                        .trace
-                        .user_events()
-                        .map(|(_, l, _)| l.to_string())
-                        .collect::<Vec<_>>()
-                })
-                .unwrap_or_default()
-        };
-        let mut serial_traces = BTreeSet::new();
-        let mut serial_journal = Vec::new();
-        let serial_stats =
-            crate::Explorer::new(100_000)
-                .with_pruning()
-                .run(scenario, |decisions, result| {
-                    let t = trace_of(result);
-                    serial_traces.insert(t.clone());
-                    serial_journal
-                        .push((decisions.iter().map(|d| d.chosen).collect::<Vec<_>>(), t));
-                });
+        let config = ExploreConfig::new(100_000).mode(PruneMode::Granular);
+        let (serial, serial_stats) = config.run(scenario, |_, result| trace_of(result));
         assert!(serial_stats.pruned > 0, "scenario must actually prune");
-        let mut full_traces = BTreeSet::new();
-        crate::Explorer::new(100_000).run(scenario, |_, result| {
-            full_traces.insert(trace_of(result));
-        });
+        let (full, _) = ExploreConfig::new(100_000).run(scenario, |_, result| trace_of(result));
+        let behaviors = |journal: &[ScheduleRecord<Vec<String>>]| -> BTreeSet<Vec<String>> {
+            journal.iter().map(|r| r.value.clone()).collect()
+        };
         assert_eq!(
-            serial_traces, full_traces,
+            behaviors(&serial),
+            behaviors(&full),
             "prune must be behavior-preserving"
         );
         for threads in [1, 4] {
-            let (journal, stats) = ParallelExplorer::new(100_000)
+            let (journal, stats) = config
+                .clone()
                 .threads(threads)
-                .with_pruning()
                 .run(scenario, |_, result| trace_of(result));
             assert_eq!(stats.schedules, serial_stats.schedules);
             assert_eq!(stats.pruned, serial_stats.pruned);
             assert_eq!(stats.conflicts, serial_stats.conflicts);
-            let merged: Vec<(Vec<u32>, Vec<String>)> =
-                journal.into_iter().map(|r| (r.choices, r.value)).collect();
-            assert_eq!(merged, serial_journal, "pruned trees must be identical");
+            assert_eq!(journal, serial, "pruned trees must be identical");
         }
     }
 
@@ -817,48 +668,25 @@ mod tests {
             });
             sim
         };
-        let trace_of = |result: &Result<SimReport, SimError>| {
-            result
-                .as_ref()
-                .map(|report| {
-                    report
-                        .trace
-                        .user_events()
-                        .map(|(_, l, _)| l.to_string())
-                        .collect::<Vec<_>>()
-                })
-                .unwrap_or_default()
-        };
-        let mut serial_journal = Vec::new();
-        let serial_stats =
-            crate::Explorer::new(100_000)
-                .with_pruning()
-                .run(scenario, |decisions, result| {
-                    serial_journal.push((
-                        decisions.iter().map(|d| d.chosen).collect::<Vec<_>>(),
-                        trace_of(result),
-                    ));
-                });
+        let config = ExploreConfig::new(100_000).mode(PruneMode::Granular);
+        let (serial, serial_stats) = config.run(scenario, |_, result| trace_of(result));
         assert!(serial_stats.pruned > 0, "sleep sets must prune here");
         for threads in [1, 2, 4, 8] {
-            let (journal, stats) = ParallelExplorer::new(100_000)
+            let (journal, stats) = config
+                .clone()
                 .threads(threads)
-                .with_pruning()
                 .run(scenario, |_, result| trace_of(result));
             assert_eq!(stats.schedules, serial_stats.schedules);
             assert_eq!(stats.pruned, serial_stats.pruned);
             assert_eq!(stats.depth_pruned, serial_stats.depth_pruned);
             assert_eq!(stats.conflicts, serial_stats.conflicts);
-            let merged: Vec<(Vec<u32>, Vec<String>)> =
-                journal.into_iter().map(|r| (r.choices, r.value)).collect();
-            assert_eq!(merged, serial_journal, "pruned trees must be identical");
+            assert_eq!(journal, serial, "pruned trees must be identical");
         }
     }
 
     /// The revisit mode's executed set is a fixed point of the race
     /// analysis, so every thread count must produce the identical journal
-    /// (after sorting the serial one — its worklist visit order is not the
-    /// parallel merge order) and identical stats.
+    /// and identical stats.
     #[test]
     fn revisit_matches_serial_for_every_thread_count() {
         let scenario = || {
@@ -880,34 +708,13 @@ mod tests {
             });
             sim
         };
-        let trace_of = |result: &Result<SimReport, SimError>| {
-            result
-                .as_ref()
-                .map(|report| {
-                    report
-                        .trace
-                        .user_events()
-                        .map(|(_, l, _)| l.to_string())
-                        .collect::<Vec<_>>()
-                })
-                .unwrap_or_default()
-        };
-        let mut serial_journal = Vec::new();
-        let serial_stats = crate::Explorer::new(100_000).with_revisit_pruning().run(
-            scenario,
-            |decisions, result| {
-                serial_journal.push((
-                    decisions.iter().map(|d| d.chosen).collect::<Vec<_>>(),
-                    trace_of(result),
-                ));
-            },
-        );
-        serial_journal.sort();
+        let config = ExploreConfig::new(100_000).mode(PruneMode::Revisit);
+        let (serial, serial_stats) = config.run(scenario, |_, result| trace_of(result));
         assert!(serial_stats.revisits > 0, "the shared queue must race");
         for threads in [1, 2, 4, 8] {
-            let (journal, stats) = ParallelExplorer::new(100_000)
+            let (journal, stats) = config
+                .clone()
                 .threads(threads)
-                .with_revisit_pruning()
                 .run(scenario, |_, result| trace_of(result));
             assert_eq!(stats.schedules, serial_stats.schedules);
             assert_eq!(stats.pruned, serial_stats.pruned);
@@ -915,14 +722,12 @@ mod tests {
             assert_eq!(stats.conflicts, serial_stats.conflicts);
             assert_eq!(stats.revisit_requests, serial_stats.revisit_requests);
             assert_eq!(stats.revisits, serial_stats.revisits);
-            let merged: Vec<(Vec<u32>, Vec<String>)> =
-                journal.into_iter().map(|r| (r.choices, r.value)).collect();
-            assert_eq!(merged, serial_journal, "revisit trees must be identical");
+            assert_eq!(journal, serial, "revisit trees must be identical");
         }
     }
 
     /// A schedule-dependent deadlock must not panic the workers; the
-    /// canonical-first failure must match the serial explorer's for every
+    /// canonical-first failure must match the one worker's for every
     /// thread count.
     #[test]
     fn first_error_matches_serial_for_every_thread_count() {
@@ -937,10 +742,12 @@ mod tests {
             });
             sim
         };
-        let serial_stats = crate::Explorer::new(1000).run(scenario, |_, _| {});
+        let config = ExploreConfig::new(1000);
+        let (_, serial_stats) = config.run(scenario, |_, _| ());
         let serial_first = serial_stats.first_error.expect("some schedule deadlocks");
         for threads in [1, 2, 4, 8] {
-            let (journal, stats) = ParallelExplorer::new(1000)
+            let (journal, stats) = config
+                .clone()
                 .threads(threads)
                 .run(scenario, |_, result| result.is_ok());
             assert!(stats.complete, "failures must not cut the walk short");
@@ -957,11 +764,11 @@ mod tests {
     #[test]
     fn progress_milestones_are_deterministic() {
         for threads in [1, 2, 4, 8] {
-            let ticks = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let ticks = Arc::new(Mutex::new(Vec::new()));
             let ticks2 = Arc::clone(&ticks);
-            let (_, stats) = ParallelExplorer::new(10_000)
+            let (_, stats) = ExploreConfig::new(10_000)
                 .threads(threads)
-                .with_progress(2, move |n| ticks2.lock().push(n))
+                .progress(2, move |n| ticks2.lock().push(n))
                 .run(three_emitters, |_, _| ());
             assert!(stats.complete);
             assert_eq!(stats.schedules, 6, "3! = 6 schedules");
@@ -969,5 +776,41 @@ mod tests {
             ticks.sort_unstable();
             assert_eq!(ticks, vec![2, 4, 6], "milestones fire every 2 claims");
         }
+    }
+
+    /// One worker runs inline: `map` sees the caller's thread, with the
+    /// worker count unset and with `threads(1)`.
+    #[test]
+    fn one_worker_runs_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        for config in [ExploreConfig::new(100), ExploreConfig::new(100).threads(1)] {
+            let (journal, stats) = config.run(three_emitters, |_, _| std::thread::current().id());
+            assert!(stats.complete);
+            assert!(journal.iter().all(|r| r.value == caller), "{config:?}");
+        }
+    }
+
+    /// The replay-prefix check: builds that differ — here, only the first
+    /// one spawns a third process — make a branch prefix unreplayable, and
+    /// the worker refuses to go on.
+    #[test]
+    #[should_panic(expected = "scenario is nondeterministic")]
+    fn nondeterministic_scenario_panics_at_one_worker() {
+        let builds = AtomicUsize::new(0);
+        ExploreConfig::new(100).run(
+            || {
+                let mut sim = Sim::new();
+                let count = if builds.fetch_add(1, Ordering::Relaxed) == 0 {
+                    3
+                } else {
+                    2
+                };
+                for i in 0..count {
+                    sim.spawn(&format!("p{i}"), move |ctx| ctx.emit("go", &[i]));
+                }
+                sim
+            },
+            |_, _| (),
+        );
     }
 }

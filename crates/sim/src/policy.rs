@@ -84,13 +84,6 @@ pub trait SchedPolicy: Send {
     fn replay_divergence(&self) -> Option<ReplayDivergence> {
         None
     }
-
-    /// Downcast hook used by held-run resume (see [`crate::HeldRun`]):
-    /// a paused run's replay script can only be retargeted if the policy
-    /// actually is a [`ReplayPolicy`]. `None` for everything else.
-    fn as_replay_mut(&mut self) -> Option<&mut ReplayPolicy> {
-        None
-    }
 }
 
 /// First-come-first-served round-robin: always dispatches the process that
@@ -156,7 +149,7 @@ impl SchedPolicy for RandomPolicy {
 }
 
 /// Replays a recorded decision script; beyond the script it behaves like
-/// [`FifoPolicy`]. This is the workhorse of [`crate::Explorer`].
+/// [`FifoPolicy`]. This is the workhorse of [`crate::ExploreConfig::run`].
 ///
 /// Two modes, differing only in what counts as *divergence*:
 ///
@@ -217,16 +210,6 @@ impl ReplayPolicy {
         self.divergence.diverged()
     }
 
-    /// Replaces the *unconsumed* rest of the script with `tail`, keeping
-    /// the consumed prefix (those decisions have already been replayed).
-    /// This is how a held run at decision depth *k* is pointed at any
-    /// schedule sharing its first *k* decisions (see [`crate::HeldRun`]);
-    /// position, mode, and accumulated divergence are untouched.
-    pub fn retarget(&mut self, tail: &[u32]) {
-        self.script.truncate(self.pos);
-        self.script.extend_from_slice(tail);
-    }
-
     /// Consumes the next script entry against a point with `arity`
     /// alternatives — the shared core of [`SchedPolicy::choose`] and
     /// [`SchedPolicy::choose_data`]: scheduler and data decisions
@@ -269,59 +252,6 @@ impl SchedPolicy for ReplayPolicy {
 
     fn replay_divergence(&self) -> Option<ReplayDivergence> {
         Some(self.divergence)
-    }
-
-    fn as_replay_mut(&mut self) -> Option<&mut ReplayPolicy> {
-        Some(self)
-    }
-}
-
-/// Spacing policy for the explorers' checkpoint spine: which decision
-/// depths hold a parked twin run ([`crate::HeldRun`]) for later resume,
-/// and how many may be held at once (see
-/// [`crate::ExploreConfig::checkpoint`] and DESIGN.md §2.13).
-///
-/// Every variant explores the *same* schedules with byte-identical
-/// journals and stats — checkpointing only changes which run instance
-/// executes a schedule, never the schedule itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckpointSpacing {
-    /// No spine: every schedule replays its whole prefix from the root.
-    /// The default, and the baseline the equivalence tests compare
-    /// against.
-    #[default]
-    Replay,
-    /// Hold a run at every branch depth on the current DFS path, up to
-    /// `budget` held runs (the shallowest is dropped on overflow, since
-    /// the deepest checkpoints serve the imminent schedules).
-    Dense { budget: usize },
-    /// Hold runs only at power-of-two depths, up to `budget`: a
-    /// geometrically thinned spine for deep trees where holding every
-    /// level would blow the budget on neighbouring depths.
-    Geometric { budget: usize },
-}
-
-impl CheckpointSpacing {
-    /// Whether the spine wants a checkpoint deposited at `depth`.
-    pub(crate) fn wants(&self, depth: usize) -> bool {
-        if depth == 0 || self.budget() == 0 {
-            return false; // the root needs no checkpoint; zero budget holds nothing
-        }
-        match self {
-            CheckpointSpacing::Replay => false,
-            CheckpointSpacing::Dense { .. } => true,
-            CheckpointSpacing::Geometric { .. } => depth.is_power_of_two(),
-        }
-    }
-
-    /// The maximum number of simultaneously held runs.
-    pub(crate) fn budget(&self) -> usize {
-        match self {
-            CheckpointSpacing::Replay => 0,
-            CheckpointSpacing::Dense { budget } | CheckpointSpacing::Geometric { budget } => {
-                *budget
-            }
-        }
     }
 }
 

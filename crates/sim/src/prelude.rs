@@ -6,9 +6,8 @@
 //! explicitly — a glob in a library obscures where names come from.
 
 pub use crate::{
-    replay_exact, replay_prefix, retry_with_backoff, shrink_prefix, Backoff, CheckpointSpacing,
-    Ctx, Deadline, Engine, ExploreConfig, ExploreStats, Explorer, FaultPlan, FifoPolicy, HeldRun,
-    KillPointStats, LifoPolicy, ParallelExplorer, Pid, PruneMode, RandomPolicy, ReplayPolicy,
-    RetryOutcome, RunProgress, SampleStats, SampleStrategy, Sampler, SchedPolicy, ScheduleRecord,
-    Sim, SimConfig, SimError, SimReport, SplitMix64, SymValue, Time, WaitQueue,
+    replay_exact, replay_prefix, retry_with_backoff, shrink_prefix, Backoff, Ctx, Deadline,
+    ExploreConfig, ExploreStats, FaultPlan, FifoPolicy, KillPointStats, LifoPolicy, Pid, PruneMode,
+    RandomPolicy, ReplayPolicy, RetryOutcome, SampleStats, SampleStrategy, Sampler, SchedPolicy,
+    ScheduleRecord, Sim, SimConfig, SimError, SimReport, SplitMix64, SymValue, Time, WaitQueue,
 };

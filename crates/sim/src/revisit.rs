@@ -17,13 +17,12 @@
 //! TraceForge line of work uses: the revisit targets the earlier side of
 //! the race and asks for the later side's process to be dispatched there.
 //! Everything is computed from *one run's own log* — decisions, per-quantum
-//! footprints, and the recorded ready lists — which is what lets the
-//! serial worklist and the work-sharing parallel frontier arrive at the
-//! byte-identical explored set: the set of executed schedules is the least
-//! fixed point of "the root schedule, plus every revisit any executed
-//! schedule requests", and that fixed point does not depend on the order
-//! requests are discovered in. See `DESIGN.md` §2.14 for the soundness
-//! argument and the interaction with checkpointed execution.
+//! footprints, and the recorded ready lists — which is what lets every
+//! worker count arrive at the byte-identical explored set: the set of
+//! executed schedules is the least fixed point of "the root schedule,
+//! plus every revisit any executed schedule requests", and that fixed
+//! point does not depend on the order requests are discovered in. See
+//! `DESIGN.md` §2.14 for the soundness argument.
 
 use crate::footprint::QuantumRecord;
 use crate::trace::Decision;

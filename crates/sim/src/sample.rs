@@ -1,6 +1,6 @@
 //! Seeded schedule *sampling* for trees too big to enumerate.
 //!
-//! The [`crate::Explorer`] family proves properties by visiting every
+//! [`crate::ExploreConfig::run`] proves properties by visiting every
 //! schedule; past a few processes the tree is astronomically larger than
 //! any budget, and exhaustive walks stop meaning anything. [`Sampler`] is
 //! the third exploration mode: draw schedules at random — but *seeded*
@@ -32,7 +32,7 @@
 //! Every per-iteration quantity (policy seed, schedule, journal entry,
 //! violation keys) is a function of the iteration index alone, and the
 //! merged journal is sorted by that index — results are byte-identical
-//! for every worker count, exactly like the parallel explorer's.
+//! for every worker count, exactly like the exploration engine's.
 //!
 //! Each claimed iteration executes its processes on the shared host pool
 //! (DESIGN.md §2.13): `setup()` builds the [`Sim`] with the default
@@ -237,8 +237,8 @@ impl SampleStats {
     }
 }
 
-/// Seeded schedule sampler: the third exploration mode, beside the serial
-/// and parallel DFS explorers (see the module docs).
+/// Seeded schedule sampler: the exploration mode beside the exhaustive
+/// engine of [`crate::ExploreConfig::run`] (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Sampler {
     iterations: usize,

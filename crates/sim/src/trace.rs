@@ -116,7 +116,7 @@ pub enum DecisionKind {
 
 /// A decision point: the outcome chose `chosen` out of `arity`
 /// alternatives. Only points with `arity > 1` are recorded; they are
-/// exactly the coordinates the [`crate::Explorer`] enumerates.
+/// exactly the coordinates [`crate::ExploreConfig::run`] enumerates.
 ///
 /// A `Sched` decision picks a runnable process at a contested dispatch; a
 /// `Data` decision picks a value from a [`crate::Ctx::choose_value`]
@@ -138,7 +138,7 @@ pub struct Decision {
     /// as a whole stayed prune-safe (no timers, no faults, no starvation
     /// watchdog). A pure quantum is a stutter step: scheduling it earlier
     /// or later commutes with every other process, which is what licenses
-    /// the explorers' sibling prune (see `Explorer::with_pruning`). Replay
+    /// the sibling prune of [`crate::PruneMode::Granular`]. Replay
     /// ignores this field. Data decisions are never pure: observing a
     /// value is the point of making one.
     pub pure: bool,

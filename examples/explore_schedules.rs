@@ -4,9 +4,9 @@
 //! cargo run --release --example explore_schedules
 //! ```
 //!
-//! The simulator records every contested scheduling decision; the
-//! [`ParallelExplorer`] walks the tree of those decisions — depth-first
-//! within each worker, work-shared across workers — running *every*
+//! The simulator records every contested scheduling decision;
+//! [`ExploreConfig::run`] walks the tree of those decisions — here on four
+//! workers sharing one frontier of branch prefixes — running *every*
 //! interleaving of a scenario. This example uses it to map the deadlock
 //! space of the dining philosophers: what fraction of schedules deadlocks
 //! naively, and that the two classic cures drive it to zero.
@@ -46,7 +46,7 @@ fn philosophers(n: usize, ordered: bool) -> impl Fn() -> Sim {
 
 fn explore(label: &str, setup: impl Fn() -> Sim + Sync) {
     let (journal, stats) = ExploreConfig::new(2_000_000)
-        .engine(Engine::Parallel)
+        .threads(4)
         .run(setup, |_, result| result.is_err());
     assert!(stats.complete, "{label}: exploration hit the budget cap");
     let schedules = journal.len();

@@ -82,7 +82,7 @@ fn main() {
         MechanismId::Monitor,
         MechanismId::Serializer,
     ] {
-        let (journal, stats) = ExploreConfig::new(500_000).engine(Engine::Parallel).run(
+        let (journal, stats) = ExploreConfig::new(500_000).threads(4).run(
             || {
                 let mut sim = Sim::new();
                 let db = rw::make(mech, RwVariant::ReadersPriority);

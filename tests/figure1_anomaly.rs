@@ -56,7 +56,7 @@ struct ExplorationOutcome {
 
 fn explore_readers_priority(mech: MechanismId, cap: usize) -> ExplorationOutcome {
     // (failed, priority violation, exclusion violation) per schedule.
-    let (journal, stats) = ExploreConfig::new(cap).engine(Engine::Parallel).run(
+    let (journal, stats) = ExploreConfig::new(cap).threads(4).run(
         || footnote3_scenario(mech),
         |_, result| {
             let report = match result {
@@ -170,7 +170,7 @@ fn csp_server_is_anomaly_free_over_all_schedules() {
 /// schedule.
 #[test]
 fn figure2_never_lets_later_readers_overtake() {
-    let (journal, stats) = ExploreConfig::new(400_000).engine(Engine::Parallel).run(
+    let (journal, stats) = ExploreConfig::new(400_000).threads(4).run(
         || {
             let mut sim = Sim::new();
             let db = rw::make(MechanismId::PathV1, RwVariant::WritersPriority);

@@ -1,9 +1,8 @@
-//! Determinism contract of the work-sharing [`ParallelExplorer`]: for any
-//! worker count, the parallel exploration of a real problem tree is
-//! *byte-identical* to the serial [`Explorer`]'s — same schedule count,
-//! same set of decision vectors, same merged journal in the same order,
-//! and (since the observability layer) the same `SimMetrics` and the same
-//! exported JSONL/Chrome trace bytes for every schedule.
+//! Determinism contract of the exploration engine: for any worker count,
+//! the exploration of a real problem tree is *byte-identical* to the one
+//! inline worker's — same schedule count, same set of decision vectors,
+//! same merged journal in the same order, and the same `SimMetrics` and
+//! the same exported JSONL/Chrome trace bytes for every schedule.
 //!
 //! The scenario is the experiment-R2 dining-philosophers deadlock-recovery
 //! sim: a genuinely contested tree (thousands of schedules) whose runs
@@ -11,11 +10,9 @@
 //! the worst case for any scheme whose merged order could depend on which
 //! worker got which subtree.
 //!
-//! The second test pins the same contract along the checkpointing axis:
-//! resuming held runs from a spine of branch-point checkpoints (see
-//! DESIGN.md §2.13) must be observably *nothing* — journals, stats, and
-//! export bytes identical to whole-prefix replay, serial and at every
-//! worker count.
+//! The one inline worker is the serial order itself: under a budget cut
+//! it runs exactly the first schedules of the complete depth-first
+//! journal.
 
 #![deny(deprecated)]
 
@@ -72,9 +69,9 @@ fn line(decisions: &[Decision], result: &Result<SimReport, SimError>) -> String 
 fn parallel_matches_serial_on_recovery_tree_at_every_thread_count() {
     let mech = LiveMechanism::SemaphoreStrong;
 
-    // Serial baseline through the unified verb: the journal comes back
-    // in lexicographic decision-vector order — the canonical order the
-    // parallel merge reproduces.
+    // One-worker baseline: the journal comes back in lexicographic
+    // decision-vector order — the canonical order the merge of every
+    // worker count reproduces.
     let config = ExploreConfig::new(BUDGET);
     let (serial_records, serial_stats) = config.run(|| deadlock_recovery_sim(mech), line);
     assert!(serial_stats.complete, "budget too small for the tree");
@@ -128,8 +125,8 @@ fn parallel_matches_serial_on_recovery_tree_at_every_thread_count() {
 
 /// The revisit prune on the recovery tree: strictly fewer schedules than
 /// the granular prune, byte-identical journals (decision vectors,
-/// verdicts, metrics, export hashes) across serial and 1/2/4/8 worker
-/// threads and across checkpoint spacings, and every returned
+/// verdicts, metrics, export hashes) across one inline worker and 1/2/4/8
+/// worker threads, and every returned
 /// [`ExploreStats`] passing its own accounting cross-check — the
 /// regression net for the prune-tally drift this mode's bookkeeping
 /// replaced (`depth_pruned` is settled from discovered-sibling capacity
@@ -138,7 +135,7 @@ fn parallel_matches_serial_on_recovery_tree_at_every_thread_count() {
 fn revisit_matches_serial_and_beats_granular_on_recovery_tree() {
     let mech = LiveMechanism::SemaphoreStrong;
     let (_, granular_stats) = ExploreConfig::new(BUDGET)
-        .prune(true)
+        .mode(PruneMode::Granular)
         .run(|| deadlock_recovery_sim(mech), |_, _| ());
     assert!(granular_stats.complete);
     granular_stats.assert_consistent();
@@ -185,98 +182,29 @@ fn revisit_matches_serial_and_beats_granular_on_recovery_tree() {
             "{threads} threads: revisit journal is not byte-identical to serial"
         );
     }
-
-    // The same tree through the checkpoint spine: the race analysis feeds
-    // on footprints recorded during resumed held runs, so every spacing
-    // must reproduce whole-prefix replay exactly.
-    for spacing in [
-        CheckpointSpacing::Dense { budget: 64 },
-        CheckpointSpacing::Geometric { budget: 8 },
-    ] {
-        let (records, stats) = config
-            .clone()
-            .checkpoint(spacing)
-            .run(|| deadlock_recovery_sim(mech), line);
-        stats.assert_consistent();
-        assert_eq!(stats.schedules, serial_stats.schedules, "{spacing:?}");
-        assert_eq!(stats.pruned, serial_stats.pruned, "{spacing:?}");
-        assert_eq!(stats.revisits, serial_stats.revisits, "{spacing:?}");
-        let journal: Vec<String> = records.into_iter().map(|r| r.value).collect();
-        assert_eq!(
-            journal, serial_journal,
-            "{spacing:?}: checkpointed revisit journal diverged from replay"
-        );
-    }
 }
 
-/// Checkpoint-vs-replay equivalence: under both non-replay
-/// [`CheckpointSpacing`] policies, with and without pruning, the journal
-/// (decision vectors, verdicts, metrics, and both export-format hashes),
-/// the [`ExploreStats`] counters, and the merged order are byte-identical
-/// to whole-prefix replay — serially and at 1/2/4/8 worker threads. The
-/// recovery tree makes this a hostile fixture: held runs are parked and
-/// resumed across schedules that deadlock, abort victims, and recover.
+/// One worker pops the least prefix, so under a budget cut it runs
+/// exactly the first schedules of the complete journal — unpruned and
+/// granular, on a tree whose runs deadlock, abort victims, and recover.
 #[test]
-fn checkpointed_matches_replay_at_every_thread_count() {
+fn one_worker_budget_cut_runs_the_first_schedules_on_recovery_tree() {
     let mech = LiveMechanism::SemaphoreStrong;
-    for prune in [false, true] {
-        let replay = ExploreConfig::new(BUDGET).prune(prune);
-        let (replay_records, replay_stats) = replay.run(|| deadlock_recovery_sim(mech), line);
-        assert!(replay_stats.complete, "budget too small for the tree");
-        let replay_journal: Vec<String> = replay_records.into_iter().map(|r| r.value).collect();
-
-        for spacing in [
-            CheckpointSpacing::Dense { budget: 64 },
-            CheckpointSpacing::Geometric { budget: 8 },
-        ] {
-            let config = replay.clone().checkpoint(spacing);
-            let label = format!("prune={prune} {spacing:?}");
-
-            let same_stats = |stats: &ExploreStats, what: &str| {
-                assert_eq!(stats.schedules, replay_stats.schedules, "{what}: schedules");
-                assert_eq!(stats.pruned, replay_stats.pruned, "{what}: pruned");
-                assert!(stats.complete, "{what}: must exhaust the tree");
-                assert_eq!(
-                    stats.depth_schedules, replay_stats.depth_schedules,
-                    "{what}: depth histogram"
-                );
-                assert_eq!(
-                    stats.depth_pruned, replay_stats.depth_pruned,
-                    "{what}: prune histogram"
-                );
-                assert_eq!(
-                    stats.conflicts, replay_stats.conflicts,
-                    "{what}: conflict tally"
-                );
-                assert_eq!(
-                    stats.first_error.as_ref().map(|e| e.choices.clone()),
-                    replay_stats.first_error.as_ref().map(|e| e.choices.clone()),
-                    "{what}: canonical first error"
-                );
-            };
-
-            let (serial_records, serial_stats) = config.run(|| deadlock_recovery_sim(mech), line);
-            same_stats(&serial_stats, &format!("{label} serial"));
-            let serial_journal: Vec<String> = serial_records.into_iter().map(|r| r.value).collect();
+    let modes: [fn(usize) -> ExploreConfig; 2] = [ExploreConfig::new, |budget| {
+        ExploreConfig::new(budget).mode(PruneMode::Granular)
+    }];
+    for config in modes {
+        let (complete, stats) = config(BUDGET).run(|| deadlock_recovery_sim(mech), line);
+        assert!(stats.complete, "budget too small for the tree");
+        for budget in [1, 4, 37, stats.schedules / 2, stats.schedules - 1] {
+            let (journal, cut) = config(budget).run(|| deadlock_recovery_sim(mech), line);
+            assert!(!cut.complete, "budget {budget} must cut the tree");
+            assert_eq!(cut.schedules, budget);
             assert_eq!(
-                serial_journal, replay_journal,
-                "{label} serial: checkpointed journal is not byte-identical \
-                 to replay"
+                journal,
+                complete[..budget],
+                "budget {budget}: one worker must run the first schedules"
             );
-
-            for threads in [1, 2, 4, 8] {
-                let (records, stats): (Vec<ScheduleRecord<String>>, _) = config
-                    .clone()
-                    .threads(threads)
-                    .run(|| deadlock_recovery_sim(mech), line);
-                same_stats(&stats, &format!("{label} {threads} threads"));
-                let merged: Vec<String> = records.into_iter().map(|r| r.value).collect();
-                assert_eq!(
-                    merged, replay_journal,
-                    "{label} {threads} threads: checkpointed journal (incl. \
-                     metrics and export hashes) is not byte-identical to replay"
-                );
-            }
         }
     }
 }

@@ -17,18 +17,17 @@
 //! oracle exercises both the sleep-set machinery and its conservative
 //! fallbacks.
 //!
-//! The revisit mode (DESIGN.md §2.14) is held to the same oracle across
-//! the full execution matrix — serial and 1/2/4/8 worker threads, each
-//! under whole-prefix replay and both checkpoint spacings — plus its own
-//! accounting cross-check (`ExploreStats::assert_consistent`).
+//! The revisit mode (DESIGN.md §2.14) is held to the same oracle at one
+//! inline worker and at 1/2/4/8 worker threads, plus its own accounting
+//! cross-check (`ExploreStats::assert_consistent`).
 //!
 //! A second generator adds *data* nondeterminism (`Ctx::choose_value`,
 //! DESIGN.md §2.15): a chooser process draws a value and either observes
 //! it exactly (no collapse is sound — the symbolic engine must enumerate
 //! the domain) or only compares it against a threshold (the constraint
 //! classes must collapse, strictly beating brute-force enumeration). The
-//! revisit engine's behavior set must equal the brute-force one, and its
-//! journals must stay byte-identical across the same matrix.
+//! revisit mode's behavior set must equal the brute-force one, and its
+//! journals must stay byte-identical across the same worker counts.
 
 #![deny(deprecated)]
 
@@ -175,17 +174,21 @@ fn instrumented_try_p_is_visible_to_the_prune() {
         sim
     };
     let collect = |prune: bool| {
-        let (journal, stats) = ExploreConfig::new(BUDGET)
-            .prune(prune)
-            .run(build, |_, result| {
-                let report = result.as_ref().expect("no deadlock possible");
-                let labels: Vec<String> = report
-                    .trace
-                    .user_events()
-                    .map(|(_, label, _)| label.to_string())
-                    .collect();
-                labels.join(",")
-            });
+        let config = ExploreConfig::new(BUDGET);
+        let config = if prune {
+            config.mode(PruneMode::Granular)
+        } else {
+            config
+        };
+        let (journal, stats) = config.run(build, |_, result| {
+            let report = result.as_ref().expect("no deadlock possible");
+            let labels: Vec<String> = report
+                .trace
+                .user_events()
+                .map(|(_, label, _)| label.to_string())
+                .collect();
+            labels.join(",")
+        });
         assert!(stats.complete, "tiny tree must be fully explored");
         journal
             .into_iter()
@@ -215,7 +218,7 @@ proptest! {
         let unpruned = behaviors(unpruned_journal);
 
         let (pruned_journal, pruned_stats) = ExploreConfig::new(BUDGET)
-            .prune(true)
+            .mode(PruneMode::Granular)
             .run(|| build_sim(&w), |_, result| line(result));
         prop_assert!(pruned_stats.complete);
         let pruned = behaviors(pruned_journal);
@@ -233,33 +236,8 @@ proptest! {
             pruned_stats.schedules, unpruned_stats.schedules,
         );
 
-        // The same oracle through the checkpointed execution path: the
-        // prune decisions feed on footprints recorded during runs that now
-        // resume from held branch-point checkpoints (DESIGN.md §2.13), so
-        // the densest spacing must reproduce the pruned exploration —
-        // schedule count and behavior set — exactly.
-        let (ckpt_journal, ckpt_stats) = ExploreConfig::new(BUDGET)
-            .prune(true)
-            .checkpoint(CheckpointSpacing::Dense { budget: 2 })
-            .run(|| build_sim(&w), |_, result| line(result));
-        prop_assert!(ckpt_stats.complete);
-        prop_assert_eq!(
-            ckpt_stats.schedules, pruned_stats.schedules,
-            "checkpointed pruning changed the schedule count"
-        );
-        prop_assert_eq!(
-            ckpt_stats.pruned, pruned_stats.pruned,
-            "checkpointed pruning changed the prune count"
-        );
-        prop_assert_eq!(
-            &behaviors(ckpt_journal), &unpruned,
-            "checkpointed pruned exploration must observe the same \
-             behavior set"
-        );
-
-        // The revisit mode against the same oracle, across the full
-        // execution matrix: serial and 1/2/4/8 worker threads, each under
-        // whole-prefix replay and both checkpoint spacings. The race
+        // The revisit mode against the same oracle, at one inline worker
+        // and at 1/2/4/8 worker threads. The race
         // analysis is a different soundness argument from the sleep sets
         // (it *reverses* observed conflicts instead of skipping commuting
         // siblings), so it gets the same behavior-set, schedule-count, and
@@ -286,46 +264,25 @@ proptest! {
             revisit_stats.schedules, unpruned_stats.schedules,
         );
 
-        for spacing in [
-            CheckpointSpacing::Replay,
-            CheckpointSpacing::Dense { budget: 2 },
-            CheckpointSpacing::Geometric { budget: 4 },
-        ] {
-            let spaced = revisit.clone().checkpoint(spacing);
-            if spacing != CheckpointSpacing::Replay {
-                let (journal, stats) =
-                    spaced.run(|| build_sim(&w), |_, result| line(result));
-                prop_assert!(stats.complete);
-                stats.assert_consistent();
-                prop_assert_eq!(stats.schedules, revisit_stats.schedules);
-                prop_assert_eq!(stats.pruned, revisit_stats.pruned);
-                prop_assert_eq!(stats.revisits, revisit_stats.revisits);
-                prop_assert_eq!(
-                    &journal, &revisit_journal,
-                    "{:?}: checkpointed revisit journal diverged from replay",
-                    spacing,
-                );
-            }
-            for threads in [1, 2, 4, 8] {
-                let (records, stats) = spaced
-                    .clone()
-                    .threads(threads)
-                    .run(|| build_sim(&w), |_, result| line(result));
-                prop_assert!(stats.complete);
-                stats.assert_consistent();
-                prop_assert_eq!(stats.schedules, revisit_stats.schedules);
-                prop_assert_eq!(stats.pruned, revisit_stats.pruned);
-                prop_assert_eq!(
-                    stats.revisit_requests,
-                    revisit_stats.revisit_requests
-                );
-                prop_assert_eq!(stats.revisits, revisit_stats.revisits);
-                prop_assert_eq!(
-                    &records, &revisit_journal,
-                    "{:?} x {} threads: revisit journal diverged from serial",
-                    spacing, threads,
-                );
-            }
+        for threads in [1, 2, 4, 8] {
+            let (records, stats) = revisit
+                .clone()
+                .threads(threads)
+                .run(|| build_sim(&w), |_, result| line(result));
+            prop_assert!(stats.complete);
+            stats.assert_consistent();
+            prop_assert_eq!(stats.schedules, revisit_stats.schedules);
+            prop_assert_eq!(stats.pruned, revisit_stats.pruned);
+            prop_assert_eq!(
+                stats.revisit_requests,
+                revisit_stats.revisit_requests
+            );
+            prop_assert_eq!(stats.revisits, revisit_stats.revisits);
+            prop_assert_eq!(
+                &records, &revisit_journal,
+                "{} threads: revisit journal diverged from one worker",
+                threads,
+            );
         }
     }
 }
@@ -410,8 +367,8 @@ proptest! {
     /// plain DFS enumeration of every concrete value, its accounting must
     /// balance, and (when the data step only *compares* the value) it
     /// must get there in strictly fewer runs. Journals and statistics
-    /// stay byte-identical across serial and 1/2/4/8 worker threads under
-    /// all three checkpoint spacings.
+    /// stay byte-identical across one inline worker and 1/2/4/8 worker
+    /// threads.
     #[test]
     fn symbolic_exploration_matches_brute_force(w in data_workload()) {
         let (brute_journal, brute_stats) = ExploreConfig::new(BUDGET)
@@ -454,44 +411,23 @@ proptest! {
             );
         }
 
-        for spacing in [
-            CheckpointSpacing::Replay,
-            CheckpointSpacing::Dense { budget: 2 },
-            CheckpointSpacing::Geometric { budget: 4 },
-        ] {
-            let spaced = revisit.clone().checkpoint(spacing);
-            if spacing != CheckpointSpacing::Replay {
-                let (journal, stats) =
-                    spaced.run(|| build_data_sim(&w), |_, result| line(result));
-                prop_assert!(stats.complete);
-                stats.assert_consistent();
-                prop_assert_eq!(stats.schedules, ref_stats.schedules);
-                prop_assert_eq!(stats.sym_requests, ref_stats.sym_requests);
-                prop_assert_eq!(stats.sym_grants, ref_stats.sym_grants);
-                prop_assert_eq!(
-                    &journal, &reference,
-                    "{:?}: checkpointed symbolic journal diverged",
-                    spacing,
-                );
-            }
-            for threads in [1, 2, 4, 8] {
-                let (records, stats) = spaced
-                    .clone()
-                    .threads(threads)
-                    .run(|| build_data_sim(&w), |_, result| line(result));
-                prop_assert!(stats.complete);
-                stats.assert_consistent();
-                prop_assert_eq!(stats.schedules, ref_stats.schedules);
-                prop_assert_eq!(stats.pruned, ref_stats.pruned);
-                prop_assert_eq!(stats.revisits, ref_stats.revisits);
-                prop_assert_eq!(stats.sym_requests, ref_stats.sym_requests);
-                prop_assert_eq!(stats.sym_grants, ref_stats.sym_grants);
-                prop_assert_eq!(
-                    &records, &reference,
-                    "{:?} x {} threads: symbolic journal diverged from serial",
-                    spacing, threads,
-                );
-            }
+        for threads in [1, 2, 4, 8] {
+            let (records, stats) = revisit
+                .clone()
+                .threads(threads)
+                .run(|| build_data_sim(&w), |_, result| line(result));
+            prop_assert!(stats.complete);
+            stats.assert_consistent();
+            prop_assert_eq!(stats.schedules, ref_stats.schedules);
+            prop_assert_eq!(stats.pruned, ref_stats.pruned);
+            prop_assert_eq!(stats.revisits, ref_stats.revisits);
+            prop_assert_eq!(stats.sym_requests, ref_stats.sym_requests);
+            prop_assert_eq!(stats.sym_grants, ref_stats.sym_grants);
+            prop_assert_eq!(
+                &records, &reference,
+                "{} threads: symbolic journal diverged from one worker",
+                threads,
+            );
         }
     }
 }
