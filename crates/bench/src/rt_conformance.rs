@@ -755,6 +755,13 @@ fn path_crash_rt(rt: &mut RtSim) {
     });
 }
 
+/// The channel-crash pair. Both sides wait with the same six-tick budget:
+/// the sender's offer and the victim's receive. On threads a tick is wall
+/// time, and a victim descheduled past the sender's budget would find the
+/// offer withdrawn; an untimed receive then waits forever, a wedge that no
+/// simulator schedule can produce (virtual time only advances when nobody
+/// is ready). Timing the receive too makes wedging impossible by
+/// construction on both backends; killed or not, the run is contained.
 fn chan_crash_sim() -> Sim {
     let mut sim = Sim::new();
     let a = Arc::new(Channel::<i64>::new("a"));
@@ -762,8 +769,10 @@ fn chan_crash_sim() -> Sim {
         let a = Arc::clone(&a);
         sim.spawn("victim", move |ctx| {
             ctx.yield_now();
-            let got = a.recv(ctx);
-            ctx.emit("got", &[got]);
+            match a.recv_by(ctx, 6u64) {
+                Some(got) => ctx.emit("got", &[got]),
+                None => ctx.emit("missed", &[]),
+            }
         });
     }
     sim.spawn("sender", move |ctx| match a.send_by(ctx, 7, 6u64) {
@@ -779,8 +788,10 @@ fn chan_crash_rt(rt: &mut RtSim) {
         let a = Arc::clone(&a);
         rt.spawn("victim", move |ctx| {
             ctx.chaos();
-            let got = a.recv(ctx);
-            ctx.emit("got", &[got]);
+            match a.recv_by(ctx, 6u64) {
+                Some(got) => ctx.emit("got", &[got]),
+                None => ctx.emit("missed", &[]),
+            }
         });
     }
     rt.spawn("sender", move |ctx| match a.send_by(ctx, 7, 6u64) {

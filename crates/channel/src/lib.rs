@@ -19,8 +19,14 @@
 //!   with waiting senders, the **longest-waiting sender** is chosen (the
 //!   same selection discipline used for path expressions, so comparisons
 //!   are apples-to-apples).
-//! * [`Channel::pending_senders`] — queue interrogation, the analogue of
-//!   Hoare's condition `queue` operation, used by guards.
+//! * [`Channel::pending_senders_ctx`] — queue interrogation, the
+//!   analogue of Hoare's condition `queue` operation, used by guards.
+//! * [`select_cancellable`] and [`Channel::recv_cancellable`] — the same
+//!   receives for server daemons: when the simulation shuts down while
+//!   the server waits, they return [`Cancelled`] and the server loop
+//!   returns, where [`select`] and [`Channel::recv`] would unwind the
+//!   daemon's thread (the same park underneath, see
+//!   [`Ctx::park_cancellable`]).
 //!
 //! In the shared-resource problems (`bloom-problems::csp`) resources
 //! become *server processes*: clients rendezvous with the server, the
@@ -39,9 +45,11 @@
 //! * a sender dying in [`Channel::send`] withdraws its offer — the queued
 //!   value is dropped and [`Channel::pending_senders`] stays truthful, so
 //!   no receiver ever rendezvouses with a corpse;
-//! * a receiver dying in [`select`] (or [`Channel::recv`]) removes its
-//!   registration from every enabled alternative, so later senders queue
-//!   for a live receiver instead of delivering into the dead one.
+//! * a receiver dying in [`select`] (or [`Channel::recv`], or their
+//!   cancellable forms) removes its registration from every enabled
+//!   alternative, so later senders queue for a live receiver instead of
+//!   delivering into the dead one. A cancelled receiver that returns
+//!   removes them the same way.
 //!
 //! A value already *delivered* to a receiver that is killed before it
 //! consumes it is lost with the receiver; the sender has completed its
@@ -49,7 +57,7 @@
 //! either keep running (if other partners exist) or park until the
 //! simulator reports the deadlock by name — never a silent wedge.
 
-use bloom_sim::{Access, Ctx, Deadline, ObjId, Pid};
+use bloom_sim::{Access, Cancelled, Ctx, Deadline, ObjId, Pid};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -205,6 +213,13 @@ impl<T: Send> Channel<T> {
         select(ctx, &mut [(self, true)]).1
     }
 
+    /// [`Channel::recv`] that returns `Err(Cancelled)` instead of
+    /// unwinding when the simulation shuts down while it waits (see
+    /// [`select_cancellable`]).
+    pub fn recv_cancellable(&self, ctx: &Ctx) -> Result<T, Cancelled> {
+        select_cancellable(ctx, &mut [(self, true)]).map(|(_, value)| value)
+    }
+
     /// Timed [`Channel::recv`]: returns `None` if no sender rendezvoused
     /// by `deadline`. Accepts anything convertible into a [`Deadline`].
     /// An already-expired deadline returns `None` without attempting the
@@ -290,20 +305,33 @@ impl<T: Send> Drop for WithdrawOfferOnUnwind<'_, T> {
     }
 }
 
-/// Removes a dead selector's registrations from every channel it parked
-/// on, so later senders queue for a live receiver instead of delivering
-/// into the corpse. Own-queue cleanup, so it runs even during shutdown.
-struct UnregisterOnUnwind<'a, T: Send> {
-    chans: &'a [&'a Channel<T>],
+/// Removes a selector's registrations from every enabled alternative
+/// when its park does not end in a delivery: the process died there (a
+/// kill, an abort or a shutdown unwind), or a cancellable select returned
+/// [`Cancelled`]. Later senders then queue for a live receiver instead of
+/// delivering into the corpse. Own-queue cleanup, so it runs even during
+/// shutdown.
+struct Unregister<'a, T: Send> {
+    alternatives: &'a [(&'a Channel<T>, bool)],
     ctx: &'a Ctx,
 }
 
-impl<T: Send> Drop for UnregisterOnUnwind<'_, T> {
+impl<T: Send> Drop for Unregister<'_, T> {
     fn drop(&mut self) {
-        for chan in self.chans {
+        for chan in enabled(self.alternatives) {
             chan.unregister_receiver(self.ctx.pid());
         }
     }
+}
+
+/// The channels of the alternatives whose guard is true, in order.
+fn enabled<'a, T: Send>(
+    alternatives: &'a [(&'a Channel<T>, bool)],
+) -> impl Iterator<Item = &'a Channel<T>> + 'a {
+    alternatives
+        .iter()
+        .filter(|&&(_, guard)| guard)
+        .map(|&(chan, _)| chan)
 }
 
 impl<T> std::fmt::Debug for Channel<T> {
@@ -323,13 +351,33 @@ impl<T> std::fmt::Debug for Channel<T> {
 /// If none is ready, the caller blocks until a sender arrives on any
 /// enabled alternative. Returns `(alternative index, value)`.
 ///
+/// A shutdown cancellation unwinds the caller; server daemons use
+/// [`select_cancellable`], which returns instead.
+///
 /// # Panics
 ///
 /// Panics if every guard is false — like Dijkstra's `if … fi` with all
 /// guards false, this aborts rather than blocking forever (a server whose
 /// guards can all be false should include an always-true alternative).
 pub fn select<T: Send>(ctx: &Ctx, alternatives: &mut [(&Channel<T>, bool)]) -> (usize, T) {
-    select_inner(ctx, alternatives, None).expect("untimed select always rendezvouses")
+    select_cancellable(ctx, alternatives).unwrap_or_else(|cancelled| cancelled.unwind())
+}
+
+/// [`select`] that returns `Err(Cancelled)` when the simulation shuts down
+/// while the caller waits, so a server daemon's loop ends by returning
+/// (`let Ok((which, m)) = select_cancellable(..) else { return };`) rather
+/// than by unwinding its thread. The registrations are removed before it
+/// returns. A fault-plan kill or a deadlock-recovery abort still unwinds.
+///
+/// # Panics
+///
+/// Panics if every guard is false, like [`select`].
+pub fn select_cancellable<T: Send>(
+    ctx: &Ctx,
+    alternatives: &mut [(&Channel<T>, bool)],
+) -> Result<(usize, T), Cancelled> {
+    select_inner(ctx, alternatives, None)
+        .map(|got| got.expect("untimed select always rendezvouses"))
 }
 
 /// Timed [`select`]: a built-in timeout arm. Returns `None` if no sender
@@ -351,7 +399,7 @@ pub fn select_by<T: Send>(
 ) -> Option<(usize, T)> {
     assert_some_guard(alternatives);
     let ticks = ctx.remaining(deadline)?;
-    select_inner(ctx, alternatives, Some(ticks))
+    select_inner(ctx, alternatives, Some(ticks)).unwrap_or_else(|cancelled| cancelled.unwind())
 }
 
 fn assert_some_guard<T>(alternatives: &[(&Channel<T>, bool)]) {
@@ -361,11 +409,13 @@ fn assert_some_guard<T>(alternatives: &[(&Channel<T>, bool)]) {
     );
 }
 
+/// The one select: `Ok(None)` only on timeout, `Err` only on a shutdown
+/// cancellation.
 fn select_inner<T: Send>(
     ctx: &Ctx,
-    alternatives: &mut [(&Channel<T>, bool)],
+    alternatives: &[(&Channel<T>, bool)],
     timeout: Option<u64>,
-) -> Option<(usize, T)> {
+) -> Result<Option<(usize, T)>, Cancelled> {
     assert_some_guard(alternatives);
     // Ready alternative with the longest-waiting live sender?
     let ready = alternatives
@@ -379,16 +429,14 @@ fn select_inner<T: Send>(
         })
         .min_by_key(|&(_, ticket)| ticket);
     if let Some((index, _)) = ready {
-        return Some((index, alternatives[index].0.take_front(ctx)));
+        return Ok(Some((index, alternatives[index].0.take_front(ctx))));
     }
     // Nothing ready: register on every enabled alternative and park. The
     // first sender to arrive claims the delivery cell; registrations left
     // on other channels are lazily discarded (see `Channel::send`) and
     // eagerly removed below.
     let cell = DeliveryCell::new();
-    let mut reasons = Vec::new();
-    let mut registered = Vec::new();
-    for (i, &mut (chan, guard)) in alternatives.iter_mut().enumerate() {
+    for (i, &(chan, guard)) in alternatives.iter().enumerate() {
         if guard {
             // Registering mutates the channel's receiver queue.
             ctx.note_sync_obj(&chan.obj, Access::Write);
@@ -397,55 +445,56 @@ fn select_inner<T: Send>(
                 alt_index: i,
                 cell: Arc::clone(&cell),
             });
-            reasons.push(chan.name());
-            registered.push(chan);
         }
     }
-    let cleanup = UnregisterOnUnwind {
-        chans: &registered,
-        ctx,
-    };
-    let reason = format!("select[{}]", reasons.join(","));
-    let woken = match timeout {
-        None => {
-            ctx.park(&reason);
-            true
+    // The park reason, `select[a,b,…]`, in one allocation.
+    let len = enabled(alternatives)
+        .map(|chan| chan.name.len() + 1)
+        .sum::<usize>()
+        + "select[".len();
+    let mut reason = String::with_capacity(len);
+    reason.push_str("select[");
+    for (n, chan) in enabled(alternatives).enumerate() {
+        if n > 0 {
+            reason.push(',');
         }
-        Some(ticks) => ctx.park_timeout(&reason, ticks),
-    };
+        reason.push_str(&chan.name);
+    }
+    reason.push(']');
+    // Armed across the park: an unwind or a cancelled return drops it and
+    // removes the registrations.
+    let cleanup = Unregister { alternatives, ctx };
+    let woken = ctx.park_cancellable(&reason, timeout)?;
     std::mem::forget(cleanup);
     // The resumed quantum drains the delivery cell and unregisters from
     // every channel — unlike a semaphore hand-off, it mutates shared
     // state and must be marked. One metric bump (a single logical op),
     // but a footprint entry for every registered channel.
-    for (i, chan) in registered.iter().enumerate() {
-        if i == 0 {
+    for (n, chan) in enabled(alternatives).enumerate() {
+        if n == 0 {
             ctx.note_sync_obj_op(&chan.obj, Access::Write);
         } else {
             ctx.note_sync_obj(&chan.obj, Access::Write);
         }
     }
-    if !woken {
-        // Timed out: remove our registrations. The parked-only guard in
-        // the send paths means no sender delivered after the timer fired,
-        // but take a racing delivery defensively rather than lose it.
-        for chan in &registered {
-            chan.unregister_receiver(ctx.pid());
-        }
-        return cell.slot.lock().take();
+    // Remove our remaining registrations (senders also discard them
+    // lazily, but eager cleanup keeps queues short and pid-reuse safe).
+    for chan in enabled(alternatives) {
+        chan.unregister_receiver(ctx.pid());
     }
-    // The delivering sender recorded which alternative it was. Remove our
-    // remaining registrations (senders also discard them lazily, but eager
-    // cleanup keeps queues short and pid-reuse safe).
-    let (index, value) = cell
+    if !woken {
+        // Timed out. The parked-only guard in the send paths means no
+        // sender delivered after the timer fired, but take a racing
+        // delivery defensively rather than lose it.
+        return Ok(cell.slot.lock().take());
+    }
+    // The delivering sender recorded which alternative it was.
+    let delivered = cell
         .slot
         .lock()
         .take()
         .expect("woken receiver must have a delivery");
-    for chan in &registered {
-        chan.unregister_receiver(ctx.pid());
-    }
-    Some((index, value))
+    Ok(Some(delivered))
 }
 
 #[cfg(test)]
@@ -753,6 +802,167 @@ mod tests {
         if let Err(e) = sim.run() {
             panic!("{e}");
         }
+    }
+
+    /// A server daemon: `select`s over `a` and `b` forever, its `b`
+    /// alternative closed after two messages (so some schedules
+    /// deadlock a client on `b`), through the unwinding or the
+    /// cancellable form.
+    fn server_sim(cancellable: bool) -> Sim {
+        let mut sim = Sim::new();
+        let a = Arc::new(Channel::new("a"));
+        let b = Arc::new(Channel::new("b"));
+        let (a1, b1) = (Arc::clone(&a), Arc::clone(&b));
+        sim.spawn_daemon("server", move |ctx| {
+            for served in 0.. {
+                let alternatives = &mut [(&*a1, true), (&*b1, served < 2)];
+                let (which, v) = if cancellable {
+                    match select_cancellable(ctx, alternatives) {
+                        Ok(got) => got,
+                        Err(Cancelled) => return,
+                    }
+                } else {
+                    select(ctx, alternatives)
+                };
+                ctx.emit("served", &[which as i64, v]);
+            }
+        });
+        for (name, chan, sends) in [("c0", &a, 1), ("c1", &b, 2), ("c2", &a, 1)] {
+            let chan = Arc::clone(chan);
+            sim.spawn(name, move |ctx| {
+                for v in 0..sends {
+                    chan.send(ctx, v);
+                }
+            });
+        }
+        sim
+    }
+
+    /// The cancellable select changes how the daemon ends and nothing
+    /// else: on every schedule, clean or deadlocked, the outcome, the
+    /// trace, the statuses and the exported metrics are byte-identical to
+    /// the unwinding select's, and only the unwinding one unwinds the
+    /// server at shutdown.
+    #[test]
+    fn cancellable_select_matches_unwinding_select_on_every_schedule() {
+        let explore = |cancellable: bool| {
+            let (journal, stats) = bloom_sim::ExploreConfig::new(50_000).run(
+                move || server_sim(cancellable),
+                |_, result| {
+                    let (outcome, report) = match result {
+                        Ok(report) => ("ok".to_string(), report),
+                        Err(e) => (format!("{:?}", e.kind), &*e.report),
+                    };
+                    let statuses: Vec<_> =
+                        report.processes.iter().map(|p| p.status.clone()).collect();
+                    let run = format!(
+                        "{outcome}\n{:?}\n{statuses:?}\n{}",
+                        report.trace,
+                        bloom_sim::export::to_jsonl(&report.trace, &report.metrics)
+                    );
+                    (run, report.metrics.shutdown_unwinds)
+                },
+            );
+            assert!(stats.complete);
+            journal
+        };
+        let (returning, unwinding) = (explore(true), explore(false));
+        assert_eq!(returning.len(), unwinding.len());
+        assert!(returning.len() > 100, "{} schedules", returning.len());
+        for outcome in ["ok", "Deadlock"] {
+            assert!(returning.iter().any(|r| r.value.0.starts_with(outcome)));
+        }
+        for (r, u) in returning.iter().zip(&unwinding) {
+            assert_eq!(r.choices, u.choices);
+            assert_eq!(r.value.0, u.value.0, "schedule {:?}", r.choices);
+            assert_eq!(u.value.1, r.value.1 + 1, "schedule {:?}", r.choices);
+        }
+    }
+
+    /// A server that ignores `Cancelled` and selects again is unwound by
+    /// the second select instead of spinning forever in shutdown.
+    #[test]
+    fn server_ignoring_cancelled_is_unwound_instead_of_hanging_shutdown() {
+        let mut sim = Sim::new();
+        let a = Arc::new(Channel::<i64>::new("a"));
+        let a1 = Arc::clone(&a);
+        let cancels = Arc::new(Mutex::new(0));
+        let c = Arc::clone(&cancels);
+        sim.spawn_daemon("server", move |ctx| loop {
+            if a1.recv_cancellable(ctx).is_err() {
+                *c.lock() += 1;
+            }
+        });
+        sim.spawn("client", move |ctx| a.send(ctx, 1));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(sim.run());
+        });
+        let report = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("shutdown hung")
+            .expect("clean run");
+        assert_eq!(*cancels.lock(), 1, "Cancelled is handed out once");
+        assert_eq!(report.metrics.shutdown_unwinds, 1);
+        assert_eq!(
+            report.processes[0].status,
+            bloom_sim::ProcessStatus::Cancelled
+        );
+    }
+
+    /// A process parked in the cancellable select that is killed by a
+    /// fault plan, or aborted by deadlock recovery, still unwinds: its
+    /// body never sees a return, the unregister guard empties every
+    /// receiver queue, and it ends `Killed` or `Cancelled`.
+    #[test]
+    fn kill_and_abort_in_the_cancellable_select_still_unwind() {
+        for kill in [true, false] {
+            let mut sim = Sim::new();
+            if kill {
+                // The park inside the select is the victim's first
+                // scheduling point.
+                sim.set_fault_plan(bloom_sim::FaultPlan::new().kill("victim", 1));
+            } else {
+                sim.enable_deadlock_recovery();
+            }
+            let a = Arc::new(Channel::<i64>::new("a"));
+            let b = Arc::new(Channel::<i64>::new("b"));
+            let (a1, b1) = (Arc::clone(&a), Arc::clone(&b));
+            sim.spawn("victim", move |ctx| {
+                let got = select_cancellable(ctx, &mut [(&*a1, true), (&*b1, true)]);
+                ctx.emit("returned", &[got.is_ok() as i64]);
+            });
+            let report = sim.run().expect("the victim's end completes the run");
+            let expected = if kill {
+                bloom_sim::ProcessStatus::Killed
+            } else {
+                bloom_sim::ProcessStatus::Cancelled
+            };
+            assert_eq!(report.processes[0].status, expected, "kill={kill}");
+            assert_eq!(report.trace.count_user("returned"), 0, "kill={kill}");
+            assert_eq!(report.metrics.shutdown_unwinds, 0, "kill={kill}");
+            assert_eq!(report.recovered.len(), usize::from(!kill));
+            assert!(a.state.lock().receivers.is_empty(), "kill={kill}");
+            assert!(b.state.lock().receivers.is_empty(), "kill={kill}");
+        }
+    }
+
+    /// A cancelled return removes the registrations, as the unwind did.
+    #[test]
+    fn cancelled_return_unregisters_every_alternative() {
+        let mut sim = Sim::new();
+        let a = Arc::new(Channel::<i64>::new("a"));
+        let b = Arc::new(Channel::<i64>::new("b"));
+        let (a1, b1) = (Arc::clone(&a), Arc::clone(&b));
+        sim.spawn_daemon("server", move |ctx| {
+            let got = select_cancellable(ctx, &mut [(&*a1, true), (&*b1, true)]);
+            assert_eq!(got, Err(Cancelled));
+        });
+        sim.spawn("client", |ctx| ctx.yield_now());
+        let report = sim.run().expect("clean run");
+        assert_eq!(report.metrics.shutdown_unwinds, 0);
+        assert!(a.state.lock().receivers.is_empty());
+        assert!(b.state.lock().receivers.is_empty());
     }
 
     #[test]

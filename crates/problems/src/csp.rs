@@ -18,8 +18,8 @@
 //!   `loop { deposit?; remove? }` — the same shape as the path
 //!   expression);
 //! * *synchronization state* is partly mechanism-kept
-//!   ([`Channel::pending_senders`], the CSP analogue of Hoare's `queue`)
-//!   and partly hand-kept counts — Indirect, like monitors;
+//!   ([`Channel::pending_senders_ctx`], the CSP analogue of Hoare's
+//!   `queue`) and partly hand-kept counts — Indirect, like monitors;
 //! * the §2 modularity requirement is met automatically on the
 //!   encapsulation side (clients contain zero synchronization code), but
 //!   resource code and synchronization code interleave *inside* the
@@ -27,12 +27,14 @@
 //!   path expressions, for a different reason.
 //!
 //! Servers are daemons: they loop forever and are cancelled when all
-//! clients finish.
+//! clients finish. They wait only in the cancellable channel forms
+//! ([`select_cancellable`], [`Channel::recv_cancellable`]), so a
+//! cancelled server returns instead of unwinding its thread.
 
 use crate::events::{DEPOSIT, READ, REMOVE, SEEK, USE, WAKE, WRITE};
 use crate::rw::{ReadersWriters, RwVariant};
 use crate::{buffer::BoundedBuffer, fcfs::FcfsResource, oneslot::OneSlot};
-use bloom_channel::{select, Channel};
+use bloom_channel::{select_cancellable, Channel};
 use bloom_core::events::{enter_for, exit, exit_for, request};
 use bloom_core::{Directness, ImplUnit, InfoType, MechanismId, ProblemId, SolutionDesc};
 use bloom_sim::{Ctx, Pid};
@@ -117,13 +119,17 @@ impl CspOneSlot {
         let (dep, rem) = (Arc::clone(&self.deposit), Arc::clone(&self.remove));
         self.once.ensure(ctx, "oneslot-server", move |ctx| loop {
             // deposit? — history is the server's program counter.
-            let m = dep.recv(ctx);
+            let Ok(m) = dep.recv_cancellable(ctx) else {
+                return;
+            };
             let value = m.value;
             enter_for(ctx, m.pid, DEPOSIT, &[value]);
             exit_for(ctx, m.pid, DEPOSIT, &[value]);
             m.reply.expect("start carries reply").send(ctx, 0);
             // remove?
-            let m = rem.recv(ctx);
+            let Ok(m) = rem.recv_cancellable(ctx) else {
+                return;
+            };
             enter_for(ctx, m.pid, REMOVE, &[value]);
             exit_for(ctx, m.pid, REMOVE, &[value]);
             m.reply.expect("start carries reply").send(ctx, value);
@@ -229,7 +235,11 @@ impl CspBuffer {
                     Some(c) => c.gt(items.len() as i64),
                     None => items.len() < capacity,
                 };
-                let (which, m) = select(ctx, &mut [(&*dep, not_full), (&*rem, !items.is_empty())]);
+                let Ok((which, m)) =
+                    select_cancellable(ctx, &mut [(&*dep, not_full), (&*rem, !items.is_empty())])
+                else {
+                    return;
+                };
                 match which {
                     0 => {
                         enter_for(ctx, m.pid, DEPOSIT, &[m.value]);
@@ -312,10 +322,15 @@ impl CspFcfs {
     fn ensure_server(&self, ctx: &Ctx) {
         let (acq, rel) = (Arc::clone(&self.acquire), Arc::clone(&self.release));
         self.once.ensure(ctx, "fcfs-server", move |ctx| loop {
-            let m = acq.recv(ctx);
+            let Ok(m) = acq.recv_cancellable(ctx) else {
+                return;
+            };
             enter_for(ctx, m.pid, USE, &[]);
             m.reply.expect("reply").send(ctx, 0);
-            rel.recv(ctx); // only the holder sends release
+            // Only the holder sends release.
+            if rel.recv_cancellable(ctx).is_err() {
+                return;
+            }
         });
     }
 }
@@ -394,7 +409,11 @@ impl CspDisk {
             let mut pending_up: BTreeMap<(i64, u64), Msg> = BTreeMap::new();
             let mut pending_down: BTreeMap<(i64, u64), Msg> = BTreeMap::new();
             loop {
-                let (which, m) = select(ctx, &mut [(&*seeks, true), (&*done, true)]);
+                let Ok((which, m)) =
+                    select_cancellable(ctx, &mut [(&*seeks, true), (&*done, true)])
+                else {
+                    return;
+                };
                 let stash =
                     |m: Msg,
                      up: bool,
@@ -419,8 +438,10 @@ impl CspDisk {
                 // Drain every request already waiting on the channel so the
                 // SCAN choice below sees the whole burst, matching what the
                 // shared-memory solutions see in their pending structures.
-                while seeks.pending_senders() > 0 {
-                    let m = seeks.recv(ctx);
+                while seeks.pending_senders_ctx(ctx) > 0 {
+                    let Ok(m) = seeks.recv_cancellable(ctx) else {
+                        return;
+                    };
                     stash(m, up, head, &mut seq, &mut pending_up, &mut pending_down);
                 }
                 if !busy {
@@ -519,7 +540,11 @@ impl CspAlarm {
             let mut seq = 0u64;
             let mut pending: BTreeMap<(i64, u64), Msg> = BTreeMap::new();
             loop {
-                let (which, m) = select(ctx, &mut [(&*wake_reqs, true), (&*ticks, true)]);
+                let Ok((which, m)) =
+                    select_cancellable(ctx, &mut [(&*wake_reqs, true), (&*ticks, true)])
+                else {
+                    return;
+                };
                 if which == 0 {
                     let deadline = now + m.value;
                     if now >= deadline {
@@ -664,20 +689,22 @@ impl CspRw {
             let read_guard = !writing
                 && match variant {
                     // New readers defer to queued writers.
-                    RwVariant::WritersPriority => sw.pending_senders() == 0,
+                    RwVariant::WritersPriority => sw.pending_senders_ctx(ctx) == 0,
                     _ => true,
                 };
             let write_guard = !writing
                 && readers == 0
                 && match variant {
                     // Writers defer to queued readers.
-                    RwVariant::ReadersPriority => sr.pending_senders() == 0,
+                    RwVariant::ReadersPriority => sr.pending_senders_ctx(ctx) == 0,
                     _ => true,
                 };
-            let (which, m) = select(
+            let Ok((which, m)) = select_cancellable(
                 ctx,
                 &mut [(sr, read_guard), (sw, write_guard), (er, true), (ew, true)],
-            );
+            ) else {
+                return;
+            };
             match which {
                 0 => {
                     readers += 1;
@@ -735,8 +762,10 @@ impl CspRw {
                 }
                 deferred = Some(t);
             }
-            if deferred.is_none() && rq.pending_senders() > 0 {
-                let t = rq.recv(ctx);
+            if deferred.is_none() && rq.pending_senders_ctx(ctx) > 0 {
+                let Ok(t) = rq.recv_cancellable(ctx) else {
+                    return;
+                };
                 let ok = match t.kind {
                     Kind::Read => !writing,
                     Kind::Write => !writing && readers == 0,
@@ -748,7 +777,7 @@ impl CspRw {
                 }
                 continue;
             }
-            if deferred.is_some() || rq.pending_senders() == 0 {
+            if deferred.is_some() || rq.pending_senders_ctx(ctx) == 0 {
                 // Wait for an end message, or (when nothing is deferred) a
                 // fresh request. Requests and ends have different message
                 // types, so when nothing is deferred we wait on ends only
@@ -757,11 +786,15 @@ impl CspRw {
                 if deferred.is_none() && readers == 0 && !writing {
                     // Nothing in flight: the next event must be a request,
                     // and an idle database admits either kind.
-                    let t = rq.recv(ctx);
+                    let Ok(t) = rq.recv_cancellable(ctx) else {
+                        return;
+                    };
                     grant(ctx, t, &mut readers, &mut writing);
                     continue;
                 }
-                let (which, _) = select(ctx, &mut [(er, true), (ew, true)]);
+                let Ok((which, _)) = select_cancellable(ctx, &mut [(er, true), (ew, true)]) else {
+                    return;
+                };
                 match which {
                     0 => readers -= 1,
                     _ => writing = false,

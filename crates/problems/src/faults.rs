@@ -33,7 +33,7 @@
 //! by [`bloom_core::events::extract`].
 
 use crate::events::{DEPOSIT, READ, REMOVE, WRITE};
-use bloom_channel::{select, Channel};
+use bloom_channel::{select_cancellable, Channel};
 use bloom_core::crash::{classify_crash, CrashOutcome};
 use bloom_core::events::{enter, exit, request};
 use bloom_monitor::{Cond, Monitor};
@@ -440,10 +440,12 @@ fn rw_crash_sim(mech: CrashMechanism) -> Sim {
             sim.spawn_daemon("server", move |ctx| {
                 let mut readers = 0i64;
                 loop {
-                    let (idx, _) = select(
+                    let Ok((idx, _)) = select_cancellable(
                         ctx,
                         &mut [(&*rs, true), (&*re, readers > 0), (&*ws, readers == 0)],
-                    );
+                    ) else {
+                        return;
+                    };
                     match idx {
                         0 => readers += 1,
                         1 => readers -= 1,
@@ -451,7 +453,9 @@ fn rw_crash_sim(mech: CrashMechanism) -> Sim {
                         // writer reports back — its Achilles heel when
                         // the writer dies mid-body.
                         _ => {
-                            we.recv(ctx);
+                            if we.recv_cancellable(ctx).is_err() {
+                                return;
+                            }
                         }
                     }
                 }
@@ -787,8 +791,12 @@ fn buffer_crash_sim(mech: CrashMechanism) -> Sim {
             sim.spawn_daemon("server", move |ctx| {
                 let mut buf = VecDeque::new();
                 loop {
-                    let (idx, v) =
-                        select(ctx, &mut [(&*d, buf.len() < CAP), (&*rq, !buf.is_empty())]);
+                    let Ok((idx, v)) = select_cancellable(
+                        ctx,
+                        &mut [(&*d, buf.len() < CAP), (&*rq, !buf.is_empty())],
+                    ) else {
+                        return;
+                    };
                     match idx {
                         0 => buf.push_back(v),
                         _ => {

@@ -398,9 +398,8 @@ pub fn timeout_withdrawal_sim(mech: LiveMechanism, patience: u64) -> Sim {
             let acq = Arc::new(Channel::<i64>::new("acquire"));
             let rel = Arc::new(Channel::<i64>::new("release"));
             let (a, r) = (Arc::clone(&acq), Arc::clone(&rel));
-            sim.spawn_daemon("server", move |ctx| loop {
-                a.recv(ctx);
-                r.recv(ctx);
+            sim.spawn_daemon("server", move |ctx| {
+                while a.recv_cancellable(ctx).is_ok() && r.recv_cancellable(ctx).is_ok() {}
             });
             let (a, r) = (Arc::clone(&acq), Arc::clone(&rel));
             sim.spawn("holder", move |ctx| {
@@ -794,9 +793,8 @@ pub fn starvation_sim(mech: LiveMechanism) -> Sim {
             let acq = Arc::new(Channel::<i64>::new("acquire"));
             let rel = Arc::new(Channel::<i64>::new("release"));
             let (a, r) = (Arc::clone(&acq), Arc::clone(&rel));
-            sim.spawn_daemon("server", move |ctx| loop {
-                a.recv(ctx);
-                r.recv(ctx);
+            sim.spawn_daemon("server", move |ctx| {
+                while a.recv_cancellable(ctx).is_ok() && r.recv_cancellable(ctx).is_ok() {}
             });
             for reader in ["reader1", "reader2"] {
                 let (a, r) = (Arc::clone(&acq), Arc::clone(&rel));

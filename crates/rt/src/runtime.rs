@@ -30,7 +30,7 @@ use bloom_sim::{
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Barrier, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -317,10 +317,16 @@ impl RtSim {
             Condvar::new(),
         ));
         let total = self.procs.len();
+        // No body starts before every thread is live, so no process's wall
+        // budget (`wall_budget`) starts ticking while a peer that must
+        // meet it has not been created yet — the simulator's clock only
+        // advances when processes run.
+        let start = Arc::new(Barrier::new(total));
         for (i, (name, body)) in self.procs.into_iter().enumerate() {
             let pid = Pid(i as u32);
             let shared = Arc::clone(&shared);
             let state = Arc::clone(&state);
+            let start = Arc::clone(&start);
             let ctx = RtCtxSeed {
                 pid,
                 name: name.clone(),
@@ -341,6 +347,7 @@ impl RtSim {
             thread::Builder::new()
                 .name(name)
                 .spawn(move || {
+                    start.wait();
                     let ctx = RtCtx {
                         pid: ctx.pid,
                         name: ctx.name,

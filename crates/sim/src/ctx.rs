@@ -1,8 +1,9 @@
 //! The per-process kernel handle.
 
-use crate::baton::Report;
+use crate::baton::{Baton, Go, Report};
 use crate::footprint::{merge_access, Access, ObjId};
-use crate::kernel::{obey, stop_process, ProcessStatus, Shared, StopOutcome, TimerKind};
+use crate::kernel::{obey, stop_process, Cancelled, ProcessStatus, Shared, StopOutcome, TimerKind};
+use crate::metrics::SimMetrics;
 use crate::symbolic::SymValue;
 use crate::trace::EventKind;
 use crate::types::{Deadline, Pid, Time};
@@ -17,11 +18,15 @@ use std::sync::Arc;
 pub struct Ctx {
     shared: Arc<Shared>,
     pid: Pid,
+    /// This process's baton: every stop waits on it for the next command,
+    /// so it travels with the handle rather than being looked up under the
+    /// state lock.
+    baton: Arc<Baton<Go>>,
 }
 
 impl Ctx {
-    pub(crate) fn new(shared: Arc<Shared>, pid: Pid) -> Self {
-        Ctx { shared, pid }
+    pub(crate) fn new(shared: Arc<Shared>, pid: Pid, baton: Arc<Baton<Go>>) -> Self {
+        Ctx { shared, pid, baton }
     }
 
     pub(crate) fn shared(&self) -> &Arc<Shared> {
@@ -96,7 +101,7 @@ impl Ctx {
     /// be commuted — swapping the draws swaps the values and can swap a
     /// later arbitration.
     pub fn fresh_ticket(&self) -> u64 {
-        self.mark_obj(ObjId::pseudo("ticket"), Access::Write);
+        self.mark_obj(self.shared.ticket_obj.clone(), Access::Write);
         self.shared.fresh_ticket()
     }
 
@@ -152,7 +157,7 @@ impl Ctx {
         self.shared.quantum_dirty.store(true, Ordering::Relaxed);
         let mut st = self.shared.state.lock();
         merge_access(&mut st.quantum_objs, obj.clone(), access);
-        crate::metrics::SimMetrics::bump(&mut st.metrics.sync_ops, obj.kind());
+        SimMetrics::bump(&mut st.metrics.sync_ops, obj.kind());
     }
 
     /// [`Ctx::note_sync`], plus a per-mechanism operation count in
@@ -162,7 +167,7 @@ impl Ctx {
     pub fn note_sync_op(&self, mechanism: &str) {
         self.note_sync();
         let mut st = self.shared.state.lock();
-        crate::metrics::SimMetrics::bump(&mut st.metrics.sync_ops, mechanism);
+        SimMetrics::bump(&mut st.metrics.sync_ops, mechanism);
     }
 
     /// Records an access to a kernel pseudo-object (or a mechanism object,
@@ -173,18 +178,36 @@ impl Ctx {
         merge_access(&mut st.quantum_objs, obj, access);
     }
 
+    /// Ends the current quantum with a yield or a sleep and waits until
+    /// the kernel lets this process run again; a shutdown cancellation
+    /// unwinds.
+    fn stop_or_unwind(&self, report: Report) {
+        self.unwind_if_cancelled();
+        let resumed = match stop_process(&self.shared, self.pid, report) {
+            // The inline continuation picked us right back: after a yield
+            // the policy's choice, after a sleep our own timer firing with
+            // nobody else ready.
+            StopOutcome::SelfResume => Ok(()),
+            StopOutcome::Handed => obey(self.baton.take()),
+        };
+        if let Err(cancelled) = resumed {
+            cancelled.unwind();
+        }
+    }
+
+    /// Unwinds if shutdown has begun. Only cancelled processes run then,
+    /// so the caller was handed [`Cancelled`] once, ignored it, and is
+    /// about to block again with no scheduler left to stop to.
+    fn unwind_if_cancelled(&self) {
+        if self.shared.cancelling.load(Ordering::SeqCst) {
+            Cancelled.unwind();
+        }
+    }
+
     /// Gives up the CPU; the process stays runnable and will be rescheduled
     /// according to the policy.
     pub fn yield_now(&self) {
-        let baton = {
-            let st = self.shared.state.lock();
-            Arc::clone(&st.procs[self.pid.index()].baton)
-        };
-        match stop_process(&self.shared, self.pid, Report::Yielded) {
-            // The inline continuation picked us right back: keep running.
-            StopOutcome::SelfResume => {}
-            StopOutcome::Handed => obey(baton.take()),
-        }
+        self.stop_or_unwind(Report::Yielded);
     }
 
     /// Sleeps for `ticks` quanta of virtual time.
@@ -195,16 +218,7 @@ impl Ctx {
             self.yield_now();
             return;
         }
-        let baton = {
-            let st = self.shared.state.lock();
-            Arc::clone(&st.procs[self.pid.index()].baton)
-        };
-        match stop_process(&self.shared, self.pid, Report::Slept { ticks }) {
-            // With nobody else ready, the inline continuation fired our own
-            // timer and picked us right back: keep running.
-            StopOutcome::SelfResume => {}
-            StopOutcome::Handed => obey(baton.take()),
-        }
+        self.stop_or_unwind(Report::Slept { ticks });
     }
 
     /// Parks this process until another process calls [`Ctx::unpark`] on it.
@@ -213,51 +227,13 @@ impl Ctx {
     /// Mechanism crates call this *after* registering the process on their
     /// own wait queue; thanks to the cooperative invariant the
     /// register-then-park sequence is atomic with respect to other processes.
+    ///
+    /// A shutdown cancellation unwinds the process (payload [`Cancelled`]),
+    /// so drop guards deregister it; see [`Ctx::park_cancellable`] for the
+    /// form that returns instead.
     pub fn park(&self, reason: &str) {
-        let baton = {
-            let mut st = self.shared.state.lock();
-            let clock = st.clock;
-            st.trace.push(
-                clock,
-                self.pid,
-                EventKind::Blocked {
-                    reason: reason.to_string(),
-                },
-            );
-            Arc::clone(&st.procs[self.pid.index()].baton)
-        };
-        loop {
-            let report = Report::Parked {
-                reason: reason.to_string(),
-            };
-            match stop_process(&self.shared, self.pid, report) {
-                // Only another process's unpark readies a plain park: no
-                // timer of ours can fire for it (a stale park timeout
-                // carries an older token), and fault-plan spurious wakes
-                // never arm the inline path. So it is never the inline
-                // continuation's next pick.
-                StopOutcome::SelfResume => unreachable!("a parked process cannot be re-picked"),
-                StopOutcome::Handed => obey(baton.take()),
-            }
-            // A fault-plan spurious wake resumed us without a matching
-            // unpark: absorb it by re-parking, so mechanisms never observe
-            // a wake they did not grant. (A real unpark that raced the
-            // spurious window clears the flag — see Ctx::try_unpark — and
-            // we return normally.)
-            let mut st = self.shared.state.lock();
-            let slot = &mut st.procs[self.pid.index()];
-            if !slot.spurious_wake {
-                return;
-            }
-            slot.spurious_wake = false;
-            let clock = st.clock;
-            st.trace.push(
-                clock,
-                self.pid,
-                EventKind::Blocked {
-                    reason: reason.to_string(),
-                },
-            );
+        if let Err(cancelled) = self.park_cancellable(reason, None) {
+            cancelled.unwind();
         }
     }
 
@@ -274,7 +250,25 @@ impl Ctx {
     /// granting to a queue entry, so a timed-out waiter that has not yet
     /// deregistered is never the target of a grant.
     pub fn park_timeout(&self, reason: &str, ticks: u64) -> bool {
-        let baton = {
+        self.park_cancellable(reason, Some(ticks))
+            .unwrap_or_else(|cancelled| cancelled.unwind())
+    }
+
+    /// The one park: [`Ctx::park`] with `timeout: None`,
+    /// [`Ctx::park_timeout`] with `Some(ticks)`, except that a shutdown
+    /// cancellation is returned as `Err(Cancelled)` instead of unwinding.
+    /// `Ok(true)` means woken by an unpark, `Ok(false)` timed out.
+    ///
+    /// On `Err` the caller still holds whatever registrations it made
+    /// before parking and must remove them itself before it returns (the
+    /// end-of-run queue-hygiene assertion checks [`crate::WaitQueue`]s).
+    /// Server daemons use this so that run end costs a return rather than
+    /// an unwind. A process that ignores the `Cancelled` and blocks again
+    /// is unwound at once. A fault-plan kill or a deadlock-recovery abort
+    /// still unwinds, so drop guards run.
+    pub fn park_cancellable(&self, reason: &str, timeout: Option<u64>) -> Result<bool, Cancelled> {
+        self.unwind_if_cancelled();
+        {
             let mut st = self.shared.state.lock();
             let clock = st.clock;
             st.trace.push(
@@ -284,23 +278,52 @@ impl Ctx {
                     reason: reason.to_string(),
                 },
             );
-            Arc::clone(&st.procs[self.pid.index()].baton)
-        };
-        let report = Report::ParkedTimeout {
-            reason: reason.to_string(),
-            ticks,
-        };
-        match stop_process(&self.shared, self.pid, report) {
-            // With nobody else ready, the inline continuation fired our own
-            // timeout and picked us right back: `timed_out` is set.
-            StopOutcome::SelfResume => {}
-            StopOutcome::Handed => obey(baton.take()),
         }
-        let mut st = self.shared.state.lock();
-        let slot = &mut st.procs[self.pid.index()];
-        let timed_out = slot.timed_out;
-        slot.timed_out = false;
-        !timed_out
+        loop {
+            let report = match timeout {
+                None => Report::Parked {
+                    reason: reason.to_string(),
+                },
+                Some(ticks) => Report::ParkedTimeout {
+                    reason: reason.to_string(),
+                    ticks,
+                },
+            };
+            match stop_process(&self.shared, self.pid, report) {
+                // With nobody else ready, the inline continuation fired our
+                // own timeout and picked us right back: `timed_out` is set.
+                // Only another process's unpark readies a plain park: no
+                // timer of ours can fire for it (a stale park timeout
+                // carries an older token), and fault-plan spurious wakes
+                // never arm the inline path.
+                StopOutcome::SelfResume => {
+                    assert!(timeout.is_some(), "a parked process cannot be re-picked");
+                }
+                StopOutcome::Handed => obey(self.baton.take())?,
+            }
+            let mut st = self.shared.state.lock();
+            let slot = &mut st.procs[self.pid.index()];
+            if timeout.is_some() {
+                return Ok(!std::mem::take(&mut slot.timed_out));
+            }
+            // A fault-plan spurious wake resumed us without a matching
+            // unpark: absorb it by re-parking, so mechanisms never observe
+            // a wake they did not grant. (A real unpark that raced the
+            // spurious window clears the flag — see Ctx::try_unpark — and
+            // we return normally.) Timed parks get no spurious wakes.
+            if !slot.spurious_wake {
+                return Ok(true);
+            }
+            slot.spurious_wake = false;
+            let clock = st.clock;
+            st.trace.push(
+                clock,
+                self.pid,
+                EventKind::Blocked {
+                    reason: reason.to_string(),
+                },
+            );
+        }
     }
 
     /// Whether `target` is currently parked — i.e. an unpark delivered now
@@ -318,13 +341,10 @@ impl Ctx {
         // too, so commuting this probe past a park-state change is
         // impossible; two probes of the same target commute.
         self.shared.quantum_dirty.store(true, Ordering::Relaxed);
-        let mut st = self.shared.state.lock();
-        merge_access(
-            &mut st.quantum_objs,
-            ObjId::pseudo(&format!("park:{target}")),
-            Access::Read,
-        );
+        let mut guard = self.shared.state.lock();
+        let st = &mut *guard;
         let slot = &st.procs[target.index()];
+        merge_access(&mut st.quantum_objs, slot.park_obj.clone(), Access::Read);
         matches!(slot.status, ProcessStatus::Blocked { .. }) || slot.spurious_wake
     }
 
@@ -334,31 +354,27 @@ impl Ctx {
     /// cannot, prefer [`Ctx::unpark`], which panics on staleness.
     pub fn try_unpark(&self, target: Pid) -> bool {
         self.shared.quantum_dirty.store(true, Ordering::Relaxed);
-        let mut st = self.shared.state.lock();
-        merge_access(
-            &mut st.quantum_objs,
-            ObjId::pseudo(&format!("park:{target}")),
-            Access::Write,
-        );
+        let mut guard = self.shared.state.lock();
+        let st = &mut *guard;
         let slot = &mut st.procs[target.index()];
+        merge_access(&mut st.quantum_objs, slot.park_obj.clone(), Access::Write);
         if !matches!(slot.status, ProcessStatus::Blocked { .. }) {
             // A pending fault-plan spurious wake means the target is Ready
             // but will transparently re-park; converting the pending wake
             // into this real unpark preserves unpark semantics exactly.
-            if slot.spurious_wake {
-                slot.spurious_wake = false;
-                if let Some((reason, _)) = &slot.wait_started {
-                    let reason = reason.clone();
-                    crate::metrics::SimMetrics::bump(&mut st.metrics.wakes, &reason);
-                }
-                let clock = st.clock;
-                st.trace
-                    .push(clock, target, EventKind::Unparked { by: self.pid });
-                return true;
+            if !slot.spurious_wake {
+                return false;
             }
-            return false;
+            slot.spurious_wake = false;
+            if let Some((reason, _)) = &slot.wait_started {
+                SimMetrics::bump(&mut st.metrics.wakes, reason);
+            }
+            let clock = st.clock;
+            st.trace
+                .push(clock, target, EventKind::Unparked { by: self.pid });
+            return true;
         }
-        self.deliver_unpark(&mut st, target);
+        self.deliver_unpark(st, target);
         true
     }
 
@@ -371,33 +387,11 @@ impl Ctx {
     /// parked, so an unparked-while-not-parked target is a mechanism bug and
     /// is reported loudly rather than being silently ignored.
     pub fn unpark(&self, target: Pid) {
-        self.shared.quantum_dirty.store(true, Ordering::Relaxed);
-        let mut st = self.shared.state.lock();
-        merge_access(
-            &mut st.quantum_objs,
-            ObjId::pseudo(&format!("park:{target}")),
-            Access::Write,
-        );
-        let slot = &mut st.procs[target.index()];
-        if slot.spurious_wake {
-            // See Ctx::try_unpark: consume the pending spurious wake as if
-            // it were this unpark.
-            slot.spurious_wake = false;
-            if let Some((reason, _)) = &slot.wait_started {
-                let reason = reason.clone();
-                crate::metrics::SimMetrics::bump(&mut st.metrics.wakes, &reason);
-            }
-            let clock = st.clock;
-            st.trace
-                .push(clock, target, EventKind::Unparked { by: self.pid });
-            return;
-        }
         assert!(
-            matches!(slot.status, ProcessStatus::Blocked { .. }),
+            self.try_unpark(target),
             "unpark of {target} which is {:?} (mechanism bug)",
-            slot.status
+            self.shared.state.lock().procs[target.index()].status
         );
-        self.deliver_unpark(&mut st, target);
     }
 
     /// Shared tail of [`Ctx::try_unpark`]/[`Ctx::unpark`] once `target` is
@@ -411,8 +405,7 @@ impl Ctx {
         // only shifts when the wakee runs), so it counts as a wake and
         // ends the target's blocked episode here.
         if let ProcessStatus::Blocked { reason } = &st.procs[target.index()].status {
-            let reason = reason.clone();
-            crate::metrics::SimMetrics::bump(&mut st.metrics.wakes, &reason);
+            SimMetrics::bump(&mut st.metrics.wakes, reason);
         }
         st.settle_blocked_time(target);
         st.trace
@@ -495,7 +488,11 @@ impl Ctx {
         // non-emitting ones.
         self.shared.quantum_dirty.store(true, Ordering::Relaxed);
         let mut st = self.shared.state.lock();
-        merge_access(&mut st.quantum_objs, ObjId::pseudo("trace"), Access::Write);
+        merge_access(
+            &mut st.quantum_objs,
+            self.shared.trace_obj.clone(),
+            Access::Write,
+        );
         let clock = st.clock;
         st.trace.push(
             clock,

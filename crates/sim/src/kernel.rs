@@ -71,6 +71,10 @@ pub(crate) struct ProcSlot {
     pub daemon: bool,
     pub status: ProcessStatus,
     pub baton: Arc<Baton<Go>>,
+    /// This process's park slot as a footprint object (`park:{pid}`),
+    /// built once at spawn: every park, unpark and `is_parked` probe
+    /// records it, so it must not cost an allocation each time.
+    pub park_obj: ObjId,
     /// The process body, queued until the kernel first dispatches this
     /// process: the first dispatch hands it to a pooled host thread (see
     /// [`crate::pool`]) instead of sending `Go::Run`. `None` once
@@ -297,6 +301,13 @@ pub(crate) struct Shared {
     /// exploration baseline. The starvation watchdog runs inside
     /// [`pick_and_dispatch`], so it works on either side.
     pub inline: AtomicBool,
+    /// The kernel pseudo-objects every run touches (see
+    /// [`crate::Ctx::note_sync_obj`]), built once per simulation: the
+    /// user-event trace, the ticket dispenser, and the global park order
+    /// that deadlock recovery's victim choice depends on.
+    pub trace_obj: ObjId,
+    pub ticket_obj: ObjId,
+    pub park_order_obj: ObjId,
 }
 
 impl Shared {
@@ -312,6 +323,9 @@ impl Shared {
             jobs: Mutex::new(0),
             jobs_cv: Condvar::new(),
             inline: AtomicBool::new(false),
+            trace_obj: ObjId::pseudo("trace"),
+            ticket_obj: ObjId::pseudo("ticket"),
+            park_order_obj: ObjId::pseudo("park"),
         })
     }
 
@@ -374,6 +388,7 @@ impl Shared {
                 daemon,
                 status: ProcessStatus::Ready,
                 baton: Arc::clone(&baton),
+                park_obj: ObjId::pseudo(&format!("park:{pid}")),
                 pending,
                 park_token: 0,
                 timed_out: false,
@@ -409,8 +424,31 @@ impl Shared {
     }
 }
 
-/// Marker payload used to unwind a process thread cleanly at shutdown.
-struct Cancelled;
+/// The simulation shut down while this process was parked.
+///
+/// Run end cancels every daemon that is still live. The cancellable park
+/// ([`Ctx::park_cancellable`], and the channel crate's cancellable select
+/// and recv built on it) returns this value, so a server loop ends by
+/// returning; a body that returns after cancellation ends
+/// [`ProcessStatus::Cancelled`] with no `Finished` event, exactly as if it
+/// had unwound. Every other blocking call ([`Ctx::park`],
+/// [`Ctx::yield_now`], a stop after the cancellation was ignored) turns it
+/// into an unwind carrying this type as the payload, which the kernel
+/// catches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cancelled;
+
+impl Cancelled {
+    /// Turns the value back into the shutdown unwind the kernel expects
+    /// of a process that does not return: the unwinding blocking calls
+    /// ([`Ctx::park`], the channel crate's `select`) are this applied to
+    /// their cancellable forms.
+    pub fn unwind(self) -> ! {
+        // `resume_unwind` (not `panic_any`) so the panic hook stays
+        // silent: a cancellation is not an error.
+        std::panic::resume_unwind(Box::new(self))
+    }
+}
 
 /// Marker payload used to unwind a process thread at a fault-plan
 /// kill-point. Unlike [`Cancelled`], the scheduler *is* waiting for the
@@ -429,7 +467,7 @@ struct AbortedMarker;
 fn legacy_process_main(shared: Arc<Shared>, pid: Pid, baton: Arc<Baton<Go>>, f: PendingJob) {
     match baton.take() {
         Go::Cancel => {}
-        Go::Run => run_process(&shared, pid, f),
+        Go::Run => run_process(&shared, pid, baton, f),
         // A kill-point counts scheduling points, and a process that has
         // never run has none, so a kill cannot be its first command.
         Go::Kill => unreachable!("kill delivered to a never-dispatched process"),
@@ -444,10 +482,15 @@ fn legacy_process_main(shared: Arc<Shared>, pid: Pid, baton: Arc<Baton<Go>>, f: 
 /// how it ended. The caller has already been dispatched: unlike the seed
 /// protocol there is no initial `Go::Run` wait in the pooled path (the job
 /// handoff *is* the first dispatch).
-pub(crate) fn run_process(shared: &Arc<Shared>, pid: Pid, f: PendingJob) {
-    let ctx = Ctx::new(Arc::clone(shared), pid);
+pub(crate) fn run_process(shared: &Arc<Shared>, pid: Pid, baton: Arc<Baton<Go>>, f: PendingJob) {
+    let ctx = Ctx::new(Arc::clone(shared), pid, baton);
     let result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
     match result {
+        // Cancelled by return: the body saw `Cancelled` from a park and
+        // returned. Only cancelled processes run once shutdown has begun,
+        // and, as for a shutdown unwind, the scheduler is not waiting for
+        // a report.
+        Ok(()) if shared.cancelling.load(Ordering::SeqCst) => {}
         Ok(()) => {
             // Finished goes through `stop_process` so the inline
             // continuation path can account the finish and dispatch the
@@ -461,7 +504,10 @@ pub(crate) fn run_process(shared: &Arc<Shared>, pid: Pid, f: PendingJob) {
         }
         Err(payload) => {
             if payload.is::<Cancelled>() {
-                // Shutdown unwind: the scheduler is not waiting for a report.
+                // Shutdown unwind: the scheduler is not waiting for a
+                // report. Counted so the cancel-by-return fast path can be
+                // pinned (`SimMetrics::shutdown_unwinds`).
+                shared.state.lock().metrics.shutdown_unwinds += 1;
                 return;
             }
             if payload.is::<KilledMarker>() {
@@ -493,14 +539,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Called from [`Ctx::park`]: unwinds the process thread if cancelled or
-/// killed.
-pub(crate) fn obey(go: Go) {
+/// Called by a stopped process when its baton yields a command: `Run`
+/// resumes it, a shutdown cancellation is returned as [`Cancelled`], and
+/// a kill or an abort unwinds the process thread so its drop guards run.
+pub(crate) fn obey(go: Go) -> Result<(), Cancelled> {
     match go {
-        Go::Run => {}
+        Go::Run => Ok(()),
+        Go::Cancel => Err(Cancelled),
         // `resume_unwind` (not `panic_any`) so the panic hook stays silent:
-        // neither cancellation nor an injected kill is an error.
-        Go::Cancel => std::panic::resume_unwind(Box::new(Cancelled)),
+        // an injected kill is not an error.
         Go::Kill => std::panic::resume_unwind(Box::new(KilledMarker)),
         Go::Abort => std::panic::resume_unwind(Box::new(AbortedMarker)),
     }
@@ -773,7 +820,7 @@ fn pick_and_dispatch(st: &mut State) -> Picked {
 /// Phase 2: hands the CPU to `next` (without holding the state lock). The
 /// first dispatch of a pooled process hands its queued body to a host
 /// thread; every later dispatch sends `Go::Run`.
-fn hand_cpu(shared: &Arc<Shared>, next: Pid, baton: &Baton<Go>, pending: Option<PendingJob>) {
+fn hand_cpu(shared: &Arc<Shared>, next: Pid, baton: Arc<Baton<Go>>, pending: Option<PendingJob>) {
     shared.quantum_dirty.store(false, Ordering::Relaxed);
     shared.quantum_all.store(false, Ordering::Relaxed);
     match pending {
@@ -782,6 +829,7 @@ fn hand_cpu(shared: &Arc<Shared>, next: Pid, baton: &Baton<Go>, pending: Option<
             pool::dispatch(Job {
                 shared: Arc::clone(shared),
                 pid: next,
+                baton,
                 f,
             });
         }
@@ -834,9 +882,9 @@ fn account_stop(shared: &Shared, st: &mut State, pid: Pid, report: &Report) {
         };
         if matches!(report, Report::Parked { .. } | Report::ParkedTimeout { .. }) {
             if let Some(objs) = objs.as_mut() {
-                merge_access(objs, ObjId::pseudo(&format!("park:{pid}")), Access::Write);
+                merge_access(objs, st.procs[pid.index()].park_obj.clone(), Access::Write);
                 if st.deadlock_recovery {
-                    merge_access(objs, ObjId::pseudo("park"), Access::Write);
+                    merge_access(objs, shared.park_order_obj.clone(), Access::Write);
                 }
             }
         }
@@ -991,8 +1039,7 @@ fn fire_timers(st: &mut State) {
             if let TimerKind::ParkTimeout { .. } = kind {
                 st.procs[pid.index()].timed_out = true;
                 if let ProcessStatus::Blocked { reason } = &st.procs[pid.index()].status {
-                    let reason = reason.clone();
-                    SimMetrics::bump(&mut st.metrics.timeout_wakes, &reason);
+                    SimMetrics::bump(&mut st.metrics.timeout_wakes, reason);
                 }
                 st.settle_blocked_time(pid);
             }
@@ -1076,7 +1123,7 @@ pub(crate) fn stop_process(shared: &Arc<Shared>, pid: Pid, report: Report) -> St
         return StopOutcome::SelfResume;
     }
     drop(st);
-    hand_cpu(shared, next, &baton, pending);
+    hand_cpu(shared, next, baton, pending);
     StopOutcome::Handed
 }
 
@@ -1207,10 +1254,10 @@ pub(crate) fn drive(shared: &Arc<Shared>) -> Result<SimReport, SimError> {
                         if let Some(objs) = objs.as_mut() {
                             merge_access(
                                 objs,
-                                ObjId::pseudo(&format!("park:{victim}")),
+                                st.procs[victim.index()].park_obj.clone(),
                                 Access::Write,
                             );
-                            merge_access(objs, ObjId::pseudo("park"), Access::Write);
+                            merge_access(objs, shared.park_order_obj.clone(), Access::Write);
                         }
                         let footprint = match objs {
                             None => Footprint::All,
@@ -1253,7 +1300,7 @@ pub(crate) fn drive(shared: &Arc<Shared>) -> Result<SimReport, SimError> {
         // stops and hand the CPU among themselves; the take() below then
         // spans many quanta and only returns for a deferral (Rescan) or a
         // panic.
-        hand_cpu(shared, next, &baton, pending);
+        hand_cpu(shared, next, baton, pending);
         let report = shared.sched_baton.take();
         let mut st = shared.state.lock();
         st.metrics.loop_wakes += 1;
@@ -1412,7 +1459,8 @@ pub(crate) fn shutdown(shared: &Arc<Shared>) {
         }
     }
     drop(never_started);
-    // A cancelled body unwinds with the private `Cancelled` payload, which
+    // A cancelled body either returns (a cancellable park handed it
+    // `Cancelled`) or unwinds with the `Cancelled` payload, which
     // `run_process` catches, so the gate always falls; a genuine panic was
     // already reported via the baton before the body returned.
     shared.wait_jobs();

@@ -100,7 +100,7 @@ pub use explore::{
 };
 pub use fault::{DelaySpec, FaultPlan, KillSpec, Poisoned, SpuriousSpec};
 pub use footprint::{Access, Footprint, ObjId, QuantumRecord};
-pub use kernel::{ProcessStatus, ProcessSummary, SimReport, StarvationFlag};
+pub use kernel::{Cancelled, ProcessStatus, ProcessSummary, SimReport, StarvationFlag};
 pub use metrics::{PidMetrics, ReplayDivergence, SimMetrics};
 pub use parallel::ScheduleRecord;
 pub use policy::{FifoPolicy, LifoPolicy, RandomPolicy, ReplayPolicy, SchedPolicy, SplitMix64};

@@ -7,10 +7,11 @@
 //! kernel, the policies, or the mechanisms — so two runs that differ only
 //! in who looks at the metrics are the same run. That guarantee is what
 //! lets the explorers assert byte-identical metrics across worker thread
-//! counts (`tests/parallel_explore.rs`). The two host-protocol counters,
-//! [`SimMetrics::self_resumes`] and [`SimMetrics::loop_wakes`], count how
-//! the kernel moved the CPU between OS threads rather than what the run
-//! did, so they are left out of exports and cross-mode comparisons.
+//! counts (`tests/parallel_explore.rs`). The three host-protocol counters,
+//! [`SimMetrics::self_resumes`], [`SimMetrics::loop_wakes`] and
+//! [`SimMetrics::shutdown_unwinds`], count how the kernel moved the CPU
+//! between OS threads and how it ended them rather than what the run did,
+//! so they are left out of exports and cross-mode comparisons.
 //!
 //! All keyed counters use [`BTreeMap`] so that iteration order (and thus
 //! any report or export derived from the metrics) is deterministic.
@@ -106,6 +107,13 @@ pub struct SimMetrics {
     /// `dispatches - self_resumes + loop_wakes`. Same caveats as
     /// [`SimMetrics::self_resumes`].
     pub loop_wakes: u64,
+    /// Process bodies that ended by a shutdown unwind: a process still
+    /// parked (or ready, or sleeping) at run end outside
+    /// [`crate::Ctx::park_cancellable`] is cancelled by unwinding its host
+    /// thread, which costs microseconds per frame-heavy stack. A daemon
+    /// parked in the cancellable form returns instead and is not counted.
+    /// Same caveats as [`SimMetrics::self_resumes`].
+    pub shutdown_unwinds: u64,
 }
 
 impl SimMetrics {

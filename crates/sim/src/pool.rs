@@ -32,7 +32,7 @@
 //! simulation at a time, so this stays small) and never shrinks; parked
 //! hosts cost one blocked thread each.
 
-use crate::baton::Baton;
+use crate::baton::{Baton, Go};
 use crate::ctx::Ctx;
 use crate::kernel::{run_process, Shared};
 use crate::types::Pid;
@@ -44,10 +44,12 @@ use std::sync::{Arc, OnceLock};
 /// until the kernel first dispatches the process.
 pub(crate) type PendingJob = Box<dyn FnOnce(&Ctx) + Send + 'static>;
 
-/// One unit of host work: run `f` as process `pid` of `shared`.
+/// One unit of host work: run `f` as process `pid` of `shared`, which
+/// later dispatches reach through `baton`.
 pub(crate) struct Job {
     pub shared: Arc<Shared>,
     pub pid: Pid,
+    pub baton: Arc<Baton<Go>>,
     pub f: PendingJob,
 }
 
@@ -89,9 +91,13 @@ pub(crate) fn dispatch(job: Job) {
 /// Host thread body: serve one process per wakeup, forever.
 fn host_main(inbox: Arc<Baton<Job>>) {
     loop {
-        let job = inbox.take();
-        let shared = Arc::clone(&job.shared);
-        run_process(&job.shared, job.pid, job.f);
+        let Job {
+            shared,
+            pid,
+            baton,
+            f,
+        } = inbox.take();
+        run_process(&shared, pid, baton, f);
         // Re-idle, then lower the job gate (see the module docs): a
         // simulation returns only after its gate falls, so the next one
         // finds this host idle and the pool size is exact.

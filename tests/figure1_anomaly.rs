@@ -52,22 +52,28 @@ struct ExplorationOutcome {
     priority_violations: usize,
     exclusion_violations: usize,
     failures: usize,
+    /// Schedules in which some process body ended by a shutdown unwind
+    /// (`SimMetrics::shutdown_unwinds`): a host-independent count of the
+    /// cost the cancellable channel forms exist to avoid.
+    shutdown_unwinds: usize,
 }
 
 fn explore_readers_priority(mech: MechanismId, cap: usize) -> ExplorationOutcome {
-    // (failed, priority violation, exclusion violation) per schedule.
+    // (failed, priority violation, exclusion violation, shutdown unwinds)
+    // per schedule.
     let (journal, stats) = ExploreConfig::new(cap).threads(4).run(
         || footnote3_scenario(mech),
         |_, result| {
             let report = match result {
                 Ok(r) => r,
-                Err(_) => return (true, false, false),
+                Err(_) => return (true, false, false, 0),
             };
             let events = extract(&report.trace);
             (
                 false,
                 !check_priority_over(&events, READ, WRITE).is_empty(),
                 !check_exclusion(&events, &[(READ, WRITE), (WRITE, WRITE)]).is_empty(),
+                report.metrics.shutdown_unwinds,
             )
         },
     );
@@ -77,6 +83,7 @@ fn explore_readers_priority(mech: MechanismId, cap: usize) -> ExplorationOutcome
         priority_violations: journal.iter().filter(|r| r.value.1).count(),
         exclusion_violations: journal.iter().filter(|r| r.value.2).count(),
         failures: journal.iter().filter(|r| r.value.0).count(),
+        shutdown_unwinds: journal.iter().filter(|r| r.value.3 > 0).count(),
     }
 }
 
@@ -154,15 +161,19 @@ fn path_v3_predicates_fix_the_anomaly() {
 }
 
 /// The CSP server solution (§6 future work): the guard
-/// `start_read.pending_senders() == 0` on the write alternative plays the
-/// same role as the v3 predicate — no anomaly in any schedule.
+/// `start_read.pending_senders_ctx(ctx) == 0` on the write alternative
+/// plays the same role as the v3 predicate — no anomaly in any schedule.
+/// Its server daemon waits only in the cancellable channel forms, so no
+/// schedule ends it with a shutdown unwind.
 #[test]
 fn csp_server_is_anomaly_free_over_all_schedules() {
     let out = explore_readers_priority(MechanismId::Csp, 400_000);
     assert!(out.complete);
+    assert_eq!(out.schedules, 20_358);
     assert_eq!(out.failures, 0);
     assert_eq!(out.priority_violations, 0, "{} schedules", out.schedules);
     assert_eq!(out.exclusion_violations, 0);
+    assert_eq!(out.shutdown_unwinds, 0, "{} schedules", out.schedules);
 }
 
 /// Figure 2, same scenario shape but writers-priority semantics: no

@@ -62,6 +62,25 @@ fn every_scenario_is_law_clean_in_some_schedule() {
     }
 }
 
+/// Every crash scenario's real-thread outcomes stay inside its simulator
+/// envelope and never wedge, on a busy host too. Load recipe (the CI
+/// step "Crash conformance under CPU load" runs it; 20 of 20 runs must
+/// pass with three CPU hogs on two vCPUs):
+///
+/// ```text
+/// cargo test -q -p bloom-bench --test rt_conformance --no-run
+/// hogs=(); for i in 1 2 3; do yes > /dev/null & hogs+=($!); done
+/// for i in $(seq 20); do
+///   cargo test -q -p bloom-bench --test rt_conformance \
+///     injected_panics_never_wedge_on_either_backend || break
+/// done
+/// kill "${hogs[@]}"
+/// ```
+///
+/// Two things keep real time from deciding the outcome: `RtSim::run`
+/// starts no body before every thread is live, and in `channel-crash`
+/// both rendezvous sides wait with a budget, so a descheduled victim
+/// misses the offer instead of waiting forever for it.
 #[test]
 fn injected_panics_never_wedge_on_either_backend() {
     let iters = stress_iters();
