@@ -3,11 +3,10 @@
 //! two real schedule trees (E1, throughput), the full tree vs the
 //! object-granular sleep-set prune vs the reads-from revisit mode (E2/E4)
 //! on the same trees plus a stutter-heavy dining scenario (schedule
-//! counts), and the two exploration kernels — legacy spawn-per-run vs
-//! the pooled host kernel — on the pruned anomaly+background tree (E3,
-//! throughput, with schedule/prune counts asserted identical across
-//! kernels). Writes `BENCH_explore.json` at the repo root (archived in
-//! EXPERIMENTS.md §E1/§E2/§E3); the CI explore job gates on it.
+//! counts), and the kernel's hand-off counts per run on a pruned tree, a
+//! recovering tree and a kill-point sweep (E3). Writes
+//! `BENCH_explore.json` at the repo root (archived in EXPERIMENTS.md
+//! §E1/§E2/§E3); the CI explore job gates on it.
 //!
 //! ```text
 //! cargo run --release -p bloom-bench --bin bench_explore            # E1/E2
@@ -32,6 +31,7 @@
 //! across 1/2/4/8 worker threads.
 
 use bloom_core::MechanismId;
+use bloom_problems::faults::{crash_sim, CrashMechanism, CrashProblem, VICTIM};
 use bloom_problems::liveness::{deadlock_recovery_sim, LiveMechanism};
 use bloom_problems::r3::{starvation_at_scale, starvation_laws};
 use bloom_problems::rw::{self, RwVariant};
@@ -51,14 +51,9 @@ fn recovery_tree() -> Sim {
 }
 
 /// The footnote-3 anomaly tree (two writers, one reader, Figure-1 paths):
-/// the F1a report section's workload. `reuse_hosts: false` selects the
-/// legacy spawn-per-run kernel for the E3 baseline; everything else uses
-/// the pooled default.
-fn anomaly_tree_on(reuse_hosts: bool) -> Sim {
-    let mut sim = Sim::with_config(SimConfig {
-        reuse_hosts,
-        ..SimConfig::default()
-    });
+/// the F1a report section's workload.
+fn anomaly_tree() -> Sim {
+    let mut sim = Sim::new();
     let db = rw::make(MechanismId::PathV1, RwVariant::ReadersPriority);
     for i in 0..2 {
         let db = Arc::clone(&db);
@@ -73,10 +68,6 @@ fn anomaly_tree_on(reuse_hosts: bool) -> Sim {
     sim
 }
 
-fn anomaly_tree() -> Sim {
-    anomaly_tree_on(true)
-}
-
 /// The footnote-3 tree as explored for the prune comparison: the
 /// Figure-1 scenario of [`anomaly_tree`] plus one background process
 /// working a private semaphore. Every quantum of the bare scenario
@@ -87,8 +78,8 @@ fn anomaly_tree() -> Sim {
 /// nothing the anomaly processes touch, which only per-object footprints
 /// can see. This is also the representative case: exploring a subsystem
 /// embedded in a larger program.
-fn anomaly_bg_tree_on(reuse_hosts: bool) -> Sim {
-    let mut sim = anomaly_tree_on(reuse_hosts);
+fn anomaly_bg_tree() -> Sim {
+    let mut sim = anomaly_tree();
     let side = Arc::new(bloom_semaphore::Semaphore::strong("side", 1));
     sim.spawn("background", move |ctx| {
         side.p(ctx);
@@ -96,10 +87,6 @@ fn anomaly_bg_tree_on(reuse_hosts: bool) -> Sim {
         side.v(ctx);
     });
     sim
-}
-
-fn anomaly_bg_tree() -> Sim {
-    anomaly_bg_tree_on(true)
 }
 
 /// Stutter-heavy dining scenario for the prune measurement: extra bare
@@ -354,83 +341,80 @@ fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
     )
 }
 
-/// E3: the two exploration kernels on the pruned anomaly+background tree
-/// (1112 granular schedules), both replaying each schedule's whole
-/// prefix:
+/// Kill points swept by E3's `kill-sweep` row; the sweep stops at the
+/// first point the victim never reaches.
+const KILL_POINTS: u64 = 64;
+
+/// E3: the kernel's one dispatch protocol on three trees, each explored
+/// whole, with its host-protocol counts per run (see [`HandoffCounts`]),
+/// which CI gates exactly:
 ///
-/// * `legacy-replay` — spawn-per-run kernel (`reuse_hosts: false`): the
-///   pre-pool baseline every ratio is against;
-/// * `pooled-replay` — host-pool kernel: the default.
-///
-/// Soundness while measuring: both modes must report identical schedule
-/// and prune counts — the CI explore job re-asserts this from the JSON,
-/// plus a throughput-ratio floor for the pooled kernel. Each mode also
-/// records its host-protocol counts per run (see [`HandoffCounts`]),
-/// which CI gates exactly.
-fn bench_kernel() -> String {
+/// * `pooled-replay` — the pruned anomaly+background tree (1 112 granular
+///   schedules), replaying each schedule's whole prefix;
+/// * `recovery` — the R2 dining tree (492 schedules), where deadlock
+///   recovery aborts a victim on most schedules;
+/// * `kill-sweep` — every schedule at every kill point of the monitor
+///   readers/writers crash scenario (R1), each killed victim unwinding
+///   from its own stop.
+fn bench_kernel() -> Vec<String> {
     // Warm the host pool so its one-time thread spawns don't bill the
-    // first-measured mode.
+    // first-measured row.
     anomaly_bg_tree().run().expect("warmup run is clean");
-    let modes = [("legacy-replay", false), ("pooled-replay", true)];
-    let iters = 5;
-    let mut baseline: Option<(usize, usize, f64)> = None;
-    let mut entries = Vec::new();
-    let config = ExploreConfig::new(usize::MAX).mode(PruneMode::Granular);
-    for (name, reuse_hosts) in modes {
-        let start = Instant::now();
-        let mut stats = ExploreStats::default();
-        let mut counts = HandoffCounts::default();
-        for _ in 0..iters {
-            let (journal, s) = config.run(
-                || anomaly_bg_tree_on(reuse_hosts),
-                |_, result| (result.is_err(), HandoffCounts::of(result)),
+    let explore = |config: ExploreConfig, setup: fn() -> Sim| {
+        let (journal, stats) = config.run(setup, |_, result| HandoffCounts::of(result));
+        assert!(stats.complete);
+        let counts = HandoffCounts::sum(journal.iter().map(|r| &r.value));
+        (stats.schedules, stats.pruned, counts)
+    };
+    let granular = ExploreConfig::new(usize::MAX).mode(PruneMode::Granular);
+    vec![
+        kernel_row("pooled-replay", "anomaly+background", 5, || {
+            explore(granular.clone(), anomaly_bg_tree)
+        }),
+        kernel_row("recovery", "liveness-recovery", 20, || {
+            explore(ExploreConfig::new(usize::MAX), recovery_tree)
+        }),
+        kernel_row("kill-sweep", "monitor-rw-crash", 2, || {
+            let (journal, stats) = ExploreConfig::new(usize::MAX).run_kill_points(
+                VICTIM,
+                KILL_POINTS,
+                || crash_sim(CrashMechanism::Monitor, CrashProblem::ReadersWriters),
+                |_, _, result| HandoffCounts::of(result),
             );
-            stats = s;
             assert!(stats.complete);
-            std::hint::black_box(journal.iter().filter(|r| r.value.0).count());
-            counts = HandoffCounts::sum(journal.iter().map(|r| &r.value.1));
-        }
-        let secs = start.elapsed().as_secs_f64() / iters as f64;
-        let per_sec = stats.schedules as f64 / secs;
-        let speedup = match &baseline {
-            None => {
-                baseline = Some((stats.schedules, stats.pruned, secs));
-                1.0
-            }
-            Some((schedules, pruned, legacy_secs)) => {
-                assert_eq!(
-                    stats.schedules, *schedules,
-                    "{name}: kernel mode changed the schedule count"
-                );
-                assert_eq!(
-                    stats.pruned, *pruned,
-                    "{name}: kernel mode changed the prune count"
-                );
-                legacy_secs / secs
-            }
-        };
-        eprintln!(
-            "kernel({name}): {} schedules in {secs:.3}s ({per_sec:.0}/s, {speedup:.2}x legacy)",
-            stats.schedules
-        );
-        entries.push(format!(
-            "{{ \"mode\": \"{name}\", \"schedules\": {}, \"pruned\": {}, \
-             \"secs\": {secs:.6}, \"schedules_per_sec\": {per_sec:.0}, \
-             \"speedup_vs_legacy\": {speedup:.2}, {} }}",
-            stats.schedules,
-            stats.pruned,
-            counts.per_run_json(stats.schedules)
-        ));
+            let counts = HandoffCounts::sum(journal.iter().map(|(_, r)| &r.value));
+            (stats.schedules, stats.pruned, counts)
+        }),
+    ]
+}
+
+/// Times `iters` explorations of one E3 row, each returning its schedule
+/// and prune counts and its summed hand-off counts, and renders the row.
+fn kernel_row(
+    name: &str,
+    tree: &str,
+    iters: usize,
+    explore: impl Fn() -> (usize, usize, HandoffCounts),
+) -> String {
+    let start = Instant::now();
+    let mut last = explore();
+    for _ in 1..iters {
+        last = explore();
     }
+    let secs = start.elapsed().as_secs_f64() / iters as f64;
+    let (schedules, pruned, counts) = last;
+    let per_sec = schedules as f64 / secs;
+    eprintln!("kernel({name}): {schedules} schedules in {secs:.3}s ({per_sec:.0}/s)");
     format!(
-        "{{\n      \"tree\": \"anomaly+background\",\n      \"modes\": [\n        {}\n      ]\n    }}",
-        entries.join(",\n        ")
+        "{{ \"row\": \"{name}\", \"tree\": \"{tree}\", \"schedules\": {schedules}, \
+         \"pruned\": {pruned}, \"secs\": {secs:.6}, \"schedules_per_sec\": {per_sec:.0}, {} }}",
+        counts.per_run_json(schedules)
     )
 }
 
-/// Host-protocol counts summed over a journal's runs: dispatches, and how
-/// many of them stayed on the stopping thread or woke the scheduler loop
-/// (`SimMetrics::self_resumes`/`loop_wakes`). OS hand-offs per run are
+/// Host-protocol counts summed over a journal's runs: dispatches, how many
+/// of them stayed on the stopping thread, and how often the thread driving
+/// each run woke (`SimMetrics::self_resumes`/`loop_wakes`). OS hand-offs per run are
 /// `dispatches - self_resumes + loop_wakes`; unlike seconds, these counts
 /// do not depend on the host, so CI can gate them exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -617,7 +601,7 @@ fn main() {
         compare_prunes("anomaly+background", anomaly_bg_tree),
         compare_prunes("dining-strong-3", || dining_tree(3)),
     ];
-    let kernel = [bench_kernel()];
+    let kernel = bench_kernel();
     let sampling = if sample { bench_samplers() } else { Vec::new() };
     let symbolic = if symbolic {
         bench_symbolic()

@@ -1,11 +1,11 @@
-//! Single-slot rendezvous cell used for the scheduler/process handshake.
+//! Single-slot rendezvous cell used for the kernel's CPU hand-offs.
 //!
 //! A [`Baton`] carries exactly one value from one thread to another. The
 //! kernel gives each process a `Baton<Go>` (the permission to run) and keeps
-//! one `Baton<Report>` for itself (the process's account of why it stopped).
-//! Because at most one process holds the CPU, each baton has at most one
-//! producer and one consumer at a time, so a mutex-guarded `Option` plus a
-//! condvar is all that is needed.
+//! one `Baton<RunEnd>` for the thread that called `Sim::run` (how the run
+//! ended). Because at most one process holds the CPU, each baton has at
+//! most one producer and one consumer at a time, so a mutex-guarded
+//! `Option` plus a condvar is all that is needed.
 
 use parking_lot::{Condvar, Mutex};
 
@@ -59,22 +59,20 @@ impl<T> Baton<T> {
     }
 }
 
-/// Command handed to a process thread by the scheduler.
+/// Command handed to a stopped process by whoever holds the CPU.
 pub(crate) enum Go {
     /// Run until the next scheduling point.
     Run,
     /// The simulation is over; unwind and exit the thread.
     Cancel,
-    /// A fault-plan kill-point fired: unwind (running drop guards) and
-    /// report back as killed.
-    Kill,
     /// Deadlock recovery chose this process as the victim: unwind (running
-    /// drop guards, exactly as for a kill) and report back as aborted. The
-    /// process is recorded as *cancelled*, not crashed.
+    /// drop guards, exactly as for a kill) and hand the CPU on. The process
+    /// is recorded as *cancelled*, not crashed.
     Abort,
 }
 
-/// A process's account of why it stopped running, handed back to the scheduler.
+/// A running process's account of why it stopped: the argument of
+/// `kernel::stop_process`.
 pub(crate) enum Report {
     /// Voluntary yield; the process is still runnable.
     Yielded,
@@ -86,25 +84,18 @@ pub(crate) enum Report {
     Slept { ticks: u64 },
     /// The process closure returned normally.
     Finished,
-    /// The process closure panicked with the given message. Carries the
-    /// panicker's pid because under the inline continuation path (see
-    /// `kernel::stop_process`) the scheduler loop's notion of "the last
-    /// process I dispatched" can be several quanta stale.
+}
+
+/// The only message the thread driving a run waits for.
+pub(crate) enum RunEnd {
+    /// Phase 1 found nothing left to dispatch: the run is complete
+    /// (`None`), deadlocked, or out of steps.
+    Stopped(Option<crate::error::SimErrorKind>),
+    /// A process closure panicked with the given message.
     Panicked {
         pid: crate::types::Pid,
         message: String,
     },
-    /// The process finished unwinding after a kill-point (fault injection).
-    Killed,
-    /// The process finished unwinding after a deadlock-recovery abort.
-    Aborted,
-    /// The stopping process already accounted for its own stop inline
-    /// (phase 3) and fired any due timers, but hit a condition only the
-    /// scheduler loop can handle — run termination, an empty ready list
-    /// with no timer pending (deadlock detection or recovery), or the step
-    /// budget. The loop must re-run phase 1
-    /// from scratch and must NOT run phase 3 for this report.
-    Rescan,
 }
 
 #[cfg(test)]

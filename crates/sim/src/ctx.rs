@@ -184,8 +184,8 @@ impl Ctx {
     fn stop_or_unwind(&self, report: Report) {
         self.unwind_if_cancelled();
         let resumed = match stop_process(&self.shared, self.pid, report) {
-            // The inline continuation picked us right back: after a yield
-            // the policy's choice, after a sleep our own timer firing with
+            // Picked right back at our own stop: after a yield the
+            // policy's choice, after a sleep our own timer firing with
             // nobody else ready.
             StopOutcome::SelfResume => Ok(()),
             StopOutcome::Handed => obey(self.baton.take()),
@@ -290,15 +290,17 @@ impl Ctx {
                 },
             };
             match stop_process(&self.shared, self.pid, report) {
-                // With nobody else ready, the inline continuation fired our
-                // own timeout and picked us right back: `timed_out` is set.
-                // Only another process's unpark readies a plain park: no
-                // timer of ours can fire for it (a stale park timeout
-                // carries an older token), and fault-plan spurious wakes
-                // never arm the inline path.
-                StopOutcome::SelfResume => {
-                    assert!(timeout.is_some(), "a parked process cannot be re-picked");
-                }
+                // Picked right back at our own stop. A timed park gets here
+                // when its own timeout fired with nobody else ready:
+                // `timed_out` is set. A plain park gets here only through
+                // a fault-plan spurious wake, absorbed below: no timer of
+                // ours can ready it (a stale park timeout carries an older
+                // token), and an unpark needs another process to run.
+                StopOutcome::SelfResume => assert!(
+                    timeout.is_some()
+                        || self.shared.state.lock().procs[self.pid.index()].spurious_wake,
+                    "a re-picked plain park carries a spurious wake"
+                ),
                 StopOutcome::Handed => obey(self.baton.take())?,
             }
             let mut st = self.shared.state.lock();
@@ -411,8 +413,8 @@ impl Ctx {
         st.trace
             .push(clock, target, EventKind::Unparked { by: self.pid });
         let delay = if st.faults.active() {
-            let name = st.procs[target.index()].name.clone();
-            st.faults.on_unpark(target, &name)
+            let crate::kernel::State { faults, procs, .. } = &mut *st;
+            faults.on_unpark(target, &procs[target.index()].name)
         } else {
             None
         };

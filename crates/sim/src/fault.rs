@@ -182,7 +182,8 @@ impl FaultRuntime {
         }
     }
 
-    /// Whether any fault could still fire (cheap guard for the hot path).
+    /// Whether the plan injects any fault at all (cheap guard for the hot
+    /// path; a spec that already fired still counts).
     pub(crate) fn active(&self) -> bool {
         !self.plan.is_empty()
     }

@@ -155,7 +155,7 @@ pub(crate) fn merge_access(objs: &mut BTreeMap<ObjId, Access>, obj: ObjId, acces
     }
 }
 
-/// What one dispatch of the scheduler loop did, as far as the dependency
+/// What one dispatch of the kernel did, as far as the dependency
 /// analysis is concerned. Recorded for *every* dispatch (forced and
 /// contested) when [`crate::SimConfig::record_quanta`] is on; the
 /// explorers consume the log via [`crate::SimReport::quanta`].

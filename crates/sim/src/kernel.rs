@@ -1,7 +1,7 @@
-//! The simulation kernel: process table, ready list, timers, and the
-//! scheduler loop that enforces the one-running-process invariant.
+//! The simulation kernel: process table, ready list, timers, and the one
+//! dispatch protocol that enforces the one-running-process invariant.
 
-use crate::baton::{Baton, Go, Report};
+use crate::baton::{Baton, Go, Report, RunEnd};
 use crate::ctx::Ctx;
 use crate::error::{SimError, SimErrorKind};
 use crate::fault::FaultRuntime;
@@ -12,7 +12,7 @@ use crate::pool::{self, Job, PendingJob};
 use crate::sim::SimConfig;
 use crate::trace::{Decision, EventKind, Trace};
 use crate::types::{Pid, Time};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -78,9 +78,7 @@ pub(crate) struct ProcSlot {
     /// The process body, queued until the kernel first dispatches this
     /// process: the first dispatch hands it to a pooled host thread (see
     /// [`crate::pool`]) instead of sending `Go::Run`. `None` once
-    /// dispatched — and always `None` in legacy mode
-    /// ([`SimConfig::reuse_hosts`]` == false`), where a dedicated thread
-    /// is spawned eagerly and waits on the baton as the seed kernel did.
+    /// dispatched.
     pub pending: Option<PendingJob>,
     /// Incremented at every park; timeout timers carry the token of the
     /// park they belong to so stale timers are ignored.
@@ -116,6 +114,8 @@ pub(crate) struct State {
     pub timer_tiebreak: u64,
     pub clock: Time,
     pub step: u64,
+    /// The process whose quantum is open: set at dispatch, cleared when
+    /// the quantum is accounted (so `None` while a kill or abort unwinds).
     pub running: Option<Pid>,
     pub trace: Trace,
     pub decisions: Vec<Decision>,
@@ -162,12 +162,10 @@ pub(crate) struct State {
     /// Copied from [`SimConfig::deadlock_recovery`]; kept in sync by
     /// [`crate::Sim::enable_deadlock_recovery`].
     pub deadlock_recovery: bool,
-    /// Copied from [`SimConfig::reuse_hosts`] at construction.
-    pub reuse_hosts: bool,
     /// Whether the quantum currently holding the CPU came from a
     /// *contested* dispatch. Set by `pick_and_dispatch`, consumed by
-    /// `account_stop` — kernel state rather than a scheduler-loop local so
-    /// phase 3 can run on whichever thread the quantum stopped on.
+    /// `account_stop` — kernel state because phase 3 runs on whichever
+    /// host thread the quantum stopped on.
     pub cur_decided: bool,
     /// Index (into `decisions`) of the current quantum's scheduling
     /// decision when it was contested. `decisions.last_mut()` is *not*
@@ -214,7 +212,6 @@ impl State {
             max_steps: cfg.max_steps,
             starvation_bound: cfg.starvation_bound,
             deadlock_recovery: cfg.deadlock_recovery,
-            reuse_hosts: cfg.reuse_hosts,
             cur_decided: false,
             cur_sched_decision: None,
             cur_ready: None,
@@ -253,16 +250,17 @@ pub struct StarvationFlag {
     pub age: u64,
 }
 
-/// State shared between the scheduler thread and all process threads.
+/// State shared between the thread driving the run and all process threads.
 pub(crate) struct Shared {
     pub state: Mutex<State>,
-    /// The scheduler's inbox: the running process reports here when it stops.
-    pub sched_baton: Baton<Report>,
+    /// The inbox of the thread driving the run ([`drive`]): whoever holds
+    /// the CPU when the run ends or a body panics reports it here, once.
+    pub sched_baton: Baton<RunEnd>,
     /// Global ticket dispenser used by wait queues for FIFO ordering.
     pub tickets: AtomicU64,
     /// Set by every [`Ctx`] operation with an observable effect (and by
     /// [`Ctx::note_sync`], through which the mechanism crates report state
-    /// accesses the kernel cannot see). The scheduler clears it at each
+    /// accesses the kernel cannot see). The kernel clears it at each
     /// dispatch and reads it back when the quantum ends, classifying the
     /// quantum as pure or not — see [`crate::Decision::pure`].
     pub quantum_dirty: AtomicBool,
@@ -291,16 +289,6 @@ pub(crate) struct Shared {
     /// released) before the report is snapshotted.
     pub jobs: Mutex<usize>,
     pub jobs_cv: Condvar,
-    /// Whether the *inline continuation* fast path is armed for the active
-    /// [`drive`] call: a stopping process runs phase 3, due timers and
-    /// phase 1 itself (see [`stop_process`]) instead of waking the
-    /// scheduler loop, halving the context switches per quantum. Armed
-    /// whenever pooled hosts are in use and no fault plan is active — the
-    /// kill hand-shake needs the scheduler loop, and legacy mode
-    /// (`reuse_hosts == false`) keeps the seed protocol as the honest
-    /// exploration baseline. The starvation watchdog runs inside
-    /// [`pick_and_dispatch`], so it works on either side.
-    pub inline: AtomicBool,
     /// The kernel pseudo-objects every run touches (see
     /// [`crate::Ctx::note_sync_obj`]), built once per simulation: the
     /// user-event trace, the ticket dispenser, and the global park order
@@ -322,7 +310,6 @@ impl Shared {
             queues: Mutex::new(Vec::new()),
             jobs: Mutex::new(0),
             jobs_cv: Condvar::new(),
-            inline: AtomicBool::new(false),
             trace_obj: ObjId::pseudo("trace"),
             ticket_obj: ObjId::pseudo("ticket"),
             park_order_obj: ObjId::pseudo("park"),
@@ -365,61 +352,40 @@ impl Shared {
 
     /// Registers a new process (from the builder or a running process).
     ///
-    /// In the default pooled mode the body is queued in the slot and no
-    /// thread is touched until the process is first dispatched (so a
-    /// simulation that is built but never run engages no host at all). In
-    /// legacy mode (`reuse_hosts == false`) a dedicated thread is spawned
-    /// eagerly, exactly as the seed kernel did, and idles on the baton
-    /// until first dispatched — kept as the honest baseline for the
-    /// exploration benchmarks.
-    pub(crate) fn spawn_process<F>(self: &Arc<Self>, name: &str, daemon: bool, f: F) -> Pid
+    /// The body is queued in the slot and no thread is touched until the
+    /// process is first dispatched, so a simulation that is built but
+    /// never run engages no host at all.
+    pub(crate) fn spawn_process<F>(&self, name: &str, daemon: bool, f: F) -> Pid
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        let baton = Arc::new(Baton::new());
-        let mut body: Option<PendingJob> = Some(Box::new(f));
-        let pid;
-        {
-            let mut st = self.state.lock();
-            pid = Pid(st.procs.len() as u32);
-            let pending = if st.reuse_hosts { body.take() } else { None };
-            st.procs.push(ProcSlot {
+        let mut st = self.state.lock();
+        let pid = Pid(st.procs.len() as u32);
+        st.procs.push(ProcSlot {
+            name: name.to_string(),
+            daemon,
+            status: ProcessStatus::Ready,
+            baton: Arc::new(Baton::new()),
+            park_obj: ObjId::pseudo(&format!("park:{pid}")),
+            pending: Some(Box::new(f)),
+            park_token: 0,
+            timed_out: false,
+            spurious_wake: false,
+            wait_started: None,
+            starvation_flagged: false,
+            blocked_since: None,
+        });
+        st.metrics.per_pid.push(PidMetrics::default());
+        st.ready.push(pid);
+        let clock = st.clock;
+        st.trace.push(
+            clock,
+            pid,
+            EventKind::Spawned {
                 name: name.to_string(),
                 daemon,
-                status: ProcessStatus::Ready,
-                baton: Arc::clone(&baton),
-                park_obj: ObjId::pseudo(&format!("park:{pid}")),
-                pending,
-                park_token: 0,
-                timed_out: false,
-                spurious_wake: false,
-                wait_started: None,
-                starvation_flagged: false,
-                blocked_since: None,
-            });
-            st.metrics.per_pid.push(PidMetrics::default());
-            st.ready.push(pid);
-            let clock = st.clock;
-            st.trace.push(
-                clock,
-                pid,
-                EventKind::Spawned {
-                    name: name.to_string(),
-                    daemon,
-                },
-            );
-        }
-        if let Some(f) = body {
-            // Legacy eager spawn. The gate rises at spawn time (the thread
-            // exists now) and falls when `legacy_process_main` returns,
-            // cancellation included.
-            self.job_begin();
-            let shared = Arc::clone(self);
-            std::thread::Builder::new()
-                .name(format!("sim-{name}"))
-                .spawn(move || legacy_process_main(shared, pid, baton, f))
-                .expect("failed to spawn simulator process thread");
-        }
+            },
+        );
         pid
     }
 }
@@ -450,82 +416,79 @@ impl Cancelled {
     }
 }
 
-/// Marker payload used to unwind a process thread at a fault-plan
-/// kill-point. Unlike [`Cancelled`], the scheduler *is* waiting for the
-/// unwind to complete (guards may release or poison primitives) and the
-/// process is recorded as [`ProcessStatus::Killed`].
+/// Marker payload used to unwind a process at a fault-plan kill-point.
+/// Unlike [`Cancelled`], the unwind is part of the run: drop guards may
+/// release or poison primitives while the process still holds the CPU,
+/// and the process is recorded as [`ProcessStatus::Killed`].
 struct KilledMarker;
 
 /// Marker payload used to unwind a deadlock-recovery victim. Identical in
-/// mechanics to [`KilledMarker`] — the scheduler waits for the unwind, drop
-/// guards roll registrations back — but the process is recorded as
+/// mechanics to [`KilledMarker`] — drop guards roll registrations back
+/// while the victim holds the CPU — but the process is recorded as
 /// [`ProcessStatus::Cancelled`]: an abort is a recovery action, not a crash.
 struct AbortedMarker;
 
-/// Entry point of a legacy (`reuse_hosts == false`) per-process thread:
-/// the seed protocol, waiting on the baton for its first command.
-fn legacy_process_main(shared: Arc<Shared>, pid: Pid, baton: Arc<Baton<Go>>, f: PendingJob) {
-    match baton.take() {
-        Go::Cancel => {}
-        Go::Run => run_process(&shared, pid, baton, f),
-        // A kill-point counts scheduling points, and a process that has
-        // never run has none, so a kill cannot be its first command.
-        Go::Kill => unreachable!("kill delivered to a never-dispatched process"),
-        // Deadlock recovery only aborts *blocked* processes, which have run.
-        Go::Abort => unreachable!("abort delivered to a never-dispatched process"),
-    }
-    shared.job_done();
-}
-
-/// Runs one process body to completion on the current thread — a pooled
-/// host (see [`crate::pool`]) or a legacy per-process thread — and reports
-/// how it ended. The caller has already been dispatched: unlike the seed
-/// protocol there is no initial `Go::Run` wait in the pooled path (the job
-/// handoff *is* the first dispatch).
+/// Runs one process body to completion on a pooled host (see
+/// [`crate::pool`]) and hands the CPU on. The caller has already been
+/// dispatched: the job hand-off *is* the first dispatch.
 pub(crate) fn run_process(shared: &Arc<Shared>, pid: Pid, baton: Arc<Baton<Go>>, f: PendingJob) {
     let ctx = Ctx::new(Arc::clone(shared), pid, baton);
-    let result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-    match result {
+    let payload = match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
         // Cancelled by return: the body saw `Cancelled` from a park and
         // returned. Only cancelled processes run once shutdown has begun,
-        // and, as for a shutdown unwind, the scheduler is not waiting for
-        // a report.
-        Ok(()) if shared.cancelling.load(Ordering::SeqCst) => {}
+        // and, as for a shutdown unwind, nobody waits for them to stop.
+        Ok(()) if shared.cancelling.load(Ordering::SeqCst) => return,
         Ok(()) => {
-            // Finished goes through `stop_process` so the inline
-            // continuation path can account the finish and dispatch the
-            // next process without bouncing through the scheduler loop.
-            match stop_process(shared, pid, Report::Finished) {
-                StopOutcome::Handed => {}
-                StopOutcome::SelfResume => {
-                    unreachable!("a finished process cannot be re-picked")
-                }
-            }
+            // Never a self-resume: a finished process is not ready.
+            stop_process(shared, pid, Report::Finished);
+            return;
         }
-        Err(payload) => {
-            if payload.is::<Cancelled>() {
-                // Shutdown unwind: the scheduler is not waiting for a
-                // report. Counted so the cancel-by-return fast path can be
-                // pinned (`SimMetrics::shutdown_unwinds`).
-                shared.state.lock().metrics.shutdown_unwinds += 1;
-                return;
-            }
-            if payload.is::<KilledMarker>() {
-                // Kill-point unwind complete (all drop guards have run);
-                // the scheduler is blocked waiting for exactly this report.
-                shared.sched_baton.put(Report::Killed);
-                return;
-            }
-            if payload.is::<AbortedMarker>() {
-                // Deadlock-recovery unwind complete; the scheduler is
-                // blocked waiting for exactly this report.
-                shared.sched_baton.put(Report::Aborted);
-                return;
-            }
-            let message = panic_message(payload);
-            shared.sched_baton.put(Report::Panicked { pid, message });
-        }
+        Err(payload) => payload,
+    };
+    if payload.is::<Cancelled>() {
+        // Shutdown unwind: nobody waits for it. Counted so the
+        // cancel-by-return fast path can be pinned
+        // (`SimMetrics::shutdown_unwinds`).
+        shared.state.lock().metrics.shutdown_unwinds += 1;
+        return;
     }
+    let mut st = shared.state.lock();
+    if payload.is::<KilledMarker>() {
+        // Kill-point unwind complete: all drop guards have run.
+        st.procs[pid.index()].status = ProcessStatus::Killed;
+    } else if payload.is::<AbortedMarker>() {
+        end_abort(shared, &mut st, pid);
+    } else {
+        // A genuine panic ends the run. It ends the quantum too, unless it
+        // escaped a kill or abort unwind, whose stop was accounted already.
+        if st.running == Some(pid) {
+            account_stop(shared, &mut st, pid, None);
+        }
+        let message = panic_message(payload);
+        st.procs[pid.index()].status = ProcessStatus::Panicked {
+            message: message.clone(),
+        };
+        drop(st);
+        shared.sched_baton.put(RunEnd::Panicked { pid, message });
+        return;
+    }
+    // Hand the CPU on, as a finished process does.
+    hand_on(shared, st, None);
+}
+
+/// Ends a deadlock-recovery victim whose unwind is complete. The unwind's
+/// guard effects (releases, poisons, wakes) are recorded as a forced
+/// bookkeeping quantum of the victim so the sleep-set walk sees them
+/// (`ready: None` keeps it out of the decision alignment); the victim
+/// leaves the blocked set, so the quantum parks.
+fn end_abort(shared: &Shared, st: &mut State, victim: Pid) {
+    if st.record_quanta {
+        record_quantum(shared, st, victim, None, true);
+    }
+    // Cancelled, not Killed: an abort is a recovery action, not a crash.
+    st.settle_blocked_time(victim);
+    st.procs[victim.index()].status = ProcessStatus::Cancelled;
+    st.procs[victim.index()].wait_started = None;
 }
 
 /// Extracts a human-readable message from a panic payload.
@@ -541,14 +504,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Called by a stopped process when its baton yields a command: `Run`
 /// resumes it, a shutdown cancellation is returned as [`Cancelled`], and
-/// a kill or an abort unwinds the process thread so its drop guards run.
+/// an abort unwinds the process thread so its drop guards run.
 pub(crate) fn obey(go: Go) -> Result<(), Cancelled> {
     match go {
         Go::Run => Ok(()),
         Go::Cancel => Err(Cancelled),
         // `resume_unwind` (not `panic_any`) so the panic hook stays silent:
-        // an injected kill is not an error.
-        Go::Kill => std::panic::resume_unwind(Box::new(KilledMarker)),
+        // a recovery abort is not an error.
         Go::Abort => std::panic::resume_unwind(Box::new(AbortedMarker)),
     }
 }
@@ -709,8 +671,7 @@ struct Picked {
     pending: Option<PendingJob>,
 }
 
-/// The dispatch tail of phase 1, shared by the scheduler loop and the
-/// inline continuation path ([`stop_process`]): consult the policy (or
+/// The dispatch tail of phase 1 ([`next_step`]): consult the policy (or
 /// take the forced pick), record the decision and the candidate snapshot,
 /// and perform every per-dispatch state mutation. The caller has already
 /// established that `ready` is non-empty, the run is not terminal, and the
@@ -769,8 +730,7 @@ fn pick_and_dispatch(st: &mut State) -> Picked {
     // Starvation watchdog: a dispatch means *somebody* is making progress;
     // any non-daemon still blocked whose current wait episode is older
     // than the bound has been bypassed that whole time. Flag it (once per
-    // episode) — detection, not recovery. Runs on whichever thread made
-    // the pick: the scheduler loop or an inline continuation.
+    // episode) — detection, not recovery.
     if let Some(bound) = st.starvation_bound {
         let clock = st.clock;
         let mut flagged = Vec::new();
@@ -817,12 +777,18 @@ fn pick_and_dispatch(st: &mut State) -> Picked {
     }
 }
 
-/// Phase 2: hands the CPU to `next` (without holding the state lock). The
-/// first dispatch of a pooled process hands its queued body to a host
-/// thread; every later dispatch sends `Go::Run`.
-fn hand_cpu(shared: &Arc<Shared>, next: Pid, baton: Arc<Baton<Go>>, pending: Option<PendingJob>) {
+/// Clears the per-quantum marks that processes set without the state lock,
+/// so the quantum about to run starts clean.
+fn reset_quantum_marks(shared: &Shared) {
     shared.quantum_dirty.store(false, Ordering::Relaxed);
     shared.quantum_all.store(false, Ordering::Relaxed);
+}
+
+/// Phase 2: hands the CPU to `next` (without holding the state lock). The
+/// first dispatch of a process hands its queued body to a host thread;
+/// every later dispatch sends `Go::Run`.
+fn hand_cpu(shared: &Arc<Shared>, next: Pid, baton: Arc<Baton<Go>>, pending: Option<PendingJob>) {
+    reset_quantum_marks(shared);
     match pending {
         Some(f) => {
             shared.job_begin();
@@ -837,10 +803,10 @@ fn hand_cpu(shared: &Arc<Shared>, next: Pid, baton: Arc<Baton<Go>>, pending: Opt
     }
 }
 
-/// The read-side of phase 3, shared by the scheduler loop and the inline
-/// continuation path: classify the just-ended quantum's purity and record
-/// its footprint. Consumes `cur_decided`/`cur_ready` (set at dispatch).
-fn account_stop(shared: &Shared, st: &mut State, pid: Pid, report: &Report) {
+/// The read-side of phase 3: classify the just-ended quantum's purity and
+/// record its footprint. `report` is `None` for a quantum ended by a
+/// panic. Consumes `cur_decided`/`cur_ready` (set at dispatch).
+fn account_stop(shared: &Shared, st: &mut State, pid: Pid, report: Option<&Report>) {
     st.running = None;
     // Purity classification (see `Decision::pure`): the quantum must have
     // touched nothing observable and stopped with a plain yield. A pure
@@ -851,8 +817,8 @@ fn account_stop(shared: &Shared, st: &mut State, pid: Pid, report: &Report) {
         let dirty = shared.quantum_dirty.load(Ordering::Relaxed);
         let pure = !dirty
             && match report {
-                Report::Yielded => true,
-                Report::Finished => !st.procs.iter().any(|p| p.daemon),
+                Some(Report::Yielded) => true,
+                Some(Report::Finished) => !st.procs.iter().any(|p| p.daemon),
                 _ => false,
             };
         if pure {
@@ -866,43 +832,44 @@ fn account_stop(shared: &Shared, st: &mut State, pid: Pid, report: &Report) {
             }
         }
     }
-    // Footprint log: drain what the quantum reported, add the
-    // kernel-implicit accesses, and record. A parking quantum writes its
-    // own park slot (the same pseudo-object `Ctx::is_parked` reads and
-    // `Ctx::unpark` writes); under deadlock recovery it also writes the
-    // global `park` pseudo-object, because the victim choice depends on
-    // the relative order in which *any* two processes blocked, so park
-    // quanta must never be commuted then.
     if st.record_quanta {
-        let ready_snapshot = st.cur_ready.take();
-        let mut objs = if shared.quantum_all.load(Ordering::Relaxed) {
-            None
-        } else {
-            Some(std::mem::take(&mut st.quantum_objs))
-        };
-        if matches!(report, Report::Parked { .. } | Report::ParkedTimeout { .. }) {
-            if let Some(objs) = objs.as_mut() {
-                merge_access(objs, st.procs[pid.index()].park_obj.clone(), Access::Write);
-                if st.deadlock_recovery {
-                    merge_access(objs, shared.park_order_obj.clone(), Access::Write);
-                }
-            }
-        }
-        let footprint = match objs {
-            None => Footprint::All,
-            Some(map) => Footprint::Objs(map),
-        };
-        st.quanta.push(QuantumRecord {
-            pid,
-            footprint,
-            ready: ready_snapshot,
-        });
+        let ready = st.cur_ready.take();
+        let parked = matches!(
+            report,
+            Some(Report::Parked { .. } | Report::ParkedTimeout { .. })
+        );
+        record_quantum(shared, st, pid, ready, parked);
     }
 }
 
-/// The write-side of phase 3 for the ordinary stop reports: apply the
-/// status transition and its bookkeeping. The terminal reports (Panicked,
-/// and the Killed/Aborted hand-shake acknowledgements) never reach here.
+/// Appends the footprint of the quantum `pid` just ended to the log: what
+/// it reported, plus the kernel-implicit writes of a quantum that entered
+/// or left the blocked set (`parks`). Those write its own park slot (the
+/// same pseudo-object `Ctx::is_parked` reads and `Ctx::unpark` writes)
+/// and, under deadlock recovery, the global `park` pseudo-object, because
+/// the victim choice depends on the relative order in which *any* two
+/// processes blocked, so such quanta must never be commuted then.
+fn record_quantum(shared: &Shared, st: &mut State, pid: Pid, ready: Option<Vec<Pid>>, parks: bool) {
+    let mut objs = if shared.quantum_all.load(Ordering::Relaxed) {
+        None
+    } else {
+        Some(std::mem::take(&mut st.quantum_objs))
+    };
+    if let (true, Some(objs)) = (parks, objs.as_mut()) {
+        merge_access(objs, st.procs[pid.index()].park_obj.clone(), Access::Write);
+        if st.deadlock_recovery {
+            merge_access(objs, shared.park_order_obj.clone(), Access::Write);
+        }
+    }
+    st.quanta.push(QuantumRecord {
+        pid,
+        footprint: objs.map_or(Footprint::All, Footprint::Objs),
+        ready,
+    });
+}
+
+/// The write-side of phase 3: apply the status transition of a stop that
+/// no kill-point cut short, and its bookkeeping.
 fn apply_stop(st: &mut State, pid: Pid, report: Report) {
     let clock = st.clock;
     match report {
@@ -936,12 +903,11 @@ fn apply_stop(st: &mut State, pid: Pid, report: Report) {
             slot.timed_out = false;
             slot.blocked_since = Some(clock);
             // Fault plane: a spurious wake makes the process runnable
-            // again with no matching unpark; Ctx::park absorbs it. (An
-            // active fault plan disarms the inline path, so this only
-            // ever runs on the scheduler loop.)
+            // again with no matching unpark; Ctx::park absorbs it, even
+            // when the pick below comes straight back to this process.
             if st.faults.active() {
-                let name = st.procs[pid.index()].name.clone();
-                if st.faults.on_park(pid, &name) {
+                let State { faults, procs, .. } = &mut *st;
+                if faults.on_park(pid, &procs[pid.index()].name) {
                     st.settle_blocked_time(pid);
                     let slot = &mut st.procs[pid.index()];
                     slot.status = ProcessStatus::Ready;
@@ -1000,17 +966,13 @@ fn apply_stop(st: &mut State, pid: Pid, report: Report) {
                 st.trace.push(clock, pid, EventKind::Finished);
             }
         }
-        Report::Panicked { .. } | Report::Killed | Report::Aborted | Report::Rescan => {
-            unreachable!("terminal report in apply_stop")
-        }
     }
 }
 
 /// Fires due timers while the ready list is empty, jumping the clock
 /// forward as often as needed: a batch may consist entirely of stale
 /// timers, in which case the next deadline must be tried too. Leaves the
-/// ready list empty only if no timer is pending. Shared by the scheduler
-/// loop's phase 1 and the inline continuation ([`stop_process`]).
+/// ready list empty only if no timer is pending.
 fn fire_timers(st: &mut State) {
     while st.ready.is_empty() {
         let Some(&Reverse((deadline, _, _, _))) = st.timers.peek() else {
@@ -1055,352 +1017,204 @@ fn fire_timers(st: &mut State) {
 
 /// Where the CPU went after a [`stop_process`] call.
 pub(crate) enum StopOutcome {
-    /// The inline continuation picked the stopping process right back:
-    /// keep running, zero hand-offs. A yield lands here when the policy
-    /// re-picks it; a sleep or a timed park when its own timer fired with
-    /// no other process ready.
+    /// The pick came straight back to the stopping process: keep running,
+    /// zero hand-offs. A yield lands here when the policy re-picks it; a
+    /// sleep or a timed park when its own timer fired with no other
+    /// process ready; a plain park after a fault-plan spurious wake.
     SelfResume,
-    /// The CPU went elsewhere — to the next process directly, or back to
-    /// the scheduler loop via [`Report::Rescan`]. A still-live caller must
-    /// now wait on its own baton.
+    /// The CPU went elsewhere: to another process, or to the thread
+    /// driving the run once it ended. A still-live caller must now wait on
+    /// its own baton.
     Handed,
 }
 
-/// A running process stops here (yield, park, sleep, finish).
-///
-/// In the seed protocol every stop wakes the scheduler loop, which does
-/// phase 3 (account the stop) and phase 1 (fire due timers, pick next)
-/// and then wakes the chosen process: two thread hand-offs per quantum
-/// even when the pick is forced. When [`Shared::inline`] is armed, the
-/// stopping process instead runs both phases itself under the state lock
-/// — the one-running-process invariant makes it the only executing
-/// process, so the state it sees and the mutations it applies are exactly
-/// the ones the scheduler loop would have seen and applied, in the same
-/// order, starvation watchdog included — and hands the CPU directly to
-/// the next process (or keeps it, if the pick comes back to itself). The
-/// scheduler loop stays parked in `sched_baton.take()` the whole time and
-/// is only woken, via [`Report::Rescan`], for the cases it alone can
-/// handle: run termination, deadlock detection and recovery, and the step
-/// budget.
-pub(crate) fn stop_process(shared: &Arc<Shared>, pid: Pid, report: Report) -> StopOutcome {
-    if !shared.inline.load(Ordering::Relaxed) {
-        // Seed protocol: hand the report to the scheduler loop, which does
-        // all accounting and the next dispatch.
-        shared.sched_baton.put(report);
-        return StopOutcome::Handed;
-    }
-    let mut st = shared.state.lock();
-    // Phase 3 inline. The kill-point check of the scheduler loop is
-    // soundly skipped: an active fault plan never arms the inline path.
-    account_stop(shared, &mut st, pid, &report);
-    apply_stop(&mut st, pid, report);
-    // Phase 1 inline, in the scheduler loop's order: termination, due
-    // timers, deadlock, step budget, pick. Defer to the loop for all but
-    // the timers and the pick; it re-runs phase 1 from scratch (firing
-    // nothing twice, and never phase 3 — Rescan tells it so).
-    let terminated = st.procs.iter().all(|p| p.daemon || !p.status.is_live());
-    if !terminated {
-        fire_timers(&mut st);
-    }
-    if terminated || st.ready.is_empty() || st.step >= st.max_steps {
-        drop(st);
-        shared.sched_baton.put(Report::Rescan);
-        return StopOutcome::Handed;
-    }
-    let Picked {
-        next,
-        baton,
-        pending,
-    } = pick_and_dispatch(&mut st);
-    if next == pid {
-        // Picked right back: skip both hand-offs (see `SelfResume`).
-        // The caller is running, so its body was dispatched long ago.
-        debug_assert!(pending.is_none());
-        st.metrics.self_resumes += 1;
-        drop(st);
-        shared.quantum_dirty.store(false, Ordering::Relaxed);
-        shared.quantum_all.store(false, Ordering::Relaxed);
-        return StopOutcome::SelfResume;
-    }
-    drop(st);
-    hand_cpu(shared, next, baton, pending);
-    StopOutcome::Handed
+/// What follows a stop, as phase 1 ([`next_step`]) decides it.
+enum Next {
+    /// Dispatch this process; every dispatch mutation is done.
+    Run(Picked),
+    /// Deadlock recovery aborts this victim; its `Aborted` event is pushed.
+    Abort(Pid),
+    /// The run is over: complete (`None`), deadlocked, or out of steps.
+    End(Option<SimErrorKind>),
 }
 
-/// The scheduler loop. Runs on the thread that called [`crate::Sim::run`]
-/// and returns the finished run.
-pub(crate) fn drive(shared: &Arc<Shared>) -> Result<SimReport, SimError> {
-    let error: Option<SimErrorKind>;
-    {
-        // Static prune-safety gate: fault plans reorder effects around kill
-        // points and the starvation watchdog's verdicts depend on absolute
-        // wait ages, so both void the commutation argument behind
-        // `Decision::pure` for the whole run.
-        let mut st = shared.state.lock();
-        if st.faults.active() || st.starvation_bound.is_some() {
-            st.prune_safe = false;
-        }
-        // Arm the inline continuation fast path (see `stop_process`).
-        // Fault plans need the kill/spurious hand-shakes of the scheduler
-        // loop, and legacy mode keeps the seed protocol byte-for-byte.
-        // The starvation watchdog does not disarm it: its check is part of
-        // every dispatch, on whichever thread makes the pick.
-        let inline = st.reuse_hosts && !st.faults.active();
-        shared.inline.store(inline, Ordering::Relaxed);
+/// Phase 1, the one place that decides what follows a stop: run end, due
+/// timers, deadlock detection, the recovery victim, the step budget, and
+/// the pick. Whoever holds the CPU calls it under the state lock: the
+/// stopping process, the host of a body that just ended, or [`drive`]
+/// for the first dispatch.
+fn next_step(st: &mut State) -> Next {
+    // The run is complete once no non-daemon process is live, even if
+    // daemon processes are still runnable or sleeping.
+    if st.procs.iter().all(|p| p.daemon || !p.status.is_live()) {
+        return Next::End(None);
     }
-    loop {
-        // Phase 1: pick the next process (or detect termination/deadlock).
-        let next: Pid;
-        let baton: Arc<Baton<Go>>;
-        let pending: Option<PendingJob>;
-        {
-            let mut st = shared.state.lock();
-            // The run is complete once no non-daemon process is live, even
-            // if daemon processes are still runnable or sleeping.
-            if st.procs.iter().all(|p| p.daemon || !p.status.is_live()) {
-                error = None;
-                break;
+    fire_timers(st);
+    if st.ready.is_empty() {
+        if st.deadlock_recovery {
+            // Deadlock recovery: abort one victim through the same unwind
+            // machinery as a fault-plan kill, so its RAII guards roll
+            // registrations back (releasing permits, dequeuing, poisoning
+            // held monitors), then resume scheduling — the rollback may
+            // have unparked survivors. Each abort removes one live
+            // non-daemon, so recovery ends even if the survivors deadlock
+            // again.
+            //
+            // Victim choice: the most recently blocked process (its wait
+            // episode started last, so the least progress is discarded);
+            // ties broken by pid. Deterministic, and it adds no scheduling
+            // decision, so exploration and replay are unaffected.
+            let victim = st
+                .procs
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| !p.daemon && matches!(p.status, ProcessStatus::Blocked { .. }))
+                .max_by_key(|&(i, p)| {
+                    let since = p.wait_started.as_ref().map_or(Time::ZERO, |&(_, t)| t);
+                    (since, i)
+                })
+                .map(|(i, _)| Pid(i as u32));
+            if let Some(victim) = victim {
+                // The Aborted event goes in *before* the unwind so that
+                // poison events emitted by drop guards follow it; the
+                // unwind's own accesses make up the bookkeeping quantum
+                // `end_abort` records.
+                let clock = st.clock;
+                st.trace.push(clock, victim, EventKind::Aborted);
+                st.recovered.push(victim);
+                st.quantum_objs.clear();
+                return Next::Abort(victim);
             }
-            fire_timers(&mut st);
-            if st.ready.is_empty() {
-                let blocked: Vec<(Pid, String, String)> = st
-                    .procs
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, p)| match &p.status {
-                        ProcessStatus::Blocked { reason } if !p.daemon => {
-                            Some((Pid(i as u32), p.name.clone(), reason.clone()))
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                if st.deadlock_recovery && !blocked.is_empty() {
-                    // Deadlock recovery: abort one victim through the same
-                    // unwind machinery as a fault-plan kill, so its RAII
-                    // guards roll registrations back (releasing permits,
-                    // dequeuing, poisoning held monitors), then resume
-                    // scheduling — the rollback may have unparked survivors.
-                    // Each abort removes one live non-daemon, so the loop
-                    // terminates even if the survivors deadlock again.
-                    //
-                    // Victim choice: the most recently blocked process (its
-                    // wait episode started last, so the least progress is
-                    // discarded); ties broken by pid. Deterministic, and it
-                    // adds no scheduling decision, so exploration and replay
-                    // are unaffected.
-                    let &(victim, _, _) = blocked
-                        .iter()
-                        .max_by_key(|(pid, _, _)| {
-                            let since = st.procs[pid.index()]
-                                .wait_started
-                                .as_ref()
-                                .map_or(Time::ZERO, |&(_, t)| t);
-                            (since, *pid)
-                        })
-                        .expect("non-empty blocked list");
-                    let clock = st.clock;
-                    // The Aborted event goes in *before* the unwind so that
-                    // poison events emitted by drop guards follow it.
-                    st.trace.push(clock, victim, EventKind::Aborted);
-                    st.recovered.push(victim);
-                    let victim_baton = Arc::clone(&st.procs[victim.index()].baton);
-                    // The unwind's guard effects (releases, poisons, wakes)
-                    // are accounted to a bookkeeping quantum of the victim,
-                    // recorded below; reset the footprint marks first.
-                    st.quantum_objs.clear();
-                    let record_abort = st.record_quanta;
-                    drop(st);
-                    shared.quantum_dirty.store(false, Ordering::Relaxed);
-                    shared.quantum_all.store(false, Ordering::Relaxed);
-                    // The victim is blocked in `obey(baton.take())`; while it
-                    // unwinds it is the only executing process, exactly as in
-                    // the kill hand-shake above.
-                    victim_baton.put(Go::Abort);
-                    let ack = shared.sched_baton.take();
-                    let mut st = shared.state.lock();
-                    st.metrics.loop_wakes += 1;
-                    match ack {
-                        Report::Aborted => {}
-                        Report::Panicked { message, .. } => {
-                            st.procs[victim.index()].status = ProcessStatus::Panicked {
-                                message: message.clone(),
-                            };
-                            drop(st);
-                            shutdown(shared);
-                            let mut st = shared.state.lock();
-                            let report = snapshot(&mut st);
-                            return Err(SimError {
-                                kind: SimErrorKind::ProcessPanicked {
-                                    pid: victim,
-                                    message,
-                                },
-                                report: Box::new(report),
-                            });
-                        }
-                        _ => unreachable!("abort unwind reports Aborted or Panicked"),
-                    }
-                    // Record the unwind as a forced bookkeeping quantum of
-                    // the victim so the sleep-set walk sees its effects
-                    // (`ready: None` keeps it out of the decision
-                    // alignment). The victim also leaves the blocked set,
-                    // which is a write of its park slot and of the global
-                    // `park` order object.
-                    if record_abort {
-                        let mut objs = if shared.quantum_all.load(Ordering::Relaxed) {
-                            None
-                        } else {
-                            Some(std::mem::take(&mut st.quantum_objs))
-                        };
-                        if let Some(objs) = objs.as_mut() {
-                            merge_access(
-                                objs,
-                                st.procs[victim.index()].park_obj.clone(),
-                                Access::Write,
-                            );
-                            merge_access(objs, shared.park_order_obj.clone(), Access::Write);
-                        }
-                        let footprint = match objs {
-                            None => Footprint::All,
-                            Some(map) => Footprint::Objs(map),
-                        };
-                        st.quanta.push(QuantumRecord {
-                            pid: victim,
-                            footprint,
-                            ready: None,
-                        });
-                    }
-                    // Cancelled, not Killed: an abort is a recovery action,
-                    // not a crash. The body has returned (gate lowered).
-                    st.settle_blocked_time(victim);
-                    st.procs[victim.index()].status = ProcessStatus::Cancelled;
-                    st.procs[victim.index()].wait_started = None;
-                    continue;
+        }
+        let blocked: Vec<(Pid, String, String)> = st
+            .procs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| match &p.status {
+                ProcessStatus::Blocked { reason } if !p.daemon => {
+                    Some((Pid(i as u32), p.name.clone(), reason.clone()))
                 }
-                error = if blocked.is_empty() {
-                    None // Only daemons (or nothing) remain: clean completion.
-                } else {
-                    Some(SimErrorKind::Deadlock { blocked })
-                };
-                break;
-            }
-            if st.step >= st.max_steps {
-                error = Some(SimErrorKind::MaxStepsExceeded {
-                    limit: st.max_steps,
-                });
-                break;
-            }
-            let picked = pick_and_dispatch(&mut st);
-            next = picked.next;
-            baton = picked.baton;
-            pending = picked.pending;
-        }
+                _ => None,
+            })
+            .collect();
+        // Only daemons (or nothing) remain blocked: clean completion.
+        return Next::End((!blocked.is_empty()).then_some(SimErrorKind::Deadlock { blocked }));
+    }
+    if st.step >= st.max_steps {
+        return Next::End(Some(SimErrorKind::MaxStepsExceeded {
+            limit: st.max_steps,
+        }));
+    }
+    Next::Run(pick_and_dispatch(st))
+}
 
-        // Phase 2: hand over the CPU and wait for a report. Under the
-        // inline continuation path the running processes account their own
-        // stops and hand the CPU among themselves; the take() below then
-        // spans many quanta and only returns for a deferral (Rescan) or a
-        // panic.
-        hand_cpu(shared, next, baton, pending);
-        let report = shared.sched_baton.take();
-        let mut st = shared.state.lock();
-        st.metrics.loop_wakes += 1;
-        if matches!(report, Report::Rescan) {
-            // The stop was already accounted inline; re-run phase 1 only.
-            continue;
-        }
-
-        // Phase 3: account for how it stopped. `next` identifies the
-        // stopping process except for an inline-mode panic, where the
-        // loop's last dispatch is stale — the report carries the pid.
-        let stop_pid = match &report {
-            Report::Panicked { pid, .. } => *pid,
-            _ => next,
-        };
-        account_stop(shared, &mut st, stop_pid, &report);
-        let clock = st.clock;
-        // Fault plane: a yield/park/sleep is a scheduling point of the
-        // stopping process. If the plan kills it here, the normal
-        // bookkeeping for the report is skipped — the process unwinds
-        // instead of ever resuming.
-        let kill_due = st.faults.active()
-            && matches!(
-                report,
-                Report::Yielded
-                    | Report::Parked { .. }
-                    | Report::ParkedTimeout { .. }
-                    | Report::Slept { .. }
-            )
-            && {
-                let name = st.procs[stop_pid.index()].name.clone();
-                st.faults.on_stop(stop_pid, &name)
-            };
-        if kill_due {
-            // The Killed event goes in *before* the unwind so that poison
-            // events emitted by drop guards follow it in the trace.
-            st.trace.push(clock, stop_pid, EventKind::Killed);
-            let baton = Arc::clone(&st.procs[stop_pid.index()].baton);
+/// Runs phase 1 and acts on it for whoever holds the CPU: `me` is the
+/// process that just stopped, and `None` after a kill or abort unwind and
+/// for the first dispatch. The pick is handed the CPU, or `me` keeps it;
+/// a recovery victim other than `me` is sent `Go::Abort`, while `me` as
+/// the victim unwinds from here at once; the run's end goes to the thread
+/// driving it.
+fn hand_on(shared: &Arc<Shared>, mut st: MutexGuard<'_, State>, me: Option<Pid>) -> StopOutcome {
+    match next_step(&mut st) {
+        Next::Run(picked) if Some(picked.next) == me => {
+            // The caller is running, so its body was dispatched long ago.
+            debug_assert!(picked.pending.is_none());
+            st.metrics.self_resumes += 1;
             drop(st);
-            // The victim is blocked in `obey(baton.take())`; Go::Kill makes
-            // it unwind. While it unwinds it is the only executing process
-            // (the scheduler blocks on the report), so drop guards may
-            // lock state, emit trace events, and try_unpark — but must
-            // never park or panic.
-            baton.put(Go::Kill);
-            let ack = shared.sched_baton.take();
-            let mut st = shared.state.lock();
-            st.metrics.loop_wakes += 1;
-            match ack {
-                Report::Killed => {}
-                Report::Panicked { message, .. } => {
-                    // A drop guard panicked during the kill unwind: surface
-                    // it as the mechanism bug it is.
-                    st.procs[stop_pid.index()].status = ProcessStatus::Panicked {
-                        message: message.clone(),
-                    };
-                    drop(st);
-                    shutdown(shared);
-                    let mut st = shared.state.lock();
-                    let report = snapshot(&mut st);
-                    return Err(SimError {
-                        kind: SimErrorKind::ProcessPanicked {
-                            pid: stop_pid,
-                            message,
-                        },
-                        report: Box::new(report),
-                    });
-                }
-                _ => unreachable!("kill unwind reports Killed or Panicked"),
-            }
-            // The victim's body has fully unwound (gate lowered).
-            st.procs[stop_pid.index()].status = ProcessStatus::Killed;
-            continue;
+            reset_quantum_marks(shared);
+            StopOutcome::SelfResume
         }
-        match report {
-            Report::Panicked { pid, message } => {
-                st.procs[pid.index()].status = ProcessStatus::Panicked {
-                    message: message.clone(),
-                };
-                drop(st);
-                shutdown(shared);
-                let mut st = shared.state.lock();
-                let report = snapshot(&mut st);
-                return Err(SimError {
-                    kind: SimErrorKind::ProcessPanicked { pid, message },
-                    report: Box::new(report),
-                });
+        Next::Run(Picked {
+            next,
+            baton,
+            pending,
+        }) => {
+            drop(st);
+            hand_cpu(shared, next, baton, pending);
+            StopOutcome::Handed
+        }
+        Next::Abort(victim) => {
+            let baton = Arc::clone(&st.procs[victim.index()].baton);
+            drop(st);
+            reset_quantum_marks(shared);
+            // While the victim unwinds it is the only executing process,
+            // so drop guards may lock state, emit trace events and
+            // try_unpark, but must never park. Its host then ends it
+            // (`end_abort`) and hands the CPU on.
+            if Some(victim) == me {
+                std::panic::resume_unwind(Box::new(AbortedMarker));
             }
-            // Only ever sent in response to Go::Kill, which the kill path
-            // above consumes directly.
-            Report::Killed => unreachable!("Killed report outside a kill hand-shake"),
-            // Only ever sent in response to Go::Abort, which the deadlock
-            // recovery path in phase 1 consumes directly.
-            Report::Aborted => unreachable!("Aborted report outside an abort hand-shake"),
-            // Consumed right after the take() above.
-            Report::Rescan => unreachable!("Rescan reached phase 3"),
-            other => apply_stop(&mut st, stop_pid, other),
+            baton.put(Go::Abort);
+            StopOutcome::Handed
+        }
+        Next::End(error) => {
+            drop(st);
+            shared.sched_baton.put(RunEnd::Stopped(error));
+            StopOutcome::Handed
         }
     }
+}
 
+/// A running process stops here (yield, park, sleep, finish) and does
+/// everything that follows a stop itself, under the state lock: phase 3
+/// (account the quantum, consult the fault plan's kill-points, apply the
+/// stop) and phase 1 ([`hand_on`]). The one-running-process invariant
+/// makes it the only executing process, so nothing else can observe the
+/// state between its stop and the next dispatch. It then hands the CPU
+/// directly to the next process, or keeps it if the pick comes back to
+/// itself.
+pub(crate) fn stop_process(shared: &Arc<Shared>, pid: Pid, report: Report) -> StopOutcome {
+    let mut st = shared.state.lock();
+    account_stop(shared, &mut st, pid, Some(&report));
+    // Fault plane: a yield/park/sleep is a scheduling point of the
+    // stopping process. If the plan kills it here, the stop is never
+    // applied: the process unwinds instead of ever resuming.
+    let killed = st.faults.active() && !matches!(report, Report::Finished) && {
+        let State { faults, procs, .. } = &mut *st;
+        faults.on_stop(pid, &procs[pid.index()].name)
+    };
+    if killed {
+        // The Killed event goes in *before* the unwind so that poison
+        // events emitted by drop guards follow it in the trace. As for an
+        // abort, the unwinding process still holds the CPU; `run_process`
+        // catches the marker and hands it on.
+        let clock = st.clock;
+        st.trace.push(clock, pid, EventKind::Killed);
+        drop(st);
+        std::panic::resume_unwind(Box::new(KilledMarker));
+    }
+    apply_stop(&mut st, pid, report);
+    hand_on(shared, st, Some(pid))
+}
+
+/// Runs the simulation on the thread that called [`crate::Sim::run`]: makes
+/// the first dispatch, then waits once, while the processes hand the CPU
+/// among themselves, for the run's end or a panic.
+pub(crate) fn drive(shared: &Arc<Shared>) -> Result<SimReport, SimError> {
+    let mut st = shared.state.lock();
+    // Static prune-safety gate: fault plans reorder effects around kill
+    // points and the starvation watchdog's verdicts depend on absolute
+    // wait ages, so both void the commutation argument behind
+    // `Decision::pure` for the whole run.
+    if st.faults.active() || st.starvation_bound.is_some() {
+        st.prune_safe = false;
+    }
+    hand_on(shared, st, None);
+    let end = shared.sched_baton.take();
+    shared.state.lock().metrics.loop_wakes += 1;
+    let error = match end {
+        RunEnd::Stopped(error) => error,
+        RunEnd::Panicked { pid, message } => {
+            // The panicking host recorded the status; its guards may not
+            // have run, so the queue-hygiene check below is skipped.
+            shutdown(shared);
+            let report = snapshot(&mut shared.state.lock());
+            return Err(SimError {
+                kind: SimErrorKind::ProcessPanicked { pid, message },
+                report: Box::new(report),
+            });
+        }
+    };
     shutdown(shared);
     // Queue hygiene (the `park_timeout` stale-registration footgun): by
     // now every registration must be gone — removed by a wake, by timeout
@@ -1408,7 +1222,7 @@ pub(crate) fn drive(shared: &Arc<Shared>) -> Result<SimReport, SimError> {
     // parked process. A leftover entry means some timed wait path returned
     // without deregistering and the corpse would absorb a future grant.
     // Checked on every non-panicked exit (clean, deadlock, max-steps); the
-    // panic paths return early above since their guards may not have run.
+    // panic path returns early above since its guards may not have run.
     #[cfg(debug_assertions)]
     for cell in shared.queues.lock().iter() {
         let waiters = cell.waiters.lock();
@@ -1475,72 +1289,53 @@ mod tests {
     use std::thread;
 
     /// A lone sleeper: with nobody else ready, each sleep fires its own
-    /// timer inline and the sleeper is re-picked on its own thread, so the
-    /// loop wakes once, at the end of the run; the watchdog does not
-    /// disarm this. The seed protocol reports every stop to the loop.
+    /// timer and the sleeper is re-picked on its own thread, so the
+    /// driving thread wakes once, at the end of the run; the watchdog does
+    /// not change this.
     #[test]
     fn lone_sleeper_resumes_itself_with_or_without_watchdog() {
         for k in [0, 1, 5] {
             for watchdog in [false, true] {
-                for reuse_hosts in [true, false] {
-                    let mut sim = Sim::with_config(SimConfig {
-                        reuse_hosts,
-                        ..SimConfig::default()
-                    });
-                    if watchdog {
-                        sim.set_starvation_bound(3);
-                    }
-                    sim.spawn("sleeper", move |ctx| {
-                        for _ in 0..k {
-                            ctx.sleep(2);
-                        }
-                    });
-                    let m = sim.run().expect("a lone sleeper finishes").metrics;
-                    let expected = if reuse_hosts {
-                        (k + 1, k, 1)
-                    } else {
-                        (k + 1, 0, k + 1)
-                    };
-                    assert_eq!(
-                        (m.dispatches, m.self_resumes, m.loop_wakes),
-                        expected,
-                        "k={k} watchdog={watchdog} reuse_hosts={reuse_hosts}"
-                    );
+                let mut sim = Sim::new();
+                if watchdog {
+                    sim.set_starvation_bound(3);
                 }
+                sim.spawn("sleeper", move |ctx| {
+                    for _ in 0..k {
+                        ctx.sleep(2);
+                    }
+                });
+                let m = sim.run().expect("a lone sleeper finishes").metrics;
+                assert_eq!(
+                    (m.dispatches, m.self_resumes, m.loop_wakes),
+                    (k + 1, k, 1),
+                    "k={k} watchdog={watchdog}"
+                );
             }
         }
     }
 
-    /// A lone timed park expires through its own timer, fired inline: the
-    /// waiter is re-picked without a hand-off and sees the timeout.
+    /// A lone timed park expires through its own timer, fired at its own
+    /// stop: the waiter is re-picked without a hand-off and sees the
+    /// timeout.
     #[test]
     fn lone_park_timeout_expires_through_a_self_resume() {
-        for reuse_hosts in [true, false] {
-            let mut sim = Sim::with_config(SimConfig {
-                reuse_hosts,
-                ..SimConfig::default()
-            });
-            let woken = Arc::new(AtomicBool::new(true));
-            let seen = Arc::clone(&woken);
-            sim.spawn("waiter", move |ctx| {
-                seen.store(ctx.park_timeout("nobody", 4), Ordering::SeqCst);
-            });
-            let report = sim.run().expect("the timeout ends the wait");
-            assert!(!woken.load(Ordering::SeqCst), "reuse_hosts={reuse_hosts}");
-            let m = &report.metrics;
-            assert_eq!(m.timeout_wakes["nobody"], 1);
-            assert_eq!(
-                report.final_time,
-                Time(6),
-                "dispatch, 4-tick wait, dispatch"
-            );
-            let expected = if reuse_hosts { (2, 1, 1) } else { (2, 0, 2) };
-            assert_eq!(
-                (m.dispatches, m.self_resumes, m.loop_wakes),
-                expected,
-                "reuse_hosts={reuse_hosts}"
-            );
-        }
+        let mut sim = Sim::new();
+        let woken = Arc::new(AtomicBool::new(true));
+        let seen = Arc::clone(&woken);
+        sim.spawn("waiter", move |ctx| {
+            seen.store(ctx.park_timeout("nobody", 4), Ordering::SeqCst);
+        });
+        let report = sim.run().expect("the timeout ends the wait");
+        assert!(!woken.load(Ordering::SeqCst));
+        let m = &report.metrics;
+        assert_eq!(m.timeout_wakes["nobody"], 1);
+        assert_eq!(
+            report.final_time,
+            Time(6),
+            "dispatch, 4-tick wait, dispatch"
+        );
+        assert_eq!((m.dispatches, m.self_resumes, m.loop_wakes), (2, 1, 1));
     }
 
     /// `job_done` notifies after unlocking, so the count can reach zero

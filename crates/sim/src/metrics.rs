@@ -94,18 +94,15 @@ pub struct SimMetrics {
     /// policy was a [`crate::ReplayPolicy`] that diverged).
     pub replay: ReplayDivergence,
     /// Dispatches that kept the CPU on the stopping process's own thread:
-    /// the inline continuation re-picked it, so no OS hand-off happened.
-    /// Always 0 under the seed protocol ([`crate::SimConfig::reuse_hosts`]
-    /// `== false`) and under a fault plan. A cost of the host protocol,
-    /// not part of the schedule: not exported, and it may differ between
-    /// runs of one schedule under different kernel modes.
+    /// the pick came straight back to it, so no OS hand-off happened. A
+    /// cost of the host protocol, not part of the schedule: not exported,
+    /// and left out of cross-mode comparisons.
     pub self_resumes: u64,
-    /// Times the scheduler loop woke from waiting on a report: one per
-    /// quantum under the seed protocol, otherwise one per deferral to the
-    /// loop (run end, deadlock, step budget) plus one per
-    /// kill or abort acknowledgement. OS hand-offs per run are
-    /// `dispatches - self_resumes + loop_wakes`. Same caveats as
-    /// [`SimMetrics::self_resumes`].
+    /// Times the thread driving the run ([`crate::Sim::run`]) woke from
+    /// its wait: once per run, for the run's end or a panic, whatever
+    /// faults or recovery aborts happened on the way.
+    /// OS hand-offs per run are `dispatches - self_resumes + loop_wakes`.
+    /// Same caveats as [`SimMetrics::self_resumes`].
     pub loop_wakes: u64,
     /// Process bodies that ended by a shutdown unwind: a process still
     /// parked (or ready, or sleeping) at run end outside

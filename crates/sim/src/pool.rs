@@ -15,17 +15,19 @@
 //!   mutex, the trace), never through thread identity, and the kernel's
 //!   one-running-process invariant means a host is handed a job only when
 //!   it is the unique runnable process of its simulation. Determinism is
-//!   therefore untouched — verified byte-for-byte by the equivalence tests
-//!   against the seed protocol (`SimConfig::reuse_hosts = false`).
+//!   therefore untouched — checked against a single-threaded interpreter
+//!   of the kernel's semantics (`tests/prop.rs`) that has no hosts at all.
 //! * A host is returned to the pool only after the process body has fully
-//!   returned or unwound, so a recycled host can never observe state from
-//!   its previous tenant. It re-idles *before* it lowers its simulation's
-//!   job gate: the gate is what the simulation waits on before it returns,
-//!   so by then every host it used is back on the idle stack, and the
-//!   next simulation's first dispatches reuse them instead of growing the
-//!   pool. Lowering the gate after re-idling is safe: the host holds its
-//!   own handle to the finished simulation, and a job handed to its inbox
-//!   meanwhile waits in the baton until the host takes it.
+//!   returned or unwound and the host has handed the CPU on (a killed or
+//!   aborted process's host does this too), so a recycled host can never
+//!   observe state from its previous tenant. It re-idles *before* it
+//!   lowers its simulation's job gate: the gate is what the simulation
+//!   waits on before it returns, so by then every host it used is back on
+//!   the idle stack, and the next simulation's first dispatches reuse them
+//!   instead of growing the pool. Lowering the gate after re-idling is
+//!   safe: the host holds its own handle to the finished simulation, and a
+//!   job handed to its inbox meanwhile waits in the baton until the host
+//!   takes it.
 //!
 //! The pool grows to the high-water mark of concurrently live processes
 //! across all simulations in the OS process (explorer workers each run one

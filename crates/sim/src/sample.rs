@@ -35,11 +35,10 @@
 //! for every worker count, exactly like the exploration engine's.
 //!
 //! Each claimed iteration executes its processes on the shared host pool
-//! (DESIGN.md §2.13): `setup()` builds the [`Sim`] with the default
-//! `reuse_hosts: true`, so every PCT/walk run borrows pooled host
-//! threads instead of spawning one OS thread per process per iteration —
-//! the same hot path the explorers use. Thread identity is unobservable
-//! to the simulation, so the journals are unchanged.
+//! (DESIGN.md §2.13), so every PCT/walk run borrows pooled host threads
+//! instead of spawning one OS thread per process per iteration — the
+//! same hot path the explorers use. Thread identity is unobservable to
+//! the simulation, so the journals are unchanged.
 //!
 //! # Replay is load-bearing
 //!

@@ -42,13 +42,6 @@ pub struct SimConfig {
     /// disable for long throughput benchmarks where the log's allocation
     /// is measurable.
     pub record_quanta: bool,
-    /// Whether process bodies run on recycled host threads from the global
-    /// pool (`true`, the default — see `pool.rs`) or on a freshly
-    /// spawned OS thread per process (`false`: the seed protocol, kept as
-    /// the honest baseline for the exploration benchmarks). The two modes
-    /// are observably identical — same traces, decisions, reports — and
-    /// differ only in thread lifecycle cost.
-    pub reuse_hosts: bool,
 }
 
 impl Default for SimConfig {
@@ -60,7 +53,6 @@ impl Default for SimConfig {
             starvation_bound: None,
             deadlock_recovery: false,
             record_quanta: true,
-            reuse_hosts: true,
         }
     }
 }

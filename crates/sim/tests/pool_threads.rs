@@ -8,7 +8,11 @@
 #![cfg(target_os = "linux")]
 #![deny(deprecated)]
 
-use bloom_sim::Sim;
+use bloom_sim::{FaultPlan, Sim, WaitQueue};
+use std::sync::{Arc, Mutex};
+
+/// Serializes the tests of this binary: each counts the pool's threads.
+static POOL: Mutex<()> = Mutex::new(());
 
 /// Host threads alive in this OS process, found by the `sim-host-<n>`
 /// names the pool gives them.
@@ -26,6 +30,7 @@ fn host_threads() -> usize {
 /// next run's first dispatches never find one still busy and spawn more.
 #[test]
 fn sequential_runs_reuse_every_host() {
+    let _pool = POOL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     const RUNS: usize = 5_000;
     for _ in 0..RUNS {
         let mut sim = Sim::new();
@@ -41,5 +46,47 @@ fn sequential_runs_reuse_every_host() {
         host_threads(),
         3,
         "{RUNS} sequential runs of three live processes grew the pool past three hosts"
+    );
+}
+
+/// Killed and aborted processes hand the CPU on from their own hosts,
+/// which re-idle only afterwards. Three processes per run still need
+/// exactly three hosts: a victim's host is busy only while its own
+/// process would have been, so the next run finds all three idle again.
+#[test]
+fn kills_and_recovery_aborts_keep_the_pool_exact() {
+    let _pool = POOL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    const RUNS: usize = 2_000;
+    for run in 0..RUNS {
+        let mut sim = Sim::new();
+        // A kill at the victim's first or second yield, or deadlock
+        // recovery aborting all three waiters in turn: the last to park
+        // unwinds at its own stop and sends the next victim `Go::Abort`.
+        if run % 3 < 2 {
+            sim.set_fault_plan(FaultPlan::new().kill("p0", run as u64 % 3 + 1));
+            for p in 0..3 {
+                sim.spawn(&format!("p{p}"), |ctx| {
+                    ctx.yield_now();
+                    ctx.yield_now();
+                });
+            }
+            let report = sim.run().expect("the survivors finish");
+            assert_eq!(report.killed().len(), 1);
+        } else {
+            sim.enable_deadlock_recovery();
+            let q = Arc::new(WaitQueue::new("q"));
+            for p in 0..3 {
+                let q = Arc::clone(&q);
+                sim.spawn(&format!("p{p}"), move |ctx| q.wait(ctx));
+            }
+            let report = sim.run().expect("recovery aborts every waiter");
+            assert_eq!(report.recovered.len(), 3);
+        }
+    }
+    assert_eq!(
+        host_threads(),
+        3,
+        "{RUNS} sequential runs of three processes with kills and aborts \
+         grew the pool past three hosts"
     );
 }
