@@ -346,11 +346,12 @@ fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
 const KILL_POINTS: u64 = 64;
 
 /// E3: the kernel's one dispatch protocol on three trees, each explored
-/// whole, with its host-protocol counts per run (see [`HandoffCounts`]),
-/// which CI gates exactly:
+/// whole, with its host-protocol and footprint counts per run (see
+/// [`HandoffCounts`]), which CI gates exactly:
 ///
 /// * `pooled-replay` — the pruned anomaly+background tree (1 112 granular
-///   schedules), replaying each schedule's whole prefix;
+///   schedules), replaying each schedule's whole prefix; the only row
+///   whose runs record footprints;
 /// * `recovery` — the R2 dining tree (492 schedules), where deadlock
 ///   recovery aborts a victim on most schedules;
 /// * `kill-sweep` — every schedule at every kill point of the monitor
@@ -413,8 +414,10 @@ fn kernel_row(
 }
 
 /// Host-protocol counts summed over a journal's runs: dispatches, how many
-/// of them stayed on the stopping thread, and how often the thread driving
-/// each run woke (`SimMetrics::self_resumes`/`loop_wakes`). OS hand-offs per run are
+/// of them ran on the thread that made the pick, and how often the thread
+/// driving each run woke (`SimMetrics::self_resumes`/`loop_wakes`); plus
+/// the footprint records the runs kept (`SimReport::quanta`), which only a
+/// prune mode asks for. OS hand-offs per run are
 /// `dispatches - self_resumes + loop_wakes`; unlike seconds, these counts
 /// do not depend on the host, so CI can gate them exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -422,18 +425,21 @@ struct HandoffCounts {
     dispatches: u64,
     self_resumes: u64,
     loop_wakes: u64,
+    quanta: u64,
 }
 
 impl HandoffCounts {
     fn of(result: &Result<SimReport, SimError>) -> Self {
-        let m = match result {
-            Ok(report) => &report.metrics,
-            Err(err) => &err.report.metrics,
+        let report = match result {
+            Ok(report) => report,
+            Err(err) => &err.report,
         };
+        let m = &report.metrics;
         HandoffCounts {
             dispatches: m.dispatches,
             self_resumes: m.self_resumes,
             loop_wakes: m.loop_wakes,
+            quanta: report.quanta.len() as u64,
         }
     }
 
@@ -442,18 +448,20 @@ impl HandoffCounts {
             dispatches: acc.dispatches + c.dispatches,
             self_resumes: acc.self_resumes + c.self_resumes,
             loop_wakes: acc.loop_wakes + c.loop_wakes,
+            quanta: acc.quanta + c.quanta,
         })
     }
 
-    /// The three per-run averages as JSON members.
+    /// The four per-run averages as JSON members.
     fn per_run_json(&self, runs: usize) -> String {
         let per_run = |total: u64| total as f64 / runs as f64;
         format!(
             "\"dispatches_per_run\": {:.4}, \"self_resumes_per_run\": {:.4}, \
-             \"loop_wakes_per_run\": {:.4}",
+             \"loop_wakes_per_run\": {:.4}, \"quanta_per_run\": {:.4}",
             per_run(self.dispatches),
             per_run(self.self_resumes),
-            per_run(self.loop_wakes)
+            per_run(self.loop_wakes),
+            per_run(self.quanta)
         )
     }
 }

@@ -112,8 +112,8 @@ fn scale_config(spec: &WorkloadSpec) -> SimConfig {
         // Room for a thousand-client population's polling; the default
         // budget is calibrated for the R1/R2 miniatures.
         max_steps: 4_000_000 + 4_000 * spec.client_count() as u64,
-        // Scheduler events and footprint quanta are exploration/debug
-        // aids; at 1000 clients they dominate memory for no R3 benefit.
+        // Scheduler events are an exploration/debug aid; at 1000
+        // clients they dominate memory for no R3 benefit.
         record_sched_events: false,
         ..SimConfig::default()
     }
@@ -129,7 +129,6 @@ fn scale_config(spec: &WorkloadSpec) -> SimConfig {
 /// Check it against [`starvation_laws`].
 pub fn starvation_at_scale(mech: LiveMechanism, spec: &WorkloadSpec) -> Sim {
     let mut sim = Sim::with_config(scale_config(spec));
-    sim.set_record_quanta(false);
     sim.set_starvation_bound(starvation_bound(spec));
     let sem = Arc::new(match mech {
         LiveMechanism::SemaphoreWeak => Semaphore::weak("res", 1),
@@ -224,7 +223,6 @@ pub fn starvation_laws() -> LawSet {
 /// Check it against [`nested_monitor_laws`].
 pub fn nested_monitor_at_scale(spec: &WorkloadSpec) -> Sim {
     let mut sim = Sim::with_config(scale_config(spec));
-    sim.set_record_quanta(false);
     let outer = Arc::new(Monitor::mesa("outer", ()));
     let inner = Arc::new(Monitor::mesa("inner", false));
     let ready = Arc::new(Cond::new("ready"));

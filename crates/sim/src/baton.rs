@@ -1,11 +1,11 @@
 //! Single-slot rendezvous cell used for the kernel's CPU hand-offs.
 //!
 //! A [`Baton`] carries exactly one value from one thread to another. The
-//! kernel gives each process a `Baton<Go>` (the permission to run) and keeps
-//! one `Baton<RunEnd>` for the thread that called `Sim::run` (how the run
-//! ended). Because at most one process holds the CPU, each baton has at
-//! most one producer and one consumer at a time, so a mutex-guarded
-//! `Option` plus a condvar is all that is needed.
+//! kernel gives each process a `Baton<Go>` (the permission to run), and
+//! each pooled host thread a `Baton<Job>` (its next process body). Because
+//! at most one process holds the CPU, each baton has at most one producer
+//! and one consumer at a time, so a mutex-guarded `Option` plus a condvar
+//! is all that is needed.
 
 use parking_lot::{Condvar, Mutex};
 
@@ -63,7 +63,8 @@ impl<T> Baton<T> {
 pub(crate) enum Go {
     /// Run until the next scheduling point.
     Run,
-    /// The simulation is over; unwind and exit the thread.
+    /// The simulation is over: a cancellable park returns
+    /// [`crate::Cancelled`], any other stop unwinds.
     Cancel,
     /// Deadlock recovery chose this process as the victim: unwind (running
     /// drop guards, exactly as for a kill) and hand the CPU on. The process
@@ -84,18 +85,6 @@ pub(crate) enum Report {
     Slept { ticks: u64 },
     /// The process closure returned normally.
     Finished,
-}
-
-/// The only message the thread driving a run waits for.
-pub(crate) enum RunEnd {
-    /// Phase 1 found nothing left to dispatch: the run is complete
-    /// (`None`), deadlocked, or out of steps.
-    Stopped(Option<crate::error::SimErrorKind>),
-    /// A process closure panicked with the given message.
-    Panicked {
-        pid: crate::types::Pid,
-        message: String,
-    },
 }
 
 #[cfg(test)]

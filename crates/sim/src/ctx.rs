@@ -101,7 +101,7 @@ impl Ctx {
     /// be commuted — swapping the draws swaps the values and can swap a
     /// later arbitration.
     pub fn fresh_ticket(&self) -> u64 {
-        self.mark_obj(self.shared.ticket_obj.clone(), Access::Write);
+        self.mark_obj(&self.shared.ticket_obj, Access::Write);
         self.shared.fresh_ticket()
     }
 
@@ -142,7 +142,7 @@ impl Ctx {
     /// as a momentary hint. Over-marking (wider access, more objects, or
     /// falling back to [`Ctx::note_sync`]) is always safe.
     pub fn note_sync_obj(&self, obj: &ObjId, access: Access) {
-        self.mark_obj(obj.clone(), access);
+        self.mark_obj(obj, access);
     }
 
     /// [`Ctx::note_sync_obj`], plus a per-mechanism operation count in
@@ -156,7 +156,7 @@ impl Ctx {
     pub fn note_sync_obj_op(&self, obj: &ObjId, access: Access) {
         self.shared.quantum_dirty.store(true, Ordering::Relaxed);
         let mut st = self.shared.state.lock();
-        merge_access(&mut st.quantum_objs, obj.clone(), access);
+        st.mark_obj(obj, access);
         SimMetrics::bump(&mut st.metrics.sync_ops, obj.kind());
     }
 
@@ -170,12 +170,11 @@ impl Ctx {
         SimMetrics::bump(&mut st.metrics.sync_ops, mechanism);
     }
 
-    /// Records an access to a kernel pseudo-object (or a mechanism object,
-    /// by value) in the current quantum's footprint.
-    fn mark_obj(&self, obj: ObjId, access: Access) {
+    /// Marks the current quantum dirty and records an access to `obj` in
+    /// its footprint (when the footprint log is recorded).
+    fn mark_obj(&self, obj: &ObjId, access: Access) {
         self.shared.quantum_dirty.store(true, Ordering::Relaxed);
-        let mut st = self.shared.state.lock();
-        merge_access(&mut st.quantum_objs, obj, access);
+        self.shared.state.lock().mark_obj(obj, access);
     }
 
     /// Ends the current quantum with a yield or a sleep and waits until
@@ -346,7 +345,9 @@ impl Ctx {
         let mut guard = self.shared.state.lock();
         let st = &mut *guard;
         let slot = &st.procs[target.index()];
-        merge_access(&mut st.quantum_objs, slot.park_obj.clone(), Access::Read);
+        if st.record_quanta {
+            merge_access(&mut st.quantum_objs, slot.park_obj.clone(), Access::Read);
+        }
         matches!(slot.status, ProcessStatus::Blocked { .. }) || slot.spurious_wake
     }
 
@@ -359,7 +360,9 @@ impl Ctx {
         let mut guard = self.shared.state.lock();
         let st = &mut *guard;
         let slot = &mut st.procs[target.index()];
-        merge_access(&mut st.quantum_objs, slot.park_obj.clone(), Access::Write);
+        if st.record_quanta {
+            merge_access(&mut st.quantum_objs, slot.park_obj.clone(), Access::Write);
+        }
         if !matches!(slot.status, ProcessStatus::Blocked { .. }) {
             // A pending fault-plan spurious wake means the target is Ready
             // but will transparently re-park; converting the pending wake
@@ -368,7 +371,7 @@ impl Ctx {
                 return false;
             }
             slot.spurious_wake = false;
-            if let Some((reason, _)) = &slot.wait_started {
+            if let Some((reason, _)) = slot.wait_episode() {
                 SimMetrics::bump(&mut st.metrics.wakes, reason);
             }
             let clock = st.clock;
@@ -420,12 +423,12 @@ impl Ctx {
         };
         match delay {
             None => {
-                st.procs[target.index()].status = ProcessStatus::Ready;
+                st.procs[target.index()].end_park(ProcessStatus::Ready);
                 st.ready.push(target);
             }
             Some(ticks) => {
                 let until = clock.plus(ticks);
-                st.procs[target.index()].status = ProcessStatus::Sleeping { until };
+                st.procs[target.index()].end_park(ProcessStatus::Sleeping { until });
                 let tiebreak = st.timer_tiebreak;
                 st.timer_tiebreak += 1;
                 st.timers.push(std::cmp::Reverse((
@@ -490,11 +493,7 @@ impl Ctx {
         // non-emitting ones.
         self.shared.quantum_dirty.store(true, Ordering::Relaxed);
         let mut st = self.shared.state.lock();
-        merge_access(
-            &mut st.quantum_objs,
-            self.shared.trace_obj.clone(),
-            Access::Write,
-        );
+        st.mark_obj(&self.shared.trace_obj, Access::Write);
         let clock = st.clock;
         st.trace.push(
             clock,

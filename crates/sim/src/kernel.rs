@@ -1,7 +1,7 @@
 //! The simulation kernel: process table, ready list, timers, and the one
 //! dispatch protocol that enforces the one-running-process invariant.
 
-use crate::baton::{Baton, Go, Report, RunEnd};
+use crate::baton::{Baton, Go, Report};
 use crate::ctx::Ctx;
 use crate::error::{SimError, SimErrorKind};
 use crate::fault::FaultRuntime;
@@ -76,9 +76,10 @@ pub(crate) struct ProcSlot {
     /// records it, so it must not cost an allocation each time.
     pub park_obj: ObjId,
     /// The process body, queued until the kernel first dispatches this
-    /// process: the first dispatch hands it to a pooled host thread (see
-    /// [`crate::pool`]) instead of sending `Go::Run`. `None` once
-    /// dispatched.
+    /// process: the first dispatch runs it on the thread that called
+    /// [`crate::Sim::run`] for the run's first pick and hands it to a
+    /// pooled host thread (see [`crate::pool`]) otherwise, instead of
+    /// sending `Go::Run`. `None` once dispatched.
     pub pending: Option<PendingJob>,
     /// Incremented at every park; timeout timers carry the token of the
     /// park they belong to so stale timers are ignored.
@@ -88,13 +89,21 @@ pub(crate) struct ProcSlot {
     /// Set when a fault-plan spurious wake made this process runnable
     /// without a matching unpark; [`Ctx::park`] absorbs it by re-parking.
     pub spurious_wake: bool,
-    /// Start of the current *wait episode* for the starvation watchdog:
-    /// `(reason, first park time)`. Re-parking on the same reason (the
-    /// re-contend loop of a weak semaphore, a Mesa-style recheck) keeps the
-    /// episode open, so barging starvation accumulates age even though each
-    /// individual park is short. Any other stop — a yield, a sleep, a park
-    /// on a different queue, finishing — closes the episode.
-    pub wait_started: Option<(String, Time)>,
+    /// Start of the current *wait episode*, for the starvation watchdog
+    /// and the deadlock-recovery victim choice. Re-parking on the same
+    /// reason (the re-contend loop of a weak semaphore, a Mesa-style
+    /// recheck) keeps the episode open, so barging starvation accumulates
+    /// age even though each individual park is short. Any other stop — a
+    /// yield, a sleep, a park on a different queue, finishing — closes the
+    /// episode. Its reason is the current park's while the process is
+    /// blocked, and `park_reason` once the park has ended (see
+    /// [`ProcSlot::wait_episode`]).
+    pub wait_since: Option<Time>,
+    /// The reason of the process's last park, moved here from its
+    /// `Blocked` status when the park ended ([`ProcSlot::end_park`]), so
+    /// that a re-park can tell whether it continues the wait episode
+    /// without the kernel copying a reason on every park.
+    pub park_reason: String,
     /// Whether the watchdog has already flagged the current wait episode
     /// (each episode is flagged at most once).
     pub starvation_flagged: bool,
@@ -102,6 +111,36 @@ pub(crate) struct ProcSlot {
     /// ([`crate::PidMetrics::blocked_ticks`]). Metrics bookkeeping only —
     /// never consulted by scheduling decisions.
     pub blocked_since: Option<Time>,
+}
+
+impl ProcSlot {
+    /// The open wait episode's reason and start.
+    pub(crate) fn wait_episode(&self) -> Option<(&str, Time)> {
+        let since = self.wait_since?;
+        let reason = match &self.status {
+            ProcessStatus::Blocked { reason } => reason,
+            _ => &self.park_reason,
+        };
+        Some((reason, since))
+    }
+
+    /// Ends the process's park with its next `status`, keeping the park's
+    /// reason for the wait episode (moved, not copied).
+    pub(crate) fn end_park(&mut self, status: ProcessStatus) {
+        if let ProcessStatus::Blocked { reason } = std::mem::replace(&mut self.status, status) {
+            self.park_reason = reason;
+        }
+    }
+
+    /// Accounts a park on `reason` at `clock` for the watchdog: continues
+    /// the open wait episode if its last park had the same reason, and
+    /// opens a new one otherwise.
+    fn open_wait(&mut self, reason: &str, clock: Time) {
+        if self.wait_since.is_none() || self.park_reason != reason {
+            self.wait_since = Some(clock);
+            self.starvation_flagged = false;
+        }
+    }
 }
 
 /// All mutable kernel state, guarded by one mutex.
@@ -149,8 +188,8 @@ pub(crate) struct State {
     pub quantum_objs: BTreeMap<ObjId, Access>,
     /// The per-dispatch footprint log (see [`SimReport::quanta`]).
     pub quanta: Vec<QuantumRecord>,
-    /// Whether to record `quanta`. On by default; the explorers force it
-    /// on when their object-granular prune is enabled.
+    /// Whether to record `quanta`, and with it `quantum_objs`: off unless
+    /// a prune mode or the caller asks (see [`SimConfig::record_quanta`]).
     pub record_quanta: bool,
     /// The scheduling policy consulted at contested dispatches.
     pub policy: Box<dyn SchedPolicy>,
@@ -181,14 +220,20 @@ pub(crate) struct State {
     /// (`None` for forced dispatches or when `record_quanta` is off).
     /// Same lifecycle as `cur_decided`.
     pub cur_ready: Option<Vec<Pid>>,
+    /// How the run ended (`None`: completed), recorded by whoever ended
+    /// it ([`end_run`]) and read by [`drive`] once the job gate falls.
+    pub run_error: Option<SimErrorKind>,
 }
+
+/// Capacity hint of a recorded footprint log, one record per dispatch.
+const QUANTA_CAPACITY: usize = 32;
 
 impl State {
     pub(crate) fn new(cfg: &SimConfig, faults: FaultRuntime) -> Self {
         // Capacity hints sized for the explorers' workloads: hundreds of
         // thousands of short runs, where the first few doublings of each
         // per-run vector are measurable.
-        State {
+        let mut st = State {
             procs: Vec::with_capacity(8),
             ready: Vec::with_capacity(8),
             timers: BinaryHeap::new(),
@@ -206,8 +251,8 @@ impl State {
             metrics: SimMetrics::default(),
             last_dispatched: None,
             quantum_objs: BTreeMap::new(),
-            quanta: Vec::with_capacity(32),
-            record_quanta: cfg.record_quanta,
+            quanta: Vec::new(),
+            record_quanta: false,
             policy: Box::new(FifoPolicy),
             max_steps: cfg.max_steps,
             starvation_bound: cfg.starvation_bound,
@@ -216,6 +261,26 @@ impl State {
             cur_sched_decision: None,
             cur_ready: None,
             data_choices: Vec::new(),
+            run_error: None,
+        };
+        st.set_record_quanta(cfg.record_quanta);
+        st
+    }
+
+    /// Turns the footprint log on or off; only a recorded log reserves
+    /// its capacity hint.
+    pub(crate) fn set_record_quanta(&mut self, on: bool) {
+        self.record_quanta = on;
+        if on {
+            self.quanta.reserve(QUANTA_CAPACITY);
+        }
+    }
+
+    /// Adds an access to the current quantum's footprint. A no-op unless
+    /// the footprint log is recorded: nothing else reads `quantum_objs`.
+    pub(crate) fn mark_obj(&mut self, obj: &ObjId, access: Access) {
+        if self.record_quanta {
+            merge_access(&mut self.quantum_objs, obj.clone(), access);
         }
     }
 
@@ -253,9 +318,6 @@ pub struct StarvationFlag {
 /// State shared between the thread driving the run and all process threads.
 pub(crate) struct Shared {
     pub state: Mutex<State>,
-    /// The inbox of the thread driving the run ([`drive`]): whoever holds
-    /// the CPU when the run ends or a body panics reports it here, once.
-    pub sched_baton: Baton<RunEnd>,
     /// Global ticket dispenser used by wait queues for FIFO ordering.
     pub tickets: AtomicU64,
     /// Set by every [`Ctx`] operation with an observable effect (and by
@@ -282,11 +344,12 @@ pub(crate) struct Shared {
     /// queue is empty — catching mechanisms whose timed paths leak a stale
     /// registration after `park_timeout` returns `false`.
     pub queues: Mutex<Vec<Arc<crate::waitq::QueueCell>>>,
-    /// Count of *started* process bodies that have not yet returned or
-    /// finished unwinding, with [`Shared::jobs_cv`] signalled when it hits
-    /// zero. This gate replaces the seed's per-thread joins: `shutdown`
-    /// waits on it so cancellation unwinds are complete (and pooled hosts
-    /// released) before the report is snapshotted.
+    /// Count of process bodies started on pooled hosts that have not yet
+    /// returned or finished unwinding, plus one slot for the run itself
+    /// until it ends, with [`Shared::jobs_cv`] signalled when it hits
+    /// zero. [`drive`] waits on this gate once: when it falls the run is
+    /// over, every cancellation has returned or unwound, and every pooled
+    /// host is idle again, so the report can be snapshotted.
     pub jobs: Mutex<usize>,
     pub jobs_cv: Condvar,
     /// The kernel pseudo-objects every run touches (see
@@ -302,7 +365,6 @@ impl Shared {
     pub(crate) fn new(cfg: &SimConfig, faults: FaultRuntime) -> Arc<Self> {
         Arc::new(Shared {
             state: Mutex::new(State::new(cfg, faults)),
-            sched_baton: Baton::new(),
             tickets: AtomicU64::new(0),
             quantum_dirty: AtomicBool::new(false),
             quantum_all: AtomicBool::new(false),
@@ -321,7 +383,7 @@ impl Shared {
         self.tickets.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Raises the job gate for one started process body.
+    /// Raises the job gate for one started process body, or for the run.
     pub(crate) fn job_begin(&self) {
         *self.jobs.lock() += 1;
     }
@@ -342,7 +404,8 @@ impl Shared {
         }
     }
 
-    /// Blocks until every started process body has returned or unwound.
+    /// Blocks until the run has ended and every body started on a pooled
+    /// host has returned or unwound.
     pub(crate) fn wait_jobs(&self) {
         let mut jobs = self.jobs.lock();
         while *jobs > 0 {
@@ -371,7 +434,8 @@ impl Shared {
             park_token: 0,
             timed_out: false,
             spurious_wake: false,
-            wait_started: None,
+            wait_since: None,
+            park_reason: String::new(),
             starvation_flagged: false,
             blocked_since: None,
         });
@@ -390,9 +454,9 @@ impl Shared {
     }
 }
 
-/// The simulation shut down while this process was parked.
+/// The simulation ended while this process was parked.
 ///
-/// Run end cancels every daemon that is still live. The cancellable park
+/// Run end cancels every process that is still live. The cancellable park
 /// ([`Ctx::park_cancellable`], and the channel crate's cancellable select
 /// and recv built on it) returns this value, so a server loop ends by
 /// returning; a body that returns after cancellation ends
@@ -428,9 +492,11 @@ struct KilledMarker;
 /// [`ProcessStatus::Cancelled`]: an abort is a recovery action, not a crash.
 struct AbortedMarker;
 
-/// Runs one process body to completion on a pooled host (see
-/// [`crate::pool`]) and hands the CPU on. The caller has already been
-/// dispatched: the job hand-off *is* the first dispatch.
+/// Runs one process body to completion and hands the CPU on, on the
+/// thread that was handed the body: a pooled host (see [`crate::pool`]),
+/// or for the run's first pick the thread that called [`crate::Sim::run`].
+/// The process has already been dispatched: starting its body *is* its
+/// first dispatch.
 pub(crate) fn run_process(shared: &Arc<Shared>, pid: Pid, baton: Arc<Baton<Go>>, f: PendingJob) {
     let ctx = Ctx::new(Arc::clone(shared), pid, baton);
     let payload = match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
@@ -459,8 +525,9 @@ pub(crate) fn run_process(shared: &Arc<Shared>, pid: Pid, baton: Arc<Baton<Go>>,
     } else if payload.is::<AbortedMarker>() {
         end_abort(shared, &mut st, pid);
     } else {
-        // A genuine panic ends the run. It ends the quantum too, unless it
-        // escaped a kill or abort unwind, whose stop was accounted already.
+        // A genuine panic ends the run, here. It ends the quantum too,
+        // unless it escaped a kill or abort unwind, whose stop was
+        // accounted already.
         if st.running == Some(pid) {
             account_stop(shared, &mut st, pid, None);
         }
@@ -468,8 +535,15 @@ pub(crate) fn run_process(shared: &Arc<Shared>, pid: Pid, baton: Arc<Baton<Go>>,
         st.procs[pid.index()].status = ProcessStatus::Panicked {
             message: message.clone(),
         };
-        drop(st);
-        shared.sched_baton.put(RunEnd::Panicked { pid, message });
+        // A body cancelled at run end that then panics cannot end the run
+        // a second time.
+        if !shared.cancelling.load(Ordering::SeqCst) {
+            end_run(
+                shared,
+                st,
+                Some(SimErrorKind::ProcessPanicked { pid, message }),
+            );
+        }
         return;
     }
     // Hand the CPU on, as a finished process does.
@@ -488,7 +562,7 @@ fn end_abort(shared: &Shared, st: &mut State, victim: Pid) {
     // Cancelled, not Killed: an abort is a recovery action, not a crash.
     st.settle_blocked_time(victim);
     st.procs[victim.index()].status = ProcessStatus::Cancelled;
-    st.procs[victim.index()].wait_started = None;
+    st.procs[victim.index()].wait_since = None;
 }
 
 /// Extracts a human-readable message from a panic payload.
@@ -560,8 +634,9 @@ pub struct SimReport {
     /// Strictly non-authoritative: recorded on every run, never consulted
     /// by scheduling. See [`SimMetrics`] and [`crate::export`].
     pub metrics: SimMetrics,
-    /// Per-dispatch access footprints in dispatch order (empty when
-    /// [`crate::SimConfig::record_quanta`] is off). Records whose `ready`
+    /// Per-dispatch access footprints in dispatch order: empty unless
+    /// [`crate::SimConfig::record_quanta`] was on, which a prune mode or
+    /// the caller must ask for. Records whose `ready`
     /// is `Some` align 1:1 with the `Sched`-kind entries of `decisions`
     /// (data decisions happen *inside* a quantum and have no record of
     /// their own); when the run was not `prune_safe`, every footprint has
@@ -741,7 +816,7 @@ fn pick_and_dispatch(st: &mut State) -> Picked {
             {
                 continue;
             }
-            let Some((reason, since)) = &p.wait_started else {
+            let Some((reason, since)) = p.wait_episode() else {
                 continue;
             };
             let age = clock.0 - since.0;
@@ -749,8 +824,8 @@ fn pick_and_dispatch(st: &mut State) -> Picked {
                 flagged.push(StarvationFlag {
                     pid: Pid(i as u32),
                     name: p.name.clone(),
-                    reason: reason.clone(),
-                    since: *since,
+                    reason: reason.to_string(),
+                    since,
                     flagged_at: clock,
                     age,
                 });
@@ -876,7 +951,7 @@ fn apply_stop(st: &mut State, pid: Pid, report: Report) {
         Report::Yielded => {
             let slot = &mut st.procs[pid.index()];
             slot.status = ProcessStatus::Ready;
-            slot.wait_started = None;
+            slot.wait_since = None;
             slot.starvation_flagged = false;
             st.ready.push(pid);
             if st.record_sched_events {
@@ -891,13 +966,7 @@ fn apply_stop(st: &mut State, pid: Pid, report: Report) {
             // Watchdog bookkeeping: re-parking on the same reason (a
             // re-contend or recheck loop) continues the current wait
             // episode; anything else starts a fresh one.
-            match &slot.wait_started {
-                Some((r, _)) if *r == reason => {}
-                _ => {
-                    slot.wait_started = Some((reason.clone(), clock));
-                    slot.starvation_flagged = false;
-                }
-            }
+            slot.open_wait(&reason, clock);
             slot.status = ProcessStatus::Blocked { reason };
             slot.park_token += 1;
             slot.timed_out = false;
@@ -910,7 +979,7 @@ fn apply_stop(st: &mut State, pid: Pid, report: Report) {
                 if faults.on_park(pid, &procs[pid.index()].name) {
                     st.settle_blocked_time(pid);
                     let slot = &mut st.procs[pid.index()];
-                    slot.status = ProcessStatus::Ready;
+                    slot.end_park(ProcessStatus::Ready);
                     slot.spurious_wake = true;
                     st.ready.push(pid);
                     st.trace.push(clock, pid, EventKind::SpuriousWake);
@@ -922,13 +991,7 @@ fn apply_stop(st: &mut State, pid: Pid, report: Report) {
             SimMetrics::bump(&mut st.metrics.parks, &reason);
             let until = clock.plus(ticks);
             let slot = &mut st.procs[pid.index()];
-            match &slot.wait_started {
-                Some((r, _)) if *r == reason => {}
-                _ => {
-                    slot.wait_started = Some((reason.clone(), clock));
-                    slot.starvation_flagged = false;
-                }
-            }
+            slot.open_wait(&reason, clock);
             slot.status = ProcessStatus::Blocked { reason };
             slot.park_token += 1;
             slot.timed_out = false;
@@ -947,7 +1010,7 @@ fn apply_stop(st: &mut State, pid: Pid, report: Report) {
             st.prune_safe = false; // timers are time-sensitive: no prune
             let until = clock.plus(ticks);
             let slot = &mut st.procs[pid.index()];
-            slot.wait_started = None;
+            slot.wait_since = None;
             slot.starvation_flagged = false;
             slot.status = ProcessStatus::Sleeping { until };
             let tiebreak = st.timer_tiebreak;
@@ -960,7 +1023,7 @@ fn apply_stop(st: &mut State, pid: Pid, report: Report) {
         }
         Report::Finished => {
             let slot = &mut st.procs[pid.index()];
-            slot.wait_started = None;
+            slot.wait_since = None;
             slot.status = ProcessStatus::Finished;
             if st.record_sched_events {
                 st.trace.push(clock, pid, EventKind::Finished);
@@ -1005,7 +1068,7 @@ fn fire_timers(st: &mut State) {
                 }
                 st.settle_blocked_time(pid);
             }
-            st.procs[pid.index()].status = ProcessStatus::Ready;
+            st.procs[pid.index()].end_park(ProcessStatus::Ready);
             st.ready.push(pid);
             if st.record_sched_events {
                 let clock = st.clock;
@@ -1022,9 +1085,9 @@ pub(crate) enum StopOutcome {
     /// sleep or a timed park when its own timer fired with no other
     /// process ready; a plain park after a fault-plan spurious wake.
     SelfResume,
-    /// The CPU went elsewhere: to another process, or to the thread
-    /// driving the run once it ended. A still-live caller must now wait on
-    /// its own baton.
+    /// The CPU went elsewhere: to another process, or nowhere because the
+    /// run ended. A still-live caller must now wait on its own baton,
+    /// where a run end has already left it `Go::Cancel`.
     Handed,
 }
 
@@ -1041,7 +1104,7 @@ enum Next {
 /// Phase 1, the one place that decides what follows a stop: run end, due
 /// timers, deadlock detection, the recovery victim, the step budget, and
 /// the pick. Whoever holds the CPU calls it under the state lock: the
-/// stopping process, the host of a body that just ended, or [`drive`]
+/// stopping process, the thread of a body that just ended, or [`drive`]
 /// for the first dispatch.
 fn next_step(st: &mut State) -> Next {
     // The run is complete once no non-daemon process is live, even if
@@ -1070,7 +1133,7 @@ fn next_step(st: &mut State) -> Next {
                 .enumerate()
                 .filter(|(_, p)| !p.daemon && matches!(p.status, ProcessStatus::Blocked { .. }))
                 .max_by_key(|&(i, p)| {
-                    let since = p.wait_started.as_ref().map_or(Time::ZERO, |&(_, t)| t);
+                    let since = p.wait_since.unwrap_or(Time::ZERO);
                     (since, i)
                 })
                 .map(|(i, _)| Pid(i as u32));
@@ -1109,11 +1172,10 @@ fn next_step(st: &mut State) -> Next {
 }
 
 /// Runs phase 1 and acts on it for whoever holds the CPU: `me` is the
-/// process that just stopped, and `None` after a kill or abort unwind and
-/// for the first dispatch. The pick is handed the CPU, or `me` keeps it;
-/// a recovery victim other than `me` is sent `Go::Abort`, while `me` as
-/// the victim unwinds from here at once; the run's end goes to the thread
-/// driving it.
+/// process that just stopped, and `None` after a kill or abort unwind.
+/// The pick is handed the CPU, or `me` keeps it; a recovery victim other
+/// than `me` is sent `Go::Abort`, while `me` as the victim unwinds from
+/// here at once; the run ends here ([`end_run`]).
 fn hand_on(shared: &Arc<Shared>, mut st: MutexGuard<'_, State>, me: Option<Pid>) -> StopOutcome {
     match next_step(&mut st) {
         Next::Run(picked) if Some(picked.next) == me => {
@@ -1148,11 +1210,47 @@ fn hand_on(shared: &Arc<Shared>, mut st: MutexGuard<'_, State>, me: Option<Pid>)
             StopOutcome::Handed
         }
         Next::End(error) => {
-            drop(st);
-            shared.sched_baton.put(RunEnd::Stopped(error));
+            end_run(shared, st, error);
             StopOutcome::Handed
         }
     }
+}
+
+/// Ends the run where it ends, on the thread that found it over: a stop
+/// whose phase 1 found nothing left to dispatch, or the thread of a body
+/// that panicked. Under the state lock it raises `cancelling`, cancels
+/// every live process (a live stopping process finds its own
+/// `Go::Cancel` in its baton), drops the bodies that never started, and
+/// records how the run ended; then it releases the run's own slot on the
+/// job gate, on which [`drive`] waits. Cancelling a parked daemon thus
+/// costs the hand-offs last process → daemon → `drive`, and none at all
+/// when the process on `drive`'s own thread ends a run with no pooled host
+/// left busy.
+fn end_run(shared: &Shared, mut st: MutexGuard<'_, State>, error: Option<SimErrorKind>) {
+    // Raise the flag before any cancellation: cancelled processes unwind
+    // concurrently, and their drop guards check it (via Ctx::cancelling)
+    // to skip crash-handling work that is only valid for a kill.
+    shared.cancelling.store(true, Ordering::SeqCst);
+    st.run_error = error;
+    let mut never_started = Vec::new();
+    for p in st.procs.iter_mut() {
+        if let Some(f) = p.pending.take() {
+            // Never dispatched: no thread is engaged, so there is nothing
+            // to cancel — the body is simply dropped (outside the lock
+            // below; closures own arbitrary state).
+            p.status = ProcessStatus::Cancelled;
+            never_started.push(f);
+        } else if p.status.is_live() {
+            p.baton.put(Go::Cancel);
+            p.status = ProcessStatus::Cancelled;
+        }
+    }
+    drop(st);
+    drop(never_started);
+    // A cancelled body either returns (a cancellable park handed it
+    // `Cancelled`) or unwinds with the `Cancelled` payload, which
+    // `run_process` catches, so the gate always falls.
+    shared.job_done();
 }
 
 /// A running process stops here (yield, park, sleep, finish) and does
@@ -1188,9 +1286,13 @@ pub(crate) fn stop_process(shared: &Arc<Shared>, pid: Pid, report: Report) -> St
 }
 
 /// Runs the simulation on the thread that called [`crate::Sim::run`]: makes
-/// the first dispatch, then waits once, while the processes hand the CPU
-/// among themselves, for the run's end or a panic.
+/// the first pick and runs that process's body on this thread, as a
+/// self-resume (the thread that made the pick runs it), then waits once,
+/// on the job gate, for whoever ends the run and for every pooled host it
+/// used. A lone process never leaves this thread.
 pub(crate) fn drive(shared: &Arc<Shared>) -> Result<SimReport, SimError> {
+    // The run's own slot on the job gate, released by `end_run`.
+    shared.job_begin();
     let mut st = shared.state.lock();
     // Static prune-safety gate: fault plans reorder effects around kill
     // points and the starvation watchdog's verdicts depend on absolute
@@ -1199,42 +1301,44 @@ pub(crate) fn drive(shared: &Arc<Shared>) -> Result<SimReport, SimError> {
     if st.faults.active() || st.starvation_bound.is_some() {
         st.prune_safe = false;
     }
-    hand_on(shared, st, None);
-    let end = shared.sched_baton.take();
-    shared.state.lock().metrics.loop_wakes += 1;
-    let error = match end {
-        RunEnd::Stopped(error) => error,
-        RunEnd::Panicked { pid, message } => {
-            // The panicking host recorded the status; its guards may not
-            // have run, so the queue-hygiene check below is skipped.
-            shutdown(shared);
-            let report = snapshot(&mut shared.state.lock());
-            return Err(SimError {
-                kind: SimErrorKind::ProcessPanicked { pid, message },
-                report: Box::new(report),
-            });
+    match next_step(&mut st) {
+        Next::Run(Picked {
+            next,
+            baton,
+            pending: Some(f),
+        }) => {
+            st.metrics.self_resumes += 1;
+            drop(st);
+            reset_quantum_marks(shared);
+            run_process(shared, next, baton, f);
         }
-    };
-    shutdown(shared);
+        Next::End(error) => end_run(shared, st, error),
+        _ => unreachable!("the first step starts a body or ends the run"),
+    }
+    shared.wait_jobs();
+    let mut st = shared.state.lock();
+    st.metrics.loop_wakes += 1;
+    let error = st.run_error.take();
     // Queue hygiene (the `park_timeout` stale-registration footgun): by
     // now every registration must be gone — removed by a wake, by timeout
-    // self-removal, or by an unwind guard when shutdown cancelled a still-
+    // self-removal, or by an unwind guard when run end cancelled a still-
     // parked process. A leftover entry means some timed wait path returned
     // without deregistering and the corpse would absorb a future grant.
-    // Checked on every non-panicked exit (clean, deadlock, max-steps); the
-    // panic path returns early above since its guards may not have run.
+    // Checked on every non-panicked exit (clean, deadlock, max-steps); a
+    // panicked run is skipped since its guards may not have run.
     #[cfg(debug_assertions)]
-    for cell in shared.queues.lock().iter() {
-        let waiters = cell.waiters.lock();
-        assert!(
-            waiters.is_empty(),
-            "wait queue '{}' still holds {:?} at end of run: \
-             a timed wait path leaked a stale registration",
-            cell.name,
-            waiters.iter().map(|w| w.pid).collect::<Vec<_>>(),
-        );
+    if !matches!(error, Some(SimErrorKind::ProcessPanicked { .. })) {
+        for cell in shared.queues.lock().iter() {
+            let waiters = cell.waiters.lock();
+            assert!(
+                waiters.is_empty(),
+                "wait queue '{}' still holds {:?} at end of run: \
+                 a timed wait path leaked a stale registration",
+                cell.name,
+                waiters.iter().map(|w| w.pid).collect::<Vec<_>>(),
+            );
+        }
     }
-    let mut st = shared.state.lock();
     let report = snapshot(&mut st);
     match error {
         None => Ok(report),
@@ -1245,41 +1349,6 @@ pub(crate) fn drive(shared: &Arc<Shared>) -> Result<SimReport, SimError> {
     }
 }
 
-/// Cancels every still-live process and waits (via the job gate) for all
-/// started process bodies to return or unwind — the seed's thread joins,
-/// reformulated so it works for pooled hosts too. Idempotent: a second
-/// call finds no live process, no pending body, and a zero gate.
-pub(crate) fn shutdown(shared: &Arc<Shared>) {
-    // Raise the flag before any cancellation: cancelled threads unwind
-    // concurrently, and their drop guards check it (via Ctx::cancelling)
-    // to skip crash-handling work that is only valid for a kill.
-    shared.cancelling.store(true, Ordering::SeqCst);
-    let mut never_started = Vec::new();
-    {
-        let mut st = shared.state.lock();
-        for p in st.procs.iter_mut() {
-            if let Some(f) = p.pending.take() {
-                // Never dispatched in pooled mode: no host is engaged, so
-                // there is nothing to cancel — the body is simply dropped
-                // (outside the lock below; closures own arbitrary state).
-                p.status = ProcessStatus::Cancelled;
-                never_started.push(f);
-                continue;
-            }
-            if p.status.is_live() {
-                p.baton.put(Go::Cancel);
-                p.status = ProcessStatus::Cancelled;
-            }
-        }
-    }
-    drop(never_started);
-    // A cancelled body either returns (a cancellable park handed it
-    // `Cancelled`) or unwinds with the `Cancelled` payload, which
-    // `run_process` catches, so the gate always falls; a genuine panic was
-    // already reported via the baton before the body returned.
-    shared.wait_jobs();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1288,10 +1357,11 @@ mod tests {
     use std::sync::Barrier;
     use std::thread;
 
-    /// A lone sleeper: with nobody else ready, each sleep fires its own
-    /// timer and the sleeper is re-picked on its own thread, so the
-    /// driving thread wakes once, at the end of the run; the watchdog does
-    /// not change this.
+    /// A lone sleeper runs on the thread that called `Sim::run` (its first
+    /// dispatch is a self-resume); with nobody else ready, each sleep
+    /// fires its own timer and the sleeper is re-picked on that thread, so
+    /// every dispatch is a self-resume and the run ends where it ends; the
+    /// watchdog does not change this.
     #[test]
     fn lone_sleeper_resumes_itself_with_or_without_watchdog() {
         for k in [0, 1, 5] {
@@ -1308,7 +1378,7 @@ mod tests {
                 let m = sim.run().expect("a lone sleeper finishes").metrics;
                 assert_eq!(
                     (m.dispatches, m.self_resumes, m.loop_wakes),
-                    (k + 1, k, 1),
+                    (k + 1, k + 1, 1),
                     "k={k} watchdog={watchdog}"
                 );
             }
@@ -1316,8 +1386,8 @@ mod tests {
     }
 
     /// A lone timed park expires through its own timer, fired at its own
-    /// stop: the waiter is re-picked without a hand-off and sees the
-    /// timeout.
+    /// stop: the waiter, running on the thread that called `Sim::run`, is
+    /// re-picked without a hand-off and sees the timeout.
     #[test]
     fn lone_park_timeout_expires_through_a_self_resume() {
         let mut sim = Sim::new();
@@ -1335,7 +1405,38 @@ mod tests {
             Time(6),
             "dispatch, 4-tick wait, dispatch"
         );
-        assert_eq!((m.dispatches, m.self_resumes, m.loop_wakes), (2, 1, 1));
+        assert_eq!((m.dispatches, m.self_resumes, m.loop_wakes), (2, 2, 1));
+    }
+
+    /// The footprint marks skip their per-object bookkeeping while the log
+    /// is off, and still mark the quantum dirty (so `Decision::pure` does
+    /// not move) and count sync ops.
+    #[test]
+    fn marks_made_while_recording_is_off_leave_no_footprint() {
+        for record in [false, true] {
+            let mut sim = Sim::new();
+            sim.set_record_quanta(record);
+            let seen = Arc::new(Mutex::new(None));
+            let seen2 = Arc::clone(&seen);
+            sim.spawn("marker", move |ctx| {
+                let obj = ObjId::new("cell", "x");
+                ctx.note_sync_obj(&obj, Access::Read);
+                ctx.note_sync_obj_op(&obj, Access::Write);
+                ctx.fresh_ticket();
+                ctx.emit("mark", &[]);
+                assert!(!ctx.is_parked(ctx.pid()));
+                assert!(!ctx.try_unpark(ctx.pid()));
+                let shared = ctx.shared();
+                let objs = shared.state.lock().quantum_objs.len();
+                *seen2.lock() = Some((objs, shared.quantum_dirty.load(Ordering::Relaxed)));
+            });
+            let report = sim.run().expect("the marker finishes");
+            // `cell:x`, `ticket`, `trace` and `park:p0`.
+            let objs = if record { 4 } else { 0 };
+            assert_eq!(*seen.lock(), Some((objs, true)), "record={record}");
+            assert_eq!(report.quanta.len(), usize::from(record));
+            assert_eq!(report.metrics.sync_ops["cell"], 1);
+        }
     }
 
     /// `job_done` notifies after unlocking, so the count can reach zero

@@ -93,15 +93,21 @@ pub struct SimMetrics {
     /// Replay divergence observed by the run's policy (all zero unless the
     /// policy was a [`crate::ReplayPolicy`] that diverged).
     pub replay: ReplayDivergence,
-    /// Dispatches that kept the CPU on the stopping process's own thread:
-    /// the pick came straight back to it, so no OS hand-off happened. A
-    /// cost of the host protocol, not part of the schedule: not exported,
-    /// and left out of cross-mode comparisons.
+    /// Dispatches run by the thread that made the pick, so no OS hand-off
+    /// happened: the pick came straight back to the stopping process, or
+    /// it was the run's first dispatch, whose body runs on the thread that
+    /// called [`crate::Sim::run`] (so every run that dispatches counts at
+    /// least one). A cost of the host protocol, not part of the schedule:
+    /// not exported, and left out of cross-mode comparisons.
     pub self_resumes: u64,
-    /// Times the thread driving the run ([`crate::Sim::run`]) woke from
-    /// its wait: once per run, for the run's end or a panic, whatever
-    /// faults or recovery aborts happened on the way.
-    /// OS hand-offs per run are `dispatches - self_resumes + loop_wakes`.
+    /// Times the thread driving the run ([`crate::Sim::run`]) waited for
+    /// the run's end: once per run, whatever ended it (completion,
+    /// deadlock, the step budget, a panic) and whatever faults or recovery
+    /// aborts happened on the way. `dispatches - self_resumes +
+    /// loop_wakes` counts the run's OS hand-offs, except that it counts
+    /// the end as one even when the process on the calling thread ended
+    /// the run, so that thread found it over without a hand-off, and omits
+    /// the wake of each process that run end cancels on a pooled host.
     /// Same caveats as [`SimMetrics::self_resumes`].
     pub loop_wakes: u64,
     /// Process bodies that ended by a shutdown unwind: a process still

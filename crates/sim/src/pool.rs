@@ -6,7 +6,8 @@
 //! pair costs an order of magnitude more than a whole quantum). Hosts in
 //! this pool park between runs instead: a finished host pushes its inbox
 //! baton back onto the idle stack, and the next dispatch hands it the next
-//! process body directly.
+//! process body directly. A run's first process needs no host: it runs on
+//! the thread that called `Sim::run`, which would otherwise only wait.
 //!
 //! Two properties keep this invisible to the simulation semantics:
 //!
@@ -29,10 +30,11 @@
 //!   job handed to its inbox meanwhile waits in the baton until the host
 //!   takes it.
 //!
-//! The pool grows to the high-water mark of concurrently live processes
-//! across all simulations in the OS process (explorer workers each run one
-//! simulation at a time, so this stays small) and never shrinks; parked
-//! hosts cost one blocked thread each.
+//! The pool grows to the high-water mark, across all simulations in the
+//! OS process, of concurrently live processes less one per concurrently
+//! driven simulation (explorer workers each run one simulation at a time,
+//! so this stays small), and never shrinks; parked hosts cost one blocked
+//! thread each.
 
 use crate::baton::{Baton, Go};
 use crate::ctx::Ctx;

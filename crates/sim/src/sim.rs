@@ -37,10 +37,11 @@ pub struct SimConfig {
     /// [`crate::SimErrorKind::Deadlock`].
     pub deadlock_recovery: bool,
     /// Whether per-dispatch access footprints are recorded in
-    /// [`crate::SimReport::quanta`]. On by default (the log is what the
-    /// exploration prune modes consume, and they force it on);
-    /// disable for long throughput benchmarks where the log's allocation
-    /// is measurable.
+    /// [`crate::SimReport::quanta`]. Off by default: only the exploration
+    /// prune modes read the log, and they turn it on themselves. Turn it
+    /// on to inspect the footprints of an unpruned run. Off, the
+    /// footprint marks of [`Ctx`] skip their per-object bookkeeping and a
+    /// run allocates no log.
     pub record_quanta: bool,
 }
 
@@ -52,7 +53,7 @@ impl Default for SimConfig {
             faults: FaultPlan::new(),
             starvation_bound: None,
             deadlock_recovery: false,
-            record_quanta: true,
+            record_quanta: false,
         }
     }
 }
@@ -114,11 +115,12 @@ impl Sim {
     }
 
     /// Turns the per-dispatch footprint log on or off (see
-    /// [`SimConfig::record_quanta`]). Exploration calls this to force it
-    /// on when a prune mode is set.
+    /// [`SimConfig::record_quanta`], off by default). Exploration turns it
+    /// on after the setup closure when a prune mode is set, whatever the
+    /// setup chose; an unpruned exploration keeps the setup's choice.
     pub fn set_record_quanta(&mut self, on: bool) -> &mut Self {
         self.config.record_quanta = on;
-        self.shared.state.lock().record_quanta = on;
+        self.shared.state.lock().set_record_quanta(on);
         self
     }
 
@@ -141,9 +143,11 @@ impl Sim {
     /// Runs the simulation to completion.
     ///
     /// Completion means every non-daemon process finished (daemons are then
-    /// cancelled). Failures — deadlock, process panic, step-budget
-    /// exhaustion — are returned as [`SimError`], which still carries the
-    /// full [`SimReport`] for diagnosis.
+    /// cancelled). The first process dispatched runs on the calling thread,
+    /// the others on host threads pooled across runs. Failures — deadlock,
+    /// process panic, step-budget exhaustion — are returned as
+    /// [`SimError`], which still carries the full [`SimReport`] for
+    /// diagnosis.
     pub fn run(self) -> Result<SimReport, SimError> {
         drive(&self.shared)
     }

@@ -1,5 +1,7 @@
 //! The host pool's size is exact: sequential simulations reuse every host,
-//! so the pool holds as many threads as one simulation keeps live at once.
+//! so the pool holds as many threads as one simulation keeps live at once,
+//! less the one its first process runs on, the thread that called
+//! `Sim::run`.
 //!
 //! A test binary of its own, because the pool is global to the OS process:
 //! no other test may run simulations while this one counts host threads.
@@ -24,10 +26,11 @@ fn host_threads() -> usize {
         .count()
 }
 
-/// Three yielding processes are all live until the end of each run, so
-/// three hosts serve every run. A host re-idles before it lowers its
-/// simulation's job gate, so when a run returns all three are idle and the
-/// next run's first dispatches never find one still busy and spawn more.
+/// Three yielding processes are all live until the end of each run. The
+/// first runs on the caller's thread, so two hosts serve every run. A host
+/// re-idles before it lowers its simulation's job gate, so when a run
+/// returns both are idle and the next run's dispatches never find one
+/// still busy and spawn more.
 #[test]
 fn sequential_runs_reuse_every_host() {
     let _pool = POOL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -44,15 +47,17 @@ fn sequential_runs_reuse_every_host() {
     }
     assert_eq!(
         host_threads(),
-        3,
-        "{RUNS} sequential runs of three live processes grew the pool past three hosts"
+        2,
+        "{RUNS} sequential runs of three live processes, the first on the \
+         caller's thread, did not use exactly two hosts"
     );
 }
 
-/// Killed and aborted processes hand the CPU on from their own hosts,
-/// which re-idle only afterwards. Three processes per run still need
-/// exactly three hosts: a victim's host is busy only while its own
-/// process would have been, so the next run finds all three idle again.
+/// Killed and aborted processes hand the CPU on from their own threads,
+/// and hosts re-idle only afterwards. Three processes per run still need
+/// exactly two hosts besides the caller's thread: a victim's host is busy
+/// only while its own process would have been, so the next run finds both
+/// idle again.
 #[test]
 fn kills_and_recovery_aborts_keep_the_pool_exact() {
     let _pool = POOL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -85,8 +90,8 @@ fn kills_and_recovery_aborts_keep_the_pool_exact() {
     }
     assert_eq!(
         host_threads(),
-        3,
-        "{RUNS} sequential runs of three processes with kills and aborts \
-         grew the pool past three hosts"
+        2,
+        "{RUNS} sequential runs of three processes with kills and aborts, \
+         the first on the caller's thread, did not use exactly two hosts"
     );
 }
