@@ -1,10 +1,9 @@
 //! Exploration baselines: the default engine (one worker, inline on the
 //! caller's thread — the "serial" column) vs 1/2/4/8 pooled workers over
-//! two real schedule trees (E1, throughput), the full tree vs the
-//! object-granular sleep-set prune vs the reads-from revisit mode (E2/E4)
-//! on the same trees plus a stutter-heavy dining scenario (schedule
-//! counts), and the kernel's hand-off counts per run on a pruned tree, a
-//! recovering tree and a kill-point sweep (E3). Writes
+//! two real schedule trees (E1, throughput), the full tree vs the revisit
+//! prune (E2/E4) on the same trees plus a stutter-heavy dining scenario
+//! (schedule counts), and the kernel's hand-off counts per run on a
+//! pruned tree, a recovering tree and a kill-point sweep (E3). Writes
 //! `BENCH_explore.json` at the repo root (archived in EXPERIMENTS.md
 //! §E1/§E2/§E3); the CI explore job gates on it.
 //!
@@ -26,9 +25,9 @@
 //! deterministic report (`report.rs`) must stay machine-independent; this
 //! artifact, like the criterion benches, is a measurement and says so.
 //! The prune *counts*, by contrast, are deterministic, and this binary
-//! asserts their soundness while measuring: every prune mode observes
-//! the identical behavior set, and every pruned tree is byte-identical
-//! across 1/2/4/8 worker threads.
+//! asserts their soundness while measuring: the pruned tree observes the
+//! full tree's behavior set, and it is byte-identical across 1/2/4/8
+//! worker threads.
 
 use bloom_core::MechanismId;
 use bloom_problems::faults::{crash_sim, CrashMechanism, CrashProblem, VICTIM};
@@ -71,13 +70,12 @@ fn anomaly_tree() -> Sim {
 /// The footnote-3 tree as explored for the prune comparison: the
 /// Figure-1 scenario of [`anomaly_tree`] plus one background process
 /// working a private semaphore. Every quantum of the bare scenario
-/// touches the single shared path machine, so the object-granular layer
-/// cannot improve on the pure-stutter prune there (both leave all 44
-/// schedules); the background worker is the minimal independent load
-/// that separates the two layers — its semaphore quanta conflict with
-/// nothing the anomaly processes touch, which only per-object footprints
-/// can see. This is also the representative case: exploring a subsystem
-/// embedded in a larger program.
+/// touches the single shared path machine, so no reduction can help
+/// there; the background worker is the minimal independent load — its
+/// semaphore quanta conflict with nothing the anomaly processes touch,
+/// which only per-object footprints can see. This is also the
+/// representative case: exploring a subsystem embedded in a larger
+/// program.
 fn anomaly_bg_tree() -> Sim {
     let mut sim = anomaly_tree();
     let side = Arc::new(bloom_semaphore::Semaphore::strong("side", 1));
@@ -90,8 +88,8 @@ fn anomaly_bg_tree() -> Sim {
 }
 
 /// Stutter-heavy dining scenario for the prune measurement: extra bare
-/// yields between fork operations create pure quanta whose sibling
-/// subtrees the sleep-set prune can discard.
+/// yields between fork operations create quanta that touch nothing and
+/// so race with nothing.
 fn dining_tree(n: usize) -> Sim {
     let mut sim = Sim::new();
     let forks: Vec<Arc<bloom_semaphore::Semaphore>> = (0..n)
@@ -194,7 +192,7 @@ fn bench_tree(name: &str, iters: usize, setup: impl Fn() -> Sim + Sync) -> Strin
 
 /// Canonical behavior of one schedule: liveness verdict, recovery
 /// victims, and the ordered user-event journal. Timestamps are excluded
-/// on purpose — commuting a pure quantum shifts every later timestamp,
+/// on purpose — commuting two quanta shifts the timestamps between them,
 /// and that is exactly the unobservable difference the prune collapses.
 fn behavior(result: &Result<SimReport, SimError>) -> String {
     let report = match result {
@@ -230,19 +228,15 @@ fn explore_serial(
     )
 }
 
-/// E2: full tree vs the object-granular sleep-set prune vs the
-/// reads-from revisit mode (DESIGN.md §2.14) on one tree. Asserts, while
-/// counting: all three modes observe the identical behavior set, each
-/// prune mode visits strictly fewer schedules than the one before it
-/// (granular < full, revisit < granular), the revisit accounting
-/// invariant holds, and every pruned tree is byte-identical across
-/// 1/2/4/8 worker threads.
+/// E2: the full tree vs the revisit prune (DESIGN.md §2.14) on one tree.
+/// Asserts, while counting: both observe the identical behavior set, the
+/// prune visits strictly fewer schedules, its accounting invariant
+/// holds, and the pruned tree is byte-identical across 1/2/4/8 worker
+/// threads.
 fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
     let budget = ExploreConfig::new(usize::MAX);
-    let granular_config = budget.clone().mode(PruneMode::Granular);
     let revisit_config = budget.clone().mode(PruneMode::Revisit);
     let (full_journal, full_stats) = explore_serial(&budget, &setup);
-    let (granular_journal, granular_stats) = explore_serial(&granular_config, &setup);
     let (revisit_journal, revisit_stats) = explore_serial(&revisit_config, &setup);
 
     // Soundness while we measure: pruning may only skip schedules whose
@@ -250,30 +244,16 @@ fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
     let behaviors = |journal: &[(Vec<u32>, String)]| -> BTreeSet<String> {
         journal.iter().map(|(_, b)| b.clone()).collect()
     };
-    let full_set = behaviors(&full_journal);
-    assert_eq!(
-        behaviors(&granular_journal),
-        full_set,
-        "{name}: granular prune changed the behavior set"
-    );
     assert_eq!(
         behaviors(&revisit_journal),
-        full_set,
+        behaviors(&full_journal),
         "{name}: revisit prune changed the behavior set"
     );
     assert!(
-        granular_stats.schedules < full_stats.schedules,
-        "{name}: the object-granular prune must cut the full tree \
-         ({} vs {} schedules)",
-        granular_stats.schedules,
-        full_stats.schedules
-    );
-    assert!(
-        revisit_stats.schedules < granular_stats.schedules,
-        "{name}: revisit mode must beat the sleep-set prune \
-         ({} vs {} schedules)",
+        revisit_stats.schedules < full_stats.schedules,
+        "{name}: the revisit prune must cut the full tree ({} vs {} schedules)",
         revisit_stats.schedules,
-        granular_stats.schedules
+        full_stats.schedules
     );
     revisit_stats.assert_consistent();
     assert_eq!(
@@ -282,41 +262,30 @@ fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
         "{name}: every revisit schedule past the root run is a grant"
     );
 
-    // Worker-count invariance: every pruned tree merges to the inline
+    // Worker-count invariance: the pruned tree merges to the inline
     // worker's journal byte-for-byte at every worker count.
-    for (config, serial_journal, serial_stats) in [
-        (&granular_config, &granular_journal, &granular_stats),
-        (&revisit_config, &revisit_journal, &revisit_stats),
-    ] {
-        for &threads in &THREAD_COUNTS {
-            let (journal, stats) = config
-                .clone()
-                .threads(threads)
-                .run(&setup, |_, result| behavior(result));
-            let merged: Vec<(Vec<u32>, String)> =
-                journal.into_iter().map(|r| (r.choices, r.value)).collect();
-            assert_eq!(
-                &merged, serial_journal,
-                "{name}: pruned journal diverged at {threads} threads"
-            );
-            assert_eq!(stats.schedules, serial_stats.schedules);
-            assert_eq!(stats.pruned, serial_stats.pruned);
-            assert_eq!(stats.conflicts, serial_stats.conflicts);
-            assert_eq!(stats.revisit_requests, serial_stats.revisit_requests);
-            assert_eq!(stats.revisits, serial_stats.revisits);
-        }
+    for &threads in &THREAD_COUNTS {
+        let (journal, stats) = revisit_config
+            .clone()
+            .threads(threads)
+            .run(&setup, |_, result| behavior(result));
+        let merged: Vec<(Vec<u32>, String)> =
+            journal.into_iter().map(|r| (r.choices, r.value)).collect();
+        assert_eq!(
+            merged, revisit_journal,
+            "{name}: pruned journal diverged at {threads} threads"
+        );
+        assert_eq!(stats.schedules, revisit_stats.schedules);
+        assert_eq!(stats.pruned, revisit_stats.pruned);
+        assert_eq!(stats.conflicts, revisit_stats.conflicts);
+        assert_eq!(stats.revisit_requests, revisit_stats.revisit_requests);
+        assert_eq!(stats.revisits, revisit_stats.revisits);
     }
 
-    let evictions: u64 = granular_stats.conflicts.values().sum();
     let races: u64 = revisit_stats.conflicts.values().sum();
     eprintln!(
-        "pruning({name}): {} full, {} granular ({} subtrees cut, \
-         {} conflict evictions), {} revisit ({} races, {} requests, \
-         {} grants)",
+        "pruning({name}): {} full, {} revisit ({} races, {} requests, {} grants)",
         full_stats.schedules,
-        granular_stats.schedules,
-        granular_stats.pruned,
-        evictions,
         revisit_stats.schedules,
         races,
         revisit_stats.revisit_requests,
@@ -324,15 +293,10 @@ fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
     );
     format!(
         "{{\n      \"tree\": \"{name}\",\n      \"full_schedules\": {},\n      \
-         \"granular_schedules\": {},\n      \"granular_pruned\": {},\n      \
-         \"conflict_evictions\": {},\n      \
          \"revisit_schedules\": {},\n      \"revisit_pruned\": {},\n      \
          \"revisit_races\": {},\n      \"revisit_requests\": {},\n      \
          \"revisit_grants\": {}\n    }}",
         full_stats.schedules,
-        granular_stats.schedules,
-        granular_stats.pruned,
-        evictions,
         revisit_stats.schedules,
         revisit_stats.pruned,
         races,
@@ -349,7 +313,7 @@ const KILL_POINTS: u64 = 64;
 /// whole, with its host-protocol and footprint counts per run (see
 /// [`HandoffCounts`]), which CI gates exactly:
 ///
-/// * `pooled-replay` — the pruned anomaly+background tree (1 112 granular
+/// * `pooled-replay` — the anomaly+background tree under revisit (148
 ///   schedules), replaying each schedule's whole prefix; the only row
 ///   whose runs record footprints;
 /// * `recovery` — the R2 dining tree (492 schedules), where deadlock
@@ -367,10 +331,10 @@ fn bench_kernel() -> Vec<String> {
         let counts = HandoffCounts::sum(journal.iter().map(|r| &r.value));
         (stats.schedules, stats.pruned, counts)
     };
-    let granular = ExploreConfig::new(usize::MAX).mode(PruneMode::Granular);
+    let revisit = ExploreConfig::new(usize::MAX).mode(PruneMode::Revisit);
     vec![
         kernel_row("pooled-replay", "anomaly+background", 5, || {
-            explore(granular.clone(), anomaly_bg_tree)
+            explore(revisit.clone(), anomaly_bg_tree)
         }),
         kernel_row("recovery", "liveness-recovery", 20, || {
             explore(ExploreConfig::new(usize::MAX), recovery_tree)
@@ -413,18 +377,16 @@ fn kernel_row(
     )
 }
 
-/// Host-protocol counts summed over a journal's runs: dispatches, how many
-/// of them ran on the thread that made the pick, and how often the thread
-/// driving each run woke (`SimMetrics::self_resumes`/`loop_wakes`); plus
-/// the footprint records the runs kept (`SimReport::quanta`), which only a
-/// prune mode asks for. OS hand-offs per run are
-/// `dispatches - self_resumes + loop_wakes`; unlike seconds, these counts
-/// do not depend on the host, so CI can gate them exactly.
+/// Host-protocol counts summed over a journal's runs: dispatches and how
+/// many of them ran on the thread that made the pick
+/// (`SimMetrics::self_resumes`); plus the footprint records the runs kept
+/// (`SimReport::quanta`), which only the prune mode asks for. OS
+/// hand-offs per run are `dispatches - self_resumes + 1`; unlike seconds,
+/// these counts do not depend on the host, so CI can gate them exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct HandoffCounts {
     dispatches: u64,
     self_resumes: u64,
-    loop_wakes: u64,
     quanta: u64,
 }
 
@@ -438,7 +400,6 @@ impl HandoffCounts {
         HandoffCounts {
             dispatches: m.dispatches,
             self_resumes: m.self_resumes,
-            loop_wakes: m.loop_wakes,
             quanta: report.quanta.len() as u64,
         }
     }
@@ -447,20 +408,18 @@ impl HandoffCounts {
         runs.fold(HandoffCounts::default(), |acc, c| HandoffCounts {
             dispatches: acc.dispatches + c.dispatches,
             self_resumes: acc.self_resumes + c.self_resumes,
-            loop_wakes: acc.loop_wakes + c.loop_wakes,
             quanta: acc.quanta + c.quanta,
         })
     }
 
-    /// The four per-run averages as JSON members.
+    /// The three per-run averages as JSON members.
     fn per_run_json(&self, runs: usize) -> String {
         let per_run = |total: u64| total as f64 / runs as f64;
         format!(
             "\"dispatches_per_run\": {:.4}, \"self_resumes_per_run\": {:.4}, \
-             \"loop_wakes_per_run\": {:.4}, \"quanta_per_run\": {:.4}",
+             \"quanta_per_run\": {:.4}",
             per_run(self.dispatches),
             per_run(self.self_resumes),
-            per_run(self.loop_wakes),
             per_run(self.quanta)
         )
     }

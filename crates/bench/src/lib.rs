@@ -920,7 +920,7 @@ pub fn run_anatomy_report() -> String {
          switches; parks/wakes: blocking episodes entered/ended (by any cause); \
          peak q: deepest wait queue observed; sync ops: mechanism-labelled \
          synchronization-state touches (the same instrumentation that powers the \
-         explorer's purity tracking, so recording it adds no scheduling points). \
+         explorer's footprint log, so recording it adds no scheduling points). \
          Metrics are non-authoritative: they observe scheduling, never influence \
          it, and are byte-identical across explorer thread counts.\n",
     );

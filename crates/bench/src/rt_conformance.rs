@@ -49,7 +49,7 @@ use bloom_rt::{
 };
 use bloom_semaphore::{Lock, Semaphore, TryResult};
 use bloom_serializer::Serializer;
-use bloom_sim::{ExploreConfig, PruneMode, Sim, SimError, SimReport};
+use bloom_sim::{ExploreConfig, Sim, SimError, SimReport};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -854,9 +854,8 @@ pub fn crash_scenarios() -> Vec<CrashScenario> {
 /// verdict any schedule can produce. Panics if the tree exceeds
 /// [`ENVELOPE_BUDGET`] — an incomplete envelope proves nothing.
 pub fn sim_envelope(s: &Scenario) -> BTreeSet<String> {
-    let (journal, stats) = ExploreConfig::new(ENVELOPE_BUDGET)
-        .mode(PruneMode::Granular)
-        .run(s.sim, |_, result| (s.verdict)(result));
+    let (journal, stats) =
+        ExploreConfig::new(ENVELOPE_BUDGET).run(s.sim, |_, result| (s.verdict)(result));
     let verdicts: BTreeSet<String> = journal.into_iter().map(|r| r.value).collect();
     assert!(
         stats.complete,
@@ -882,11 +881,12 @@ pub fn rt_verdict(s: &Scenario, seed: u64) -> String {
 /// scenario's simulator twin and returns every [`CrashOutcome`] it can
 /// produce.
 pub fn sim_crash_envelope(c: &CrashScenario) -> BTreeSet<CrashOutcome> {
-    let (journal, stats) = ExploreConfig::new(ENVELOPE_BUDGET)
-        .mode(PruneMode::Granular)
-        .run_kill_points(c.victim, c.max_points, c.sim, |_, _, result| {
-            classify_crash(result)
-        });
+    let (journal, stats) = ExploreConfig::new(ENVELOPE_BUDGET).run_kill_points(
+        c.victim,
+        c.max_points,
+        c.sim,
+        |_, _, result| classify_crash(result),
+    );
     let outcomes: BTreeSet<CrashOutcome> = journal.into_iter().map(|(_, r)| r.value).collect();
     assert!(
         stats.complete,

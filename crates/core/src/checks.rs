@@ -8,7 +8,7 @@
 //! them, which is what makes cross-mechanism evaluation honest.
 
 use crate::events::{instances, Phase, ProblemEvent};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// One detected constraint violation.
@@ -43,7 +43,7 @@ pub fn expect_clean(violations: &[Violation], what: &str) {
 /// pair `(a, b)` in `conflicts`, an execution of `a` may not overlap an
 /// execution of `b`. Use `(x, x)` for self-exclusive operations.
 pub fn check_exclusion(events: &[ProblemEvent], conflicts: &[(&str, &str)]) -> Vec<Violation> {
-    let mut active: HashMap<&str, u32> = HashMap::new();
+    let mut active: BTreeMap<&str, u32> = BTreeMap::new();
     let mut violations = Vec::new();
     let conflicts_with = |op: &str| -> Vec<&str> {
         conflicts

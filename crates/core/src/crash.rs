@@ -25,7 +25,7 @@
 
 use crate::checks::Violation;
 use bloom_sim::{EventKind, Pid, SimError, SimErrorKind, SimReport, Trace};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// The crash-robustness verdict for one (mechanism, scenario) cell.
@@ -161,14 +161,14 @@ pub fn check_poison_propagation(trace: &Trace) -> Vec<Violation> {
     let mut violations = Vec::new();
     // seq of each process's Killed/Aborted event (at most one per process:
     // either way the process never runs again).
-    let killed_at: HashMap<Pid, u64> = trace
+    let killed_at: BTreeMap<Pid, u64> = trace
         .events()
         .iter()
         .filter(|e| matches!(e.kind, EventKind::Killed | EventKind::Aborted))
         .map(|e| (e.pid, e.seq))
         .collect();
     // First poison event per primitive.
-    let mut poisoned_at: HashMap<&str, u64> = HashMap::new();
+    let mut poisoned_at: BTreeMap<&str, u64> = BTreeMap::new();
     for (event, label, _) in trace.user_events() {
         if let Some(primitive) = label.strip_prefix("poison:") {
             match poisoned_at.get(primitive) {

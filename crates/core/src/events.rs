@@ -131,11 +131,11 @@ pub struct Instance {
 
 /// Matches request/enter/exit triples (see [`Instance`]).
 pub fn instances(events: &[ProblemEvent]) -> Vec<Instance> {
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     let mut out: Vec<Instance> = Vec::new();
     // Per (pid, op): indices of instances awaiting enter / exit.
-    let mut awaiting_enter: HashMap<(Pid, &str), Vec<usize>> = HashMap::new();
-    let mut awaiting_exit: HashMap<(Pid, &str), Vec<usize>> = HashMap::new();
+    let mut awaiting_enter: BTreeMap<(Pid, &str), Vec<usize>> = BTreeMap::new();
+    let mut awaiting_exit: BTreeMap<(Pid, &str), Vec<usize>> = BTreeMap::new();
     for (i, e) in events.iter().enumerate() {
         let key = (e.pid, e.op.as_str());
         match e.phase {

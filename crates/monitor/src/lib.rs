@@ -326,8 +326,8 @@ impl<S: Send> Monitor<S> {
     /// Clones the poison verdict, recording the observation in the trace.
     fn observe_poison(&self, ctx: &Ctx) -> Option<Poisoned> {
         // Reads shared state (the poison flag) — and is called at every
-        // post-wake point, so it also marks resumed quanta as impure for
-        // the explorer (see `Ctx::note_sync_obj`).
+        // post-wake point, so it also puts the monitor in the footprint of
+        // every resumed quantum (see `Ctx::note_sync_obj`).
         ctx.note_sync_obj_op(&self.obj, Access::Read);
         let p = self.poisoned.lock().clone()?;
         ctx.emit(&format!("poison-seen:{}", self.name), &[]);
@@ -448,7 +448,7 @@ impl<S: Send> MonitorCtx<'_, S> {
     /// closure, or waiting inside one), which would otherwise deadlock.
     pub fn state<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
         // Protected-state access is exactly the kernel-invisible effect
-        // the purity analysis must see. `f` takes `&mut S`, so conservatively
+        // the footprint log must see. `f` takes `&mut S`, so conservatively
         // a write even when the closure only reads.
         self.ctx.note_sync_obj_op(&self.monitor.obj, Access::Write);
         let mut guard = self

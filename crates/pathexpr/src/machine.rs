@@ -15,7 +15,7 @@ use crate::compile::{compile, CompiledPath, PathState};
 use crate::parse::{parse_paths, ParseError};
 use bloom_sim::{Access, Ctx, Deadline, ObjId, Pid, Poisoned};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// The occurrence choice made in each path when an operation started;
 /// needed again at exit to apply the matching put ports.
@@ -74,7 +74,7 @@ struct Machine {
     blocked: VecDeque<Blocked>,
     /// Stack of open activations per process (operations nest: a path
     /// procedure may invoke further operations of the same resource).
-    open: HashMap<Pid, Vec<(String, Activation)>>,
+    open: BTreeMap<Pid, Vec<(String, Activation)>>,
     /// Number of executions of each operation currently in progress.
     active: BTreeMap<String, usize>,
     /// Completed executions per operation (for v3 predicates).
@@ -82,10 +82,10 @@ struct Machine {
     /// Andler state variables (v3).
     vars: BTreeMap<String, i64>,
     /// v3 predicates per operation: all must hold for the op to start.
-    predicates: HashMap<String, Vec<Predicate>>,
+    predicates: BTreeMap<String, Vec<Predicate>>,
     /// v3 state-variable updates, run at enter/exit of their operation.
-    on_enter: HashMap<String, Vec<VarUpdate>>,
-    on_exit: HashMap<String, Vec<VarUpdate>>,
+    on_enter: BTreeMap<String, Vec<VarUpdate>>,
+    on_exit: BTreeMap<String, Vec<VarUpdate>>,
 }
 
 impl Machine {
@@ -247,13 +247,13 @@ impl PathResource {
                 compiled,
                 states,
                 blocked: VecDeque::new(),
-                open: HashMap::new(),
+                open: BTreeMap::new(),
                 active: BTreeMap::new(),
                 completed: BTreeMap::new(),
                 vars: BTreeMap::new(),
-                predicates: HashMap::new(),
-                on_enter: HashMap::new(),
-                on_exit: HashMap::new(),
+                predicates: BTreeMap::new(),
+                on_enter: BTreeMap::new(),
+                on_exit: BTreeMap::new(),
             }),
             poisoned: Mutex::new(None),
         }
@@ -579,7 +579,7 @@ impl PathResource {
     /// Clones the poison verdict, recording the observation in the trace.
     fn observe_poison(&self, ctx: &Ctx) -> Option<Poisoned> {
         // Reads shared state — and runs at every request entry point, so
-        // it marks those quanta as impure for the explorer (see
+        // it puts the path machine in the footprint of those quanta (see
         // `Ctx::note_sync_obj`).
         ctx.note_sync_obj_op(&self.obj, Access::Read);
         let p = self.poisoned.lock().clone()?;

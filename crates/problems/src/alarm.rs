@@ -28,7 +28,7 @@ use bloom_semaphore::Semaphore;
 use bloom_serializer::{QueueId, Serializer};
 use bloom_sim::{Ctx, Pid, WaitQueue};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A logical alarm clock.
@@ -293,7 +293,7 @@ impl AlarmClock for SerializerAlarm {
 struct PathAlarmState {
     now: i64,
     pending: BTreeMap<(i64, u64), Pid>,
-    granted: HashMap<Pid, i64>,
+    granted: BTreeMap<Pid, i64>,
 }
 
 /// Path-expression "solution": `path tick end` serializes clock updates
@@ -314,7 +314,7 @@ impl PathAlarm {
             state: Mutex::new(PathAlarmState {
                 now: 0,
                 pending: BTreeMap::new(),
-                granted: HashMap::new(),
+                granted: BTreeMap::new(),
             }),
             gate: WaitQueue::new("alarm.sleepers"),
         }

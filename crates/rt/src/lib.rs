@@ -1,5 +1,8 @@
 #![forbid(unsafe_code)]
 #![deny(deprecated)]
+// Real-thread runs are non-authoritative: nothing here feeds a schedule
+// or a report, so hash-ordered collections are allowed (see clippy.toml).
+#![allow(clippy::disallowed_types)]
 //! Real-thread backend: Bloom's five mechanisms on OS threads.
 //!
 //! Everything else in this workspace runs under the cooperative

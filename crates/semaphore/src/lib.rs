@@ -129,8 +129,8 @@ impl Semaphore {
                     // The permit will be handed to us directly by `v`
                     // without touching the count — the resumed quantum
                     // reads no shared state, so it is deliberately *not*
-                    // marked: a pure stutter after a hand-off stays
-                    // prunable for the explorer.
+                    // marked: a bare stutter after a hand-off keeps an
+                    // empty footprint and races with nothing.
                     self.queue.wait(ctx);
                 }
             }

@@ -344,8 +344,9 @@ impl<S: Send> Serializer<S> {
 
     /// Clones the poison verdict, recording the observation in the trace.
     fn observe_poison(&self, ctx: &Ctx) -> Option<Poisoned> {
-        // Reads shared state, and runs at every post-wake point — marks
-        // resumed quanta as impure for the explorer (see `Ctx::note_sync_obj`).
+        // Reads shared state, and runs at every post-wake point — puts the
+        // serializer in the footprint of every resumed quantum (see
+        // `Ctx::note_sync_obj`).
         ctx.note_sync_obj_op(&self.obj, Access::Read);
         let p = self.poisoned.lock().clone()?;
         ctx.emit(&format!("poison-seen:{}", self.name), &[]);
@@ -574,7 +575,7 @@ impl<S: Send> SerializerCtx<'_, S> {
     /// Panics on re-entrant use, which would otherwise deadlock.
     pub fn state<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
         // Protected-state access is exactly the kernel-invisible effect
-        // the purity analysis must see. `f` takes `&mut S`, so conservatively
+        // the footprint log must see. `f` takes `&mut S`, so conservatively
         // a write even when the closure only reads.
         self.ctx.note_sync_obj_op(&self.ser.obj, Access::Write);
         let mut guard = self

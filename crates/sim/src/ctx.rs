@@ -47,10 +47,10 @@ impl Ctx {
 
     /// Current virtual time.
     ///
-    /// Reading the clock is an observable effect: commuting a pure quantum
-    /// shifts intervening timestamps by one tick, so a process that
-    /// branches on `now()` voids the explorers' equivalence prune for the
-    /// whole run (see [`crate::Decision::pure`]).
+    /// Reading the clock is an observable effect: commuting two quanta
+    /// shifts the timestamps between them, so a process that branches on
+    /// `now()` voids the explorers' equivalence prune for the whole run
+    /// (see [`crate::SimReport::prune_safe`]).
     pub fn now(&self) -> Time {
         self.note_sync();
         let mut st = self.shared.state.lock();
@@ -108,33 +108,32 @@ impl Ctx {
     /// Marks the current quantum as having touched synchronization state
     /// the kernel cannot observe.
     ///
-    /// The explorers' equivalence prune classifies a quantum that performed
-    /// no kernel-visible operation as a *stutter* that commutes with every
-    /// sibling (see [`crate::Decision::pure`]). Mechanism state lives
-    /// outside the kernel — a semaphore's fast path decrements a counter
-    /// under its own mutex without ever entering the kernel — so every
-    /// mechanism operation that reads or writes such state must call this
-    /// before doing so; over-marking is always safe (it only disables
-    /// pruning), under-marking makes the prune unsound. Operations that do
-    /// not take a `&Ctx` (e.g. `WaitQueue::len`) cannot be marked:
-    /// scenarios that let such calls influence control flow between
-    /// scheduling points must not enable pruning.
+    /// The explorers' equivalence prune treats a quantum whose footprint
+    /// is empty as touching nothing, so it races with no other quantum.
+    /// Mechanism state lives outside the kernel — a semaphore's fast path
+    /// decrements a counter under its own mutex without ever entering the
+    /// kernel — so every mechanism operation that reads or writes such
+    /// state must call this (or [`Ctx::note_sync_obj`]) before doing so;
+    /// over-marking is always safe (it only weakens pruning),
+    /// under-marking makes the prune unsound. Operations that do not take
+    /// a `&Ctx` (e.g. `WaitQueue::len`) cannot be marked: scenarios that
+    /// let such calls influence control flow between scheduling points
+    /// must not enable pruning.
     ///
     /// This is the conservative fallback of the footprint contract: it
     /// marks the quantum as touching *everything*
     /// ([`crate::Footprint::All`]). Mechanisms that know which object they
     /// touched should call [`Ctx::note_sync_obj`] instead, which keeps the
-    /// object-granular sleep-set prune effective (see `DESIGN.md` §2.10).
+    /// object-granular race analysis effective (see `DESIGN.md` §2.10).
     pub fn note_sync(&self) {
-        self.shared.quantum_dirty.store(true, Ordering::Relaxed);
         self.shared.quantum_all.store(true, Ordering::Relaxed);
     }
 
     /// Marks the current quantum as having accessed one synchronization
     /// object. Object-granular refinement of [`Ctx::note_sync`]: the
-    /// kernel records the per-quantum footprint and the explorers prune a
-    /// sibling branch only when the quanta's footprints are independent
-    /// (disjoint, or overlapping in reads only).
+    /// kernel records the per-quantum footprint, and the explorers reverse
+    /// the order of two quanta only when their footprints conflict (they
+    /// share an object and at least one writes it).
     ///
     /// Use `Access::Write` whenever the operation may change the object's
     /// state *or* branches on it in a way later writes could invalidate;
@@ -149,12 +148,11 @@ impl Ctx {
     /// [`crate::SimMetrics::sync_ops`] under the object's kind prefix.
     ///
     /// The mechanism crates call this at the call sites that already had
-    /// to call `note_sync` for the purity contract, so the metric rides an
-    /// existing instrumentation point and adds **no new scheduling
-    /// points**: incrementing a counter is not a kernel operation, does
-    /// not stop the quantum, and is never read back by the scheduler.
+    /// to report a footprint, so the metric rides an existing
+    /// instrumentation point and adds **no new scheduling points**:
+    /// incrementing a counter is not a kernel operation, does not stop the
+    /// quantum, and is never read back by the scheduler.
     pub fn note_sync_obj_op(&self, obj: &ObjId, access: Access) {
-        self.shared.quantum_dirty.store(true, Ordering::Relaxed);
         let mut st = self.shared.state.lock();
         st.mark_obj(obj, access);
         SimMetrics::bump(&mut st.metrics.sync_ops, obj.kind());
@@ -170,10 +168,9 @@ impl Ctx {
         SimMetrics::bump(&mut st.metrics.sync_ops, mechanism);
     }
 
-    /// Marks the current quantum dirty and records an access to `obj` in
-    /// its footprint (when the footprint log is recorded).
+    /// Records an access to `obj` in the current quantum's footprint (when
+    /// the footprint log is recorded).
     fn mark_obj(&self, obj: &ObjId, access: Access) {
-        self.shared.quantum_dirty.store(true, Ordering::Relaxed);
         self.shared.state.lock().mark_obj(obj, access);
     }
 
@@ -341,7 +338,6 @@ impl Ctx {
         // same pseudo-object when the target parks, and unparks write it
         // too, so commuting this probe past a park-state change is
         // impossible; two probes of the same target commute.
-        self.shared.quantum_dirty.store(true, Ordering::Relaxed);
         let mut guard = self.shared.state.lock();
         let st = &mut *guard;
         let slot = &st.procs[target.index()];
@@ -356,7 +352,6 @@ impl Ctx {
     /// entries of processes that already woke by timeout; for queues that
     /// cannot, prefer [`Ctx::unpark`], which panics on staleness.
     pub fn try_unpark(&self, target: Pid) -> bool {
-        self.shared.quantum_dirty.store(true, Ordering::Relaxed);
         let mut guard = self.shared.state.lock();
         let st = &mut *guard;
         let slot = &mut st.procs[target.index()];
@@ -491,7 +486,6 @@ impl Ctx {
         // event order is the observable behavior the explorers preserve),
         // while an emitting quantum still commutes with independent
         // non-emitting ones.
-        self.shared.quantum_dirty.store(true, Ordering::Relaxed);
         let mut st = self.shared.state.lock();
         st.mark_obj(&self.shared.trace_obj, Access::Write);
         let clock = st.clock;

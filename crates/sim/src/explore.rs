@@ -15,86 +15,48 @@
 //!
 //! # The equivalence prune
 //!
-//! With [`PruneMode::Granular`], two layers of reduction apply; both
-//! preserve the set of distinct user-event traces while shrinking the
-//! schedule count, and skipped branches are counted in
-//! [`ExploreStats::pruned`].
+//! [`PruneMode::Revisit`] is the one reduction: race-driven *revisits*
+//! (classical happens-before DPOR over the footprint log — see
+//! [`crate::revisit`] and `DESIGN.md` §2.14). Each executed run carries a
+//! log ([`crate::SimReport::quanta`]) of which objects every quantum read
+//! or wrote, and a sibling branch is scheduled only when some executed run
+//! detects a reversible race that dispatching it would reverse. Siblings
+//! never requested are counted in [`ExploreStats::pruned`] without being
+//! run. The explored set is a least fixed point of the per-run request
+//! function, so every worker count executes the identical schedule set;
+//! one worker drains the worklist least-prefix-first rather than
+//! depth-first.
 //!
-//! 1. **Purity** ([`Decision::pure`]): when the canonical (choice-0)
-//!    quantum of a decision was a stutter that touched nothing any other
-//!    process can see, *all* sibling branches are skipped — deferring a
-//!    stutter commutes with every intervening quantum, so the
-//!    sibling-first subtree maps leaf-for-leaf into the visited
-//!    stutter-first subtree. (In persistent-set terms, a globally
-//!    independent transition is a singleton persistent set.)
-//!
-//! 2. **Sleep sets** (object-granular): each executed run carries a
-//!    footprint log ([`crate::SimReport::quanta`]) of which objects every
-//!    quantum read or wrote. The engine maintains classical sleep sets over
-//!    it: after branch `c` of a node is explored, the canonical quantum's
-//!    `(pid, footprint)` joins the sleep set inherited by the later
-//!    siblings, and a sibling whose dispatched process is still asleep
-//!    when its node is reached is skipped — every schedule below it
-//!    commutes, footprint-wise, into the subtree already explored. An
-//!    entry leaves the sleep set as soon as any executed quantum's
-//!    footprint *conflicts* with it (same object, at least one write — see
-//!    [`crate::Footprint`]); those wake-ups are tallied per object in
-//!    [`ExploreStats::conflicts`]. When a run's *canonical* choice
-//!    dispatches a sleeping process, the run past that point is a
-//!    redundant probe and its continuation is cut (see `walk_run`).
-//!
-//! The run-level `prune_safe` gate is unchanged: timers, faults, clock
-//! reads, and the starvation watchdog strip both the `pure` bits and the
-//! footprints (forced to [`crate::Footprint::All`]) of the whole run, so
-//! both layers self-disable. Pruning is off by default because exact
-//! schedule counts are themselves findings in this repository's reports.
-//! See `DESIGN.md` §2.10 for the full soundness argument.
-//!
-//! # The revisit mode
-//!
-//! [`PruneMode::Revisit`] replaces the expand-then-prune shape with
-//! race-driven *revisits* (classical happens-before DPOR over the same
-//! footprint log — see [`crate::revisit`] and `DESIGN.md` §2.14): a
-//! sibling branch is scheduled only when some executed run detects a
-//! reversible race that dispatching it would reverse. Siblings never
-//! requested are counted as pruned without being expanded at all, which
-//! is why the mode explores strictly fewer schedules than the sleep-set
-//! prune on contended trees. The explored set is a least fixed point of
-//! the per-run request function, so every worker count executes the
-//! identical schedule set; one worker drains the worklist
-//! least-prefix-first rather than depth-first.
+//! The run-level `prune_safe` gate still applies: timers, faults, clock
+//! reads and the starvation watchdog force every footprint of the run to
+//! [`crate::Footprint::All`], so the race analysis requests every sibling
+//! of such a run. Pruning is off by default because exact schedule counts
+//! are themselves findings in this repository's reports.
 
 use crate::error::SimError;
 use crate::fault::FaultPlan;
-use crate::footprint::{Footprint, QuantumRecord};
 use crate::kernel::{ProcessStatus, SimReport};
 use crate::parallel::{explore, ScheduleRecord};
 use crate::sample::{SampleRecord, SampleStrategy, Sampler};
 use crate::sim::Sim;
 use crate::trace::Decision;
-use crate::types::Pid;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Which reduction [`ExploreConfig::mode`] applies.
 ///
-/// Both modes preserve the set of distinct user-event traces; they differ
-/// in how much of the schedule tree they must execute to cover it
-/// (`Granular` ⊇ `Revisit`, schedule-count-wise, on contended trees) and
-/// in what [`ExploreStats::conflicts`] tallies.
+/// The reduction preserves the set of distinct user-event traces while
+/// executing fewer schedules; [`ExploreStats::conflicts`] tallies the
+/// races it found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneMode {
-    /// Pure-stutter siblings plus object-granular sleep sets over the
-    /// footprint log (see the module docs and `DESIGN.md` §2.10).
-    Granular,
     /// Race-driven revisits (classical happens-before DPOR, `DESIGN.md`
-    /// §2.14): siblings are only ever *scheduled* when a detected race
-    /// requests them, instead of being expanded and then put to sleep.
-    /// Near-optimal — strictly fewer schedules than `Granular` on every
-    /// benchmarked tree. One worker drains the worklist
-    /// least-prefix-first, not depth-first (the executed *set* is the
-    /// same at every worker count).
+    /// §2.14): a sibling is only ever *scheduled* when a detected race
+    /// requests it. Not optimal: it can run more than one schedule per
+    /// Mazurkiewicz class (`DESIGN.md` §2.14). One worker drains the
+    /// worklist least-prefix-first, not depth-first (the executed *set*
+    /// is the same at every worker count).
     Revisit,
 }
 
@@ -124,9 +86,8 @@ pub struct ExploreStats {
     /// Pruned branches count as covered: their behaviors are represented.
     pub complete: bool,
     /// How many branches (whole subtrees, not schedules) the equivalence
-    /// prune skipped: sibling branches of pure decisions, siblings whose
-    /// process was asleep, and abandoned canonical continuations of cut
-    /// runs (see `walk_run`'s cut rule). Always 0 unless pruning was
+    /// prune skipped: siblings of discovered decisions that no race and no
+    /// symbolic value class requested. Always 0 unless pruning was
     /// enabled.
     pub pruned: usize,
     /// Schedule histogram by depth: `depth_schedules[d]` counts executed
@@ -136,42 +97,39 @@ pub struct ExploreStats {
     /// Prune histogram by depth: `depth_pruned[d]` counts sibling branches
     /// skipped at decision index `d`. Sums to `pruned`.
     pub depth_pruned: Vec<usize>,
-    /// Per-object conflict tally of the prune, keyed by the conflicting
+    /// Per-object race tally of the prune, keyed by the conflicting
     /// object's full name (`"*"` when both sides were opaque
-    /// [`crate::Footprint::All`]). In the sleep-set modes: how many times
-    /// an executed quantum's footprint conflicted with (and so evicted) a
-    /// sleeping entry. In [`PruneMode::Revisit`]: how many reversible
-    /// races were detected on the object. Summed over every executed run;
-    /// deterministic and identical across thread counts for complete
-    /// explorations. Empty unless pruning was enabled. A hot object here
-    /// is the object whose contention limits the reduction.
+    /// [`crate::Footprint::All`]): how many reversible races were detected
+    /// on the object. Summed over every executed run; deterministic and
+    /// identical across thread counts for complete explorations. Empty
+    /// unless pruning was enabled. A hot object here is the object whose
+    /// contention limits the reduction.
     pub conflicts: BTreeMap<String, u64>,
     /// [`PruneMode::Revisit`] only: total race-derived branch requests
     /// generated across all executed runs, *including* requests whose
     /// branch was already scheduled (each run's requests are a pure
     /// function of that run, so the sum is order-independent). Always
-    /// 0 in the other modes.
+    /// 0 unpruned.
     pub revisit_requests: u64,
     /// [`PruneMode::Revisit`] only: how many requested branches were
     /// fresh and actually scheduled. Every executed schedule except the
     /// root is a granted revisit or a granted symbolic value request, so
     /// a complete revisit exploration has
-    /// `schedules == revisits + sym_grants + 1`. Always 0 in the other
-    /// modes.
+    /// `schedules == revisits + sym_grants + 1`. Always 0 unpruned.
     pub revisits: u64,
     /// [`PruneMode::Revisit`] only: total value-sibling branch requests
     /// produced by the symbolic collapse over [`crate::Ctx::choose_value`]
     /// decisions, *including* requests whose branch was already scheduled
     /// (each run's requests are a pure function of that run). Value
     /// siblings in the same constraint class as an executed value are
-    /// never requested — that is the collapse. Always 0 in the other
-    /// modes, which enumerate every domain value concretely.
+    /// never requested — that is the collapse. Always 0 unpruned: the
+    /// full tree enumerates every domain value concretely.
     pub sym_requests: u64,
     /// [`PruneMode::Revisit`] only: how many symbolic value requests were
     /// fresh and actually scheduled. Collapsed value siblings (discovered
     /// minus granted) are counted in [`ExploreStats::pruned`] at the
-    /// decision's depth, next to the race-revisit tallies. Always 0 in
-    /// the other modes.
+    /// decision's depth, next to the race-revisit tallies. Always 0
+    /// unpruned.
     pub sym_grants: u64,
     /// The first failed schedule in canonical depth-first order, if any
     /// schedule failed. Exploration does not stop at a failure — the rest
@@ -186,7 +144,7 @@ pub struct ExploreStats {
 }
 
 impl ExploreStats {
-    /// Asserts the accounting invariants that hold in every mode and at
+    /// Asserts the accounting invariants that hold pruned or not and at
     /// every worker count: the per-depth histograms are exact
     /// decompositions of their totals (no drift, no trailing empty
     /// buckets) and the revisit tallies are mutually consistent. The
@@ -262,216 +220,6 @@ pub(crate) fn merge_conflicts(dst: &mut BTreeMap<String, u64>, src: &BTreeMap<St
     for (obj, &by) in src {
         *dst.entry(obj.clone()).or_insert(0) += by;
     }
-}
-
-/// A sleep set: processes whose dispatch at the current point is known to
-/// commute into an already-explored sibling subtree, each with the
-/// footprint its (explored) quantum had. An entry is evicted as soon as an
-/// executed quantum's footprint conflicts with it — after a conflicting
-/// write, the sleeping process's quantum might no longer do what the
-/// explored branch saw it do.
-///
-/// A `Vec` in insertion order, not a map: sets are tiny (bounded by the
-/// process count), cloning must be cheap, and deterministic iteration
-/// order keeps the per-object conflict tallies identical across worker
-/// counts.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SleepSet {
-    entries: Vec<(Pid, Footprint)>,
-}
-
-impl SleepSet {
-    pub(crate) fn contains(&self, pid: Pid) -> bool {
-        self.entries.iter().any(|(p, _)| *p == pid)
-    }
-
-    fn insert(&mut self, pid: Pid, footprint: Footprint) {
-        match self.entries.iter_mut().find(|(p, _)| *p == pid) {
-            Some(slot) => slot.1 = footprint,
-            None => self.entries.push((pid, footprint)),
-        }
-    }
-
-    fn remove(&mut self, pid: Pid) {
-        self.entries.retain(|(p, _)| *p != pid);
-    }
-
-    /// Evicts every entry whose footprint conflicts with `footprint`,
-    /// tallying each eviction under the conflicting object's name.
-    fn wake_filter(&mut self, footprint: &Footprint, conflicts: &mut BTreeMap<String, u64>) {
-        self.entries
-            .retain(|(_, fp)| match footprint.conflict_with(fp) {
-                Some(obj) => {
-                    *conflicts.entry(obj.to_string()).or_insert(0) += 1;
-                    false
-                }
-                None => true,
-            });
-    }
-}
-
-/// What one run's walk learned about one newly discovered decision node.
-#[derive(Debug, Clone)]
-pub(crate) struct NodeInfo {
-    /// The canonical quantum was a pure stutter: prune *all* siblings.
-    pub(crate) pure: bool,
-    /// `asleep[c]`: the process sibling choice `c` would dispatch was in
-    /// the sleep set when the node was reached — prune that sibling.
-    /// Indexed like the decision's ready list; entry 0 is unused.
-    pub(crate) asleep: Vec<bool>,
-    /// The sleep set sibling branches of this node inherit: the set at
-    /// the node plus the canonical quantum's own `(pid, footprint)` entry
-    /// (omitted when the footprint is opaque `All` — an unknowable
-    /// quantum can vouch for no commutation). Identical for every sibling
-    /// by construction, which is what keeps the pruned tree byte-identical
-    /// across worker counts: no worker may use what a *sibling's* quantum
-    /// turned out to touch, because another worker might expand the node
-    /// before that sibling ever runs.
-    pub(crate) child_sleep: SleepSet,
-}
-
-/// Walks one executed run's footprint log, producing a [`NodeInfo`] for
-/// every decision node the run discovered (index `start` onward) and
-/// evolving the sleep set from `inherited` (the set in force at the run's
-/// branch point — decision `start - 1`) through every executed quantum.
-/// Conflict evictions along the walk are tallied into `conflicts`.
-///
-/// **The cut rule.** The replay policy always takes choice 0 past its
-/// prefix, so a run cannot avoid dispatching a sleeping process when that
-/// process heads the ready list. When a newly discovered node's executed
-/// canonical choice dispatches a process still in the sleep set, every
-/// behavior below that choice is covered by the earlier subtree that put
-/// the process to sleep: the run from there on is a redundant probe. The
-/// walk stops at that node (its `NodeInfo` is still emitted — its
-/// *siblings* are not redundant), so the caller sees a short vector,
-/// expands nothing deeper, and counts the abandoned canonical
-/// continuation as one pruned branch at the cut node's depth.
-///
-/// The engine calls this once per executed run, with arguments that
-/// depend only on the run and its branch point, so every derived quantity
-/// (prune verdicts, child sleep sets, conflict tallies, the cut position)
-/// is independent of the worker count.
-pub(crate) fn walk_run(
-    decisions: &[Decision],
-    quanta: &[QuantumRecord],
-    start: usize,
-    inherited: &SleepSet,
-    conflicts: &mut BTreeMap<String, u64>,
-) -> Vec<NodeInfo> {
-    // Contested quanta align 1:1 with the `Sched`-kind decisions; a
-    // `Data`-kind decision ([`crate::Ctx::choose_value`]) was made *during*
-    // some quantum and owns none. Data nodes get a conservative
-    // [`NodeInfo`]: never pure, no value sibling ever asleep (the concrete
-    // DFS modes enumerate every domain value), and a child sleep set taken
-    // from the running set — which only shrinks along a walk, so any
-    // snapshot at or after the choice is sound for the value siblings.
-    let sched_indices: Vec<usize> = decisions
-        .iter()
-        .enumerate()
-        .filter_map(|(i, d)| d.is_sched().then_some(i))
-        .collect();
-    let contested = quanta.iter().filter(|q| q.ready.is_some()).count();
-    if contested != sched_indices.len() {
-        // No usable footprint log (the engine forces `record_quanta` on,
-        // so this is only reachable through a hand-built `Sim` path):
-        // degrade to the pure-only prune with empty sleep sets.
-        debug_assert!(quanta.is_empty(), "partial quantum log");
-        return decisions[start..]
-            .iter()
-            .map(|d| NodeInfo {
-                pure: d.pure,
-                asleep: vec![false; d.arity as usize],
-                child_sleep: SleepSet::default(),
-            })
-            .collect();
-    }
-    let data_node = |d: &Decision, sleep: &SleepSet| {
-        debug_assert!(d.is_data());
-        NodeInfo {
-            pure: false,
-            asleep: vec![false; d.arity as usize],
-            child_sleep: sleep.clone(),
-        }
-    };
-    let mut out = Vec::with_capacity(decisions.len().saturating_sub(start));
-    let mut sleep = inherited.clone();
-    // Quanta strictly before the branch quantum are part of the shared
-    // prefix whose effects `inherited` already reflects; the branch
-    // quantum itself and everything after must still be applied. The
-    // branch quantum is the contested quantum of the nearest `Sched`
-    // decision at or before `start - 1`: a branch at a data decision
-    // re-executes from inside that quantum, and re-applying quanta only
-    // shrinks the sleep set, which is conservative.
-    let branch_sched = (0..start).rev().find(|&i| decisions[i].is_sched());
-    let mut active = branch_sched.is_none();
-    // The next decision index to emit; data decisions between contested
-    // quanta are emitted when the walk reaches the next contested quantum
-    // (or the end of the run), with the running set at that point.
-    let mut emit_di = start;
-    let mut next_sched = 0usize;
-    for q in quanta {
-        let index = q.ready.is_some().then(|| {
-            let i = sched_indices[next_sched];
-            next_sched += 1;
-            i
-        });
-        if !active {
-            match index {
-                Some(i) if Some(i) == branch_sched => active = true,
-                _ => continue,
-            }
-        }
-        if let Some(i) = index {
-            if i >= start {
-                while emit_di < i {
-                    out.push(data_node(&decisions[emit_di], &sleep));
-                    emit_di += 1;
-                }
-                let d = &decisions[i];
-                let ready = q
-                    .ready
-                    .as_ref()
-                    .expect("contested quantum has a ready list");
-                debug_assert_eq!(ready.len(), d.arity as usize);
-                let asleep: Vec<bool> = if d.pure {
-                    vec![false; ready.len()] // purity prunes all siblings anyway
-                } else {
-                    ready.iter().map(|pid| sleep.contains(*pid)).collect()
-                };
-                let cut = asleep[d.chosen as usize];
-                let mut child_sleep = sleep.clone();
-                if q.footprint.is_all() {
-                    child_sleep.remove(q.pid);
-                } else {
-                    child_sleep.insert(q.pid, q.footprint.clone());
-                }
-                out.push(NodeInfo {
-                    pure: d.pure,
-                    asleep,
-                    child_sleep,
-                });
-                emit_di = i + 1;
-                if cut {
-                    // The executed canonical choice dispatched a sleeping
-                    // process: the rest of this run is a redundant probe.
-                    return out;
-                }
-            }
-        }
-        // Effects of executing this quantum (contested, forced, or unwind
-        // bookkeeping) on the running sleep set: the dispatched process is
-        // no longer deferred, and conflicting entries wake up.
-        sleep.remove(q.pid);
-        sleep.wake_filter(&q.footprint, conflicts);
-    }
-    // Data decisions made during the final quanta, after the last
-    // contested dispatch.
-    while emit_di < decisions.len() {
-        out.push(data_node(&decisions[emit_di], &sleep));
-        emit_di += 1;
-    }
-    debug_assert_eq!(out.len(), decisions.len().saturating_sub(start));
-    out
 }
 
 /// Result summary of a kill-point sweep
@@ -971,7 +719,7 @@ mod tests {
         );
     }
 
-    /// Pure stutter quanta (bare yields between emits) license the prune;
+    /// Bare yields between emits touch nothing, so they race with nothing;
     /// the pruned exploration must visit strictly fewer schedules but the
     /// identical set of user-event traces.
     #[test]
@@ -996,7 +744,7 @@ mod tests {
         let (full_journal, full) = config.run(scenario, |_, result| labels(result));
         let (pruned_journal, pruned) = config
             .clone()
-            .mode(PruneMode::Granular)
+            .mode(PruneMode::Revisit)
             .run(scenario, |_, result| labels(result));
         assert!(full.complete && pruned.complete);
         assert_eq!(full.pruned, 0);
@@ -1015,11 +763,10 @@ mod tests {
     }
 
     /// Two processes working disjoint objects: every quantum is a real
-    /// synchronization operation (never a pure stutter), so the purity
-    /// layer cannot prune — only the object-granular sleep-set layer can
-    /// see that the processes commute.
+    /// synchronization operation, and only the object-granular footprints
+    /// show that the processes commute.
     #[test]
-    fn sleep_sets_prune_disjoint_objects_where_purity_cannot() {
+    fn revisit_prunes_disjoint_objects() {
         let scenario = || {
             let mut sim = Sim::new();
             let qa = Arc::new(crate::waitq::WaitQueue::new("qa"));
@@ -1040,7 +787,7 @@ mod tests {
         let (_, full) = config.run(scenario, |_, _| ());
         let (_, pruned) = config
             .clone()
-            .mode(PruneMode::Granular)
+            .mode(PruneMode::Revisit)
             .run(scenario, |_, _| ());
         assert!(full.complete && pruned.complete);
         assert_eq!(full.pruned, 0);
@@ -1050,14 +797,14 @@ mod tests {
             pruned.schedules,
             full.schedules
         );
-        assert!(pruned.pruned > 0, "cut/asleep branches must be counted");
+        assert!(pruned.pruned > 0, "unrequested siblings must be counted");
     }
 
-    /// Sleep-set pruning with observable events: the per-process events
-    /// conflict on the trace object, so event orderings are preserved
-    /// while the disjoint queue operations commute away.
+    /// Pruning with observable events: the per-process events conflict on
+    /// the trace object, so event orderings are preserved while the
+    /// disjoint queue operations commute away.
     #[test]
-    fn sleep_set_prune_preserves_observable_behaviors() {
+    fn disjoint_work_prune_preserves_observable_behaviors() {
         let scenario = || {
             let mut sim = Sim::new();
             let qa = Arc::new(crate::waitq::WaitQueue::new("qa"));
@@ -1082,7 +829,7 @@ mod tests {
         let (full_journal, full) = config.run(scenario, |_, result| labels(result));
         let (pruned_journal, pruned) = config
             .clone()
-            .mode(PruneMode::Granular)
+            .mode(PruneMode::Revisit)
             .run(scenario, |_, result| labels(result));
         assert!(full.complete && pruned.complete);
         let full_traces = behaviors(&full_journal);
@@ -1094,18 +841,18 @@ mod tests {
         assert_eq!(
             behaviors(&pruned_journal),
             full_traces,
-            "sleep sets must preserve the set of observable behaviors"
+            "the prune must preserve the set of observable behaviors"
         );
         assert!(
             pruned.schedules < full.schedules,
-            "sleep sets must cut schedules: {} vs {}",
+            "the prune must cut schedules: {} vs {}",
             pruned.schedules,
             full.schedules
         );
     }
 
-    /// The conflict tally names the object whose contention woke sleeping
-    /// entries: two writers of one queue conflict exactly there.
+    /// The race tally names the contended object: two writers of one
+    /// queue race exactly there.
     #[test]
     fn conflicts_tally_names_the_contended_object() {
         let scenario = || {
@@ -1124,7 +871,7 @@ mod tests {
         let config = ExploreConfig::new(1000);
         let (_, stats) = config
             .clone()
-            .mode(PruneMode::Granular)
+            .mode(PruneMode::Revisit)
             .run(scenario, |_, _| ());
         assert!(stats.complete);
         assert!(
@@ -1151,7 +898,7 @@ mod tests {
         let ticks = Arc::new(Mutex::new(Vec::new()));
         let ticks2 = Arc::clone(&ticks);
         let config = ExploreConfig::new(10_000)
-            .mode(PruneMode::Granular)
+            .mode(PruneMode::Revisit)
             .progress(2, move |n| ticks2.lock().push(n));
         let (_, inline) = config.run(three, |_, _| ());
         let inline_ticks = std::mem::take(&mut *ticks.lock());
@@ -1192,9 +939,9 @@ mod tests {
     }
 
     /// The revisit mode observes exactly the behaviors of the full
-    /// exploration, in no more schedules than the granular prune, and its
-    /// accounting invariant holds: every schedule past the canonical root
-    /// run is a granted revisit.
+    /// exploration, in fewer schedules, and its accounting invariant
+    /// holds: every schedule past the canonical root run is a granted
+    /// revisit.
     #[test]
     fn revisit_preserves_behaviors_and_accounts_every_schedule() {
         let traces = |config: ExploreConfig| {
@@ -1204,18 +951,10 @@ mod tests {
         };
         let config = ExploreConfig::new(100_000);
         let (full_traces, full) = traces(config.clone());
-        let (granular_traces, granular) = traces(config.clone().mode(PruneMode::Granular));
         let (revisit_traces, revisit) = traces(config.mode(PruneMode::Revisit));
-        assert_eq!(granular_traces, full_traces);
         assert_eq!(
             revisit_traces, full_traces,
             "revisit mode must preserve the set of observable behaviors"
-        );
-        assert!(
-            revisit.schedules <= granular.schedules,
-            "revisit must not lose to granular: {} vs {}",
-            revisit.schedules,
-            granular.schedules
         );
         assert!(
             revisit.schedules < full.schedules,
@@ -1237,7 +976,7 @@ mod tests {
     }
 
     /// Revisit mode composes with the kill-point sweep: the sweep stops at
-    /// the same point as the granular one, fires the same points, and its
+    /// the same point as the unpruned one, fires the same points, and its
     /// merged accounting stays consistent. (Fault-injected runs are not
     /// prune-safe, so their race analysis degrades to exhaustive sibling
     /// requests — coverage, not optimality, is what is promised here.)
@@ -1258,15 +997,14 @@ mod tests {
             });
             sim
         };
-        let sweep = |mode| {
-            ExploreConfig::new(10_000)
-                .mode(mode)
+        let sweep = |config: ExploreConfig| {
+            config
                 .run_kill_points("victim", 8, scenario, |_, _, _| ())
                 .1
         };
-        let granular = sweep(PruneMode::Granular);
-        let revisit = sweep(PruneMode::Revisit);
-        assert!(granular.complete && revisit.complete);
+        let full = sweep(ExploreConfig::new(10_000));
+        let revisit = sweep(ExploreConfig::new(10_000).mode(PruneMode::Revisit));
+        assert!(full.complete && revisit.complete);
         revisit.assert_consistent();
         let fired = |stats: &KillPointStats| {
             stats
@@ -1277,8 +1015,8 @@ mod tests {
         };
         assert_eq!(
             fired(&revisit),
-            fired(&granular),
-            "both modes must observe the same set of live kill points"
+            fired(&full),
+            "revisit must observe the same set of live kill points"
         );
     }
 

@@ -1,17 +1,14 @@
 //! Object-granular access footprints for the explorers' dependency-aware
 //! equivalence prune.
 //!
-//! PR 3's prune classified a quantum as either *pure* (touched nothing) or
-//! opaque (touched "something"), so one sync-touching quantum disabled
-//! pruning for sibling subtrees that touched entirely different objects.
-//! This module refines the instrumentation contract: every synchronization
-//! object (a semaphore, a monitor, a wait queue, …) carries a stable
-//! [`ObjId`], mechanisms report *which* objects a quantum read or wrote
-//! (see [`crate::Ctx::note_sync_obj`]), and the kernel records one
-//! [`QuantumRecord`] per dispatch. Two quanta *conflict* when their
-//! footprints intersect on an object at least one side wrote — writes
-//! conflict with anything, reads commute — and the explorers use the
-//! conflict relation for a sleep-set prune (see `DESIGN.md` §2.10).
+//! Every synchronization object (a semaphore, a monitor, a wait queue, …)
+//! carries a stable [`ObjId`], mechanisms report *which* objects a quantum
+//! read or wrote (see [`crate::Ctx::note_sync_obj`]), and the kernel
+//! records one [`QuantumRecord`] per dispatch. Two quanta *conflict* when
+//! their footprints intersect on an object at least one side wrote —
+//! writes conflict with anything, reads commute — and the revisit prune
+//! reverses exactly the races the conflict relation names (see
+//! `DESIGN.md` §2.10 and §2.14).
 //!
 //! [`crate::Ctx::note_sync`] remains the conservative fallback: it marks
 //! the quantum as touching *everything* ([`Footprint::All`]), which
@@ -28,8 +25,8 @@ use std::sync::Arc;
 /// An `ObjId` is a kind-prefixed name (`"semaphore:forks0"`): mechanisms
 /// allocate one at construction from their diagnostic name, so the id of
 /// an object is identical across the repeated runs of an exploration —
-/// which is what lets a sleep set recorded in one run prune siblings in
-/// another. Two objects with the same kind and name are deliberately the
+/// which is what lets a race seen in one run name a branch another run
+/// explores. Two objects with the same kind and name are deliberately the
 /// *same* object: a collision only merges footprints, which is
 /// conservative, never unsound.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -85,12 +82,12 @@ pub enum Access {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Footprint {
     /// Exactly these objects, each with the strongest access performed.
-    /// An empty map is the footprint of a pure stutter.
+    /// An empty map is the footprint of a stutter that touched nothing.
     Objs(BTreeMap<ObjId, Access>),
     /// The conservative fallback ([`crate::Ctx::note_sync`]): the quantum
     /// may have touched anything. Conflicts with every non-empty
-    /// footprint (but commutes with a pure stutter, which touches
-    /// nothing at all).
+    /// footprint (but commutes with an empty one, which touches nothing
+    /// at all).
     All,
 }
 
@@ -106,7 +103,7 @@ impl Footprint {
         matches!(self, Footprint::All)
     }
 
-    /// Whether the quantum touched nothing (a pure stutter).
+    /// Whether the quantum touched nothing (a stutter).
     pub fn is_empty(&self) -> bool {
         match self {
             Footprint::Objs(objs) => objs.is_empty(),

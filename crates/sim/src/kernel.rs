@@ -166,12 +166,12 @@ pub(crate) struct State {
     /// Victims aborted by deadlock recovery, in abort order.
     pub recovered: Vec<Pid>,
     /// Whether the run has stayed within the contract of the explorers'
-    /// equivalence prune. Commuting a pure quantum across its siblings
-    /// shifts the virtual times of the events in between by one tick, so
-    /// anything time-sensitive voids the prune: setting any timer, reading
-    /// the clock from a process ([`Ctx::now`]), injecting faults, or
-    /// running the starvation watchdog clears this flag, and `snapshot`
-    /// then strips the `pure` bit from every recorded decision.
+    /// equivalence prune. Commuting two quanta shifts the virtual times of
+    /// the events in between, so anything time-sensitive voids the prune:
+    /// setting any timer, reading the clock from a process ([`Ctx::now`]),
+    /// injecting faults, or running the starvation watchdog clears this
+    /// flag, and `snapshot` then widens every recorded footprint to
+    /// [`Footprint::All`].
     pub prune_safe: bool,
     /// Run-anatomy counters (see [`SimMetrics`]). Strictly
     /// non-authoritative: written throughout the run, read only by
@@ -182,9 +182,9 @@ pub(crate) struct State {
     pub last_dispatched: Option<Pid>,
     /// Object accesses reported for the *current* quantum via
     /// [`Ctx::note_sync_obj`]; drained into a [`QuantumRecord`] when the
-    /// quantum ends, cleared at each dispatch. (The coarse companion bits
-    /// live in [`Shared::quantum_dirty`]/[`Shared::quantum_all`], which
-    /// processes can set without taking this lock.)
+    /// quantum ends, cleared at each dispatch. (The coarse companion bit
+    /// lives in [`Shared::quantum_all`], which processes can set without
+    /// taking this lock.)
     pub quantum_objs: BTreeMap<ObjId, Access>,
     /// The per-dispatch footprint log (see [`SimReport::quanta`]).
     pub quanta: Vec<QuantumRecord>,
@@ -201,24 +201,15 @@ pub(crate) struct State {
     /// Copied from [`SimConfig::deadlock_recovery`]; kept in sync by
     /// [`crate::Sim::enable_deadlock_recovery`].
     pub deadlock_recovery: bool,
-    /// Whether the quantum currently holding the CPU came from a
-    /// *contested* dispatch. Set by `pick_and_dispatch`, consumed by
-    /// `account_stop` — kernel state because phase 3 runs on whichever
-    /// host thread the quantum stopped on.
-    pub cur_decided: bool,
-    /// Index (into `decisions`) of the current quantum's scheduling
-    /// decision when it was contested. `decisions.last_mut()` is *not*
-    /// equivalent: a data decision ([`Ctx::choose_value`]) recorded
-    /// mid-quantum appends after the dispatch's entry, so purity
-    /// classification must address the dispatch decision by index.
-    pub cur_sched_decision: Option<usize>,
     /// One record per [`Ctx::choose_value`] call with a contested domain,
     /// in call order: the k-th entry describes the k-th `Data`-kind entry
     /// of `decisions`. Drained into [`SimReport::data_choices`].
     pub data_choices: Vec<crate::symbolic::DataChoice>,
     /// The candidate list of the current quantum's contested dispatch
-    /// (`None` for forced dispatches or when `record_quanta` is off).
-    /// Same lifecycle as `cur_decided`.
+    /// (`None` for forced dispatches or when `record_quanta` is off). Set
+    /// by `pick_and_dispatch`, consumed by `account_stop` — kernel state
+    /// because phase 3 runs on whichever host thread the quantum stopped
+    /// on.
     pub cur_ready: Option<Vec<Pid>>,
     /// How the run ended (`None`: completed), recorded by whoever ended
     /// it ([`end_run`]) and read by [`drive`] once the job gate falls.
@@ -257,8 +248,6 @@ impl State {
             max_steps: cfg.max_steps,
             starvation_bound: cfg.starvation_bound,
             deadlock_recovery: cfg.deadlock_recovery,
-            cur_decided: false,
-            cur_sched_decision: None,
             cur_ready: None,
             data_choices: Vec::new(),
             run_error: None,
@@ -320,12 +309,6 @@ pub(crate) struct Shared {
     pub state: Mutex<State>,
     /// Global ticket dispenser used by wait queues for FIFO ordering.
     pub tickets: AtomicU64,
-    /// Set by every [`Ctx`] operation with an observable effect (and by
-    /// [`Ctx::note_sync`], through which the mechanism crates report state
-    /// accesses the kernel cannot see). The kernel clears it at each
-    /// dispatch and reads it back when the quantum ends, classifying the
-    /// quantum as pure or not — see [`crate::Decision::pure`].
-    pub quantum_dirty: AtomicBool,
     /// Set by [`Ctx::note_sync`] (the conservative fallback of the
     /// footprint contract): the current quantum may have touched *any*
     /// object, so its footprint is [`Footprint::All`] regardless of what
@@ -366,7 +349,6 @@ impl Shared {
         Arc::new(Shared {
             state: Mutex::new(State::new(cfg, faults)),
             tickets: AtomicU64::new(0),
-            quantum_dirty: AtomicBool::new(false),
             quantum_all: AtomicBool::new(false),
             cancelling: AtomicBool::new(false),
             queues: Mutex::new(Vec::new()),
@@ -552,7 +534,7 @@ pub(crate) fn run_process(shared: &Arc<Shared>, pid: Pid, baton: Arc<Baton<Go>>,
 
 /// Ends a deadlock-recovery victim whose unwind is complete. The unwind's
 /// guard effects (releases, poisons, wakes) are recorded as a forced
-/// bookkeeping quantum of the victim so the sleep-set walk sees them
+/// bookkeeping quantum of the victim so the race analysis sees them
 /// (`ready: None` keeps it out of the decision alignment); the victim
 /// leaves the blocked set, so the quantum parks.
 fn end_abort(shared: &Shared, st: &mut State, victim: Pid) {
@@ -625,9 +607,9 @@ pub struct SimReport {
     pub recovered: Vec<Pid>,
     /// Whether the run stayed within the contract of the explorers'
     /// equivalence prune (no timers, no process-visible clock reads, no
-    /// faults, no starvation watchdog). When `false`, every
-    /// [`Decision::pure`] bit has been forced to `false`, so explorers need
-    /// not consult this field separately.
+    /// faults, no starvation watchdog). When `false`, every footprint in
+    /// [`SimReport::quanta`] has been forced to [`Footprint::All`], so
+    /// explorers need not consult this field separately.
     pub prune_safe: bool,
     /// Run-anatomy counters (dispatches, parks/wakes by reason, queue
     /// high-water marks, per-mechanism sync ops, replay divergence).
@@ -670,19 +652,14 @@ impl SimReport {
 }
 
 fn snapshot(st: &mut State) -> SimReport {
-    let mut decisions = std::mem::take(&mut st.decisions);
+    let decisions = std::mem::take(&mut st.decisions);
     let mut quanta = std::mem::take(&mut st.quanta);
     if !st.prune_safe {
-        // A pure quantum commutes with its siblings only up to a one-tick
-        // shift of the intervening virtual times; once anything in the run
-        // was time-sensitive, no decision may be treated as prunable.
-        for d in &mut decisions {
-            d.pure = false;
-        }
-        // Same hardening for the footprint log: timers and faults act
-        // outside any quantum, so recorded footprints understate what a
-        // quantum's reordering could perturb. Forcing them to `All` makes
-        // the explorers' sleep-set analysis self-disable for this run.
+        // Timers and faults act outside any quantum, and a commuted quantum
+        // shifts the intervening virtual times, so recorded footprints
+        // understate what a quantum's reordering could perturb. Forcing
+        // them to `All` makes the explorers' race analysis request every
+        // sibling of this run.
         for q in &mut quanta {
             q.footprint = Footprint::All;
         }
@@ -752,12 +729,10 @@ struct Picked {
 /// established that `ready` is non-empty, the run is not terminal, and the
 /// step budget has room.
 fn pick_and_dispatch(st: &mut State) -> Picked {
-    let idx = if st.ready.len() == 1 {
-        st.cur_decided = false;
-        st.cur_sched_decision = None;
+    let contested = st.ready.len() > 1;
+    let idx = if !contested {
         0
     } else {
-        st.cur_decided = true;
         // The trait contract promises policies at least two candidates at
         // a contested dispatch; assert the kernel keeps that promise (the
         // len == 1 arm above handles the forced case, and an empty ready
@@ -774,7 +749,6 @@ fn pick_and_dispatch(st: &mut State) -> Picked {
             .policy
             .choose(&state.ready, step)
             .min(state.ready.len() - 1);
-        st.cur_sched_decision = Some(st.decisions.len());
         st.decisions.push(Decision::sched(arity, pick as u32));
         pick
     };
@@ -782,7 +756,7 @@ fn pick_and_dispatch(st: &mut State) -> Picked {
     // candidate list of a contested dispatch (index c is what sibling
     // choice c would have dispatched) and reset the per-quantum access
     // collection.
-    st.cur_ready = if st.cur_decided && st.record_quanta {
+    st.cur_ready = if contested && st.record_quanta {
         Some(st.ready.clone())
     } else {
         None
@@ -855,7 +829,6 @@ fn pick_and_dispatch(st: &mut State) -> Picked {
 /// Clears the per-quantum marks that processes set without the state lock,
 /// so the quantum about to run starts clean.
 fn reset_quantum_marks(shared: &Shared) {
-    shared.quantum_dirty.store(false, Ordering::Relaxed);
     shared.quantum_all.store(false, Ordering::Relaxed);
 }
 
@@ -878,35 +851,11 @@ fn hand_cpu(shared: &Arc<Shared>, next: Pid, baton: Arc<Baton<Go>>, pending: Opt
     }
 }
 
-/// The read-side of phase 3: classify the just-ended quantum's purity and
-/// record its footprint. `report` is `None` for a quantum ended by a
-/// panic. Consumes `cur_decided`/`cur_ready` (set at dispatch).
+/// The read-side of phase 3: record the just-ended quantum's footprint.
+/// `report` is `None` for a quantum ended by a panic. Consumes `cur_ready`
+/// (set at dispatch).
 fn account_stop(shared: &Shared, st: &mut State, pid: Pid, report: Option<&Report>) {
     st.running = None;
-    // Purity classification (see `Decision::pure`): the quantum must have
-    // touched nothing observable and stopped with a plain yield. A pure
-    // *finish* is also a stutter, except when daemons exist — deferring
-    // the last non-daemon's finish would give a daemon an extra quantum,
-    // which is an observably different schedule.
-    if st.cur_decided {
-        let dirty = shared.quantum_dirty.load(Ordering::Relaxed);
-        let pure = !dirty
-            && match report {
-                Some(Report::Yielded) => true,
-                Some(Report::Finished) => !st.procs.iter().any(|p| p.daemon),
-                _ => false,
-            };
-        if pure {
-            // Addressed by index, not `last_mut`: a `choose_value` call
-            // inside the quantum appends data decisions after the
-            // dispatch's entry (and itself marks the quantum dirty, so
-            // this branch is then unreachable — the index is still the
-            // only correct target).
-            if let Some(i) = st.cur_sched_decision {
-                st.decisions[i].pure = true;
-            }
-        }
-    }
     if st.record_quanta {
         let ready = st.cur_ready.take();
         let parked = matches!(
@@ -1296,8 +1245,8 @@ pub(crate) fn drive(shared: &Arc<Shared>) -> Result<SimReport, SimError> {
     let mut st = shared.state.lock();
     // Static prune-safety gate: fault plans reorder effects around kill
     // points and the starvation watchdog's verdicts depend on absolute
-    // wait ages, so both void the commutation argument behind
-    // `Decision::pure` for the whole run.
+    // wait ages, so both void the commutation argument behind the
+    // footprint log for the whole run.
     if st.faults.active() || st.starvation_bound.is_some() {
         st.prune_safe = false;
     }
@@ -1317,7 +1266,6 @@ pub(crate) fn drive(shared: &Arc<Shared>) -> Result<SimReport, SimError> {
     }
     shared.wait_jobs();
     let mut st = shared.state.lock();
-    st.metrics.loop_wakes += 1;
     let error = st.run_error.take();
     // Queue hygiene (the `park_timeout` stale-registration footgun): by
     // now every registration must be gone — removed by a wake, by timeout
@@ -1377,8 +1325,8 @@ mod tests {
                 });
                 let m = sim.run().expect("a lone sleeper finishes").metrics;
                 assert_eq!(
-                    (m.dispatches, m.self_resumes, m.loop_wakes),
-                    (k + 1, k + 1, 1),
+                    (m.dispatches, m.self_resumes),
+                    (k + 1, k + 1),
                     "k={k} watchdog={watchdog}"
                 );
             }
@@ -1405,12 +1353,11 @@ mod tests {
             Time(6),
             "dispatch, 4-tick wait, dispatch"
         );
-        assert_eq!((m.dispatches, m.self_resumes, m.loop_wakes), (2, 2, 1));
+        assert_eq!((m.dispatches, m.self_resumes), (2, 2));
     }
 
     /// The footprint marks skip their per-object bookkeeping while the log
-    /// is off, and still mark the quantum dirty (so `Decision::pure` does
-    /// not move) and count sync ops.
+    /// is off, and still count sync ops.
     #[test]
     fn marks_made_while_recording_is_off_leave_no_footprint() {
         for record in [false, true] {
@@ -1428,12 +1375,12 @@ mod tests {
                 assert!(!ctx.try_unpark(ctx.pid()));
                 let shared = ctx.shared();
                 let objs = shared.state.lock().quantum_objs.len();
-                *seen2.lock() = Some((objs, shared.quantum_dirty.load(Ordering::Relaxed)));
+                *seen2.lock() = Some(objs);
             });
             let report = sim.run().expect("the marker finishes");
             // `cell:x`, `ticket`, `trace` and `park:p0`.
             let objs = if record { 4 } else { 0 };
-            assert_eq!(*seen.lock(), Some((objs, true)), "record={record}");
+            assert_eq!(*seen.lock(), Some(objs), "record={record}");
             assert_eq!(report.quanta.len(), usize::from(record));
             assert_eq!(report.metrics.sync_ops["cell"], 1);
         }

@@ -7,11 +7,11 @@
 //! kernel, the policies, or the mechanisms — so two runs that differ only
 //! in who looks at the metrics are the same run. That guarantee is what
 //! lets the explorers assert byte-identical metrics across worker thread
-//! counts (`tests/parallel_explore.rs`). The three host-protocol counters,
-//! [`SimMetrics::self_resumes`], [`SimMetrics::loop_wakes`] and
-//! [`SimMetrics::shutdown_unwinds`], count how the kernel moved the CPU
-//! between OS threads and how it ended them rather than what the run did,
-//! so they are left out of exports and cross-mode comparisons.
+//! counts (`tests/parallel_explore.rs`). The two host-protocol counters,
+//! [`SimMetrics::self_resumes`] and [`SimMetrics::shutdown_unwinds`],
+//! count how the kernel moved the CPU between OS threads and how it ended
+//! them rather than what the run did, so they are left out of exports and
+//! cross-mode comparisons.
 //!
 //! All keyed counters use [`BTreeMap`] so that iteration order (and thus
 //! any report or export derived from the metrics) is deterministic.
@@ -85,8 +85,8 @@ pub struct SimMetrics {
     pub queue_high_water: BTreeMap<String, u64>,
     /// Synchronization operations reported by the mechanism crates through
     /// [`crate::Ctx::note_sync_op`], keyed by the mechanism label. Rides
-    /// the existing `note_sync` purity-instrumentation contract, so it
-    /// adds no new scheduling points.
+    /// the existing footprint instrumentation (`note_sync` and
+    /// `note_sync_obj`), so it adds no new scheduling points.
     pub sync_ops: BTreeMap<String, u64>,
     /// Per-process counters, indexed by pid.
     pub per_pid: Vec<PidMetrics>,
@@ -99,17 +99,14 @@ pub struct SimMetrics {
     /// called [`crate::Sim::run`] (so every run that dispatches counts at
     /// least one). A cost of the host protocol, not part of the schedule:
     /// not exported, and left out of cross-mode comparisons.
+    ///
+    /// The thread that called [`crate::Sim::run`] waits once for the run's
+    /// end, whatever ended it, so `dispatches - self_resumes + 1` counts
+    /// the run's OS hand-offs, except that it counts the end as one even
+    /// when the process on the calling thread ended the run, so that
+    /// thread found it over without a hand-off, and omits the wake of each
+    /// process that run end cancels on a pooled host.
     pub self_resumes: u64,
-    /// Times the thread driving the run ([`crate::Sim::run`]) waited for
-    /// the run's end: once per run, whatever ended it (completion,
-    /// deadlock, the step budget, a panic) and whatever faults or recovery
-    /// aborts happened on the way. `dispatches - self_resumes +
-    /// loop_wakes` counts the run's OS hand-offs, except that it counts
-    /// the end as one even when the process on the calling thread ended
-    /// the run, so that thread found it over without a hand-off, and omits
-    /// the wake of each process that run end cancels on a pooled host.
-    /// Same caveats as [`SimMetrics::self_resumes`].
-    pub loop_wakes: u64,
     /// Process bodies that ended by a shutdown unwind: a process still
     /// parked (or ready, or sleeping) at run end outside
     /// [`crate::Ctx::park_cancellable`] is cancelled by unwinding its host

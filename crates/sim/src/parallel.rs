@@ -12,21 +12,24 @@
 //!   canonical choice 0), and for every decision point the run
 //!   *discovered* — indices at or beyond the prefix length — pushes each
 //!   sibling branch `decisions[..i] ⧺ [c]`, `c ∈ 1..arity`, back onto the
-//!   frontier, minus the siblings the prune mode skips. Each leaf is
-//!   generated exactly once: by the prefix that ends at its last non-zero
-//!   choice.
+//!   frontier. Each leaf is generated exactly once: by the prefix that
+//!   ends at its last non-zero choice. Under [`PruneMode::Revisit`] a
+//!   run pushes only the fresh branches its races and symbolic value
+//!   classes request, at any index.
 //! * The run's outcome is mapped to a journal entry on the spot (outcomes
 //!   are never buffered whole — a 300k-schedule tree of full
 //!   [`SimReport`]s would not fit in memory) and appended to the worker's
 //!   own journal.
 //!
 //! **One worker is the serial order.** With one worker — the default —
-//! the engine runs inline on the caller's thread. Every prefix a run
-//! pushes extends the run's own decision vector, so the least prefix on
-//! the frontier is always the next leaf in depth-first order: the unpruned
-//! and granular modes visit the tree depth-first, and the revisit mode
-//! drains its worklist least-prefix-first. A budget of `k` therefore runs
-//! exactly the first `k` schedules of that order.
+//! the engine runs inline on the caller's thread. Unpruned, every prefix a
+//! run pushes extends the run's own decision vector, so the least prefix
+//! on the frontier is always the next leaf in depth-first order, and a
+//! budget of `k` runs exactly the first `k` schedules of that order. The
+//! revisit mode drains its worklist least-prefix-first; a race whose
+//! earlier quantum lies inside a run's prefix can request a branch that
+//! sorts before that run, so a budget cut there runs *some* `k`
+//! schedules, not necessarily the first `k` of the complete journal.
 //!
 //! Determinism is load-bearing in this repository, so the merge is
 //! canonical: per-worker journals are concatenated and sorted by the full
@@ -44,8 +47,7 @@
 
 use crate::error::SimError;
 use crate::explore::{
-    bump_depth, merge_conflicts, merge_depth, walk_run, ExploreConfig, ExploreError, ExploreStats,
-    PruneMode, SleepSet,
+    bump_depth, merge_conflicts, ExploreConfig, ExploreError, ExploreStats, PruneMode,
 };
 use crate::kernel::SimReport;
 use crate::policy::ReplayPolicy;
@@ -65,12 +67,10 @@ pub struct ScheduleRecord<T> {
     pub value: T,
 }
 
-/// Shared frontier of unexplored branch prefixes, each carrying the sleep
-/// set its run inherits (the branched-from node's `child_sleep` — see
-/// [`crate::explore`]'s module docs; empty outside the granular mode).
+/// Shared frontier of unexplored branch prefixes.
 struct Frontier {
-    /// Keyed by prefix, so `pop_first` takes the least one.
-    pending: BTreeMap<Vec<u32>, SleepSet>,
+    /// Ordered by prefix, so `pop_first` takes the least one.
+    pending: BTreeSet<Vec<u32>>,
     /// Workers currently expanding a popped prefix (may push more work).
     active: usize,
     /// Workers blocked in [`Coordinator::pop`]: the only ones a change to
@@ -89,7 +89,7 @@ impl Coordinator {
     fn new() -> Self {
         Coordinator {
             frontier: Mutex::new(Frontier {
-                pending: BTreeMap::from([(Vec::new(), SleepSet::default())]),
+                pending: BTreeSet::from([Vec::new()]),
                 active: 0,
                 waiting: 0,
                 stop: false,
@@ -101,15 +101,15 @@ impl Coordinator {
     /// Pops the least prefix and counts its worker active; `None` once
     /// `stop` is raised, or once no work exists and nobody is expanding
     /// (an active worker may still push more).
-    fn pop(&self) -> Option<(Vec<u32>, SleepSet)> {
+    fn pop(&self) -> Option<Vec<u32>> {
         let mut f = self.frontier.lock();
         loop {
             if f.stop {
                 return None;
             }
-            if let Some(entry) = f.pending.pop_first() {
+            if let Some(prefix) = f.pending.pop_first() {
                 f.active += 1;
-                return Some(entry);
+                return Some(prefix);
             }
             if f.active == 0 {
                 return None;
@@ -185,9 +185,6 @@ struct RevisitShared {
 /// across worker counts.
 #[derive(Default)]
 struct Tally {
-    /// The prune histogram of the sleep-set mode (the revisit mode settles
-    /// its own from [`RevisitShared`] at the end).
-    depth_pruned: Vec<usize>,
     conflicts: BTreeMap<String, u64>,
     /// Race-derived branch requests, including already-scheduled
     /// duplicates (see [`ExploreStats::revisit_requests`]).
@@ -210,7 +207,6 @@ impl Tally {
     }
 
     fn merge(&mut self, other: Tally) {
-        merge_depth(&mut self.depth_pruned, &other.depth_pruned);
         merge_conflicts(&mut self.conflicts, &other.conflicts);
         self.revisit_requests += other.revisit_requests;
         self.sym_requests += other.sym_requests;
@@ -279,7 +275,7 @@ where
     // In revisit mode the prune histogram is settled now: every sibling of
     // every discovered contested node that was never granted is a pruned
     // branch at that node's depth. (A granted-but-unexecuted branch under
-    // a budget cut is neither executed nor pruned.)
+    // a budget cut is neither executed nor pruned.) Unpruned, nothing is.
     let (depth_pruned, revisits, sym_grants) = match shared.revisit {
         Some(revisit) => {
             let rs = revisit.into_inner();
@@ -304,7 +300,7 @@ where
             }
             (depth_pruned, revisits, sym_grants)
         }
-        None => (tally.depth_pruned, 0, 0),
+        None => (Vec::new(), 0, 0),
     };
     let stats = ExploreStats {
         schedules: journal.len(),
@@ -341,8 +337,8 @@ where
 {
     let mut journal = Vec::new();
     let mut tally = Tally::default();
-    let mut fresh: Vec<(Vec<u32>, SleepSet)> = Vec::new();
-    while let Some((prefix, inherited)) = sync.pop() {
+    let mut fresh: Vec<Vec<u32>> = Vec::new();
+    while let Some(prefix) = sync.pop() {
         let _guard = ActiveGuard { sync };
         // Claim a budget slot *before* running: exactly
         // min(budget, tree) schedules execute, deterministically.
@@ -360,8 +356,8 @@ where
 
         let mut sim = setup();
         sim.set_policy(ReplayPolicy::prefix(prefix.clone()));
-        if config.mode.is_some() {
-            // Both prune modes read the footprint log.
+        if shared.revisit.is_some() {
+            // The race analysis reads the footprint log.
             sim.set_record_quanta(true);
         }
         let result = sim.run();
@@ -394,7 +390,7 @@ where
         // Expand the decision points this run discovered. Points below
         // the prefix length were expanded by the run that discovered the
         // prefix; the rest are seen here first, with the canonical choice
-        // 0, which is what licenses the prune checks.
+        // 0.
         if let Some(revisit) = &shared.revisit {
             // Race-driven expansion: analyse this run for reversible
             // races, register the nodes it discovered, and schedule
@@ -425,7 +421,7 @@ where
                 let branch = sibling(&choices, i, c);
                 if rs.scheduled.insert(branch.clone()) {
                     bump_depth(&mut rs.granted, i, 1);
-                    fresh.push((branch, SleepSet::default()));
+                    fresh.push(branch);
                 }
             }
             // Symbolic collapse over the run's data decisions: each
@@ -450,7 +446,7 @@ where
                     let branch = sibling(&choices, i, c);
                     if rs.scheduled.insert(branch.clone()) {
                         bump_depth(&mut rs.data_granted, i, 1);
-                        fresh.push((branch, SleepSet::default()));
+                        fresh.push(branch);
                     }
                 }
             }
@@ -459,54 +455,19 @@ where
                 report.data_choices.len(),
                 "data decision/choice drift"
             );
-        } else if config.mode.is_some() {
-            // The sleep-set walk over the footprint log supplies the
-            // per-node prune facts.
-            let infos = walk_run(
-                decisions,
-                &report.quanta,
-                prefix.len(),
-                &inherited,
-                &mut tally.conflicts,
-            );
-            if prefix.len() + infos.len() < decisions.len() {
-                // The walk cut this run (see `walk_run`): count the
-                // abandoned canonical continuation as one pruned
-                // branch; nodes past the cut are never expanded.
-                bump_depth(&mut tally.depth_pruned, prefix.len() + infos.len() - 1, 1);
-            }
-            for (j, info) in infos.iter().enumerate() {
-                let i = prefix.len() + j;
-                let d = decisions[i];
-                debug_assert_eq!(d.chosen, 0, "past-prefix replay takes choice 0");
-                if d.arity <= 1 {
-                    continue;
-                }
-                if info.pure {
-                    bump_depth(&mut tally.depth_pruned, i, d.arity as usize - 1);
-                    continue;
-                }
-                for c in 1..d.arity {
-                    if info.asleep[c as usize] {
-                        bump_depth(&mut tally.depth_pruned, i, 1);
-                        continue;
-                    }
-                    fresh.push((sibling(&choices, i, c), info.child_sleep.clone()));
-                }
-            }
         } else {
             for (i, d) in decisions.iter().enumerate().skip(prefix.len()) {
                 debug_assert_eq!(d.chosen, 0, "past-prefix replay takes choice 0");
                 for c in 1..d.arity {
-                    fresh.push((sibling(&choices, i, c), SleepSet::default()));
+                    fresh.push(sibling(&choices, i, c));
                 }
             }
         }
         if !fresh.is_empty() {
             sync.update(|f| {
-                for (branch, sleep) in fresh.drain(..) {
-                    let dup = f.pending.insert(branch, sleep);
-                    debug_assert!(dup.is_none(), "a branch was pushed twice");
+                for branch in fresh.drain(..) {
+                    let fresh = f.pending.insert(branch);
+                    debug_assert!(fresh, "a branch was pushed twice");
                 }
             });
         }
@@ -620,7 +581,7 @@ mod tests {
             });
             sim
         };
-        let config = ExploreConfig::new(100_000).mode(PruneMode::Granular);
+        let config = ExploreConfig::new(100_000).mode(PruneMode::Revisit);
         let (serial, serial_stats) = config.run(scenario, |_, result| trace_of(result));
         assert!(serial_stats.pruned > 0, "scenario must actually prune");
         let (full, _) = ExploreConfig::new(100_000).run(scenario, |_, result| trace_of(result));
@@ -644,73 +605,57 @@ mod tests {
         }
     }
 
-    /// The sleep-set layer (disjoint objects, no pure stutters) must also
-    /// produce byte-identical pruned trees for every thread count.
-    #[test]
-    fn sleep_set_prune_matches_serial_for_every_thread_count() {
-        let scenario = || {
-            let mut sim = Sim::new();
-            let qa = Arc::new(crate::waitq::WaitQueue::new("qa"));
-            let qb = Arc::new(crate::waitq::WaitQueue::new("qb"));
-            sim.spawn("a", move |ctx| {
-                qa.wake_one(ctx);
-                ctx.yield_now();
-                qa.wake_one(ctx);
-                ctx.yield_now();
-                ctx.emit("a", &[]);
-            });
-            sim.spawn("b", move |ctx| {
-                qb.wake_one(ctx);
-                ctx.yield_now();
-                qb.wake_one(ctx);
-                ctx.yield_now();
-                ctx.emit("b", &[]);
-            });
-            sim
-        };
-        let config = ExploreConfig::new(100_000).mode(PruneMode::Granular);
-        let (serial, serial_stats) = config.run(scenario, |_, result| trace_of(result));
-        assert!(serial_stats.pruned > 0, "sleep sets must prune here");
-        for threads in [1, 2, 4, 8] {
-            let (journal, stats) = config
-                .clone()
-                .threads(threads)
-                .run(scenario, |_, result| trace_of(result));
-            assert_eq!(stats.schedules, serial_stats.schedules);
-            assert_eq!(stats.pruned, serial_stats.pruned);
-            assert_eq!(stats.depth_pruned, serial_stats.depth_pruned);
-            assert_eq!(stats.conflicts, serial_stats.conflicts);
-            assert_eq!(journal, serial, "pruned trees must be identical");
-        }
+    /// Work on disjoint queues: the footprints commute, the emits race.
+    fn disjoint_queues() -> Sim {
+        let mut sim = Sim::new();
+        let qa = Arc::new(crate::waitq::WaitQueue::new("qa"));
+        let qb = Arc::new(crate::waitq::WaitQueue::new("qb"));
+        sim.spawn("a", move |ctx| {
+            qa.wake_one(ctx);
+            ctx.yield_now();
+            qa.wake_one(ctx);
+            ctx.yield_now();
+            ctx.emit("a", &[]);
+        });
+        sim.spawn("b", move |ctx| {
+            qb.wake_one(ctx);
+            ctx.yield_now();
+            qb.wake_one(ctx);
+            ctx.yield_now();
+            ctx.emit("b", &[]);
+        });
+        sim
+    }
+
+    /// A shared queue beside a private one: the shared queue races.
+    fn shared_queue() -> Sim {
+        let mut sim = Sim::new();
+        let shared = Arc::new(crate::waitq::WaitQueue::new("shared"));
+        let qa = Arc::new(crate::waitq::WaitQueue::new("qa"));
+        let s1 = Arc::clone(&shared);
+        sim.spawn("a", move |ctx| {
+            qa.wake_one(ctx);
+            ctx.yield_now();
+            s1.wake_one(ctx);
+            ctx.emit("a", &[]);
+        });
+        let s2 = Arc::clone(&shared);
+        sim.spawn("b", move |ctx| {
+            s2.wake_one(ctx);
+            ctx.yield_now();
+            ctx.emit("b", &[]);
+        });
+        sim
     }
 
     /// The revisit mode's executed set is a fixed point of the race
     /// analysis, so every thread count must produce the identical journal
     /// and identical stats.
-    #[test]
-    fn revisit_matches_serial_for_every_thread_count() {
-        let scenario = || {
-            let mut sim = Sim::new();
-            let shared = Arc::new(crate::waitq::WaitQueue::new("shared"));
-            let qa = Arc::new(crate::waitq::WaitQueue::new("qa"));
-            let s1 = Arc::clone(&shared);
-            sim.spawn("a", move |ctx| {
-                qa.wake_one(ctx);
-                ctx.yield_now();
-                s1.wake_one(ctx);
-                ctx.emit("a", &[]);
-            });
-            let s2 = Arc::clone(&shared);
-            sim.spawn("b", move |ctx| {
-                s2.wake_one(ctx);
-                ctx.yield_now();
-                ctx.emit("b", &[]);
-            });
-            sim
-        };
+    fn assert_revisit_matches_serial(scenario: fn() -> Sim) {
         let config = ExploreConfig::new(100_000).mode(PruneMode::Revisit);
         let (serial, serial_stats) = config.run(scenario, |_, result| trace_of(result));
-        assert!(serial_stats.revisits > 0, "the shared queue must race");
+        assert!(serial_stats.pruned > 0, "the prune must skip something");
+        assert!(serial_stats.revisits > 0, "the emits must race");
         for threads in [1, 2, 4, 8] {
             let (journal, stats) = config
                 .clone()
@@ -724,6 +669,16 @@ mod tests {
             assert_eq!(stats.revisits, serial_stats.revisits);
             assert_eq!(journal, serial, "revisit trees must be identical");
         }
+    }
+
+    #[test]
+    fn revisit_matches_serial_for_every_thread_count() {
+        assert_revisit_matches_serial(shared_queue);
+    }
+
+    #[test]
+    fn disjoint_work_prune_matches_serial_for_every_thread_count() {
+        assert_revisit_matches_serial(disjoint_queues);
     }
 
     /// A schedule-dependent deadlock must not panic the workers; the

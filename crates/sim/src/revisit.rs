@@ -1,13 +1,10 @@
-//! Race-driven revisit planning for the near-optimal DPOR prune mode.
+//! Race-driven revisit planning for the DPOR prune mode.
 //!
-//! The `granular` sleep-set prune (DESIGN.md §2.10) expands *every*
-//! sibling of every contested decision and then prunes the ones whose
-//! dispatched process is asleep. That forward expansion is the fat the
-//! `revisit` mode removes: instead of branching eagerly, each executed run
-//! is analysed for **reversible races** — pairs of quanta by different
-//! processes whose footprints conflict and that no third quantum orders —
-//! and only the sibling branches that *reverse a detected race* are
-//! scheduled. A sibling never named by any race commutes, footprint-wise,
+//! Instead of branching at every sibling of every contested decision,
+//! each executed run is analysed for **reversible races** — pairs of
+//! quanta by different processes whose footprints conflict and that no
+//! third quantum orders — and only the sibling branches that *reverse a
+//! detected race* are scheduled. A sibling never named by any race commutes, footprint-wise,
 //! with everything the canonical subtree already executes, so its whole
 //! subtree is Mazurkiewicz-equivalent to explored schedules and is counted
 //! as pruned without ever running.

@@ -38,7 +38,7 @@ pub struct SimConfig {
     pub deadlock_recovery: bool,
     /// Whether per-dispatch access footprints are recorded in
     /// [`crate::SimReport::quanta`]. Off by default: only the exploration
-    /// prune modes read the log, and they turn it on themselves. Turn it
+    /// prune mode reads the log, and it turns it on itself. Turn it
     /// on to inspect the footprints of an unpruned run. Off, the
     /// footprint marks of [`Ctx`] skip their per-object bookkeeping and a
     /// run allocates no log.

@@ -32,7 +32,6 @@ use crate::trace::{Decision, EventKind};
 use crate::types::Pid;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// One of the six integer comparisons a [`SymValue`] can record.
@@ -281,10 +280,6 @@ pub(crate) fn choose(
         }
         (value, slot)
     };
-    // A contested data decision is an observable effect of its quantum —
-    // it extends the decision vector — so the quantum must never be
-    // treated as a pure stutter or commuted across siblings.
-    shared.quantum_dirty.store(true, Ordering::Relaxed);
     SymValue {
         shared: Arc::clone(shared),
         slot: Some(slot),

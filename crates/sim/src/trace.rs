@@ -130,39 +130,25 @@ pub struct Decision {
     /// Index (into the ready list in enqueue order, or into the value
     /// domain in ascending order) that was taken.
     pub chosen: u32,
-    /// Whether the quantum this decision dispatched was *observably pure*:
-    /// it performed no kernel-visible operation (no emit, unpark, ticket,
-    /// clock read, spawn, …), no mechanism marked synchronization state as
-    /// touched via [`crate::Ctx::note_sync`], and the process stopped with a
-    /// plain yield (or finished, in a daemon-free simulation) — and the run
-    /// as a whole stayed prune-safe (no timers, no faults, no starvation
-    /// watchdog). A pure quantum is a stutter step: scheduling it earlier
-    /// or later commutes with every other process, which is what licenses
-    /// the sibling prune of [`crate::PruneMode::Granular`]. Replay
-    /// ignores this field. Data decisions are never pure: observing a
-    /// value is the point of making one.
-    pub pure: bool,
     /// Whether this is a scheduler pick or a data pick.
     pub kind: DecisionKind,
 }
 
 impl Decision {
-    /// A scheduler decision (contested dispatch), initially impure.
+    /// A scheduler decision (contested dispatch).
     pub fn sched(arity: u32, chosen: u32) -> Self {
         Decision {
             arity,
             chosen,
-            pure: false,
             kind: DecisionKind::Sched,
         }
     }
 
-    /// A data decision ([`crate::Ctx::choose_value`]), always impure.
+    /// A data decision ([`crate::Ctx::choose_value`]).
     pub fn data(arity: u32, chosen: u32) -> Self {
         Decision {
             arity,
             chosen,
-            pure: false,
             kind: DecisionKind::Data,
         }
     }

@@ -260,9 +260,6 @@ fn kill_point_explorer_covers_schedules_and_points() {
         },
         |_point, _decisions, result| {
             let report = result.as_ref().expect("no deadlock possible here");
-            // The victim unwinds from its own stop and its host hands the
-            // CPU on: the thread driving the run wakes only at the end.
-            assert_eq!(report.metrics.loop_wakes, 1);
             !report.killed().is_empty()
         },
     );

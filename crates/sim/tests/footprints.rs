@@ -1,4 +1,4 @@
-//! The footprint log is recorded on request: the prune modes ask for it,
+//! The footprint log is recorded on request: the prune mode asks for it,
 //! and so may a caller; a run nobody asked for it pays nothing.
 
 #![deny(deprecated)]
@@ -7,7 +7,7 @@ use bloom_sim::{Access, ExploreConfig, ObjId, PruneMode, Sim};
 
 /// Three processes that each write an object of their own, then touch a
 /// shared one (`p0` writes it, the others read it) and emit: independent
-/// enough for both prune modes to prune, conflicting enough to branch.
+/// enough for the prune to skip branches, conflicting enough to branch.
 /// `record` is what the setup asks of the footprint log (`None`: nothing).
 fn scenario(record: Option<bool>) -> Sim {
     let mut sim = Sim::new();
@@ -44,27 +44,25 @@ fn a_run_that_asks_records_one_footprint_per_dispatch() {
     assert_eq!(contested.count(), report.decisions.len());
 }
 
-/// A prune mode turns the log on after the setup ran, so a setup that
+/// The prune mode turns the log on after the setup ran, so a setup that
 /// turns it off changes neither the schedules nor the stats.
 #[test]
 fn prune_modes_record_footprints_whatever_the_setup_asked() {
-    for mode in [PruneMode::Granular, PruneMode::Revisit] {
-        let explore = |record: Option<bool>| {
-            let (journal, stats) = ExploreConfig::new(usize::MAX).mode(mode).run(
-                move || scenario(record),
-                |_, result| result.as_ref().expect("clean").quanta.len(),
-            );
-            let runs: Vec<(Vec<u32>, usize)> =
-                journal.into_iter().map(|r| (r.choices, r.value)).collect();
-            (runs, format!("{stats:?}"), stats.pruned)
-        };
-        let (left_on, stats_on, pruned) = explore(None);
-        let (set_off, stats_off, _) = explore(Some(false));
-        assert_eq!(left_on, set_off, "{mode:?}: schedules differ");
-        assert_eq!(stats_on, stats_off, "{mode:?}: stats differ");
-        assert!(left_on.iter().all(|(_, quanta)| *quanta > 0), "{mode:?}");
-        assert!(pruned > 0, "{mode:?}: the footprints license no prune");
-    }
+    let explore = |record: Option<bool>| {
+        let (journal, stats) = ExploreConfig::new(usize::MAX).mode(PruneMode::Revisit).run(
+            move || scenario(record),
+            |_, result| result.as_ref().expect("clean").quanta.len(),
+        );
+        let runs: Vec<(Vec<u32>, usize)> =
+            journal.into_iter().map(|r| (r.choices, r.value)).collect();
+        (runs, format!("{stats:?}"), stats.pruned)
+    };
+    let (left_on, stats_on, pruned) = explore(None);
+    let (set_off, stats_off, _) = explore(Some(false));
+    assert_eq!(left_on, set_off, "schedules differ");
+    assert_eq!(stats_on, stats_off, "stats differ");
+    assert!(left_on.iter().all(|(_, quanta)| *quanta > 0));
+    assert!(pruned > 0, "the footprints license no prune");
 }
 
 /// An unpruned exploration leaves the log to the setup: the map sees one

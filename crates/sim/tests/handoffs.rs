@@ -1,7 +1,7 @@
 //! How a run starts and ends, and its exact host hand-off counts.
 //!
-//! A run performs `dispatches - self_resumes + loop_wakes` OS hand-offs
-//! (see `SimMetrics`), counting its end as one. The first process runs on
+//! A run performs `dispatches - self_resumes + 1` OS hand-offs (see
+//! `SimMetrics::self_resumes`), counting its end as one. The first process runs on
 //! the thread that called `Sim::run`, so its dispatch is a self-resume.
 //! Kills, spurious and delayed wakes, deadlock recovery aborts and the
 //! run's end all happen on the threads of the processes involved, so the
@@ -17,10 +17,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-/// `(dispatches, self_resumes, loop_wakes)` of a run, and the run. The run
+/// `(dispatches, self_resumes)` of a run, and the run. The run
 /// gets a thread of its own, so a run end that waits for a body that never
 /// ends fails the test instead of hanging it.
-fn handoffs(sim: Sim) -> ((u64, u64, u64), Result<SimReport, SimError>) {
+fn handoffs(sim: Sim) -> ((u64, u64), Result<SimReport, SimError>) {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let _ = tx.send(sim.run());
@@ -32,7 +32,7 @@ fn handoffs(sim: Sim) -> ((u64, u64, u64), Result<SimReport, SimError>) {
         Ok(report) => &report.metrics,
         Err(err) => &err.report.metrics,
     };
-    ((m.dispatches, m.self_resumes, m.loop_wakes), result)
+    ((m.dispatches, m.self_resumes), result)
 }
 
 /// A body that parks in the cancellable form until the run's end cancels
@@ -76,7 +76,7 @@ fn kill_at_a_yield_hands_the_cpu_on_from_the_victim() {
     let report = result.expect("the peer finishes");
     assert_eq!(report.killed(), vec![Pid(0)]);
     assert_eq!(report.trace.count_user("never"), 0);
-    assert_eq!(counts, (3, 2, 1));
+    assert_eq!(counts, (3, 2));
 }
 
 /// A kill at a park unwinds before the park is applied: the victim's
@@ -97,7 +97,7 @@ fn kill_while_parked_dequeues_and_hands_the_cpu_on() {
     let report = result.expect("the peer finishes");
     assert_eq!(report.killed(), vec![Pid(0)]);
     assert!(q.is_empty());
-    assert_eq!(counts, (3, 2, 1));
+    assert_eq!(counts, (3, 2));
 }
 
 /// A spurious wake readies a lone plain park at its own stop, so the
@@ -114,7 +114,7 @@ fn spurious_wake_on_a_lone_park_self_resumes_then_deadlocks() {
     let spurious = err.report.trace.events().iter();
     let spurious = spurious.filter(|e| e.kind == EventKind::SpuriousWake);
     assert_eq!(spurious.count(), 1);
-    assert_eq!(counts, (2, 2, 1));
+    assert_eq!(counts, (2, 2));
 }
 
 /// A delayed wake turns the unpark into a sleep; the waker's finish
@@ -138,7 +138,7 @@ fn delayed_wake_is_dispatched_by_the_finishing_waker() {
         Time(9),
         "woken at 3, resumed at 3 + 5 + 1"
     );
-    assert_eq!(counts, (4, 2, 1));
+    assert_eq!(counts, (4, 2));
 }
 
 /// Deadlock recovery picks the stopping process itself: it unwinds at
@@ -163,7 +163,7 @@ fn recovery_abort_of_the_stopping_process_unwinds_it_at_once() {
     assert_eq!(report.recovered, vec![Pid(1)]);
     assert_eq!(report.trace.count_user("resumed"), 1);
     assert_eq!(report.processes[1].status, ProcessStatus::Cancelled);
-    assert_eq!(counts, (3, 1, 1));
+    assert_eq!(counts, (3, 1));
 }
 
 /// Deadlock recovery picks a process other than the one that found
@@ -181,7 +181,7 @@ fn recovery_abort_of_another_process_is_sent_to_it() {
     assert_eq!(report.recovered, vec![Pid(0)]);
     assert_eq!(report.processes[0].status, ProcessStatus::Cancelled);
     assert_eq!(report.processes[1].status, ProcessStatus::Finished);
-    assert_eq!(counts, (3, 2, 1));
+    assert_eq!(counts, (3, 2));
 }
 
 /// The first process dispatched runs on the thread that called
@@ -209,7 +209,7 @@ fn the_first_body_runs_on_the_callers_thread_and_later_ones_on_hosts() {
         assert_ne!(*id, caller, "{pid} runs on a host");
         assert!(name.starts_with("sim-host-"), "{pid} runs on {name:?}");
     }
-    assert_eq!((m.dispatches, m.self_resumes, m.loop_wakes), (6, 1, 1));
+    assert_eq!((m.dispatches, m.self_resumes), (6, 1));
 }
 
 /// A clean end with a daemon parked in the cancellable park: the client's
@@ -229,7 +229,7 @@ fn clean_end_cancels_a_parked_daemon_by_return() {
         [ProcessStatus::Finished, ProcessStatus::Cancelled]
     );
     assert_eq!(report.metrics.shutdown_unwinds, 0);
-    assert_eq!(counts, (3, 1, 1));
+    assert_eq!(counts, (3, 1));
 }
 
 /// A deadlock of two parked non-daemons ends at the second park, which
@@ -250,7 +250,7 @@ fn deadlock_cancels_every_parked_process_once() {
         [ProcessStatus::Cancelled, ProcessStatus::Cancelled]
     );
     assert_eq!(err.report.metrics.shutdown_unwinds, 0);
-    assert_eq!(counts, (2, 1, 1));
+    assert_eq!(counts, (2, 1));
 }
 
 /// The step budget runs out at a live yielder's stop: the yielder, which
@@ -279,7 +279,7 @@ fn max_steps_cancels_the_live_yielder_and_the_parked_daemon() {
         [ProcessStatus::Cancelled, ProcessStatus::Cancelled]
     );
     assert_eq!(err.report.metrics.shutdown_unwinds, 1);
-    assert_eq!(counts, (5, 4, 1));
+    assert_eq!(counts, (5, 4));
 }
 
 /// A panic in the process on the caller's thread ends the run there and
@@ -302,7 +302,7 @@ fn panic_on_the_callers_thread_cancels_a_parked_daemon() {
     assert_eq!(cancels.load(Ordering::SeqCst), 1);
     assert_eq!(err.report.processes[1].status, ProcessStatus::Cancelled);
     assert_eq!(err.report.metrics.shutdown_unwinds, 0);
-    assert_eq!(counts, (3, 1, 1));
+    assert_eq!(counts, (3, 1));
 }
 
 /// A panic in a pooled process ends the run on its host and cancels the
@@ -322,7 +322,7 @@ fn panic_on_a_host_cancels_the_process_on_the_callers_thread() {
     assert_eq!(cancels.load(Ordering::SeqCst), 1);
     assert_eq!(err.report.processes[0].status, ProcessStatus::Cancelled);
     assert_eq!(err.report.metrics.shutdown_unwinds, 0);
-    assert_eq!(counts, (2, 1, 1));
+    assert_eq!(counts, (2, 1));
 }
 
 /// A daemon that panics when run end cancels it does not end the run a
@@ -342,5 +342,5 @@ fn a_panic_after_cancellation_leaves_the_run_end_alone() {
         report.processes[1].status,
         ProcessStatus::Panicked { .. }
     ));
-    assert_eq!(counts, (3, 1, 1));
+    assert_eq!(counts, (3, 1));
 }

@@ -78,7 +78,7 @@ struct Case {
 
 /// Half the cases have no watchdog, half no kill point, and half no
 /// timed op (sleeps become yields and timed waits plain wakes), so that
-/// enough runs stay prune-safe for their pure bits to be predicted.
+/// runs with none of the three stay common.
 fn case() -> impl Strategy<Value = Case> {
     let program = prop::collection::vec(prop::collection::vec(op(), 0..6), 1..5);
     let kill = prop_oneof![Just(None), (0usize..4, 1u64..5).prop_map(Some)];
@@ -280,16 +280,11 @@ mod oracle {
         q: VecDeque<usize>,
         gate: VecDeque<usize>,
         permits: u32,
-        /// Whether the running quantum did anything observable.
-        dirty: bool,
-        /// The running quantum's decision, if its dispatch was contested.
-        decided: Option<usize>,
         policy: RandomPolicy,
         events: Vec<Event>,
         decisions: Vec<Decision>,
         starvation: Vec<StarvationFlag>,
         recovered: Vec<Pid>,
-        prune_safe: bool,
         bound: Option<u64>,
         recovery: bool,
         kill: Option<(usize, u64)>,
@@ -328,14 +323,11 @@ mod oracle {
             q: VecDeque::new(),
             gate: VecDeque::new(),
             permits: 0,
-            dirty: false,
-            decided: None,
             policy: RandomPolicy::new(case.seed),
             events: Vec::new(),
             decisions: Vec::new(),
             starvation: Vec::new(),
             recovered: Vec::new(),
-            prune_safe: case.bound == 0 && case.kill.is_none(),
             bound: (case.bound > 0).then_some(case.bound),
             recovery: case.recovery,
             kill: case.kill,
@@ -357,11 +349,6 @@ mod oracle {
                 Next::End(error) => break error,
             }
         };
-        if !o.prune_safe {
-            for d in &mut o.decisions {
-                d.pure = false;
-            }
-        }
         // Shutdown cancels every process still live.
         let statuses = o
             .procs
@@ -425,16 +412,13 @@ mod oracle {
                 return Next::End(Some(SimErrorKind::MaxStepsExceeded { limit: MAX_STEPS }));
             }
             let idx = if self.ready.len() == 1 {
-                self.decided = None;
                 0
             } else {
                 let pids: Vec<Pid> = self.ready.iter().map(|&i| Pid(i as u32)).collect();
                 let pick = self.policy.choose(&pids, self.step).min(pids.len() - 1);
-                self.decided = Some(self.decisions.len());
                 self.decisions.push(Decision {
                     arity: pids.len() as u32,
                     chosen: pick as u32,
-                    pure: false,
                     kind: DecisionKind::Sched,
                 });
                 pick
@@ -502,7 +486,6 @@ mod oracle {
 
         /// Runs `pid` from where it stopped to its next stop.
         fn run(&mut self, pid: usize) {
-            self.dirty = false;
             match self.procs[pid].resume {
                 Resume::Next | Resume::Acquire => {}
                 Resume::TimedWait => {
@@ -510,7 +493,6 @@ mod oracle {
                     if !woken {
                         self.q.retain(|&w| w != pid);
                     }
-                    self.dirty = true;
                     self.event(
                         pid,
                         EventKind::User {
@@ -538,17 +520,14 @@ mod oracle {
                     }
                     Op::TimedWait(ticks) => {
                         p.resume = Resume::TimedWait;
-                        self.dirty = true;
                         self.q.push_back(pid);
                         break Stop::TimedPark("q", ticks);
                     }
                     Op::Wake => {
                         p.pc += 1;
-                        self.dirty = true;
                         self.wake_front(pid, false);
                     }
                     Op::Acquire => {
-                        self.dirty = true;
                         if self.permits > 0 {
                             self.permits -= 1;
                             p.pc += 1;
@@ -560,7 +539,6 @@ mod oracle {
                     }
                     Op::Release => {
                         p.pc += 1;
-                        self.dirty = true;
                         self.permits += 1;
                         self.wake_front(pid, true);
                     }
@@ -603,11 +581,6 @@ mod oracle {
                     },
                 );
             }
-            if let Some(i) = self.decided {
-                if !self.dirty && matches!(stop, Stop::Yield | Stop::Finish) {
-                    self.decisions[i].pure = true;
-                }
-            }
             if stop != Stop::Finish && self.kill.is_some_and(|(victim, _)| victim == pid) {
                 let p = &mut self.procs[pid];
                 p.stops += 1;
@@ -646,7 +619,6 @@ mod oracle {
                 }
                 Stop::Sleep(ticks) => {
                     p.status = Status::Sleeping;
-                    self.prune_safe = false;
                     self.add_timer(ticks, pid, None);
                     self.event(
                         pid,
@@ -658,7 +630,6 @@ mod oracle {
                 Stop::Park(_) => {}
                 Stop::TimedPark(_, ticks) => {
                     let token = p.park_token;
-                    self.prune_safe = false;
                     self.add_timer(ticks, pid, Some(token));
                 }
                 Stop::Finish => {
@@ -686,14 +657,12 @@ proptest! {
     /// The kernel runs random programs of yields, sleeps, timed waits and
     /// wakes, and re-park loops, with or without the starvation watchdog,
     /// a kill point and deadlock recovery, exactly as the single-threaded
-    /// [`oracle`] predicts: the same error, trace, decisions (pure bits
-    /// included), starvation flags, recovered victims, statuses and
-    /// clock. Whatever the faults, the thread driving the run wakes once.
+    /// [`oracle`] predicts: the same error, trace, decisions, starvation
+    /// flags, recovered victims, statuses and clock.
     #[test]
     fn kernel_matches_single_threaded_oracle(case in case()) {
         let result = run_program(&case);
         prop_assert_eq!(observed(&result), oracle::predict(&case));
-        prop_assert_eq!(report_of(&result).metrics.loop_wakes, 1);
     }
 }
 

@@ -10,9 +10,9 @@
 //! the worst case for any scheme whose merged order could depend on which
 //! worker got which subtree.
 //!
-//! The one inline worker is the serial order itself: under a budget cut
-//! it runs exactly the first schedules of the complete depth-first
-//! journal.
+//! The one inline worker is the serial order itself: unpruned, under a
+//! budget cut it runs exactly the first schedules of the complete
+//! depth-first journal.
 
 #![deny(deprecated)]
 
@@ -123,32 +123,25 @@ fn parallel_matches_serial_on_recovery_tree_at_every_thread_count() {
     }
 }
 
-/// The revisit prune on the recovery tree: strictly fewer schedules than
-/// the granular prune, byte-identical journals (decision vectors,
-/// verdicts, metrics, export hashes) across one inline worker and 1/2/4/8
-/// worker threads, and every returned
-/// [`ExploreStats`] passing its own accounting cross-check — the
-/// regression net for the prune-tally drift this mode's bookkeeping
-/// replaced (`depth_pruned` is settled from discovered-sibling capacity
-/// minus grants, not incremented ad hoc).
+/// The revisit prune on the recovery tree: exactly 243 of the tree's 492
+/// schedules (the count is deterministic, so a change to it must be
+/// deliberate), byte-identical journals (decision vectors, verdicts,
+/// metrics, export hashes) across one inline worker and 1/2/4/8 worker
+/// threads, and every returned [`ExploreStats`] passing its own
+/// accounting cross-check — the regression net for prune-tally drift
+/// (`depth_pruned` is settled from discovered-sibling capacity minus
+/// grants, not incremented ad hoc).
 #[test]
-fn revisit_matches_serial_and_beats_granular_on_recovery_tree() {
+fn revisit_matches_serial_on_recovery_tree() {
     let mech = LiveMechanism::SemaphoreStrong;
-    let (_, granular_stats) = ExploreConfig::new(BUDGET)
-        .mode(PruneMode::Granular)
-        .run(|| deadlock_recovery_sim(mech), |_, _| ());
-    assert!(granular_stats.complete);
-    granular_stats.assert_consistent();
-
     let config = ExploreConfig::new(BUDGET).mode(PruneMode::Revisit);
     let (serial_records, serial_stats) = config.run(|| deadlock_recovery_sim(mech), line);
     assert!(serial_stats.complete, "budget too small for the tree");
     serial_stats.assert_consistent();
+    assert_eq!(serial_stats.schedules, 243, "revisit schedules");
     assert!(
-        serial_stats.schedules < granular_stats.schedules,
-        "revisit must beat granular on the recovery tree: {} vs {}",
-        serial_stats.schedules,
-        granular_stats.schedules
+        serial_stats.schedules < 492,
+        "revisit must prune the 492-schedule recovery tree"
     );
     assert_eq!(
         serial_stats.schedules,
@@ -184,14 +177,18 @@ fn revisit_matches_serial_and_beats_granular_on_recovery_tree() {
     }
 }
 
-/// One worker pops the least prefix, so under a budget cut it runs
-/// exactly the first schedules of the complete journal — unpruned and
-/// granular, on a tree whose runs deadlock, abort victims, and recover.
+/// One worker pops the least prefix, so under a budget cut it runs the
+/// first schedules of the complete journal, on a tree whose runs
+/// deadlock, abort victims, and recover. Unpruned this holds by
+/// construction: every prefix a run pushes extends its own decision
+/// vector. Under revisit it is observed on this tree, not guaranteed: a
+/// race whose earlier quantum lies inside a run's prefix can request a
+/// branch that sorts before that run.
 #[test]
 fn one_worker_budget_cut_runs_the_first_schedules_on_recovery_tree() {
     let mech = LiveMechanism::SemaphoreStrong;
     let modes: [fn(usize) -> ExploreConfig; 2] = [ExploreConfig::new, |budget| {
-        ExploreConfig::new(budget).mode(PruneMode::Granular)
+        ExploreConfig::new(budget).mode(PruneMode::Revisit)
     }];
     for config in modes {
         let (complete, stats) = config(BUDGET).run(|| deadlock_recovery_sim(mech), line);

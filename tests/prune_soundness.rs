@@ -2,24 +2,20 @@
 //!
 //! proptest generates small random workloads — processes taking
 //! semaphore-protected critical sections on a shared or private semaphore,
-//! with pure stutter quanta mixed in — and the pruned exploration must
-//! observe **exactly** the behaviors the unpruned one does:
+//! with bare yields mixed in — and the revisit exploration (DESIGN.md
+//! §2.14) must observe **exactly** the behaviors the unpruned one does:
 //!
 //! * the set of distinct per-run journals (liveness verdict + full
 //!   user-event trace) is identical — pruning may skip a schedule only
 //!   when an equivalent one is already in the set;
 //! * every checker verdict is identical — here, mutual exclusion of the
-//!   critical sections, which holds in every schedule of either mode;
+//!   critical sections, which holds in every schedule pruned or not;
 //! * the pruned exploration never visits *more* schedules.
 //!
-//! This is the workload family the object-granular footprint prune was
-//! built for (disjoint semaphores commute; a shared one does not), so the
-//! oracle exercises both the sleep-set machinery and its conservative
-//! fallbacks.
-//!
-//! The revisit mode (DESIGN.md §2.14) is held to the same oracle at one
-//! inline worker and at 1/2/4/8 worker threads, plus its own accounting
-//! cross-check (`ExploreStats::assert_consistent`).
+//! This is the workload family the object-granular footprint log was
+//! built for (disjoint semaphores commute; a shared one does not). The
+//! oracle runs at one inline worker and at 1/2/4/8 worker threads, plus
+//! the accounting cross-check (`ExploreStats::assert_consistent`).
 //!
 //! A second generator adds *data* nondeterminism (`Ctx::choose_value`,
 //! DESIGN.md §2.15): a chooser process draws a value and either observes
@@ -132,8 +128,8 @@ fn line(result: &Result<SimReport, SimError>) -> String {
         "critical sections are semaphore-protected",
     );
     // Behavior = the ordered (process, label, params) sequence. Timestamps
-    // are deliberately excluded: commuting a pure quantum shifts the
-    // timestamps of everything after it — that is exactly the
+    // are deliberately excluded: commuting two quanta shifts the
+    // timestamps of everything between them — that is exactly the
     // unobservable difference the prune collapses (reading the clock via
     // `Ctx::now` voids the prune for this very reason).
     let trace: Vec<String> = report
@@ -149,10 +145,11 @@ fn line(result: &Result<SimReport, SimError>) -> String {
 /// schedule. The probe sits alone in its quantum — the `yield_now`
 /// separates it from the branch's emission, so nothing *else* in that
 /// quantum leaves a footprint. The bare `Semaphore::try_p` records none
-/// either: the probing quantum looks pure, the prune commutes it past the
-/// `v`, and the pruned exploration loses one of the two behaviors (swap
-/// in `try_p` and this test fails). The instrumented `try_p_ctx` marks
-/// the access; both explorations must observe both behaviors.
+/// either: an empty footprint races with nothing, the prune never
+/// reverses the probe and the `v`, and the pruned exploration loses one
+/// of the two behaviors (swap in `try_p` and this test fails). The
+/// instrumented `try_p_ctx` marks the access; both explorations must
+/// observe both behaviors.
 #[test]
 fn instrumented_try_p_is_visible_to_the_prune() {
     let build = || {
@@ -176,7 +173,7 @@ fn instrumented_try_p_is_visible_to_the_prune() {
     let collect = |prune: bool| {
         let config = ExploreConfig::new(BUDGET);
         let config = if prune {
-            config.mode(PruneMode::Granular)
+            config.mode(PruneMode::Revisit)
         } else {
             config
         };
@@ -217,33 +214,12 @@ proptest! {
         prop_assert!(unpruned_stats.complete, "workload exceeds the budget");
         let unpruned = behaviors(unpruned_journal);
 
-        let (pruned_journal, pruned_stats) = ExploreConfig::new(BUDGET)
-            .mode(PruneMode::Granular)
-            .run(|| build_sim(&w), |_, result| line(result));
-        prop_assert!(pruned_stats.complete);
-        let pruned = behaviors(pruned_journal);
-
-        prop_assert!(
-            pruned_stats.schedules <= unpruned_stats.schedules,
-            "pruning visited more schedules ({} > {})",
-            pruned_stats.schedules,
-            unpruned_stats.schedules,
-        );
-        prop_assert_eq!(
-            &pruned, &unpruned,
-            "pruned and unpruned explorations must observe the same \
-             behavior set (schedules: {} pruned vs {} unpruned)",
-            pruned_stats.schedules, unpruned_stats.schedules,
-        );
-
-        // The revisit mode against the same oracle, at one inline worker
-        // and at 1/2/4/8 worker threads. The race
-        // analysis is a different soundness argument from the sleep sets
-        // (it *reverses* observed conflicts instead of skipping commuting
-        // siblings), so it gets the same behavior-set, schedule-count, and
-        // accounting scrutiny on every workload the generator produces.
-        // The unified verbs return journals sorted by decision vector, so
-        // every entry below is directly byte-comparable.
+        // The revisit mode against the unpruned oracle, at one inline
+        // worker and at 1/2/4/8 worker threads: the same behavior set, no
+        // more schedules, and balanced accounting on every workload the
+        // generator produces. The unified verbs return journals sorted by
+        // decision vector, so every entry below is directly
+        // byte-comparable.
         let revisit = ExploreConfig::new(BUDGET).mode(PruneMode::Revisit);
         let (revisit_journal, revisit_stats) =
             revisit.run(|| build_sim(&w), |_, result| line(result));
