@@ -8,7 +8,7 @@
 
 use bloom_core::MechanismId;
 use bloom_problems::drivers::{
-    alarm_scenario, buffer_scenario, disk_scenario, fcfs_scenario, oneslot_scenario, rw_scenario,
+    alarm_sim, buffer_sim, disk_sim, fcfs_sim, oneslot_sim, run, rw_sim,
 };
 use bloom_problems::rw::RwVariant;
 use bloom_problems::{alarm, buffer, disk, fcfs, oneslot, rw};
@@ -19,7 +19,7 @@ fn bench_problems(c: &mut Criterion) {
     group.sample_size(15);
     for mech in oneslot::MECHANISMS {
         group.bench_with_input(BenchmarkId::from_parameter(mech), &mech, |b, &mech| {
-            b.iter(|| oneslot_scenario(mech, 25, None));
+            b.iter(|| run(oneslot_sim(mech, 25), None).unwrap());
         });
     }
     group.finish();
@@ -28,7 +28,7 @@ fn bench_problems(c: &mut Criterion) {
     group.sample_size(15);
     for mech in buffer::MECHANISMS {
         group.bench_with_input(BenchmarkId::from_parameter(mech), &mech, |b, &mech| {
-            b.iter(|| buffer_scenario(mech, 4, 2, 2, 10, None));
+            b.iter(|| run(buffer_sim(mech, 4, 2, 2, 10), None).unwrap());
         });
     }
     group.finish();
@@ -37,7 +37,7 @@ fn bench_problems(c: &mut Criterion) {
     group.sample_size(15);
     for mech in fcfs::MECHANISMS {
         group.bench_with_input(BenchmarkId::from_parameter(mech), &mech, |b, &mech| {
-            b.iter(|| fcfs_scenario(mech, 5, 6, None));
+            b.iter(|| run(fcfs_sim(mech, 5, 6), None).unwrap());
         });
     }
     group.finish();
@@ -47,7 +47,7 @@ fn bench_problems(c: &mut Criterion) {
         group.sample_size(15);
         for mech in rw::MECHANISMS {
             group.bench_with_input(BenchmarkId::from_parameter(mech), &mech, |b, &mech| {
-                b.iter(|| rw_scenario(mech, variant, 4, 2, 4, None));
+                b.iter(|| run(rw_sim(mech, variant, 4, 2, 4), None).unwrap());
             });
         }
         group.finish();
@@ -57,7 +57,7 @@ fn bench_problems(c: &mut Criterion) {
     group.sample_size(15);
     for mech in disk::MECHANISMS {
         group.bench_with_input(BenchmarkId::from_parameter(mech), &mech, |b, &mech| {
-            b.iter(|| disk_scenario(mech, 4, 5, 7, None));
+            b.iter(|| run(disk_sim(mech, 4, 5, 7), None).unwrap());
         });
     }
     group.finish();
@@ -66,7 +66,7 @@ fn bench_problems(c: &mut Criterion) {
     group.sample_size(15);
     for mech in alarm::MECHANISMS {
         group.bench_with_input(BenchmarkId::from_parameter(mech), &mech, |b, &mech| {
-            b.iter(|| alarm_scenario(mech, 6, 5, None));
+            b.iter(|| run(alarm_sim(mech, 6, 5), None).unwrap());
         });
     }
     group.finish();

@@ -6,7 +6,7 @@
 //! wake-up machinery scales with the number of waiters, plus the
 //! simulator's own scheduling cost as a baseline.
 
-use bloom_problems::drivers::fcfs_scenario;
+use bloom_problems::drivers::{fcfs_sim, run};
 use bloom_problems::fcfs;
 use bloom_sim::{Sim, SimConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -44,7 +44,7 @@ fn bench_scaling(c: &mut Criterion) {
         for procs in [2usize, 8, 24] {
             group.bench_with_input(BenchmarkId::from_parameter(procs), &procs, |b, &procs| {
                 let per = TOTAL_OPS / procs;
-                b.iter(|| fcfs_scenario(mech, procs, per, None));
+                b.iter(|| run(fcfs_sim(mech, procs, per), None).unwrap());
             });
         }
         group.finish();

@@ -30,10 +30,11 @@
 //! worker threads.
 
 use bloom_core::MechanismId;
+use bloom_problems::drivers::footnote3_sim;
 use bloom_problems::faults::{crash_sim, CrashMechanism, CrashProblem, VICTIM};
 use bloom_problems::liveness::{deadlock_recovery_sim, LiveMechanism};
 use bloom_problems::r3::{starvation_at_scale, starvation_laws};
-use bloom_problems::rw::{self, RwVariant};
+use bloom_problems::rw::RwVariant;
 use bloom_problems::symbolic::{compare_andler, compare_csp, SymbolicComparison};
 use bloom_problems::workload::{Arrival, Think, WorkloadSpec};
 use bloom_sim::prelude::*;
@@ -52,19 +53,7 @@ fn recovery_tree() -> Sim {
 /// The footnote-3 anomaly tree (two writers, one reader, Figure-1 paths):
 /// the F1a report section's workload.
 fn anomaly_tree() -> Sim {
-    let mut sim = Sim::new();
-    let db = rw::make(MechanismId::PathV1, RwVariant::ReadersPriority);
-    for i in 0..2 {
-        let db = Arc::clone(&db);
-        sim.spawn(&format!("writer{i}"), move |ctx| {
-            db.write(ctx, &mut || ctx.yield_now());
-        });
-    }
-    let db2 = Arc::clone(&db);
-    sim.spawn("reader", move |ctx| {
-        db2.read(ctx, &mut || ctx.yield_now());
-    });
-    sim
+    footnote3_sim(MechanismId::PathV1, RwVariant::ReadersPriority, 2, 1)
 }
 
 /// The footnote-3 tree as explored for the prune comparison: the

@@ -23,8 +23,8 @@
 //! * [`r3_report`] — R3: measured law-violation rates under seeded
 //!   sampled schedules (PCT and random walks) across the workload-DSL
 //!   population ladder, with a shrunk minimal counterexample;
-//! * [`solution_matrix_report`] — T1: every solution validated against
-//!   its constraint checkers;
+//! * [`solution_matrix_report`] — T1: every cell of
+//!   [`bloom_problems::suite`] validated against its law set;
 //! * [`modularity_report`] — §2/T6: the modularity assessment;
 //! * [`run_anatomy_report`] — O1: the per-run `SimMetrics` (dispatches,
 //!   context switches, parks/wakes, queue depths, sync-op counts) across
@@ -36,21 +36,16 @@
 pub mod hostmeta;
 pub mod rt_conformance;
 
-use bloom_core::checks::{
-    check_alarm, check_all_served, check_alternation, check_buffer_bounds, check_elevator,
-    check_exclusion, check_fifo, check_no_later_overtake, check_priority_over, Violation,
-};
+use bloom_core::checks::check_priority_over;
 use bloom_core::events::extract;
 use bloom_core::liveness::{classify_liveness, LivenessOutcome};
 use bloom_core::report::{section, table};
 use bloom_core::CrashOutcome;
 use bloom_core::{
     catalog, classify_rate, full_target, independence, minimal_cover, modification_cost,
-    paper_profile, Directness, InfoType, MechanismId, ProblemId,
+    paper_profile, Directness, InfoType, MechanismId,
 };
-use bloom_problems::drivers::{
-    alarm_scenario, buffer_scenario, disk_scenario, fcfs_scenario, oneslot_scenario, rw_scenario,
-};
+use bloom_problems::drivers::{self, footnote3_sim};
 use bloom_problems::faults::{outcome_sweep, CrashMechanism, CrashProblem};
 use bloom_problems::liveness::{
     liveness_outcome, timeout_withdrawal_sim, LiveMechanism, LiveScenario, HOLD,
@@ -60,6 +55,7 @@ use bloom_problems::r3::{
 };
 use bloom_problems::registry::{all_descs, derived_ratings};
 use bloom_problems::rw::{self, RwVariant};
+use bloom_problems::suite::cells;
 use bloom_problems::symbolic::{compare_andler, compare_csp, SymbolicComparison};
 use bloom_problems::workload::{Arrival, Think, WorkloadSpec};
 use bloom_sim::{shrink_prefix, ExploreConfig, SampleStrategy, Sim};
@@ -192,21 +188,7 @@ pub struct AnomalyStats {
 /// machine-independent.
 pub fn explore_anomaly(mech: MechanismId) -> AnomalyStats {
     let (journal, _) = ExploreConfig::new(500_000).threads(4).run(
-        || {
-            let mut sim = Sim::new();
-            let db = rw::make(mech, RwVariant::ReadersPriority);
-            for i in 0..2 {
-                let db = Arc::clone(&db);
-                sim.spawn(&format!("writer{i}"), move |ctx| {
-                    db.write(ctx, &mut || ctx.yield_now());
-                });
-            }
-            let db2 = Arc::clone(&db);
-            sim.spawn("reader", move |ctx| {
-                db2.read(ctx, &mut || ctx.yield_now());
-            });
-            sim
-        },
+        || footnote3_sim(mech, RwVariant::ReadersPriority, 2, 1),
         |_, result| {
             if let Ok(report) = result {
                 let events = extract(&report.trace);
@@ -625,172 +607,20 @@ pub fn r3_report() -> String {
     )
 }
 
-fn run_checks(tag: &str, violations: Vec<Violation>, failures: &mut Vec<String>) {
-    for v in violations {
-        failures.push(format!("{tag}: {v}"));
-    }
-}
-
-/// T1: runs every solution against its checkers; returns (row per
-/// problem×mechanism, failures).
+/// T1: runs every suite cell under each of its runs against its law set;
+/// returns (row per cell, failures tagged with cell, workload and seed).
 pub fn solution_matrix() -> (Vec<Vec<String>>, Vec<String>) {
     let mut rows = Vec::new();
     let mut failures = Vec::new();
-    let seeds: Vec<Option<u64>> = vec![None, Some(41), Some(42)];
-
-    let mut push_row = |problem: &str, mech: MechanismId, checks: &str, ok: bool| {
+    for cell in cells() {
+        let failed = cell.sweep();
         rows.push(vec![
-            problem.to_string(),
-            mech.label().to_string(),
-            checks.to_string(),
-            if ok {
-                "pass".to_string()
-            } else {
-                "FAIL".to_string()
-            },
+            cell.problem.label().to_string(),
+            cell.mechanism.label().to_string(),
+            cell.laws.names().join(", "),
+            if failed.is_empty() { "pass" } else { "FAIL" }.to_string(),
         ]);
-    };
-
-    for mech in bloom_problems::oneslot::MECHANISMS {
-        let before = failures.len();
-        for &seed in &seeds {
-            let events = extract(&oneslot_scenario(mech, 6, seed).trace);
-            run_checks(
-                "one-slot",
-                check_alternation(&events, "deposit", "remove"),
-                &mut failures,
-            );
-            run_checks("one-slot", check_all_served(&events), &mut failures);
-        }
-        push_row(
-            "one-slot buffer",
-            mech,
-            "alternation, liveness",
-            failures.len() == before,
-        );
-    }
-    for mech in bloom_problems::buffer::MECHANISMS {
-        let before = failures.len();
-        for &seed in &seeds {
-            let (report, _, _) = buffer_scenario(mech, 3, 2, 2, 4, seed);
-            let events = extract(&report.trace);
-            run_checks(
-                "buffer",
-                check_buffer_bounds(&events, "deposit", "remove", 3),
-                &mut failures,
-            );
-            run_checks("buffer", check_all_served(&events), &mut failures);
-        }
-        push_row(
-            "bounded buffer",
-            mech,
-            "bounds, liveness",
-            failures.len() == before,
-        );
-    }
-    for mech in bloom_problems::fcfs::MECHANISMS {
-        let before = failures.len();
-        for &seed in &seeds {
-            let events = extract(&fcfs_scenario(mech, 5, 3, seed).trace);
-            run_checks("fcfs", check_fifo(&events, &["use"]), &mut failures);
-            run_checks(
-                "fcfs",
-                check_exclusion(&events, &[("use", "use")]),
-                &mut failures,
-            );
-        }
-        push_row(
-            "FCFS resource",
-            mech,
-            "fifo, exclusion",
-            failures.len() == before,
-        );
-    }
-    for mech in rw::MECHANISMS {
-        for variant in RwVariant::ALL {
-            let before = failures.len();
-            let mut checks = "exclusion, liveness".to_string();
-            for &seed in &seeds {
-                let events = extract(&rw_scenario(mech, variant, 3, 2, 3, seed).trace);
-                run_checks(
-                    "rw",
-                    check_exclusion(&events, &[("read", "write"), ("write", "write")]),
-                    &mut failures,
-                );
-                run_checks("rw", check_all_served(&events), &mut failures);
-                match (variant, mech) {
-                    (RwVariant::ReadersPriority, MechanismId::PathV1) => {
-                        checks = "exclusion, liveness (priority: see F1a)".to_string();
-                    }
-                    (RwVariant::ReadersPriority, _) => {
-                        checks = "exclusion, liveness, strict priority".to_string();
-                        run_checks(
-                            "rw",
-                            check_priority_over(&events, "read", "write"),
-                            &mut failures,
-                        );
-                    }
-                    (RwVariant::WritersPriority, MechanismId::PathV1) => {
-                        checks = "exclusion, liveness, arrival-relative priority".to_string();
-                        run_checks(
-                            "rw",
-                            check_no_later_overtake(&events, "write", "read"),
-                            &mut failures,
-                        );
-                    }
-                    (RwVariant::WritersPriority, _) => {
-                        checks = "exclusion, liveness, strict priority".to_string();
-                        run_checks(
-                            "rw",
-                            check_priority_over(&events, "write", "read"),
-                            &mut failures,
-                        );
-                    }
-                    (RwVariant::Fcfs, _) => {
-                        checks = "exclusion, liveness, fifo".to_string();
-                        run_checks("rw", check_fifo(&events, &["read", "write"]), &mut failures);
-                    }
-                }
-            }
-            let label = match variant {
-                RwVariant::ReadersPriority => "readers-priority DB",
-                RwVariant::WritersPriority => "writers-priority DB",
-                RwVariant::Fcfs => "FCFS readers/writers",
-            };
-            push_row(label, mech, &checks, failures.len() == before);
-        }
-    }
-    for mech in bloom_problems::disk::MECHANISMS {
-        let before = failures.len();
-        for workload in 1..4u64 {
-            let events = extract(&disk_scenario(mech, 4, 3, workload, None).trace);
-            run_checks("disk", check_elevator(&events, "seek"), &mut failures);
-            run_checks(
-                "disk",
-                check_exclusion(&events, &[("seek", "seek")]),
-                &mut failures,
-            );
-        }
-        push_row(
-            "disk scheduler",
-            mech,
-            "elevator, exclusion",
-            failures.len() == before,
-        );
-    }
-    for mech in bloom_problems::alarm::MECHANISMS {
-        let before = failures.len();
-        for workload in 1..4u64 {
-            let events = extract(&alarm_scenario(mech, 5, workload, None).trace);
-            run_checks("alarm", check_alarm(&events, "wake", 1), &mut failures);
-            run_checks("alarm", check_all_served(&events), &mut failures);
-        }
-        push_row(
-            "alarm clock",
-            mech,
-            "deadlines, liveness",
-            failures.len() == before,
-        );
+        failures.extend(failed);
     }
     (rows, failures)
 }
@@ -799,8 +629,17 @@ pub fn solution_matrix() -> (Vec<Vec<String>>, Vec<String>) {
 pub fn solution_matrix_report() -> String {
     let (rows, failures) = solution_matrix();
     let mut out = table(&["problem", "mechanism", "checks", "verdict"], &rows);
+    out.push_str(
+        "\nRuns per cell: FIFO plus ten seeds (disk scheduler, alarm clock: six workloads \
+         × FIFO and one seed). Exemptions:\n",
+    );
+    for cell in cells() {
+        if let Some(reason) = cell.exemption {
+            out.push_str(&format!("  {cell}: {reason}.\n"));
+        }
+    }
     if failures.is_empty() {
-        out.push_str("\nAll solutions satisfy all constraint checkers.\n");
+        out.push_str("\nAll solutions satisfy all their laws.\n");
     } else {
         out.push_str(&format!("\n{} FAILURES:\n", failures.len()));
         for f in &failures {
@@ -858,50 +697,30 @@ pub fn workaround_report() -> String {
     )
 }
 
-/// O1: run anatomy — the `SimMetrics` of one canonical (FIFO) run of each
-/// problem × mechanism cell, side by side. Metrics are non-authoritative
-/// observability counters recorded by the simulator on every run; the
-/// table makes mechanism overhead visible (context switches, parks, peak
-/// wait-queue depth, mechanism-labelled sync operations) without touching
-/// any correctness machinery.
+/// O1: run anatomy — the `SimMetrics` of one canonical run (FIFO, workload
+/// 0) of each suite cell at its T1 shape, side by side. Metrics are
+/// non-authoritative observability counters recorded by the simulator on
+/// every run; the table makes mechanism overhead visible (context
+/// switches, parks, peak wait-queue depth, mechanism-labelled sync
+/// operations) without touching any correctness machinery.
 pub fn run_anatomy_report() -> String {
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut push = |problem: &str, mech: MechanismId, report: &bloom_sim::SimReport| {
-        let m = &report.metrics;
-        rows.push(vec![
-            problem.to_string(),
-            mech.label().to_string(),
-            m.dispatches.to_string(),
-            m.context_switches.to_string(),
-            m.total_parks().to_string(),
-            m.total_wakes().to_string(),
-            m.max_queue_depth().to_string(),
-            m.total_sync_ops().to_string(),
-        ]);
-    };
-    for mech in bloom_problems::oneslot::MECHANISMS {
-        push("one-slot buffer", mech, &oneslot_scenario(mech, 6, None));
-    }
-    for mech in bloom_problems::buffer::MECHANISMS {
-        let (report, _, _) = buffer_scenario(mech, 3, 2, 2, 4, None);
-        push("bounded buffer", mech, &report);
-    }
-    for mech in bloom_problems::fcfs::MECHANISMS {
-        push("FCFS resource", mech, &fcfs_scenario(mech, 5, 3, None));
-    }
-    for mech in rw::MECHANISMS {
-        push(
-            "readers-priority DB",
-            mech,
-            &rw_scenario(mech, RwVariant::ReadersPriority, 3, 2, 3, None),
-        );
-    }
-    for mech in bloom_problems::disk::MECHANISMS {
-        push("disk scheduler", mech, &disk_scenario(mech, 4, 3, 2, None));
-    }
-    for mech in bloom_problems::alarm::MECHANISMS {
-        push("alarm clock", mech, &alarm_scenario(mech, 5, 2, None));
-    }
+    let rows: Vec<Vec<String>> = cells()
+        .iter()
+        .map(|cell| {
+            let report = drivers::run(cell.build(0), None).unwrap_or_else(|err| *err.report);
+            let m = &report.metrics;
+            vec![
+                cell.problem.label().to_string(),
+                cell.mechanism.label().to_string(),
+                m.dispatches.to_string(),
+                m.context_switches.to_string(),
+                m.total_parks().to_string(),
+                m.total_wakes().to_string(),
+                m.max_queue_depth().to_string(),
+                m.total_sync_ops().to_string(),
+            ]
+        })
+        .collect();
     let mut out = table(
         &[
             "problem",
@@ -916,7 +735,8 @@ pub fn run_anatomy_report() -> String {
         &rows,
     );
     out.push_str(
-        "\nOne canonical FIFO run per cell. disp/switch: dispatches and context \
+        "\nOne canonical FIFO run per T1 cell, at its T1 shape (disk scheduler and alarm \
+         clock: workload 0). disp/switch: dispatches and context \
          switches; parks/wakes: blocking episodes entered/ended (by any cause); \
          peak q: deepest wait queue observed; sync ops: mechanism-labelled \
          synchronization-state touches (the same instrumentation that powers the \
@@ -960,11 +780,6 @@ pub fn full_report() -> String {
     out
 }
 
-/// All problems used by the benchmark suite, for reference.
-pub fn problem_list() -> Vec<ProblemId> {
-    ProblemId::ALL.to_vec()
-}
-
 /// The fixed two-process semaphore run behind the trace-export golden
 /// files (`docs/trace_export.jsonl`, `docs/trace_export.chrome.json`):
 /// two processes contend for one strong-semaphore permit under the
@@ -997,7 +812,7 @@ mod tests {
     fn solution_matrix_is_all_green() {
         let (rows, failures) = solution_matrix();
         assert!(failures.is_empty(), "failures: {failures:?}");
-        assert_eq!(rows.len(), 5 + 5 + 5 + 15 + 5 + 5);
+        assert_eq!(rows.len(), 41);
         assert!(rows.iter().all(|r| r[3] == "pass"));
     }
 

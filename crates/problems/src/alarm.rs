@@ -421,7 +421,7 @@ pub const MECHANISMS: [MechanismId; 5] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drivers::alarm_scenario;
+    use crate::drivers::{alarm_sim, run};
     use bloom_core::checks::{check_alarm, check_all_served, expect_clean};
     use bloom_core::events::extract;
 
@@ -429,7 +429,8 @@ mod tests {
     fn nobody_wakes_early_or_oversleeps() {
         for mech in MECHANISMS {
             for (workload, sched) in [(1u64, None), (2, None), (3, Some(101)), (4, Some(102))] {
-                let report = alarm_scenario(mech, 5, workload, sched);
+                let report = run(alarm_sim(mech, 5, workload), sched)
+                    .unwrap_or_else(|e| panic!("{mech} (workload {workload}): {e}"));
                 let events = extract(&report.trace);
                 expect_clean(
                     &check_alarm(&events, WAKE, 1),

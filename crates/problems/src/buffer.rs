@@ -353,7 +353,7 @@ pub const MECHANISMS: [MechanismId; 5] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drivers::buffer_scenario;
+    use crate::drivers::{buffer_sim, buffer_transfers, run};
     use bloom_core::checks::{check_all_served, check_buffer_bounds, expect_clean};
     use bloom_core::events::extract;
 
@@ -361,15 +361,15 @@ mod tests {
     fn all_mechanisms_respect_capacity_and_liveness() {
         for mech in MECHANISMS {
             for seed in [None, Some(4), Some(5)] {
-                let (report, sent, received) = buffer_scenario(mech, 3, 2, 2, 6, seed);
+                let report = run(buffer_sim(mech, 3, 2, 2, 6), seed)
+                    .unwrap_or_else(|e| panic!("{mech} (seed {seed:?}): {e}"));
                 let events = extract(&report.trace);
                 expect_clean(
                     &check_buffer_bounds(&events, events::DEPOSIT, events::REMOVE, 3),
                     &format!("{mech} bounds (seed {seed:?})"),
                 );
                 expect_clean(&check_all_served(&events), &format!("{mech} liveness"));
-                let mut s = sent;
-                let mut r = received;
+                let (mut s, mut r) = buffer_transfers(&report.trace);
                 s.sort_unstable();
                 r.sort_unstable();
                 assert_eq!(
@@ -383,7 +383,8 @@ mod tests {
     #[test]
     fn capacity_one_behaves_like_one_slot() {
         for mech in MECHANISMS {
-            let (report, _, _) = buffer_scenario(mech, 1, 1, 1, 8, None);
+            let report =
+                run(buffer_sim(mech, 1, 1, 1, 8), None).unwrap_or_else(|e| panic!("{mech}: {e}"));
             let events = extract(&report.trace);
             expect_clean(
                 &check_buffer_bounds(&events, events::DEPOSIT, events::REMOVE, 1),
@@ -396,7 +397,9 @@ mod tests {
     fn single_threaded_fifo_order_is_preserved() {
         // One producer, one consumer: FIFO data order must hold exactly.
         for mech in MECHANISMS {
-            let (_, sent, received) = buffer_scenario(mech, 4, 1, 1, 10, None);
+            let report =
+                run(buffer_sim(mech, 4, 1, 1, 10), None).unwrap_or_else(|e| panic!("{mech}: {e}"));
+            let (sent, received) = buffer_transfers(&report.trace);
             assert_eq!(sent, received, "{mech}: FIFO order");
         }
     }

@@ -600,7 +600,7 @@ pub const MECHANISMS: [MechanismId; 5] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drivers::disk_scenario;
+    use crate::drivers::{disk_sim, run};
     use bloom_core::checks::{check_all_served, check_elevator, check_exclusion, expect_clean};
     use bloom_core::events::extract;
 
@@ -614,7 +614,8 @@ mod tests {
                 (4, Some(92)),
                 (5, Some(93)),
             ] {
-                let report = disk_scenario(mech, 4, 3, workload, sched);
+                let report = run(disk_sim(mech, 4, 3, workload), sched)
+                    .unwrap_or_else(|e| panic!("{mech} (workload {workload}): {e}"));
                 let events = extract(&report.trace);
                 expect_clean(
                     &check_elevator(&events, SEEK),

@@ -1,29 +1,36 @@
-//! Scenario drivers: spawn workloads against a solution and return the
-//! trace for checking.
+//! Scenario builders: each spawns a workload against a solution and
+//! returns the unrun [`Sim`]; [`run`] runs one under a chosen policy.
 //!
-//! Every driver is deterministic given its arguments: `seed = None` uses
-//! the FIFO policy, `Some(s)` the seeded random policy. Tests sweep seeds;
-//! benches fix one.
+//! Every builder is deterministic given its arguments, and [`run`] is
+//! deterministic given its seed: `None` keeps the FIFO policy, `Some(s)`
+//! installs the seeded random policy. [`crate::suite`] fixes the shape and
+//! the runs each T1 cell is checked under; tests and benches pick their
+//! own.
 
+use crate::events::DEPOSIT;
 use crate::{alarm, buffer, disk, fcfs, oneslot, rw};
 use bloom_core::MechanismId;
-use bloom_sim::{RandomPolicy, Sim, SimReport};
-use parking_lot::Mutex;
+use bloom_sim::{RandomPolicy, Sim, SimError, SimReport, Trace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-fn new_sim(seed: Option<u64>) -> Sim {
-    let mut sim = Sim::new();
+/// User event a buffer consumer emits with each value `remove` returned
+/// (see [`buffer_transfers`]).
+pub const REMOVED: &str = "removed";
+
+/// Runs `sim` under the FIFO policy (`seed = None`) or the seeded random
+/// policy.
+pub fn run(mut sim: Sim, seed: Option<u64>) -> Result<SimReport, SimError> {
     if let Some(s) = seed {
         sim.set_policy(RandomPolicy::new(s));
     }
-    sim
+    sim.run()
 }
 
 /// One producer deposits `0..n_values`, one consumer removes them all.
-pub fn oneslot_scenario(mech: MechanismId, n_values: i64, seed: Option<u64>) -> SimReport {
-    let mut sim = new_sim(seed);
+pub fn oneslot_sim(mech: MechanismId, n_values: i64) -> Sim {
+    let mut sim = Sim::new();
     let buf = oneslot::make(mech);
     let b = Arc::clone(&buf);
     sim.spawn("consumer", move |ctx| {
@@ -39,38 +46,32 @@ pub fn oneslot_scenario(mech: MechanismId, n_values: i64, seed: Option<u64>) -> 
             ctx.yield_now();
         }
     });
-    sim.run()
-        .unwrap_or_else(|e| panic!("oneslot/{mech} (seed {seed:?}): {e}"))
+    sim
 }
 
 /// `producers`×`per_producer` deposits against matching removes over a
-/// buffer of `capacity`. Returns the report and the multiset check data
-/// `(sent, received)`.
-pub fn buffer_scenario(
+/// buffer of `capacity`. Each consumer emits every value it removed as a
+/// [`REMOVED`] event (`Ctx::emit` is not a scheduling point, so the
+/// schedule is unchanged); [`buffer_transfers`] reads the values back.
+pub fn buffer_sim(
     mech: MechanismId,
     capacity: usize,
     producers: usize,
     consumers: usize,
     per_producer: usize,
-    seed: Option<u64>,
-) -> (SimReport, Vec<i64>, Vec<i64>) {
+) -> Sim {
     assert_eq!(
         producers * per_producer % consumers,
         0,
         "consumers must evenly divide total items"
     );
-    let mut sim = new_sim(seed);
+    let mut sim = Sim::new();
     let buf = buffer::make(mech, capacity);
-    let sent = Arc::new(Mutex::new(Vec::new()));
-    let received = Arc::new(Mutex::new(Vec::new()));
     for p in 0..producers {
         let b = Arc::clone(&buf);
-        let sent = Arc::clone(&sent);
         sim.spawn(&format!("producer{p}"), move |ctx| {
             for i in 0..per_producer {
-                let v = (p * per_producer + i) as i64;
-                b.deposit(ctx, v);
-                sent.lock().push(v);
+                b.deposit(ctx, (p * per_producer + i) as i64);
                 ctx.yield_now();
             }
         });
@@ -78,32 +79,38 @@ pub fn buffer_scenario(
     let per_consumer = producers * per_producer / consumers;
     for c in 0..consumers {
         let b = Arc::clone(&buf);
-        let received = Arc::clone(&received);
         sim.spawn(&format!("consumer{c}"), move |ctx| {
             for _ in 0..per_consumer {
                 let v = b.remove(ctx);
-                received.lock().push(v);
+                ctx.emit(REMOVED, &[v]);
                 ctx.yield_now();
             }
         });
     }
-    let report = sim
-        .run()
-        .unwrap_or_else(|e| panic!("buffer/{mech} (seed {seed:?}): {e}"));
-    let sent = sent.lock().clone();
-    let received = received.lock().clone();
-    (report, sent, received)
+    sim
+}
+
+/// The values a [`buffer_sim`] run moved, each in trace order: the
+/// deposited ones (the `req:deposit` params) and the ones consumers
+/// received from `remove` ([`REMOVED`] events). The received side is what
+/// the client got back, not what the solution logged as `exit:remove`.
+pub fn buffer_transfers(trace: &Trace) -> (Vec<i64>, Vec<i64>) {
+    let mut deposited = Vec::new();
+    let mut removed = Vec::new();
+    for (_, label, params) in trace.user_events() {
+        if label == REMOVED {
+            removed.push(params[0]);
+        } else if label.strip_prefix("req:") == Some(DEPOSIT) {
+            deposited.push(params[0]);
+        }
+    }
+    (deposited, removed)
 }
 
 /// `n_workers` each use the FCFS resource `uses_each` times with varying
 /// think times.
-pub fn fcfs_scenario(
-    mech: MechanismId,
-    n_workers: usize,
-    uses_each: usize,
-    seed: Option<u64>,
-) -> SimReport {
-    let mut sim = new_sim(seed);
+pub fn fcfs_sim(mech: MechanismId, n_workers: usize, uses_each: usize) -> Sim {
+    let mut sim = Sim::new();
     let res = fcfs::make(mech);
     for w in 0..n_workers {
         let r = Arc::clone(&res);
@@ -118,20 +125,18 @@ pub fn fcfs_scenario(
             }
         });
     }
-    sim.run()
-        .unwrap_or_else(|e| panic!("fcfs/{mech} (seed {seed:?}): {e}"))
+    sim
 }
 
 /// Mixed readers/writers workload against a given variant's solution.
-pub fn rw_scenario(
+pub fn rw_sim(
     mech: MechanismId,
     variant: rw::RwVariant,
     readers: usize,
     writers: usize,
     ops_each: usize,
-    seed: Option<u64>,
-) -> SimReport {
-    let mut sim = new_sim(seed);
+) -> Sim {
+    let mut sim = Sim::new();
     let db = rw::make(mech, variant);
     for r in 0..readers {
         let db = Arc::clone(&db);
@@ -153,20 +158,50 @@ pub fn rw_scenario(
             }
         });
     }
-    sim.run()
-        .unwrap_or_else(|e| panic!("rw-{variant:?}/{mech} (seed {seed:?}): {e}"))
+    sim
 }
 
-/// `n_requests` seeks at seeded-random tracks, issued by several processes
-/// with random pauses, against the disk scheduler.
-pub fn disk_scenario(
+/// Footnote 3's scenario: `writers` writers, then `readers` readers, one
+/// operation each with no think time (explorers cover every interleaving,
+/// so no yield steers the schedule). A lone reader is named `reader`, as
+/// in the F1a traces.
+pub fn footnote3_sim(
+    mech: MechanismId,
+    variant: rw::RwVariant,
+    writers: usize,
+    readers: usize,
+) -> Sim {
+    let mut sim = Sim::new();
+    let db = rw::make(mech, variant);
+    for i in 0..writers {
+        let db = Arc::clone(&db);
+        sim.spawn(&format!("writer{i}"), move |ctx| {
+            db.write(ctx, &mut || ctx.yield_now());
+        });
+    }
+    for i in 0..readers {
+        let db = Arc::clone(&db);
+        let name = if readers == 1 {
+            "reader".to_string()
+        } else {
+            format!("reader{i}")
+        };
+        sim.spawn(&name, move |ctx| {
+            db.read(ctx, &mut || ctx.yield_now());
+        });
+    }
+    sim
+}
+
+/// `n_processes` clients each issue `seeks_each` seeks at tracks drawn from
+/// `workload_seed`, with random pauses, against the disk scheduler.
+pub fn disk_sim(
     mech: MechanismId,
     n_processes: usize,
     seeks_each: usize,
     workload_seed: u64,
-    sched_seed: Option<u64>,
-) -> SimReport {
-    let mut sim = new_sim(sched_seed);
+) -> Sim {
+    let mut sim = Sim::new();
     let disk = disk::make(mech);
     for p in 0..n_processes {
         let d = Arc::clone(&disk);
@@ -182,19 +217,13 @@ pub fn disk_scenario(
             }
         });
     }
-    sim.run()
-        .unwrap_or_else(|e| panic!("disk/{mech} (workload {workload_seed}): {e}"))
+    sim
 }
 
-/// Sleepers request seeded-random wake-up delays while a ticker advances
-/// the logical clock.
-pub fn alarm_scenario(
-    mech: MechanismId,
-    n_sleepers: usize,
-    workload_seed: u64,
-    sched_seed: Option<u64>,
-) -> SimReport {
-    let mut sim = new_sim(sched_seed);
+/// Sleepers request wake-up delays drawn from `workload_seed` while a
+/// ticker advances the logical clock.
+pub fn alarm_sim(mech: MechanismId, n_sleepers: usize, workload_seed: u64) -> Sim {
+    let mut sim = Sim::new();
     let clock = alarm::make(mech);
     let mut rng = StdRng::seed_from_u64(workload_seed);
     for s in 0..n_sleepers {
@@ -209,6 +238,5 @@ pub fn alarm_scenario(
         ctx.sleep(2);
         c.tick(ctx);
     });
-    sim.run()
-        .unwrap_or_else(|e| panic!("alarm/{mech} (workload {workload_seed}): {e}"))
+    sim
 }

@@ -283,7 +283,7 @@ pub const MECHANISMS: [MechanismId; 5] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drivers::fcfs_scenario;
+    use crate::drivers::{fcfs_sim, run};
     use bloom_core::checks::{check_all_served, check_exclusion, check_fifo, expect_clean};
     use bloom_core::events::extract;
 
@@ -291,7 +291,8 @@ mod tests {
     fn all_mechanisms_serve_strictly_in_request_order() {
         for mech in MECHANISMS {
             for seed in [None, Some(11), Some(12), Some(13)] {
-                let report = fcfs_scenario(mech, 5, 4, seed);
+                let report = run(fcfs_sim(mech, 5, 4), seed)
+                    .unwrap_or_else(|e| panic!("{mech} (seed {seed:?}): {e}"));
                 let events = extract(&report.trace);
                 expect_clean(
                     &check_fifo(&events, &[events::USE]),
@@ -310,7 +311,8 @@ mod tests {
     fn fcfs_holds_under_many_random_schedules() {
         for mech in MECHANISMS {
             for seed in 20..30 {
-                let report = fcfs_scenario(mech, 4, 3, Some(seed));
+                let report = run(fcfs_sim(mech, 4, 3), Some(seed))
+                    .unwrap_or_else(|e| panic!("{mech} (seed {seed}): {e}"));
                 let events = extract(&report.trace);
                 expect_clean(
                     &check_fifo(&events, &[events::USE]),

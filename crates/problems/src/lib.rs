@@ -6,8 +6,8 @@
 //! This crate instantiates the paper's footnote-2 test set — the problems
 //! chosen so that together they exercise every information category of the
 //! §3 taxonomy — and solves each one with semaphores, monitors,
-//! serializers and path expressions — 33 solutions in all, including the
-//! Andler predicate (path-v3) readers-priority fix:
+//! serializers, path expressions and CSP channels — 41 solutions in all,
+//! including the Andler predicate (path-v3) readers-priority fix:
 //!
 //! | module      | problem                | info types exercised            |
 //! |-------------|------------------------|---------------------------------|
@@ -29,6 +29,11 @@
 //!   the §4.1 expressiveness analysis, cross-checked against the paper's
 //!   claims in [`registry`]).
 //!
+//! [`suite`] declares each solution once, as a T1 cell: its scenario (a
+//! [`drivers`] builder returning an unrun `Sim`), its laws, the runs it is
+//! checked under and any exemption. The report, the root `solution_matrix`
+//! test and [`registry`] iterate it.
+//!
 //! The paper's Figures 1 and 2 are reproduced verbatim in [`rw`], complete
 //! with Figure 1's footnote-3 priority anomaly.
 
@@ -46,6 +51,7 @@ pub mod oneslot;
 pub mod r3;
 pub mod registry;
 pub mod rw;
+pub mod suite;
 pub mod symbolic;
 pub mod workload;
 

@@ -317,7 +317,7 @@ pub const MECHANISMS: [MechanismId; 5] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drivers::oneslot_scenario;
+    use crate::drivers::{oneslot_sim, run};
     use bloom_core::checks::{check_all_served, check_alternation, check_exclusion, expect_clean};
     use bloom_core::events::extract;
 
@@ -325,7 +325,8 @@ mod tests {
     fn all_mechanisms_satisfy_the_one_slot_constraints() {
         for mech in MECHANISMS {
             for seed in [None, Some(1), Some(2), Some(3)] {
-                let report = oneslot_scenario(mech, 6, seed);
+                let report = run(oneslot_sim(mech, 6), seed)
+                    .unwrap_or_else(|e| panic!("{mech} (seed {seed:?}): {e}"));
                 let events = extract(&report.trace);
                 expect_clean(
                     &check_alternation(&events, events::DEPOSIT, events::REMOVE),
@@ -350,7 +351,7 @@ mod tests {
     #[test]
     fn values_flow_in_order() {
         for mech in MECHANISMS {
-            let report = oneslot_scenario(mech, 5, None);
+            let report = run(oneslot_sim(mech, 5), None).unwrap_or_else(|e| panic!("{mech}: {e}"));
             let events = extract(&report.trace);
             let removed: Vec<i64> = events
                 .iter()

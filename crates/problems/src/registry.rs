@@ -8,37 +8,13 @@
 //! from the implementations must agree with the paper's claims wherever a
 //! solution exercises the information type.
 
-use crate::rw::RwVariant;
-use crate::{alarm, buffer, disk, fcfs, oneslot, rw};
+use crate::suite::cells;
 use bloom_core::{Directness, InfoType, MechanismId, SolutionDesc};
 use std::collections::BTreeMap;
 
-/// Metadata for every solution in the suite.
+/// Metadata for every solution in the suite, in [`cells`] order.
 pub fn all_descs() -> Vec<SolutionDesc> {
-    let mut out = Vec::new();
-    for mech in oneslot::MECHANISMS {
-        out.push(oneslot::make(mech).desc());
-    }
-    for mech in buffer::MECHANISMS {
-        out.push(buffer::make(mech, 3).desc());
-    }
-    for mech in fcfs::MECHANISMS {
-        out.push(fcfs::make(mech).desc());
-    }
-    for mech in rw::MECHANISMS {
-        for variant in RwVariant::ALL {
-            out.push(rw::make(mech, variant).desc());
-        }
-    }
-    // The Andler (v3) readers-priority solution: the footnote-3 fix.
-    out.push(rw::make(MechanismId::PathV3, RwVariant::ReadersPriority).desc());
-    for mech in disk::MECHANISMS {
-        out.push(disk::make(mech).desc());
-    }
-    for mech in alarm::MECHANISMS {
-        out.push(alarm::make(mech).desc());
-    }
-    out
+    cells().iter().map(|cell| cell.desc()).collect()
 }
 
 /// Metadata for one mechanism's solutions.
@@ -65,14 +41,6 @@ pub fn derived_ratings(mechanism: MechanismId) -> BTreeMap<InfoType, Directness>
         }
     }
     ratings
-}
-
-/// Solution descriptions for one problem across mechanisms.
-pub fn descs_for_problem(problem: bloom_core::ProblemId) -> Vec<SolutionDesc> {
-    all_descs()
-        .into_iter()
-        .filter(|d| d.problem == problem)
-        .collect()
 }
 
 #[cfg(test)]

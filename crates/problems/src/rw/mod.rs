@@ -138,7 +138,7 @@ pub const MECHANISMS: [MechanismId; 5] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drivers::rw_scenario;
+    use crate::drivers::{run, rw_sim};
     use crate::events::{READ, WRITE};
     use bloom_core::checks::{
         check_all_served, check_exclusion, check_fifo, check_no_later_overtake,
@@ -158,7 +158,8 @@ mod tests {
         for mech in MECHANISMS {
             for variant in RwVariant::ALL {
                 for seed in [None, Some(31), Some(32), Some(33)] {
-                    let report = rw_scenario(mech, variant, 3, 2, 3, seed);
+                    let report = run(rw_sim(mech, variant, 3, 2, 3), seed)
+                        .unwrap_or_else(|e| panic!("{mech} (seed {seed:?}): {e}"));
                     let events = extract(&report.trace);
                     expect_clean(
                         &check_exclusion(&events, &exclusion_conflicts()),
@@ -182,7 +183,8 @@ mod tests {
             MechanismId::Serializer,
         ] {
             for seed in std::iter::once(None).chain((40..60).map(Some)) {
-                let report = rw_scenario(mech, RwVariant::ReadersPriority, 3, 2, 3, seed);
+                let report = run(rw_sim(mech, RwVariant::ReadersPriority, 3, 2, 3), seed)
+                    .unwrap_or_else(|e| panic!("figure 2 (seed {seed:?}): {e}"));
                 let events = extract(&report.trace);
                 expect_clean(
                     &check_priority_over(&events, READ, WRITE),
@@ -202,7 +204,8 @@ mod tests {
             MechanismId::Serializer,
         ] {
             for seed in std::iter::once(None).chain((50..70).map(Some)) {
-                let report = rw_scenario(mech, RwVariant::WritersPriority, 3, 2, 3, seed);
+                let report = run(rw_sim(mech, RwVariant::WritersPriority, 3, 2, 3), seed)
+                    .unwrap_or_else(|e| panic!("figure 2 (seed {seed:?}): {e}"));
                 let events = extract(&report.trace);
                 expect_clean(
                     &check_priority_over(&events, WRITE, READ),
@@ -211,14 +214,11 @@ mod tests {
             }
         }
         for seed in [None, Some(51), Some(52), Some(53), Some(54), Some(55)] {
-            let report = rw_scenario(
-                MechanismId::PathV1,
-                RwVariant::WritersPriority,
-                3,
-                2,
-                3,
+            let report = run(
+                rw_sim(MechanismId::PathV1, RwVariant::WritersPriority, 3, 2, 3),
                 seed,
-            );
+            )
+            .unwrap_or_else(|e| panic!("figure 2 (seed {seed:?}): {e}"));
             let events = extract(&report.trace);
             expect_clean(
                 &check_no_later_overtake(&events, WRITE, READ),
@@ -233,7 +233,8 @@ mod tests {
     fn fcfs_variant_admits_in_arrival_order() {
         for mech in MECHANISMS {
             for seed in std::iter::once(None).chain((60..80).map(Some)) {
-                let report = rw_scenario(mech, RwVariant::Fcfs, 3, 2, 3, seed);
+                let report = run(rw_sim(mech, RwVariant::Fcfs, 3, 2, 3), seed)
+                    .unwrap_or_else(|e| panic!("figure 2 (seed {seed:?}): {e}"));
                 let events = extract(&report.trace);
                 expect_clean(
                     &check_fifo(&events, &[READ, WRITE]),
@@ -250,7 +251,8 @@ mod tests {
         for mech in MECHANISMS {
             let mut overlapped = false;
             for seed in [None, Some(71), Some(72), Some(73), Some(74)] {
-                let report = rw_scenario(mech, RwVariant::ReadersPriority, 4, 1, 3, seed);
+                let report = run(rw_sim(mech, RwVariant::ReadersPriority, 4, 1, 3), seed)
+                    .unwrap_or_else(|e| panic!("figure 2 (seed {seed:?}): {e}"));
                 let events = extract(&report.trace);
                 let mut active = 0i32;
                 for e in &events {

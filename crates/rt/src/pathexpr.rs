@@ -676,10 +676,11 @@ mod tests {
             let order = Arc::clone(&order);
             let queued = Arc::clone(&queued);
             rt.spawn(&format!("w{i}"), move |ctx| {
-                // Serialize arrivals so FIFO has a defined meaning.
+                // Serialize arrivals so FIFO has a defined meaning: go
+                // only once every earlier waiter is blocked.
                 loop {
                     let q = *queued.lock();
-                    if q == i && r.active_count("a") == 1 {
+                    if q == i && r.active_count("a") == 1 && r.blocked_count() == i {
                         break;
                     }
                     std::thread::yield_now();

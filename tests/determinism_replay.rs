@@ -9,7 +9,7 @@
 
 use bloom_core::events::extract;
 use bloom_core::MechanismId;
-use bloom_problems::drivers::rw_scenario;
+use bloom_problems::drivers::{run, rw_sim};
 use bloom_problems::rw::{self, RwVariant};
 use bloom_sim::prelude::*;
 use std::sync::Arc;
@@ -24,8 +24,8 @@ fn signature(report: &SimReport) -> Vec<String> {
 #[test]
 fn identical_seeds_produce_identical_traces() {
     for mech in rw::MECHANISMS {
-        let a = rw_scenario(mech, RwVariant::Fcfs, 4, 2, 3, Some(12345));
-        let b = rw_scenario(mech, RwVariant::Fcfs, 4, 2, 3, Some(12345));
+        let a = run(rw_sim(mech, RwVariant::Fcfs, 4, 2, 3), Some(12345)).expect("clean run");
+        let b = run(rw_sim(mech, RwVariant::Fcfs, 4, 2, 3), Some(12345)).expect("clean run");
         assert_eq!(
             signature(&a),
             signature(&b),
@@ -40,14 +40,11 @@ fn different_seeds_usually_differ() {
     // otherwise the policy is not actually consulted.
     let mut distinct = std::collections::BTreeSet::new();
     for seed in 0..5 {
-        let r = rw_scenario(
-            MechanismId::Monitor,
-            RwVariant::ReadersPriority,
-            4,
-            2,
-            3,
+        let r = run(
+            rw_sim(MechanismId::Monitor, RwVariant::ReadersPriority, 4, 2, 3),
             Some(seed),
-        );
+        )
+        .expect("clean run");
         distinct.insert(signature(&r));
     }
     assert!(
@@ -94,8 +91,8 @@ fn recorded_decisions_replay_full_problem_runs() {
 
 #[test]
 fn virtual_time_is_stable_across_runs() {
-    let a = rw_scenario(MechanismId::PathV1, RwVariant::Fcfs, 3, 2, 2, None);
-    let b = rw_scenario(MechanismId::PathV1, RwVariant::Fcfs, 3, 2, 2, None);
+    let a = run(rw_sim(MechanismId::PathV1, RwVariant::Fcfs, 3, 2, 2), None).expect("clean run");
+    let b = run(rw_sim(MechanismId::PathV1, RwVariant::Fcfs, 3, 2, 2), None).expect("clean run");
     let times_a: Vec<u64> = a.trace.events().iter().map(|e| e.time.0).collect();
     let times_b: Vec<u64> = b.trace.events().iter().map(|e| e.time.0).collect();
     assert_eq!(times_a, times_b);

@@ -20,31 +20,12 @@
 use bloom_core::checks::{check_exclusion, check_no_later_overtake, check_priority_over};
 use bloom_core::events::extract;
 use bloom_core::MechanismId;
-use bloom_problems::rw::{self, RwVariant};
+use bloom_problems::drivers::footnote3_sim;
+use bloom_problems::rw::RwVariant;
 use bloom_sim::prelude::*;
-use std::sync::Arc;
 
 const READ: &str = "read";
 const WRITE: &str = "write";
-
-/// The footnote-3 scenario: two writers and one reader, one operation
-/// each. (Every interleaving is explored, so no yields are needed to
-/// steer the schedule.)
-fn footnote3_scenario(mech: MechanismId) -> Sim {
-    let mut sim = Sim::new();
-    let db = rw::make(mech, RwVariant::ReadersPriority);
-    for i in 0..2 {
-        let db = Arc::clone(&db);
-        sim.spawn(&format!("writer{i}"), move |ctx| {
-            db.write(ctx, &mut || ctx.yield_now());
-        });
-    }
-    let db2 = Arc::clone(&db);
-    sim.spawn("reader", move |ctx| {
-        db2.read(ctx, &mut || ctx.yield_now());
-    });
-    sim
-}
 
 struct ExplorationOutcome {
     schedules: usize,
@@ -62,7 +43,7 @@ fn explore_readers_priority(mech: MechanismId, cap: usize) -> ExplorationOutcome
     // (failed, priority violation, exclusion violation, shutdown unwinds)
     // per schedule.
     let (journal, stats) = ExploreConfig::new(cap).threads(4).run(
-        || footnote3_scenario(mech),
+        || footnote3_sim(mech, RwVariant::ReadersPriority, 2, 1),
         |_, result| {
             let report = match result {
                 Ok(r) => r,
@@ -182,21 +163,7 @@ fn csp_server_is_anomaly_free_over_all_schedules() {
 #[test]
 fn figure2_never_lets_later_readers_overtake() {
     let (journal, stats) = ExploreConfig::new(400_000).threads(4).run(
-        || {
-            let mut sim = Sim::new();
-            let db = rw::make(MechanismId::PathV1, RwVariant::WritersPriority);
-            for i in 0..2 {
-                let db = Arc::clone(&db);
-                sim.spawn(&format!("writer{i}"), move |ctx| {
-                    db.write(ctx, &mut || ctx.yield_now());
-                });
-            }
-            let db2 = Arc::clone(&db);
-            sim.spawn("reader", move |ctx| {
-                db2.read(ctx, &mut || ctx.yield_now());
-            });
-            sim
-        },
+        || footnote3_sim(MechanismId::PathV1, RwVariant::WritersPriority, 2, 1),
         |_, result| {
             let report = result.as_ref().expect("figure 2 must not deadlock");
             let events = extract(&report.trace);

@@ -12,7 +12,7 @@ use bloom_core::checks::{
 use bloom_core::events::extract;
 use bloom_core::MechanismId;
 use bloom_pathexpr::{parse_path, Path, PathExpr};
-use bloom_problems::drivers::{buffer_scenario, disk_scenario, fcfs_scenario, rw_scenario};
+use bloom_problems::drivers::{buffer_sim, buffer_transfers, disk_sim, fcfs_sim, run, rw_sim};
 use bloom_problems::rw::RwVariant;
 use proptest::prelude::*;
 
@@ -43,7 +43,8 @@ proptest! {
         ops in 1usize..4,
         seed in any::<u64>(),
     ) {
-        let report = rw_scenario(mech, variant, readers, writers, ops, Some(seed));
+        let report = run(rw_sim(mech, variant, readers, writers, ops), Some(seed))
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
         let events = extract(&report.trace);
         expect_clean(
             &check_exclusion(&events, &[("read", "write"), ("write", "write")]),
@@ -67,8 +68,9 @@ proptest! {
     ) {
         let total = producers * per_producer;
         // One consumer takes everything: always evenly divisible.
-        let (report, mut sent, mut received) =
-            buffer_scenario(mech, capacity, producers, 1, per_producer, Some(seed));
+        let report = run(buffer_sim(mech, capacity, producers, 1, per_producer), Some(seed))
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let (mut sent, mut received) = buffer_transfers(&report.trace);
         let events = extract(&report.trace);
         expect_clean(
             &check_buffer_bounds(&events, "deposit", "remove", capacity as i64),
@@ -88,7 +90,8 @@ proptest! {
         uses in 1usize..4,
         seed in any::<u64>(),
     ) {
-        let report = fcfs_scenario(mech, workers, uses, Some(seed));
+        let report = run(fcfs_sim(mech, workers, uses), Some(seed))
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
         let events = extract(&report.trace);
         expect_clean(&check_fifo(&events, &["use"]), &format!("{mech} seed {seed}"));
     }
@@ -102,7 +105,8 @@ proptest! {
         workload in any::<u64>(),
         sched in any::<u64>(),
     ) {
-        let report = disk_scenario(mech, processes, seeks, workload, Some(sched));
+        let report = run(disk_sim(mech, processes, seeks, workload), Some(sched))
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
         let events = extract(&report.trace);
         expect_clean(
             &check_elevator(&events, "seek"),
@@ -389,9 +393,9 @@ proptest! {
         per in 1usize..5,
         seed in any::<u64>(),
     ) {
-        let (_, mut sent, mut received) =
-            bloom_problems::drivers::buffer_scenario(
-                MechanismId::Csp, capacity, producers, 1, per, Some(seed));
+        let report = run(buffer_sim(MechanismId::Csp, capacity, producers, 1, per), Some(seed))
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let (mut sent, mut received) = buffer_transfers(&report.trace);
         sent.sort_unstable();
         received.sort_unstable();
         prop_assert_eq!(sent, received);
