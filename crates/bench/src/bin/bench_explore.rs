@@ -38,6 +38,7 @@ use bloom_problems::rw::RwVariant;
 use bloom_problems::symbolic::{compare_andler, compare_csp, SymbolicComparison};
 use bloom_problems::workload::{Arrival, Think, WorkloadSpec};
 use bloom_sim::prelude::*;
+use bloom_sim::PhaseTimes;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -203,30 +204,49 @@ fn behavior(result: &Result<SimReport, SimError>) -> String {
 
 /// One exploration under `config` on the default inline worker,
 /// returning the full (decision-vector, behavior) journal alongside the
-/// stats. The journal is sorted by decision vector, so it is directly
-/// comparable to any other worker count's.
+/// stats and its wall-clock seconds. The journal is sorted by decision
+/// vector, so it is directly comparable to any other worker count's.
 fn explore_serial(
     config: &ExploreConfig,
     setup: impl Fn() -> Sim + Sync,
-) -> (Vec<(Vec<u32>, String)>, ExploreStats) {
+) -> (Vec<(Vec<u32>, String)>, ExploreStats, f64) {
+    let start = Instant::now();
     let (journal, stats) = config.run(&setup, |_, result| behavior(result));
+    let secs = start.elapsed().as_secs_f64();
     assert!(stats.complete, "tree exceeds the budget");
     (
         journal.into_iter().map(|r| (r.choices, r.value)).collect(),
         stats,
+        secs,
     )
+}
+
+/// An exploration's phase durations ([`ExploreStats::phases`]) as a JSON
+/// object of seconds.
+fn phases_json(phases: &PhaseTimes) -> String {
+    let parts = [
+        ("setup", phases.setup),
+        ("run", phases.run),
+        ("plan", phases.plan),
+        ("grant", phases.grant),
+        ("map", phases.map),
+        ("merge", phases.merge),
+    ]
+    .map(|(name, d)| format!("\"{name}\": {:.6}", d.as_secs_f64()));
+    format!("{{ {} }}", parts.join(", "))
 }
 
 /// E2: the full tree vs the revisit prune (DESIGN.md §2.14) on one tree.
 /// Asserts, while counting: both observe the identical behavior set, the
 /// prune visits strictly fewer schedules, its accounting invariant
 /// holds, and the pruned tree is byte-identical across 1/2/4/8 worker
-/// threads.
+/// threads. Records each mode's one-worker seconds and where they went
+/// by phase ([`ExploreStats::phases`]).
 fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
     let budget = ExploreConfig::new(usize::MAX);
     let revisit_config = budget.clone().mode(PruneMode::Revisit);
-    let (full_journal, full_stats) = explore_serial(&budget, &setup);
-    let (revisit_journal, revisit_stats) = explore_serial(&revisit_config, &setup);
+    let (full_journal, full_stats, full_secs) = explore_serial(&budget, &setup);
+    let (revisit_journal, revisit_stats, revisit_secs) = explore_serial(&revisit_config, &setup);
 
     // Soundness while we measure: pruning may only skip schedules whose
     // behavior an explored schedule already exhibits.
@@ -273,7 +293,8 @@ fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
 
     let races: u64 = revisit_stats.conflicts.values().sum();
     eprintln!(
-        "pruning({name}): {} full, {} revisit ({} races, {} requests, {} grants)",
+        "pruning({name}): {} full in {full_secs:.3}s, {} revisit in {revisit_secs:.3}s \
+         ({} races, {} requests, {} grants)",
         full_stats.schedules,
         revisit_stats.schedules,
         races,
@@ -284,13 +305,17 @@ fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
         "{{\n      \"tree\": \"{name}\",\n      \"full_schedules\": {},\n      \
          \"revisit_schedules\": {},\n      \"revisit_pruned\": {},\n      \
          \"revisit_races\": {},\n      \"revisit_requests\": {},\n      \
-         \"revisit_grants\": {}\n    }}",
+         \"revisit_grants\": {},\n      \"full_secs\": {full_secs:.6},\n      \
+         \"revisit_secs\": {revisit_secs:.6},\n      \"full_phases\": {},\n      \
+         \"revisit_phases\": {}\n    }}",
         full_stats.schedules,
         revisit_stats.schedules,
         revisit_stats.pruned,
         races,
         revisit_stats.revisit_requests,
-        revisit_stats.revisits
+        revisit_stats.revisits,
+        phases_json(&full_stats.phases),
+        phases_json(&revisit_stats.phases)
     )
 }
 

@@ -60,7 +60,7 @@
 use bloom_sim::{Access, Cancelled, Ctx, Deadline, ObjId, Pid};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A sender parked on a channel with its offered value.
 struct WaitingSender<T> {
@@ -107,6 +107,10 @@ pub struct Channel<T> {
     name: String,
     /// Identity for object-granular dependency tracking.
     obj: ObjId,
+    /// The park reason of a blocked sender (`{name}.send`), built at the
+    /// first such park, so that a channel no sender blocks on formats
+    /// nothing and a later park formats nothing either.
+    send_reason: OnceLock<String>,
     state: Mutex<ChanState<T>>,
 }
 
@@ -116,6 +120,7 @@ impl<T: Send> Channel<T> {
         Channel {
             name: name.to_string(),
             obj: ObjId::new("channel", name),
+            send_reason: OnceLock::new(),
             state: Mutex::new(ChanState {
                 senders: VecDeque::new(),
                 receivers: VecDeque::new(),
@@ -128,6 +133,12 @@ impl<T: Send> Channel<T> {
         &self.name
     }
 
+    /// The park reason of a blocked sender.
+    fn send_reason(&self) -> &str {
+        self.send_reason
+            .get_or_init(|| format!("{}.send", self.name))
+    }
+
     /// Sends `value`, blocking until a receiver takes it (rendezvous).
     ///
     /// If the sender is killed while parked here, the queued offer is
@@ -138,7 +149,7 @@ impl<T: Send> Channel<T> {
             return;
         }
         let withdraw = WithdrawOfferOnUnwind { chan: self, ctx };
-        ctx.park(&format!("{}.send", self.name));
+        ctx.park(self.send_reason());
         std::mem::forget(withdraw);
     }
 
@@ -158,7 +169,7 @@ impl<T: Send> Channel<T> {
             return Ok(());
         }
         let withdraw = WithdrawOfferOnUnwind { chan: self, ctx };
-        let woken = ctx.park_timeout(&format!("{}.send", self.name), ticks);
+        let woken = ctx.park_timeout(self.send_reason(), ticks);
         std::mem::forget(withdraw);
         if woken {
             return Ok(()); // a receiver took the value

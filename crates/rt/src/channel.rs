@@ -373,8 +373,11 @@ mod tests {
             let tx = Arc::clone(&ch);
             let q = Arc::clone(&queued);
             rt.spawn(&format!("s{i}"), move |ctx| {
-                // Serialize arrival order so FIFO has a defined meaning.
-                std::thread::sleep(Duration::from_millis(5 * (i as u64 + 1)));
+                // Serialize arrivals so FIFO has a defined meaning: go
+                // only once every earlier sender is queued.
+                while tx.pending_senders() < i {
+                    std::thread::yield_now();
+                }
                 q.lock().push(i);
                 tx.send(ctx, i);
             });
@@ -401,9 +404,12 @@ mod tests {
         let b = Arc::new(RtChannel::new("b"));
         let b1 = Arc::clone(&b);
         rt.spawn("sender-b", move |ctx| b1.send(ctx, 20));
-        let a2 = Arc::clone(&a);
+        let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
         rt.spawn("sender-a", move |ctx| {
-            std::thread::sleep(Duration::from_millis(10)); // arrives second
+            // Arrive second: go only once sender-b is queued.
+            while b2.pending_senders() < 1 {
+                std::thread::yield_now();
+            }
             a2.send(ctx, 10);
         });
         let (a3, b3) = (Arc::clone(&a), Arc::clone(&b));

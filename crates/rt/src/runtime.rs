@@ -433,7 +433,7 @@ impl RtSim {
             // no replay, no prune.
             prune_safe: false,
             metrics: SimMetrics::default(),
-            quanta: Vec::new(),
+            quanta: Default::default(),
             data_choices: Vec::new(),
         };
         if let Some((pid, message)) = panicked {

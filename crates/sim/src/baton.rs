@@ -73,14 +73,15 @@ pub(crate) enum Go {
 }
 
 /// A running process's account of why it stopped: the argument of
-/// `kernel::stop_process`.
-pub(crate) enum Report {
+/// `kernel::stop_process`, which the stopping process is blocked in, so a
+/// park's reason is borrowed from its caller rather than copied.
+pub(crate) enum Report<'a> {
     /// Voluntary yield; the process is still runnable.
     Yielded,
     /// The process parked itself (it is on some wait queue).
-    Parked { reason: String },
+    Parked { reason: &'a str },
     /// Parked with a timeout: wake via unpark or when the timer fires.
-    ParkedTimeout { reason: String, ticks: u64 },
+    ParkedTimeout { reason: &'a str, ticks: u64 },
     /// The process wants to sleep for the given number of virtual ticks.
     Slept { ticks: u64 },
     /// The process closure returned normally.

@@ -1,7 +1,7 @@
 //! The per-process kernel handle.
 
 use crate::baton::{Baton, Go, Report};
-use crate::footprint::{merge_access, Access, ObjId};
+use crate::footprint::{Access, ObjId};
 use crate::kernel::{obey, stop_process, Cancelled, ProcessStatus, Shared, StopOutcome, TimerKind};
 use crate::metrics::SimMetrics;
 use crate::symbolic::SymValue;
@@ -122,7 +122,7 @@ impl Ctx {
     ///
     /// This is the conservative fallback of the footprint contract: it
     /// marks the quantum as touching *everything*
-    /// ([`crate::Footprint::All`]). Mechanisms that know which object they
+    /// ([`crate::Quantum::is_all`]). Mechanisms that know which object they
     /// touched should call [`Ctx::note_sync_obj`] instead, which keeps the
     /// object-granular race analysis effective (see `DESIGN.md` §2.10).
     pub fn note_sync(&self) {
@@ -177,7 +177,7 @@ impl Ctx {
     /// Ends the current quantum with a yield or a sleep and waits until
     /// the kernel lets this process run again; a shutdown cancellation
     /// unwinds.
-    fn stop_or_unwind(&self, report: Report) {
+    fn stop_or_unwind(&self, report: Report<'_>) {
         self.unwind_if_cancelled();
         let resumed = match stop_process(&self.shared, self.pid, report) {
             // Picked right back at our own stop: after a yield the
@@ -277,13 +277,8 @@ impl Ctx {
         }
         loop {
             let report = match timeout {
-                None => Report::Parked {
-                    reason: reason.to_string(),
-                },
-                Some(ticks) => Report::ParkedTimeout {
-                    reason: reason.to_string(),
-                    ticks,
-                },
+                None => Report::Parked { reason },
+                Some(ticks) => Report::ParkedTimeout { reason, ticks },
             };
             match stop_process(&self.shared, self.pid, report) {
                 // Picked right back at our own stop. A timed park gets here
@@ -342,7 +337,7 @@ impl Ctx {
         let st = &mut *guard;
         let slot = &st.procs[target.index()];
         if st.record_quanta {
-            merge_access(&mut st.quantum_objs, slot.park_obj.clone(), Access::Read);
+            st.log.mark(&slot.park_obj, Access::Read);
         }
         matches!(slot.status, ProcessStatus::Blocked { .. }) || slot.spurious_wake
     }
@@ -356,7 +351,7 @@ impl Ctx {
         let st = &mut *guard;
         let slot = &mut st.procs[target.index()];
         if st.record_quanta {
-            merge_access(&mut st.quantum_objs, slot.park_obj.clone(), Access::Write);
+            st.log.mark(&slot.park_obj, Access::Write);
         }
         if !matches!(slot.status, ProcessStatus::Blocked { .. }) {
             // A pending fault-plan spurious wake means the target is Ready

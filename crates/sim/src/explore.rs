@@ -28,10 +28,11 @@
 //! depth-first.
 //!
 //! The run-level `prune_safe` gate still applies: timers, faults, clock
-//! reads and the starvation watchdog force every footprint of the run to
-//! [`crate::Footprint::All`], so the race analysis requests every sibling
-//! of such a run. Pruning is off by default because exact schedule counts
-//! are themselves findings in this repository's reports.
+//! reads and the starvation watchdog widen every footprint of the run to
+//! the conservative one ([`crate::Quantum::is_all`]), so the race
+//! analysis requests every sibling of such a run. Pruning is off by
+//! default because exact schedule counts are themselves findings in this
+//! repository's reports.
 
 use crate::error::SimError;
 use crate::fault::FaultPlan;
@@ -43,6 +44,7 @@ use crate::trace::Decision;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Which reduction [`ExploreConfig::mode`] applies.
 ///
@@ -98,8 +100,9 @@ pub struct ExploreStats {
     /// skipped at decision index `d`. Sums to `pruned`.
     pub depth_pruned: Vec<usize>,
     /// Per-object race tally of the prune, keyed by the conflicting
-    /// object's full name (`"*"` when both sides were opaque
-    /// [`crate::Footprint::All`]): how many reversible races were detected
+    /// object's full name (`"*"` when both sides were conservative
+    /// footprints, [`crate::Quantum::is_all`]): how many reversible races
+    /// were detected
     /// on the object. Summed over every executed run; deterministic and
     /// identical across thread counts for complete explorations. Empty
     /// unless pruning was enabled. A hot object here is the object whose
@@ -141,6 +144,54 @@ pub struct ExploreStats {
     /// exploration. A sampling run never proves absence — `complete` then
     /// means only "every requested iteration ran".
     pub sampling: Option<crate::sample::SampleStats>,
+    /// Where the exploration's wall-clock time went, by phase, summed
+    /// over workers. Non-authoritative: a measurement, never part of a
+    /// journal, an export, the report or an equality check (its `Debug`
+    /// prints no values). Zero for sampled runs.
+    pub phases: PhaseTimes,
+}
+
+/// Wall-clock durations of an exhaustive exploration's phases, summed over
+/// workers ([`ExploreStats::phases`]). Every run passes through the first
+/// five in order, one clock read per boundary; `merge` is paid once.
+///
+/// Non-authoritative by design: two explorations of one tree explore the
+/// same schedules in different times, so `Debug` prints no values and
+/// nothing deterministic reads these fields.
+#[derive(Clone, Copy, Default)]
+#[non_exhaustive]
+pub struct PhaseTimes {
+    /// Claiming the next branch prefix and building its scenario.
+    pub setup: Duration,
+    /// Driving the run to its end ([`Sim::run`]).
+    pub run: Duration,
+    /// Race planning over the run's footprint log (revisit mode only).
+    pub plan: Duration,
+    /// Expansion: registering the run's discovered nodes, granting its
+    /// requests and pushing fresh branches to the frontier.
+    pub grant: Duration,
+    /// The caller's map closure and the journal append.
+    pub map: Duration,
+    /// The final merge: sorting the journal and settling the histograms.
+    pub merge: Duration,
+}
+
+impl PhaseTimes {
+    /// Adds another worker's durations.
+    pub(crate) fn add(&mut self, other: &PhaseTimes) {
+        self.setup += other.setup;
+        self.run += other.run;
+        self.plan += other.plan;
+        self.grant += other.grant;
+        self.map += other.map;
+        self.merge += other.merge;
+    }
+}
+
+impl std::fmt::Debug for PhaseTimes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("PhaseTimes { .. }")
+    }
 }
 
 impl ExploreStats {

@@ -5,7 +5,7 @@ use crate::baton::{Baton, Go, Report};
 use crate::ctx::Ctx;
 use crate::error::{SimError, SimErrorKind};
 use crate::fault::FaultRuntime;
-use crate::footprint::{merge_access, Access, Footprint, ObjId, QuantumRecord};
+use crate::footprint::{Access, ObjId, QuantumLog};
 use crate::metrics::{PidMetrics, SimMetrics};
 use crate::policy::{FifoPolicy, SchedPolicy};
 use crate::pool::{self, Job, PendingJob};
@@ -14,7 +14,7 @@ use crate::trace::{Decision, EventKind, Trace};
 use crate::types::{Pid, Time};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -102,7 +102,9 @@ pub(crate) struct ProcSlot {
     /// The reason of the process's last park, moved here from its
     /// `Blocked` status when the park ended ([`ProcSlot::end_park`]), so
     /// that a re-park can tell whether it continues the wait episode
-    /// without the kernel copying a reason on every park.
+    /// without the kernel copying a reason on every park. The next park
+    /// moves the buffer back into its `Blocked` status
+    /// ([`ProcSlot::begin_park`]), so one string serves every park.
     pub park_reason: String,
     /// Whether the watchdog has already flagged the current wait episode
     /// (each episode is flagged at most once).
@@ -132,14 +134,23 @@ impl ProcSlot {
         }
     }
 
-    /// Accounts a park on `reason` at `clock` for the watchdog: continues
-    /// the open wait episode if its last park had the same reason, and
-    /// opens a new one otherwise.
-    fn open_wait(&mut self, reason: &str, clock: Time) {
+    /// Blocks the process on `reason` at `clock`. For the watchdog, the
+    /// park continues the open wait episode if its last park had the same
+    /// reason and opens a new one otherwise. The `Blocked` status takes
+    /// the buffer the last park's reason left in `park_reason`, so a park
+    /// allocates no reason once the buffer has grown to fit.
+    fn begin_park(&mut self, reason: &str, clock: Time) {
         if self.wait_since.is_none() || self.park_reason != reason {
             self.wait_since = Some(clock);
             self.starvation_flagged = false;
         }
+        let mut buf = std::mem::take(&mut self.park_reason);
+        buf.clear();
+        buf.push_str(reason);
+        self.status = ProcessStatus::Blocked { reason: buf };
+        self.park_token += 1;
+        self.timed_out = false;
+        self.blocked_since = Some(clock);
     }
 }
 
@@ -170,8 +181,8 @@ pub(crate) struct State {
     /// the events in between, so anything time-sensitive voids the prune:
     /// setting any timer, reading the clock from a process ([`Ctx::now`]),
     /// injecting faults, or running the starvation watchdog clears this
-    /// flag, and `snapshot` then widens every recorded footprint to
-    /// [`Footprint::All`].
+    /// flag, and `snapshot` then widens every recorded footprint to the
+    /// conservative one ([`crate::Quantum::is_all`]).
     pub prune_safe: bool,
     /// Run-anatomy counters (see [`SimMetrics`]). Strictly
     /// non-authoritative: written throughout the run, read only by
@@ -180,16 +191,15 @@ pub(crate) struct State {
     /// The previously dispatched pid, for the context-switch count.
     /// Metrics bookkeeping only.
     pub last_dispatched: Option<Pid>,
-    /// Object accesses reported for the *current* quantum via
-    /// [`Ctx::note_sync_obj`]; drained into a [`QuantumRecord`] when the
-    /// quantum ends, cleared at each dispatch. (The coarse companion bit
-    /// lives in [`Shared::quantum_all`], which processes can set without
-    /// taking this lock.)
-    pub quantum_objs: BTreeMap<ObjId, Access>,
-    /// The per-dispatch footprint log (see [`SimReport::quanta`]).
-    pub quanta: Vec<QuantumRecord>,
-    /// Whether to record `quanta`, and with it `quantum_objs`: off unless
-    /// a prune mode or the caller asks (see [`SimConfig::record_quanta`]).
+    /// The per-dispatch footprint log (see [`SimReport::quanta`]): each
+    /// dispatch opens a quantum (keeping a contested dispatch's ready
+    /// list), [`Ctx::note_sync_obj`] and the kernel's own marks add to it,
+    /// and the stop closes it. (The coarse companion bit lives in
+    /// [`Shared::quantum_all`], which processes can set without taking
+    /// this lock.)
+    pub log: QuantumLog,
+    /// Whether to record `log`: off unless a prune mode or the caller asks
+    /// (see [`SimConfig::record_quanta`]).
     pub record_quanta: bool,
     /// The scheduling policy consulted at contested dispatches.
     pub policy: Box<dyn SchedPolicy>,
@@ -205,19 +215,10 @@ pub(crate) struct State {
     /// in call order: the k-th entry describes the k-th `Data`-kind entry
     /// of `decisions`. Drained into [`SimReport::data_choices`].
     pub data_choices: Vec<crate::symbolic::DataChoice>,
-    /// The candidate list of the current quantum's contested dispatch
-    /// (`None` for forced dispatches or when `record_quanta` is off). Set
-    /// by `pick_and_dispatch`, consumed by `account_stop` — kernel state
-    /// because phase 3 runs on whichever host thread the quantum stopped
-    /// on.
-    pub cur_ready: Option<Vec<Pid>>,
     /// How the run ended (`None`: completed), recorded by whoever ended
     /// it ([`end_run`]) and read by [`drive`] once the job gate falls.
     pub run_error: Option<SimErrorKind>,
 }
-
-/// Capacity hint of a recorded footprint log, one record per dispatch.
-const QUANTA_CAPACITY: usize = 32;
 
 impl State {
     pub(crate) fn new(cfg: &SimConfig, faults: FaultRuntime) -> Self {
@@ -241,14 +242,12 @@ impl State {
             prune_safe: true,
             metrics: SimMetrics::default(),
             last_dispatched: None,
-            quantum_objs: BTreeMap::new(),
-            quanta: Vec::new(),
+            log: QuantumLog::default(),
             record_quanta: false,
             policy: Box::new(FifoPolicy),
             max_steps: cfg.max_steps,
             starvation_bound: cfg.starvation_bound,
             deadlock_recovery: cfg.deadlock_recovery,
-            cur_ready: None,
             data_choices: Vec::new(),
             run_error: None,
         };
@@ -257,19 +256,19 @@ impl State {
     }
 
     /// Turns the footprint log on or off; only a recorded log reserves
-    /// its capacity hint.
+    /// its arenas.
     pub(crate) fn set_record_quanta(&mut self, on: bool) {
         self.record_quanta = on;
         if on {
-            self.quanta.reserve(QUANTA_CAPACITY);
+            self.log.reserve();
         }
     }
 
     /// Adds an access to the current quantum's footprint. A no-op unless
-    /// the footprint log is recorded: nothing else reads `quantum_objs`.
+    /// the footprint log is recorded: nothing else reads it.
     pub(crate) fn mark_obj(&mut self, obj: &ObjId, access: Access) {
         if self.record_quanta {
-            merge_access(&mut self.quantum_objs, obj.clone(), access);
+            self.log.mark(obj, access);
         }
     }
 
@@ -311,8 +310,9 @@ pub(crate) struct Shared {
     pub tickets: AtomicU64,
     /// Set by [`Ctx::note_sync`] (the conservative fallback of the
     /// footprint contract): the current quantum may have touched *any*
-    /// object, so its footprint is [`Footprint::All`] regardless of what
-    /// [`State::quantum_objs`] collected. Cleared at each dispatch.
+    /// object, so its footprint is the conservative one
+    /// ([`crate::Quantum::is_all`]) regardless of what it marked in
+    /// [`State::log`]. Cleared at each dispatch.
     pub quantum_all: AtomicBool,
     /// Set (before any cancellation) when the run is shutting down. Unwind
     /// guards in the mechanism crates consult this via
@@ -539,7 +539,7 @@ pub(crate) fn run_process(shared: &Arc<Shared>, pid: Pid, baton: Arc<Baton<Go>>,
 /// leaves the blocked set, so the quantum parks.
 fn end_abort(shared: &Shared, st: &mut State, victim: Pid) {
     if st.record_quanta {
-        record_quantum(shared, st, victim, None, true);
+        record_quantum(shared, st, victim, true);
     }
     // Cancelled, not Killed: an abort is a recovery action, not a crash.
     st.settle_blocked_time(victim);
@@ -608,8 +608,9 @@ pub struct SimReport {
     /// Whether the run stayed within the contract of the explorers'
     /// equivalence prune (no timers, no process-visible clock reads, no
     /// faults, no starvation watchdog). When `false`, every footprint in
-    /// [`SimReport::quanta`] has been forced to [`Footprint::All`], so
-    /// explorers need not consult this field separately.
+    /// [`SimReport::quanta`] has been widened to the conservative one
+    /// ([`crate::Quantum::is_all`]), so explorers need not consult this
+    /// field separately.
     pub prune_safe: bool,
     /// Run-anatomy counters (dispatches, parks/wakes by reason, queue
     /// high-water marks, per-mechanism sync ops, replay divergence).
@@ -618,14 +619,14 @@ pub struct SimReport {
     pub metrics: SimMetrics,
     /// Per-dispatch access footprints in dispatch order: empty unless
     /// [`crate::SimConfig::record_quanta`] was on, which a prune mode or
-    /// the caller must ask for. Records whose `ready`
-    /// is `Some` align 1:1 with the `Sched`-kind entries of `decisions`
+    /// the caller must ask for. Quanta whose [`crate::Quantum::ready`] is
+    /// `Some` align 1:1 with the `Sched`-kind entries of `decisions`
     /// (data decisions happen *inside* a quantum and have no record of
     /// their own); when the run was not `prune_safe`, every footprint has
-    /// been forced to [`Footprint::All`] so the explorers' dependency
+    /// been widened to the conservative one so the explorers' dependency
     /// analysis can never act on footprints a timer or fault may have
     /// invalidated.
-    pub quanta: Vec<QuantumRecord>,
+    pub quanta: QuantumLog,
     /// One record per contested [`crate::Ctx::choose_value`] call, in call
     /// order: the k-th entry describes the k-th `Data`-kind entry of
     /// `decisions` — its label, domain, the value taken, and every
@@ -653,16 +654,14 @@ impl SimReport {
 
 fn snapshot(st: &mut State) -> SimReport {
     let decisions = std::mem::take(&mut st.decisions);
-    let mut quanta = std::mem::take(&mut st.quanta);
+    let mut quanta = std::mem::take(&mut st.log);
     if !st.prune_safe {
         // Timers and faults act outside any quantum, and a commuted quantum
         // shifts the intervening virtual times, so recorded footprints
-        // understate what a quantum's reordering could perturb. Forcing
-        // them to `All` makes the explorers' race analysis request every
-        // sibling of this run.
-        for q in &mut quanta {
-            q.footprint = Footprint::All;
-        }
+        // understate what a quantum's reordering could perturb. Widening
+        // them makes the explorers' race analysis request every sibling of
+        // this run.
+        quanta.widen_all();
     }
     // Metrics finalization: close the blocked episodes of processes that
     // never woke (deadlock victims, shutdown-cancelled waiters) and read
@@ -752,16 +751,12 @@ fn pick_and_dispatch(st: &mut State) -> Picked {
         st.decisions.push(Decision::sched(arity, pick as u32));
         pick
     };
-    // Footprint bookkeeping for the quantum about to run: remember the
-    // candidate list of a contested dispatch (index c is what sibling
-    // choice c would have dispatched) and reset the per-quantum access
-    // collection.
-    st.cur_ready = if contested && st.record_quanta {
-        Some(st.ready.clone())
-    } else {
-        None
-    };
-    st.quantum_objs.clear();
+    // Footprint bookkeeping for the quantum about to run: open it with
+    // the candidate list of a contested dispatch (index c is what sibling
+    // choice c would have dispatched).
+    if st.record_quanta {
+        st.log.open(contested.then_some(&st.ready[..]));
+    }
     let next = st.ready.remove(idx);
     st.clock = st.clock.plus(1);
     st.step += 1;
@@ -852,49 +847,39 @@ fn hand_cpu(shared: &Arc<Shared>, next: Pid, baton: Arc<Baton<Go>>, pending: Opt
 }
 
 /// The read-side of phase 3: record the just-ended quantum's footprint.
-/// `report` is `None` for a quantum ended by a panic. Consumes `cur_ready`
-/// (set at dispatch).
+/// `report` is `None` for a quantum ended by a panic.
 fn account_stop(shared: &Shared, st: &mut State, pid: Pid, report: Option<&Report>) {
     st.running = None;
     if st.record_quanta {
-        let ready = st.cur_ready.take();
         let parked = matches!(
             report,
             Some(Report::Parked { .. } | Report::ParkedTimeout { .. })
         );
-        record_quantum(shared, st, pid, ready, parked);
+        record_quantum(shared, st, pid, parked);
     }
 }
 
-/// Appends the footprint of the quantum `pid` just ended to the log: what
-/// it reported, plus the kernel-implicit writes of a quantum that entered
-/// or left the blocked set (`parks`). Those write its own park slot (the
-/// same pseudo-object `Ctx::is_parked` reads and `Ctx::unpark` writes)
-/// and, under deadlock recovery, the global `park` pseudo-object, because
-/// the victim choice depends on the relative order in which *any* two
+/// Closes the quantum `pid` just ended in the log: what it marked, plus
+/// the kernel-implicit writes of a quantum that entered or left the
+/// blocked set (`parks`). Those write its own park slot (the same
+/// pseudo-object `Ctx::is_parked` reads and `Ctx::unpark` writes) and,
+/// under deadlock recovery, the global `park` pseudo-object, because the
+/// victim choice depends on the relative order in which *any* two
 /// processes blocked, so such quanta must never be commuted then.
-fn record_quantum(shared: &Shared, st: &mut State, pid: Pid, ready: Option<Vec<Pid>>, parks: bool) {
-    let mut objs = if shared.quantum_all.load(Ordering::Relaxed) {
-        None
-    } else {
-        Some(std::mem::take(&mut st.quantum_objs))
-    };
-    if let (true, Some(objs)) = (parks, objs.as_mut()) {
-        merge_access(objs, st.procs[pid.index()].park_obj.clone(), Access::Write);
+fn record_quantum(shared: &Shared, st: &mut State, pid: Pid, parks: bool) {
+    let all = shared.quantum_all.load(Ordering::Relaxed);
+    if parks && !all {
+        st.log.mark(&st.procs[pid.index()].park_obj, Access::Write);
         if st.deadlock_recovery {
-            merge_access(objs, shared.park_order_obj.clone(), Access::Write);
+            st.log.mark(&shared.park_order_obj, Access::Write);
         }
     }
-    st.quanta.push(QuantumRecord {
-        pid,
-        footprint: objs.map_or(Footprint::All, Footprint::Objs),
-        ready,
-    });
+    st.log.close(pid, all);
 }
 
 /// The write-side of phase 3: apply the status transition of a stop that
 /// no kill-point cut short, and its bookkeeping.
-fn apply_stop(st: &mut State, pid: Pid, report: Report) {
+fn apply_stop(st: &mut State, pid: Pid, report: Report<'_>) {
     let clock = st.clock;
     match report {
         Report::Yielded => {
@@ -910,16 +895,11 @@ fn apply_stop(st: &mut State, pid: Pid, report: Report) {
         Report::Parked { reason } => {
             // The Blocked trace event was already pushed by Ctx::park so
             // that it is ordered before any subsequent unpark.
-            SimMetrics::bump(&mut st.metrics.parks, &reason);
-            let slot = &mut st.procs[pid.index()];
+            SimMetrics::bump(&mut st.metrics.parks, reason);
             // Watchdog bookkeeping: re-parking on the same reason (a
             // re-contend or recheck loop) continues the current wait
             // episode; anything else starts a fresh one.
-            slot.open_wait(&reason, clock);
-            slot.status = ProcessStatus::Blocked { reason };
-            slot.park_token += 1;
-            slot.timed_out = false;
-            slot.blocked_since = Some(clock);
+            st.procs[pid.index()].begin_park(reason, clock);
             // Fault plane: a spurious wake makes the process runnable
             // again with no matching unpark; Ctx::park absorbs it, even
             // when the pick below comes straight back to this process.
@@ -937,14 +917,10 @@ fn apply_stop(st: &mut State, pid: Pid, report: Report) {
         }
         Report::ParkedTimeout { reason, ticks } => {
             st.prune_safe = false; // timers are time-sensitive: no prune
-            SimMetrics::bump(&mut st.metrics.parks, &reason);
+            SimMetrics::bump(&mut st.metrics.parks, reason);
             let until = clock.plus(ticks);
             let slot = &mut st.procs[pid.index()];
-            slot.open_wait(&reason, clock);
-            slot.status = ProcessStatus::Blocked { reason };
-            slot.park_token += 1;
-            slot.timed_out = false;
-            slot.blocked_since = Some(clock);
+            slot.begin_park(reason, clock);
             let token = slot.park_token;
             let tiebreak = st.timer_tiebreak;
             st.timer_tiebreak += 1;
@@ -1094,7 +1070,9 @@ fn next_step(st: &mut State) -> Next {
                 let clock = st.clock;
                 st.trace.push(clock, victim, EventKind::Aborted);
                 st.recovered.push(victim);
-                st.quantum_objs.clear();
+                if st.record_quanta {
+                    st.log.open(None);
+                }
                 return Next::Abort(victim);
             }
         }
@@ -1210,7 +1188,7 @@ fn end_run(shared: &Shared, mut st: MutexGuard<'_, State>, error: Option<SimErro
 /// state between its stop and the next dispatch. It then hands the CPU
 /// directly to the next process, or keeps it if the pick comes back to
 /// itself.
-pub(crate) fn stop_process(shared: &Arc<Shared>, pid: Pid, report: Report) -> StopOutcome {
+pub(crate) fn stop_process(shared: &Arc<Shared>, pid: Pid, report: Report<'_>) -> StopOutcome {
     let mut st = shared.state.lock();
     account_stop(shared, &mut st, pid, Some(&report));
     // Fault plane: a yield/park/sleep is a scheduling point of the
@@ -1374,7 +1352,7 @@ mod tests {
                 assert!(!ctx.is_parked(ctx.pid()));
                 assert!(!ctx.try_unpark(ctx.pid()));
                 let shared = ctx.shared();
-                let objs = shared.state.lock().quantum_objs.len();
+                let objs = shared.state.lock().log.open_marks();
                 *seen2.lock() = Some(objs);
             });
             let report = sim.run().expect("the marker finishes");

@@ -96,10 +96,11 @@ mod waitq;
 pub use ctx::Ctx;
 pub use error::{SimError, SimErrorKind};
 pub use explore::{
-    ExploreConfig, ExploreError, ExploreStats, KillPointCount, KillPointStats, PruneMode,
+    ExploreConfig, ExploreError, ExploreStats, KillPointCount, KillPointStats, PhaseTimes,
+    PruneMode,
 };
 pub use fault::{DelaySpec, FaultPlan, KillSpec, Poisoned, SpuriousSpec};
-pub use footprint::{Access, Footprint, ObjId, QuantumRecord};
+pub use footprint::{Access, ObjId, Quantum, QuantumLog};
 pub use kernel::{Cancelled, ProcessStatus, ProcessSummary, SimReport, StarvationFlag};
 pub use metrics::{PidMetrics, ReplayDivergence, SimMetrics};
 pub use parallel::ScheduleRecord;

@@ -47,16 +47,17 @@
 
 use crate::error::SimError;
 use crate::explore::{
-    bump_depth, merge_conflicts, ExploreConfig, ExploreError, ExploreStats, PruneMode,
+    bump_depth, merge_conflicts, ExploreConfig, ExploreError, ExploreStats, PhaseTimes, PruneMode,
 };
 use crate::kernel::SimReport;
 use crate::policy::ReplayPolicy;
-use crate::revisit::plan_revisits;
+use crate::revisit::Planner;
 use crate::sim::Sim;
 use crate::trace::Decision;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 /// One schedule's entry in a merged exploration journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,6 +160,82 @@ struct Shared {
     revisit: Option<Mutex<RevisitShared>>,
 }
 
+/// The set of branch prefixes ever scheduled, as a prefix trie in one
+/// arena: node `n` stands for one prefix, its children for that prefix
+/// extended by one choice. Registering a node or granting a branch walks
+/// the run's own decision vector once and allocates nothing beyond the
+/// arena's growth.
+struct PrefixTrie {
+    nodes: Vec<TrieNode>,
+}
+
+#[derive(Clone, Copy)]
+struct TrieNode {
+    /// The last choice of this node's prefix.
+    choice: u32,
+    first_child: u32,
+    next_sibling: u32,
+    scheduled: bool,
+}
+
+/// No node: the end of a child list.
+const NO_NODE: u32 = u32::MAX;
+
+impl PrefixTrie {
+    /// The trie of the empty prefix (the root schedule), scheduled.
+    fn new() -> Self {
+        PrefixTrie {
+            nodes: vec![TrieNode {
+                choice: 0,
+                first_child: NO_NODE,
+                next_sibling: NO_NODE,
+                scheduled: true,
+            }],
+        }
+    }
+
+    /// The root node, the empty prefix.
+    const ROOT: u32 = 0;
+
+    /// The node of `node`'s prefix extended by `choice`, created
+    /// unscheduled if the trie has none yet.
+    fn child(&mut self, node: u32, choice: u32) -> u32 {
+        let mut at = self.nodes[node as usize].first_child;
+        while at != NO_NODE {
+            let n = &self.nodes[at as usize];
+            if n.choice == choice {
+                return at;
+            }
+            at = n.next_sibling;
+        }
+        let new = self.nodes.len() as u32;
+        self.nodes.push(TrieNode {
+            choice,
+            first_child: NO_NODE,
+            next_sibling: self.nodes[node as usize].first_child,
+            scheduled: false,
+        });
+        self.nodes[node as usize].first_child = new;
+        new
+    }
+
+    /// Marks a node's prefix scheduled; whether it was not already.
+    fn schedule(&mut self, node: u32) -> bool {
+        !std::mem::replace(&mut self.nodes[node as usize].scheduled, true)
+    }
+
+    /// `path[i]` becomes the node of `choices[..i]`, for every `i` up to
+    /// `choices.len()`.
+    fn walk(&mut self, choices: &[u32], path: &mut Vec<u32>) {
+        path.clear();
+        path.push(Self::ROOT);
+        for (i, &c) in choices.iter().enumerate() {
+            let next = self.child(path[i], c);
+            path.push(next);
+        }
+    }
+}
+
 /// The shared fixed-point state of a revisit-mode exploration: which
 /// branch prefixes were ever scheduled (so a request is granted exactly
 /// once, no matter which worker makes it first), plus the per-depth
@@ -168,7 +245,7 @@ struct Shared {
 /// branches to the frontier — so any run that can request a branch at a
 /// node always finds the node's canonical marker already present.
 struct RevisitShared {
-    scheduled: BTreeSet<Vec<u32>>,
+    scheduled: PrefixTrie,
     potential: Vec<usize>,
     granted: Vec<usize>,
     /// Value-sibling capacity and grants of discovered `Data`-kind
@@ -193,6 +270,8 @@ struct Tally {
     /// [`ExploreStats::sym_requests`]).
     sym_requests: u64,
     first_error: Option<ExploreError>,
+    /// Wall-clock phase durations (non-authoritative).
+    phases: PhaseTimes,
 }
 
 impl Tally {
@@ -210,6 +289,7 @@ impl Tally {
         merge_conflicts(&mut self.conflicts, &other.conflicts);
         self.revisit_requests += other.revisit_requests;
         self.sym_requests += other.sym_requests;
+        self.phases.add(&other.phases);
         if let Some(error) = other.first_error {
             self.offer_error(error);
         }
@@ -235,7 +315,7 @@ where
         budget_hit: AtomicBool::new(false),
         revisit: (config.mode == Some(PruneMode::Revisit)).then(|| {
             Mutex::new(RevisitShared {
-                scheduled: BTreeSet::from([Vec::new()]),
+                scheduled: PrefixTrie::new(),
                 potential: Vec::new(),
                 granted: Vec::new(),
                 data_potential: Vec::new(),
@@ -244,7 +324,7 @@ where
         }),
     };
     let threads = config.threads.unwrap_or(1);
-    let (mut journal, tally) = if threads == 1 {
+    let (mut journal, mut tally) = if threads == 1 {
         worker(config, &sync, &shared, setup, map)
     } else {
         let outputs = Mutex::new(Vec::with_capacity(threads));
@@ -264,6 +344,7 @@ where
         }
         (journal, tally)
     };
+    let merge_start = Instant::now();
     journal.sort_unstable_by(|a, b| a.choices.cmp(&b.choices));
     // The schedule depth histogram is derived from the merged journal
     // (one record per executed schedule), so it is canonical by
@@ -302,6 +383,7 @@ where
         }
         None => (Vec::new(), 0, 0),
     };
+    tally.phases.merge = merge_start.elapsed();
     let stats = ExploreStats {
         schedules: journal.len(),
         complete: !shared.budget_hit.load(Ordering::Relaxed),
@@ -315,6 +397,7 @@ where
         sym_grants,
         first_error: tally.first_error,
         sampling: None,
+        phases: tally.phases,
     };
     #[cfg(debug_assertions)]
     stats.assert_consistent();
@@ -338,6 +421,10 @@ where
     let mut journal = Vec::new();
     let mut tally = Tally::default();
     let mut fresh: Vec<Vec<u32>> = Vec::new();
+    // Revisit-mode scratch, reused from run to run.
+    let mut planner = Planner::default();
+    let mut path: Vec<u32> = Vec::new();
+    let mut lap = Lap::start();
     while let Some(prefix) = sync.pop() {
         let _guard = ActiveGuard { sync };
         // Claim a budget slot *before* running: exactly
@@ -360,7 +447,9 @@ where
             // The race analysis reads the footprint log.
             sim.set_record_quanta(true);
         }
+        tally.phases.setup += lap.lap();
         let result = sim.run();
+        tally.phases.run += lap.lap();
         let report = match &result {
             Ok(report) => report,
             Err(err) => &err.report,
@@ -398,14 +487,12 @@ where
             // one lock acquisition, before the frontier push, so a
             // node's canonical marker is always visible before any
             // descendant run can request choice 0 there.
-            let plan = plan_revisits(
-                decisions,
-                &report.quanta,
-                prefix.len(),
-                &mut tally.conflicts,
-            );
-            tally.revisit_requests += plan.requests.len() as u64;
+            planner.plan(decisions, &report.quanta, prefix.len());
+            tally.phases.plan += lap.lap();
+            tally.revisit_requests += planner.requests().len() as u64;
             let mut rs = revisit.lock();
+            let rs = &mut *rs;
+            rs.scheduled.walk(&choices, &mut path);
             for (i, d) in decisions.iter().enumerate().skip(prefix.len()) {
                 debug_assert_eq!(d.chosen, 0, "past-prefix replay takes choice 0");
                 if d.arity > 1 {
@@ -414,14 +501,14 @@ where
                     } else {
                         bump_depth(&mut rs.data_potential, i, d.arity as usize - 1);
                     }
-                    rs.scheduled.insert(choices[..=i].to_vec());
+                    rs.scheduled.schedule(path[i + 1]);
                 }
             }
-            for (i, c) in plan.requests {
-                let branch = sibling(&choices, i, c);
-                if rs.scheduled.insert(branch.clone()) {
+            for &(i, c) in planner.requests() {
+                let node = rs.scheduled.child(path[i], c);
+                if rs.scheduled.schedule(node) {
                     bump_depth(&mut rs.granted, i, 1);
-                    fresh.push(branch);
+                    fresh.push(sibling(&choices, i, c));
                 }
             }
             // Symbolic collapse over the run's data decisions: each
@@ -443,10 +530,10 @@ where
                 slot += 1;
                 tally.sym_requests += requests.len() as u64;
                 for c in requests {
-                    let branch = sibling(&choices, i, c);
-                    if rs.scheduled.insert(branch.clone()) {
+                    let node = rs.scheduled.child(path[i], c);
+                    if rs.scheduled.schedule(node) {
                         bump_depth(&mut rs.data_granted, i, 1);
-                        fresh.push(branch);
+                        fresh.push(sibling(&choices, i, c));
                     }
                 }
             }
@@ -471,12 +558,30 @@ where
                 }
             });
         }
+        tally.phases.grant += lap.lap();
         journal.push(ScheduleRecord {
             value: map(decisions, &result),
             choices,
         });
+        tally.phases.map += lap.lap();
     }
+    planner.drain_tally(&mut tally.conflicts);
     (journal, tally)
+}
+
+/// A stopwatch that hands out the time since its last lap: one clock
+/// read per phase boundary.
+struct Lap(Instant);
+
+impl Lap {
+    fn start() -> Self {
+        Lap(Instant::now())
+    }
+
+    fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        now.duration_since(std::mem::replace(&mut self.0, now))
+    }
 }
 
 /// The branch that takes choice `c` at decision `i` of the run whose

@@ -20,264 +20,451 @@
 //! plus every revisit any executed schedule requests", and that fixed
 //! point does not depend on the order requests are discovered in. See
 //! `DESIGN.md` §2.14 for the soundness argument.
+//!
+//! The planner works on words and visits each quantum once. Per object
+//! slot it keeps the set of quanta so far that read it and that wrote it,
+//! so a quantum's conflicts are the OR of a few slot rows rather than a
+//! test against every earlier quantum; happens-before is one bitset row
+//! per quantum, and a race's adjacency is one AND-NOT. Its buffers live in
+//! a per-worker [`Planner`] and are reused from run to run.
 
-use crate::footprint::QuantumRecord;
+use crate::footprint::{Access, QuantumLog};
 use crate::trace::Decision;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::types::Pid;
+use std::collections::BTreeMap;
 
-/// What one executed run's race analysis wants explored.
-#[derive(Debug, Default)]
-pub(crate) struct RevisitPlan {
-    /// Deduplicated `(decision index, sibling choice)` branch requests:
-    /// dispatching `ready[choice]` at that decision reverses at least one
-    /// detected race. Choices equal to the run's own chosen branch are
-    /// never requested.
-    pub(crate) requests: BTreeSet<(usize, u32)>,
-    /// How many reversible races the analysis found (before the per-run
-    /// request dedup). A pure function of the run, so summing it over all
+/// Sets bit `i` of a bitset row.
+#[inline]
+fn set_bit(row: &mut [u64], i: usize) {
+    row[i / 64] |= 1 << (i % 64);
+}
+
+/// `dst |= src`, word by word.
+#[inline]
+fn or_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= *s;
+    }
+}
+
+/// Clears `bits` and sizes it to `len` zero words, keeping its capacity.
+fn zeroed(bits: &mut Vec<u64>, len: usize) {
+    bits.clear();
+    bits.resize(len, 0);
+}
+
+/// The length of the planner's bitsets in words. [`OneWord`], a run of
+/// at most 64 quanta and by far the common case, is a constant the
+/// compiler sees through: every row copy and clear becomes one store.
+trait Words: Copy {
+    fn get(self) -> usize;
+}
+
+#[derive(Clone, Copy)]
+struct OneWord;
+
+impl Words for OneWord {
+    #[inline(always)]
+    fn get(self) -> usize {
+        1
+    }
+}
+
+#[derive(Clone, Copy)]
+struct ManyWords(usize);
+
+impl Words for ManyWords {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self.0
+    }
+}
+
+/// The set bits of a bitset row, lowest first.
+fn bits(row: &[u64]) -> Bits<'_> {
+    Bits {
+        row,
+        base: 0,
+        word: row.first().copied().unwrap_or(0),
+    }
+}
+
+/// Iterator of [`bits`].
+struct Bits<'a> {
+    row: &'a [u64],
+    /// The index of the current word's bit 0.
+    base: usize,
+    /// The current word's bits not yet yielded.
+    word: u64,
+}
+
+impl Iterator for Bits<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            self.base += 64;
+            self.word = *self.row.get(self.base / 64)?;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
+    }
+}
+
+/// Race planning's per-worker scratch: every buffer a plan needs, kept
+/// from run to run so that planning allocates nothing once the buffers
+/// have grown to the tree's largest run. Every bitset over the run's
+/// quanta, and every row, is `m.div_ceil(64)` words long.
+#[derive(Default)]
+pub(crate) struct Planner {
+    /// The last plan's deduplicated `(decision index, sibling choice)`
+    /// branch requests, in ascending order.
+    requests: Vec<(usize, u32)>,
+    /// Quantum → its decision index (`usize::MAX` for a forced dispatch).
+    decision_of: Vec<usize>,
+    pids: Vec<Pid>,
+    /// Per pid, its latest quantum so far (`usize::MAX`: none yet).
+    latest: Vec<usize>,
+    /// Row `u`: every quantum that happens before quantum `u`.
+    before: Vec<u64>,
+    /// Row `s`: the quanta so far that read slot `s`, and that wrote it.
+    readers: Vec<u64>,
+    writers: Vec<u64>,
+    /// The quanta so far with the conservative footprint, and with a
+    /// non-empty one of their own.
+    alls: Vec<u64>,
+    touching: Vec<u64>,
+    /// The contested quanta so far.
+    contested: Vec<u64>,
+    /// One quantum's conflicts, direct dependencies, and the quanta its
+    /// direct dependencies already order.
+    conflicts: Vec<u64>,
+    deps: Vec<u64>,
+    indirect: Vec<u64>,
+    /// The last plan's races per slot, with `"*"` at index `slot_count`.
+    races_on: Vec<u64>,
+    /// Races per conflicting object over every run planned so far, until
+    /// [`Planner::drain_tally`]. A list searched by equality: a tree
+    /// races on a few dozen objects at most, and most names differ in
+    /// length, so a miss costs one comparison of lengths.
+    tally: Vec<(String, u64)>,
+}
+
+impl Planner {
+    /// The last plan's requests: dispatching `ready[choice]` at that
+    /// decision reverses at least one detected race. Choices equal to the
+    /// run's own chosen branch are never requested.
+    pub(crate) fn requests(&self) -> &[(usize, u32)] {
+        &self.requests
+    }
+
+    /// Analyses one executed run for reversible races, leaves the
+    /// revisit requests that reverse them in [`Planner::requests`], and
+    /// returns how many reversible races it found (before the per-run
+    /// request dedup) — a pure function of the run, so its sum over all
     /// executed runs is identical for every exploration strategy.
-    pub(crate) races: u64,
-}
-
-/// Row-major dense bitset: `rows` quanta × `rows` quanta happens-before
-/// matrix, one `u64` word per 64 columns.
-struct HbMatrix {
-    words: usize,
-    bits: Vec<u64>,
-}
-
-impl HbMatrix {
-    fn new(n: usize) -> Self {
-        let words = n.div_ceil(64).max(1);
-        HbMatrix {
-            words,
-            bits: vec![0; words * n],
-        }
-    }
-
-    #[inline]
-    fn get(&self, row: usize, col: usize) -> bool {
-        (self.bits[row * self.words + col / 64] >> (col % 64)) & 1 == 1
-    }
-
-    #[inline]
-    fn set(&mut self, row: usize, col: usize) {
-        self.bits[row * self.words + col / 64] |= 1 << (col % 64);
-    }
-
-    /// `row dst |= row src` — requires `src < dst` (happens-before only
-    /// flows forward in the run).
-    fn union_row(&mut self, dst: usize, src: usize) {
-        debug_assert!(src < dst);
-        let (head, tail) = self.bits.split_at_mut(dst * self.words);
-        let src = &head[src * self.words..(src + 1) * self.words];
-        for (d, s) in tail[..self.words].iter_mut().zip(src) {
-            *d |= *s;
-        }
-    }
-}
-
-/// Requests every sibling of every decision: the sound fallback when the
-/// run carries no usable footprint log (and for the conservative
-/// "racing process was not ready" case at a single node).
-fn request_all_siblings(requests: &mut BTreeSet<(usize, u32)>, i: usize, d: &Decision) {
-    for c in 0..d.arity {
-        if c != d.chosen {
-            requests.insert((i, c));
-        }
-    }
-}
-
-/// Analyses one executed run for reversible races and returns the revisit
-/// requests that reverse them.
-///
-/// `prefix_len` is the length of the replay prefix the run was launched
-/// with: quanta at or after the contested quantum of decision
-/// `prefix_len - 1` are *new* (first executed by this run); races whose
-/// later side is older than that were already analysed — identically —
-/// by the ancestor run that shared the prefix, so they are skipped to
-/// keep the request tally a disjoint sum over runs.
-///
-/// A race is a pair of quanta `(t, u)`, `t` before `u`, such that:
-///
-/// * `t` is a *contested* dispatch (a decision was taken; a forced
-///   dispatch has no sibling to revisit — its ready list was a
-///   singleton, so the reversal is unreachable at that point and is
-///   found, when real, at the nearest contested ancestor by another
-///   pair);
-/// * the two quanta belong to different processes and their footprints
-///   conflict (same object, at least one write — [`crate::Footprint`]);
-/// * no intermediate quantum `v` orders them (`t` happens-before `v`
-///   happens-before `u`): the race is *adjacent* in the happens-before
-///   relation, i.e. actually reversible without reordering anything else
-///   first. Non-adjacent conflicting pairs are reversed transitively by
-///   chains of adjacent reversals.
-///
-/// For each race the request is "dispatch `u`'s process at `t`'s
-/// decision". If that process was not in the recorded ready list (it was
-/// parked or not yet spawned at `t` — its later enabledness was created
-/// by an intermediate quantum), the classical conservative rule applies:
-/// every sibling of the node is requested. Happens-before is the
-/// transitive closure of per-process program order plus footprint
-/// conflicts, so a run that was not prune-safe (timers, faults, watchdog
-/// — every footprint forced to [`crate::Footprint::All`]) degrades to
-/// requesting every sibling everywhere: exhaustive exploration, never a
-/// lost behavior.
-///
-/// Each found race is also tallied per conflicting object into
-/// `race_objs` (the `revisit`-mode meaning of
-/// [`crate::ExploreStats::conflicts`]).
-pub(crate) fn plan_revisits(
-    decisions: &[Decision],
-    quanta: &[QuantumRecord],
-    prefix_len: usize,
-    race_objs: &mut BTreeMap<String, u64>,
-) -> RevisitPlan {
-    let mut plan = RevisitPlan::default();
-    let sched_total = decisions.iter().filter(|d| d.is_sched()).count();
-    let contested = quanta.iter().filter(|q| q.ready.is_some()).count();
-    if contested != sched_total {
-        // No usable footprint log (the explorers force `record_quanta` on,
-        // so this is only reachable through a hand-built `Sim` path):
-        // degrade to exhaustive sibling expansion.
-        debug_assert!(quanta.is_empty(), "partial quantum log");
-        for (i, d) in decisions.iter().enumerate() {
-            request_all_siblings(&mut plan.requests, i, d);
-        }
-        return plan;
-    }
-    if decisions.is_empty() {
-        return plan;
-    }
-
-    // Map contested quanta to their decision indices and back. `Data`-kind
-    // decisions (value choices) own no scheduling quantum: `quantum_of`
-    // stays `usize::MAX` for them and the race loop skips them — their
-    // siblings are requested by the symbolic-collapse logic in the
-    // explorers, not by race analysis.
-    let m = quanta.len();
-    let mut decision_at = vec![usize::MAX; m];
-    let mut quantum_of = vec![usize::MAX; decisions.len()];
-    let mut sched_idx = decisions
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| d.is_sched())
-        .map(|(i, _)| i);
-    for (t, q) in quanta.iter().enumerate() {
-        if q.ready.is_some() {
-            let i = sched_idx.next().expect("counted above");
-            decision_at[t] = i;
-            quantum_of[i] = t;
-        }
-    }
-    // The first quantum this run executed beyond the shared prefix: the
-    // contested quantum of the branch decision itself (its dispatched
-    // process differs from the ancestor run's, so pairs ending there are
-    // new too). A branch at a `Data`-kind decision (a symbolic-collapse
-    // grant) owns no quantum; fall back to the nearest scheduling decision
-    // at or before it.
-    let new_from = if prefix_len == 0 {
-        0
-    } else {
-        (0..prefix_len)
-            .rev()
-            .map(|i| quantum_of[i])
-            .find(|&t| t != usize::MAX)
-            .unwrap_or(0)
-    };
-
-    // Happens-before closure: hb[u] ⊇ {t} ∪ hb[t] for every t < u whose
-    // quantum is program-order or footprint dependent with u's.
-    let mut hb = HbMatrix::new(m);
-    for u in 1..m {
-        for t in 0..u {
-            if quanta[t].pid == quanta[u].pid || quanta[t].footprint.conflicts(&quanta[u].footprint)
-            {
-                hb.union_row(u, t);
-                hb.set(u, t);
+    ///
+    /// `prefix_len` is the length of the replay prefix the run was
+    /// launched with: quanta at or after the contested quantum of decision
+    /// `prefix_len - 1` are *new* (first executed by this run); races
+    /// whose later side is older than that were already analysed —
+    /// identically — by the ancestor run that shared the prefix, so they
+    /// are skipped to keep the request tally a disjoint sum over runs.
+    ///
+    /// A race is a pair of quanta `(t, u)`, `t` before `u`, such that:
+    ///
+    /// * `t` is a *contested* dispatch (a decision was taken; a forced
+    ///   dispatch has no sibling to revisit — its ready list was a
+    ///   singleton, so the reversal is unreachable at that point and is
+    ///   found, when real, at the nearest contested ancestor by another
+    ///   pair);
+    /// * the two quanta belong to different processes and their
+    ///   footprints conflict (same object, at least one write — see
+    ///   [`crate::Quantum::conflict_with`]);
+    /// * no intermediate quantum `v` orders them (`t` happens-before `v`
+    ///   happens-before `u`): the race is *adjacent* in the
+    ///   happens-before relation, i.e. actually reversible without
+    ///   reordering anything else first. Non-adjacent conflicting pairs
+    ///   are reversed transitively by chains of adjacent reversals.
+    ///
+    /// For each race the request is "dispatch `u`'s process at `t`'s
+    /// decision". If that process was not in the recorded ready list (it
+    /// was parked or not yet spawned at `t` — its later enabledness was
+    /// created by an intermediate quantum), the classical conservative
+    /// rule applies: every sibling of the node is requested.
+    /// Happens-before is the transitive closure of per-process program
+    /// order plus footprint conflicts, so a run that was not prune-safe
+    /// (timers, faults, watchdog — every footprint widened to the
+    /// conservative one) degrades to requesting every sibling everywhere:
+    /// exhaustive exploration, never a lost behavior.
+    ///
+    /// Each found race is also tallied under the conflicting object's
+    /// name (the `revisit`-mode meaning of
+    /// [`crate::ExploreStats::conflicts`]; see [`Planner::drain_tally`]).
+    pub(crate) fn plan(
+        &mut self,
+        decisions: &[Decision],
+        log: &QuantumLog,
+        prefix_len: usize,
+    ) -> u64 {
+        self.requests.clear();
+        if log.is_empty() {
+            // No footprint log (the explorers force `record_quanta` on,
+            // so this is only reachable through a hand-built `Sim` path):
+            // degrade to exhaustive sibling expansion.
+            for (i, d) in decisions.iter().enumerate() {
+                request_all_siblings(&mut self.requests, i, d);
             }
+            return 0;
         }
-    }
+        debug_assert_eq!(
+            log.iter().filter(|q| q.ready().is_some()).count(),
+            decisions.iter().filter(|d| d.is_sched()).count(),
+            "one contested quantum per scheduling decision"
+        );
+        if decisions.is_empty() {
+            return 0;
+        }
 
-    // Races: earlier side contested, later side new, conflicting,
-    // adjacent in happens-before.
-    for (i, &t) in quantum_of.iter().enumerate() {
-        if t == usize::MAX {
-            continue; // data decision: no quantum, no race to reverse
-        }
-        let d = &decisions[i];
-        for u in new_from.max(t + 1)..m {
-            if quanta[t].pid == quanta[u].pid {
-                continue;
-            }
-            let Some(obj) = quanta[t].footprint.conflict_with(&quanta[u].footprint) else {
-                continue;
-            };
-            if ((t + 1)..u).any(|v| hb.get(v, t) && hb.get(u, v)) {
-                continue; // ordered through an intermediary: not reversible here
-            }
-            plan.races += 1;
-            *race_objs.entry(obj.to_string()).or_insert(0) += 1;
-            let ready = quanta[t].ready.as_ref().expect("contested quantum");
-            match ready.iter().position(|p| *p == quanta[u].pid) {
-                Some(c) => {
-                    let c = c as u32;
-                    debug_assert_ne!(c, d.chosen, "a process cannot race itself");
-                    plan.requests.insert((i, c));
+        // Map contested quanta to their decisions. `Data`-kind decisions
+        // (value choices) own no scheduling quantum: their siblings are
+        // requested by the symbolic-collapse logic in the engine, not by
+        // race analysis. The first quantum this run executed beyond the
+        // shared prefix is the contested quantum of the branch decision
+        // itself (its dispatched process differs from the ancestor run's,
+        // so pairs ending there are new too); a branch at a `Data`-kind
+        // decision (a symbolic-collapse grant) owns no quantum, so the
+        // nearest scheduling decision before it stands in.
+        let m = log.len();
+        self.decision_of.clear();
+        self.decision_of.resize(m, usize::MAX);
+        let mut sched_idx = decisions
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| d.is_sched())
+            .map(|(i, _)| i);
+        let mut new_from = 0;
+        for (t, q) in log.iter().enumerate() {
+            if q.ready().is_some() {
+                let i = sched_idx.next().expect("a decision per contested quantum");
+                self.decision_of[t] = i;
+                if i < prefix_len {
+                    new_from = t;
                 }
-                // The racing process was not dispatchable at the decision:
-                // classical DPOR's conservative rule — request everything
-                // enabled there.
-                None => request_all_siblings(&mut plan.requests, i, d),
             }
         }
+
+        let slots = log.slot_count();
+        let races = match m.div_ceil(64) {
+            0 | 1 => self.scan(OneWord, decisions, log, new_from),
+            w => self.scan(ManyWords(w), decisions, log, new_from),
+        };
+        self.requests.sort_unstable();
+        self.requests.dedup();
+        for (slot, &n) in self.races_on.iter().enumerate() {
+            if n == 0 {
+                continue;
+            }
+            let name = if slot == slots {
+                "*"
+            } else {
+                log.obj(slot as u32).as_str()
+            };
+            match self.tally.iter_mut().find(|(known, _)| known == name) {
+                Some((_, count)) => *count += n,
+                None => self.tally.push((name.to_string(), n)),
+            }
+        }
+        races
     }
-    plan
+
+    /// Adds the race tally of every run planned since the last drain to
+    /// `race_objs`, and starts a new one.
+    pub(crate) fn drain_tally(&mut self, race_objs: &mut BTreeMap<String, u64>) {
+        for (name, n) in self.tally.drain(..) {
+            *race_objs.entry(name).or_insert(0) += n;
+        }
+    }
+
+    /// The one pass of [`Planner::plan`] over the run's quanta, with
+    /// bitsets `words` words long: computes happens-before, and pushes the
+    /// requests of, and tallies, every race ending at or after quantum
+    /// `new_from`. Returns the race count.
+    fn scan<W: Words>(
+        &mut self,
+        words: W,
+        decisions: &[Decision],
+        log: &QuantumLog,
+        new_from: usize,
+    ) -> u64 {
+        let (m, w, slots) = (log.len(), words.get(), log.slot_count());
+        // Accumulated rows start empty; rows written before they are read
+        // (each quantum's own, and the per-quantum scratch) need only room.
+        zeroed(&mut self.readers, slots * w);
+        zeroed(&mut self.writers, slots * w);
+        for row in [&mut self.alls, &mut self.touching, &mut self.contested] {
+            zeroed(row, w);
+        }
+        zeroed(&mut self.races_on, slots + 1);
+        for (rows, len) in [
+            (&mut self.before, m * w),
+            (&mut self.conflicts, w),
+            (&mut self.deps, w),
+            (&mut self.indirect, w),
+        ] {
+            if rows.len() < len {
+                rows.resize(len, 0);
+            }
+        }
+        self.pids.clear();
+        self.latest.clear();
+        let mut races = 0;
+        for (u, q) in log.iter().enumerate() {
+            let pid = q.pid();
+            // The earlier quanta `u` conflicts with: a conservative
+            // footprint conflicts with every non-empty one, and a write
+            // with every access to its object.
+            let conflicts = &mut self.conflicts[..w];
+            conflicts.fill(0);
+            if q.is_all() {
+                or_into(conflicts, &self.touching[..w]);
+                or_into(conflicts, &self.alls[..w]);
+            } else if !q.is_empty() {
+                or_into(conflicts, &self.alls[..w]);
+                for &(slot, access) in q.slot_marks() {
+                    let row = slot as usize * w..(slot as usize + 1) * w;
+                    or_into(conflicts, &self.writers[row.clone()]);
+                    if access == Access::Write {
+                        or_into(conflicts, &self.readers[row]);
+                    }
+                }
+            }
+            // Direct dependencies: the conflicts, plus program order
+            // through the process's latest quantum (whose own row holds
+            // its earlier ones). What they happen after is ordered
+            // through an intermediary.
+            let deps = &mut self.deps[..w];
+            deps.copy_from_slice(&self.conflicts[..w]);
+            match self.latest.get(pid.index()) {
+                Some(&prev) if prev != usize::MAX => set_bit(deps, prev),
+                _ => {}
+            }
+            let indirect = &mut self.indirect[..w];
+            indirect.fill(0);
+            for v in bits(deps) {
+                or_into(indirect, &self.before[v * w..(v + 1) * w]);
+            }
+            let row_u = &mut self.before[u * w..(u + 1) * w];
+            row_u.copy_from_slice(deps);
+            or_into(row_u, indirect);
+
+            // Races ending at `u`: conflicting contested quanta of other
+            // processes that nothing in between orders.
+            if u >= new_from {
+                let candidates = &mut self.conflicts[..w];
+                for ((c, &contested), &indirect) in candidates
+                    .iter_mut()
+                    .zip(&self.contested[..w])
+                    .zip(&self.indirect[..w])
+                {
+                    *c &= contested & !indirect;
+                }
+                for t in bits(candidates) {
+                    if self.pids[t] == pid {
+                        continue;
+                    }
+                    races += 1;
+                    let earlier = log.get(t).expect("an earlier quantum");
+                    let slot = earlier.conflict_slot(&q).expect("a conflicting pair");
+                    self.races_on[slot.map_or(slots, |s| s as usize)] += 1;
+                    let i = self.decision_of[t];
+                    let ready = earlier.ready().expect("a contested quantum");
+                    match ready.iter().position(|p| *p == pid) {
+                        Some(c) => {
+                            let c = c as u32;
+                            debug_assert_ne!(
+                                c, decisions[i].chosen,
+                                "a process cannot race itself"
+                            );
+                            self.requests.push((i, c));
+                        }
+                        // The racing process was not dispatchable at the
+                        // decision: classical DPOR's conservative rule —
+                        // request everything enabled there.
+                        None => request_all_siblings(&mut self.requests, i, &decisions[i]),
+                    }
+                }
+            }
+
+            // Account `u` for the quanta after it.
+            for &(slot, access) in q.slot_marks() {
+                let rows = match access {
+                    Access::Read => &mut self.readers,
+                    Access::Write => &mut self.writers,
+                };
+                set_bit(&mut rows[slot as usize * w..(slot as usize + 1) * w], u);
+            }
+            if q.is_all() {
+                set_bit(&mut self.alls[..w], u);
+            } else if !q.is_empty() {
+                set_bit(&mut self.touching[..w], u);
+            }
+            if self.decision_of[u] != usize::MAX {
+                set_bit(&mut self.contested[..w], u);
+            }
+            self.pids.push(pid);
+            if self.latest.len() <= pid.index() {
+                self.latest.resize(pid.index() + 1, usize::MAX);
+            }
+            self.latest[pid.index()] = u;
+        }
+        races
+    }
+}
+
+/// Requests every sibling of decision `i`: the sound fallback when the
+/// run carries no usable footprint log (and for the conservative "racing
+/// process was not ready" case at a single node).
+fn request_all_siblings(requests: &mut Vec<(usize, u32)>, i: usize, d: &Decision) {
+    requests.extend((0..d.arity).filter(|&c| c != d.chosen).map(|c| (i, c)));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::footprint::{merge_access, Access, Footprint, ObjId};
-    use crate::types::Pid;
+    use crate::footprint::tests::log_of;
+    use crate::policy::SplitMix64;
 
-    fn objs(entries: &[(&str, Access)]) -> Footprint {
-        let mut map = std::collections::BTreeMap::new();
-        for (name, access) in entries {
-            merge_access(&mut map, ObjId::pseudo(name), *access);
-        }
-        Footprint::Objs(map)
-    }
-
-    fn quantum(pid: u32, footprint: Footprint, ready: Option<&[u32]>) -> QuantumRecord {
-        QuantumRecord {
-            pid: Pid(pid),
-            footprint,
-            ready: ready.map(|pids| pids.iter().map(|&p| Pid(p)).collect()),
-        }
-    }
+    const W: Option<&[(&str, Access)]> = Some(&[("a", Access::Write)]);
 
     fn decision(chosen: u32, arity: u32) -> Decision {
         Decision::sched(arity, chosen)
+    }
+
+    /// Plans one log with a fresh planner: `(races, requests, tally)`.
+    fn plan(
+        decisions: &[Decision],
+        log: &QuantumLog,
+        prefix_len: usize,
+    ) -> (u64, Vec<(usize, u32)>, BTreeMap<String, u64>) {
+        let mut planner = Planner::default();
+        let races = planner.plan(decisions, log, prefix_len);
+        let mut race_objs = BTreeMap::new();
+        planner.drain_tally(&mut race_objs);
+        (races, planner.requests().to_vec(), race_objs)
     }
 
     /// Two writers of one object, dispatched 0-then-1: one race, one
     /// request to run process 1 first.
     #[test]
     fn conflicting_writes_request_the_reversal() {
-        let w = |name| objs(&[(name, Access::Write)]);
         let decisions = [decision(0, 2), decision(0, 1)];
-        let quanta = [
-            quantum(0, w("a"), Some(&[0, 1])),
-            quantum(1, w("a"), Some(&[1])),
-        ];
-        let mut race_objs = BTreeMap::new();
-        let plan = plan_revisits(&decisions, &quanta, 0, &mut race_objs);
-        assert_eq!(plan.races, 1);
-        assert_eq!(
-            plan.requests.into_iter().collect::<Vec<_>>(),
-            vec![(0usize, 1u32)]
-        );
+        let log = log_of(&[(0, W, Some(&[0, 1])), (1, W, Some(&[1]))]);
+        let (races, requests, race_objs) = plan(&decisions, &log, 0);
+        assert_eq!(races, 1);
+        assert_eq!(requests, vec![(0usize, 1u32)]);
         assert_eq!(race_objs.get("a"), Some(&1));
     }
 
@@ -286,14 +473,13 @@ mod tests {
     #[test]
     fn independent_quanta_request_nothing() {
         let decisions = [decision(0, 2), decision(0, 1)];
-        let quanta = [
-            quantum(0, objs(&[("a", Access::Write)]), Some(&[0, 1])),
-            quantum(1, objs(&[("b", Access::Write)]), Some(&[1])),
-        ];
-        let mut race_objs = BTreeMap::new();
-        let plan = plan_revisits(&decisions, &quanta, 0, &mut race_objs);
-        assert_eq!(plan.races, 0);
-        assert!(plan.requests.is_empty());
+        let log = log_of(&[
+            (0, Some(&[("a", Access::Write)]), Some(&[0, 1])),
+            (1, Some(&[("b", Access::Write)]), Some(&[1])),
+        ]);
+        let (races, requests, race_objs) = plan(&decisions, &log, 0);
+        assert_eq!(races, 0);
+        assert!(requests.is_empty());
         assert!(race_objs.is_empty());
     }
 
@@ -302,21 +488,16 @@ mod tests {
     /// to the same object, so only the adjacent pairs are requested.
     #[test]
     fn transitively_ordered_pairs_are_not_races() {
-        let w = objs(&[("a", Access::Write)]);
         let decisions = [decision(0, 3), decision(0, 2), decision(0, 1)];
-        let quanta = [
-            quantum(0, w.clone(), Some(&[0, 1, 2])),
-            quantum(1, w.clone(), Some(&[1, 2])),
-            quantum(2, w.clone(), Some(&[2])),
-        ];
-        let mut race_objs = BTreeMap::new();
-        let plan = plan_revisits(&decisions, &quanta, 0, &mut race_objs);
+        let log = log_of(&[
+            (0, W, Some(&[0, 1, 2])),
+            (1, W, Some(&[1, 2])),
+            (2, W, Some(&[2])),
+        ]);
+        let (races, requests, _) = plan(&decisions, &log, 0);
         // (0,1) and (1,2) are adjacent races; (0,2) is ordered through 1.
-        assert_eq!(plan.races, 2);
-        assert_eq!(
-            plan.requests.into_iter().collect::<Vec<_>>(),
-            vec![(0, 1), (1, 1)]
-        );
+        assert_eq!(races, 2);
+        assert_eq!(requests, vec![(0, 1), (1, 1)]);
     }
 
     /// Races entirely before the run's own branch quantum are the
@@ -324,25 +505,22 @@ mod tests {
     /// request tally a disjoint sum over runs.
     #[test]
     fn old_races_are_not_reanalysed() {
-        let w = |name| objs(&[(name, Access::Write)]);
         let decisions = [decision(0, 3), decision(1, 2), decision(1, 2)];
-        let quanta = [
-            quantum(0, w("a"), Some(&[0, 1, 2])),
-            quantum(2, w("a"), Some(&[1, 2])),
-            quantum(1, w("b"), Some(&[0, 1])),
-        ];
+        let log = log_of(&[
+            (0, W, Some(&[0, 1, 2])),
+            (2, W, Some(&[1, 2])),
+            (1, Some(&[("b", Access::Write)]), Some(&[0, 1])),
+        ]);
         // prefix [0, 1, 1]: only the third contested quantum on is new, so
         // the (q0, q1) race on "a" is old news and nothing else conflicts.
-        let mut race_objs = BTreeMap::new();
-        let plan = plan_revisits(&decisions, &quanta, 3, &mut race_objs);
-        assert_eq!(plan.races, 0, "prefix-internal races are not re-reported");
-        assert!(plan.requests.is_empty());
+        let (races, requests, _) = plan(&decisions, &log, 3);
+        assert_eq!(races, 0, "prefix-internal races are not re-reported");
+        assert!(requests.is_empty());
         // The same log analysed as the root run sees the race.
-        let mut all_objs = BTreeMap::new();
-        let root = plan_revisits(&decisions, &quanta, 0, &mut all_objs);
-        assert_eq!(root.races, 1);
+        let (races, requests, _) = plan(&decisions, &log, 0);
+        assert_eq!(races, 1);
         assert_eq!(
-            root.requests.into_iter().collect::<Vec<_>>(),
+            requests,
             vec![(0, 2)],
             "dispatch the racing process (ready index 2) at the decision"
         );
@@ -352,30 +530,138 @@ mod tests {
     /// conservative everything-enabled fallback.
     #[test]
     fn unready_racer_requests_all_siblings() {
-        let w = objs(&[("a", Access::Write)]);
         let decisions = [decision(0, 3), decision(0, 1)];
-        let quanta = [
-            quantum(0, w.clone(), Some(&[0, 1, 2])),
-            // pid 9 was not in the ready list at the decision.
-            quantum(9, w, Some(&[9])),
-        ];
-        let mut race_objs = BTreeMap::new();
-        let plan = plan_revisits(&decisions, &quanta, 0, &mut race_objs);
-        assert_eq!(
-            plan.requests.into_iter().collect::<Vec<_>>(),
-            vec![(0, 1), (0, 2)]
-        );
+        // pid 9 was not in the ready list at the decision.
+        let log = log_of(&[(0, W, Some(&[0, 1, 2])), (9, W, Some(&[9]))]);
+        let (_, requests, _) = plan(&decisions, &log, 0);
+        assert_eq!(requests, vec![(0, 1), (0, 2)]);
     }
 
     /// No usable quantum log: every sibling everywhere, exhaustively.
     #[test]
     fn missing_log_degrades_to_exhaustive() {
         let decisions = [decision(0, 2), decision(0, 3)];
-        let mut race_objs = BTreeMap::new();
-        let plan = plan_revisits(&decisions, &[], 0, &mut race_objs);
-        assert_eq!(
-            plan.requests.into_iter().collect::<Vec<_>>(),
-            vec![(0, 1), (1, 1), (1, 2)]
-        );
+        let (_, requests, _) = plan(&decisions, &QuantumLog::default(), 0);
+        assert_eq!(requests, vec![(0, 1), (1, 1), (1, 2)]);
+    }
+
+    /// The plan straight from the definition, on the log's own conflict
+    /// helper: an O(m³) scan with a request set.
+    fn reference(
+        decisions: &[Decision],
+        log: &QuantumLog,
+        prefix_len: usize,
+    ) -> (u64, Vec<(usize, u32)>, BTreeMap<String, u64>) {
+        let q: Vec<_> = log.iter().collect();
+        let m = q.len();
+        let dep = |t: usize, u: usize| q[t].pid() == q[u].pid() || q[t].conflicts(&q[u]);
+        let mut hb = vec![vec![false; m]; m];
+        for u in 0..m {
+            for t in 0..u {
+                if dep(t, u) {
+                    hb[u][t] = true;
+                    let (head, tail) = hb.split_at_mut(u);
+                    for (d, s) in tail[0][..t].iter_mut().zip(&head[t][..t]) {
+                        *d |= *s;
+                    }
+                }
+            }
+        }
+        let contested: Vec<usize> = (0..m).filter(|&t| q[t].ready().is_some()).collect();
+        let new_from = prefix_len.checked_sub(1).map_or(0, |i| contested[i]);
+        let (mut races, mut requests, mut objs) =
+            (0, std::collections::BTreeSet::new(), BTreeMap::new());
+        for (i, &t) in contested.iter().enumerate() {
+            for u in new_from.max(t + 1)..m {
+                let Some(obj) = q[t].conflict_with(&q[u]) else {
+                    continue;
+                };
+                if q[t].pid() == q[u].pid() || (t + 1..u).any(|v| hb[v][t] && hb[u][v]) {
+                    continue;
+                }
+                races += 1;
+                *objs.entry(obj.to_string()).or_insert(0) += 1;
+                match q[t].ready().unwrap().iter().position(|&p| p == q[u].pid()) {
+                    Some(c) => {
+                        requests.insert((i, c as u32));
+                    }
+                    None => requests.extend(
+                        (0..decisions[i].arity)
+                            .filter(|&c| c != decisions[i].chosen)
+                            .map(|c| (i, c)),
+                    ),
+                }
+            }
+        }
+        (races, requests.into_iter().collect(), objs)
+    }
+
+    /// The word-level planner agrees with the definition on random logs:
+    /// up to 70 quanta (two happens-before words) over up to 70 objects
+    /// (two slot words), with conservative footprints and stutters mixed
+    /// in, at every prefix length. One planner serves every log, as one
+    /// worker's does.
+    #[test]
+    fn word_planner_matches_the_definition_on_random_logs() {
+        struct Rng(SplitMix64);
+        impl Rng {
+            fn below(&mut self, n: usize) -> usize {
+                self.0.next_below(n as u64) as usize
+            }
+        }
+        let names: Vec<String> = (0..70).map(|i| format!("o{i:02}")).collect();
+        let mut rng = Rng(SplitMix64::new(0x5107));
+        let mut planner = Planner::default();
+        for case in 0..300 {
+            let m = 1 + rng.below(if case % 10 == 0 { 70 } else { 16 });
+            let objects = 1 + rng.below(if case % 7 == 0 { 70 } else { 5 });
+            let pids = 2 + rng.below(3) as u32;
+            let mut footprints = Vec::new();
+            let mut ready = Vec::new();
+            let mut decisions = Vec::new();
+            for _ in 0..m {
+                let pid = rng.below(pids as usize) as u32;
+                let footprint: Option<Vec<(&str, Access)>> = (rng.below(12) != 0).then(|| {
+                    (0..rng.below(4))
+                        .map(|_| {
+                            let access = if rng.below(2) == 0 {
+                                Access::Read
+                            } else {
+                                Access::Write
+                            };
+                            (names[rng.below(objects)].as_str(), access)
+                        })
+                        .collect()
+                });
+                let contested = rng.below(3) != 0;
+                ready.push(contested.then(|| {
+                    let mut list: Vec<u32> = (0..pids)
+                        .filter(|&p| p != pid && rng.below(2) == 0)
+                        .collect();
+                    let at = rng.below(list.len() + 1);
+                    list.insert(at, pid);
+                    decisions.push(decision(at as u32, list.len() as u32));
+                    list
+                }));
+                footprints.push((pid, footprint));
+            }
+            let quanta: Vec<_> = footprints
+                .iter()
+                .zip(&ready)
+                .map(|((pid, fp), r)| (*pid, fp.as_deref(), r.as_deref()))
+                .collect();
+            let log = log_of(&quanta);
+            for prefix_len in 0..=decisions.len() {
+                let races = planner.plan(&decisions, &log, prefix_len);
+                let mut race_objs = BTreeMap::new();
+                planner.drain_tally(&mut race_objs);
+                let got = (races, planner.requests().to_vec(), race_objs);
+                assert_eq!(
+                    got,
+                    reference(&decisions, &log, prefix_len),
+                    "case {case}, prefix {prefix_len}"
+                );
+            }
+        }
     }
 }

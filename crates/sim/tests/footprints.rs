@@ -40,7 +40,7 @@ fn a_default_run_records_no_footprints() {
 fn a_run_that_asks_records_one_footprint_per_dispatch() {
     let report = scenario(Some(true)).run().expect("the processes finish");
     assert_eq!(report.quanta.len() as u64, report.steps);
-    let contested = report.quanta.iter().filter(|q| q.ready.is_some());
+    let contested = report.quanta.iter().filter(|q| q.ready().is_some());
     assert_eq!(contested.count(), report.decisions.len());
 }
 
