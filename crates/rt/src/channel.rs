@@ -11,18 +11,28 @@
 //! directly), so nothing can be delivered into a receiver that is gone.
 //! Lock order is always channel state, then cell.
 //!
+//! Wakes name their target and follow the unlock. A queued offer carries
+//! its sender's thread: the receiver that takes the offer unparks that
+//! sender alone, after releasing the channel lock, and the sender
+//! re-checks `completed` under the lock — there is no channel-wide
+//! broadcast that would wake every queued sender per rendezvous. A sender
+//! that fills a cell notifies its owner after releasing the channel lock,
+//! which the owner re-takes to unregister.
+//!
 //! The sleeping-barber gap between polling the sender queues and
 //! registering is closed by a second poll *after* registration: if that
-//! pass finds a queued offer, the receiver first closes its own cell
-//! (under the winning channel's lock) — either discovering a delivery
-//! that raced in, which it consumes, or making itself unfillable — and
-//! only then takes the offer, so exactly one value changes hands.
+//! pass finds a queued offer still present, the receiver first closes its
+//! own cell (under the winning channel's lock) — either discovering a
+//! delivery that raced in, which it consumes, or making itself
+//! unfillable — and only then takes the offer, so exactly one value
+//! changes hands.
 
 use crate::runtime::RtCtx;
 use bloom_sim::Deadline;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 struct CellState<T> {
@@ -34,6 +44,7 @@ struct CellState<T> {
 /// The rendezvous mailbox of a parked (selecting) receiver.
 struct DeliveryCell<T> {
     inner: Mutex<CellState<T>>,
+    /// Only the cell's owner waits here.
     cv: Condvar,
 }
 
@@ -49,14 +60,14 @@ impl<T> DeliveryCell<T> {
     }
 
     /// Delivers into the cell unless it is already filled or closed; on
-    /// refusal the value comes back.
+    /// refusal the value comes back. The caller wakes the owner once it
+    /// holds no lock the owner re-takes.
     fn try_fill(&self, alt_index: usize, value: T) -> Result<(), T> {
         let mut c = self.inner.lock();
         if c.closed || c.slot.is_some() {
             return Err(value);
         }
         c.slot = Some((alt_index, value));
-        self.cv.notify_all();
         Ok(())
     }
 }
@@ -69,10 +80,18 @@ struct WaitingReceiver<T> {
     cell: Arc<DeliveryCell<T>>,
 }
 
+/// A blocked sender's queued value.
+struct Offer<T> {
+    ticket: u64,
+    value: T,
+    /// Unparked by the receiver that takes this offer.
+    sender: Thread,
+}
+
 struct ChanState<T> {
-    /// `(arrival ticket, offered value)`, FIFO — tickets are assigned
-    /// under this lock, so queue order is ticket order.
-    senders: VecDeque<(u64, T)>,
+    /// Queued offers, FIFO — tickets are assigned under this lock, so
+    /// queue order is ticket order.
+    senders: VecDeque<Offer<T>>,
     receivers: VecDeque<WaitingReceiver<T>>,
     /// Tickets of offers a receiver took; the parked sender collects its
     /// ticket from here and returns.
@@ -84,7 +103,6 @@ struct ChanState<T> {
 pub struct RtChannel<T> {
     name: String,
     state: Mutex<ChanState<T>>,
-    cv: Condvar,
 }
 
 impl<T: Send> RtChannel<T> {
@@ -97,7 +115,6 @@ impl<T: Send> RtChannel<T> {
                 receivers: VecDeque::new(),
                 completed: HashSet::new(),
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -109,15 +126,13 @@ impl<T: Send> RtChannel<T> {
     /// Sends `value`, blocking until a receiver takes it (rendezvous).
     pub fn send(&self, ctx: &RtCtx, value: T) {
         ctx.chaos();
-        let mut st = self.state.lock();
-        let Some(ticket) = Self::deliver_or_enqueue(ctx, &mut st, value) else {
+        let Some((ticket, mut st)) = self.deliver_or_enqueue(ctx, value) else {
             return;
         };
-        loop {
-            if st.completed.remove(&ticket) {
-                return;
-            }
-            self.cv.wait(&mut st);
+        while !st.completed.remove(&ticket) {
+            drop(st);
+            thread::park();
+            st = self.state.lock();
         }
     }
 
@@ -130,8 +145,7 @@ impl<T: Send> RtChannel<T> {
             return Err(value);
         };
         let start = Instant::now();
-        let mut st = self.state.lock();
-        let Some(ticket) = Self::deliver_or_enqueue(ctx, &mut st, value) else {
+        let Some((ticket, mut st)) = self.deliver_or_enqueue(ctx, value) else {
             return Ok(());
         };
         loop {
@@ -140,38 +154,51 @@ impl<T: Send> RtChannel<T> {
             }
             let elapsed = start.elapsed();
             if elapsed >= budget {
-                // Settled under the lock: either a receiver took the
-                // offer while we raced for the lock (completed — checked
-                // above on the next iteration would miss it, so re-check)
-                // or the entry is still ours to withdraw.
-                if st.completed.remove(&ticket) {
-                    return Ok(());
-                }
+                // Settled under the lock: no receiver took the offer (the
+                // check above), so it is still queued and ours to
+                // withdraw.
                 let at = st
                     .senders
                     .iter()
-                    .position(|&(t, _)| t == ticket)
+                    .position(|o| o.ticket == ticket)
                     .expect("timed-out sender's offer must still be queued");
-                let (_, v) = st.senders.remove(at).expect("index valid");
-                return Err(v);
+                let offer = st.senders.remove(at).expect("index valid");
+                return Err(offer.value);
             }
-            self.cv.wait_for(&mut st, budget - elapsed);
+            drop(st);
+            thread::park_timeout(budget - elapsed);
+            st = self.state.lock();
         }
     }
 
-    /// Delivers straight to a registered live receiver, or queues the
-    /// offer and returns its ticket.
-    fn deliver_or_enqueue(ctx: &RtCtx, st: &mut ChanState<T>, value: T) -> Option<u64> {
+    /// Delivers straight to a registered live receiver, waking it after
+    /// unlocking, or queues the offer and returns its ticket with the
+    /// channel still locked.
+    fn deliver_or_enqueue(
+        &self,
+        ctx: &RtCtx,
+        value: T,
+    ) -> Option<(u64, MutexGuard<'_, ChanState<T>>)> {
+        let mut st = self.state.lock();
         let mut value = value;
         while let Some(rcv) = st.receivers.pop_front() {
             match rcv.cell.try_fill(rcv.alt_index, value) {
-                Ok(()) => return None, // delivered; rendezvous complete
-                Err(v) => value = v,   // stale registration; drop and retry
+                Ok(()) => {
+                    // Delivered; the rendezvous is complete.
+                    drop(st);
+                    rcv.cell.cv.notify_one();
+                    return None;
+                }
+                Err(v) => value = v, // stale registration; drop and retry
             }
         }
         let ticket = ctx.fresh_ticket();
-        st.senders.push_back((ticket, value));
-        Some(ticket)
+        st.senders.push_back(Offer {
+            ticket,
+            value,
+            sender: thread::current(),
+        });
+        Some((ticket, st))
     }
 
     /// Receives a value, blocking until a sender offers one.
@@ -230,9 +257,11 @@ pub fn select_by<T: Send>(
 }
 
 /// Scans enabled alternatives for the longest-waiting queued offer and
-/// takes it. With `cell` given (post-registration pass), the caller's own
-/// cell is closed first — under the winning channel's lock — so a racing
-/// delivery is either consumed here or can never happen.
+/// takes it, then unparks its sender after unlocking. With `cell` given
+/// (post-registration pass), the caller's own cell is closed first —
+/// under the winning channel's lock, once the offer is known to be still
+/// queued — so a racing delivery is either consumed here or can never
+/// happen.
 fn poll_take<T: Send>(
     alternatives: &[(&RtChannel<T>, bool)],
     cell: Option<&DeliveryCell<T>>,
@@ -244,33 +273,36 @@ fn poll_take<T: Send>(
                 continue;
             }
             let st = chan.state.lock();
-            if let Some(&(ticket, _)) = st.senders.front() {
-                if best.map_or(true, |(_, t)| ticket < t) {
-                    best = Some((i, ticket));
+            if let Some(offer) = st.senders.front() {
+                if best.map_or(true, |(_, t)| offer.ticket < t) {
+                    best = Some((i, offer.ticket));
                 }
             }
         }
         let (index, ticket) = best?;
         let chan = alternatives[index].0;
         let mut st = chan.state.lock();
+        let Some(at) = st.senders.iter().position(|o| o.ticket == ticket) else {
+            // The offer was withdrawn while we re-locked; rescan. The
+            // cell stays open, so a pass that now finds nothing leaves
+            // its owner free to park on it.
+            continue;
+        };
         if let Some(cell) = cell {
             let mut c = cell.inner.lock();
+            c.closed = true; // now nobody can fill it
             if let Some(delivery) = c.slot.take() {
                 // A sender filled our cell while we scanned; that
                 // rendezvous already completed on its side — honor it and
                 // leave the queued offer for someone else.
-                c.closed = true;
                 return Some(delivery);
             }
-            c.closed = true; // now nobody can fill; the offer is ours
         }
-        let Some(at) = st.senders.iter().position(|&(t, _)| t == ticket) else {
-            continue; // the offer was withdrawn while we re-locked; rescan
-        };
-        let (t, value) = st.senders.remove(at).expect("index valid");
-        st.completed.insert(t);
-        chan.cv.notify_all();
-        return Some((index, value));
+        let offer = st.senders.remove(at).expect("index valid");
+        st.completed.insert(offer.ticket);
+        drop(st);
+        offer.sender.unpark();
+        return Some((index, offer.value));
     }
 }
 
@@ -348,6 +380,7 @@ fn select_inner<T: Send>(
 mod tests {
     use super::*;
     use crate::runtime::RtSim;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     #[test]
     fn rendezvous_transfers_a_value() {
@@ -487,14 +520,19 @@ mod tests {
     fn recv_by_gives_up_without_a_sender_then_still_works() {
         let mut rt = RtSim::new();
         let ch = Arc::new(RtChannel::<i64>::new("ch"));
-        let rx = Arc::clone(&ch);
+        let gave_up = Arc::new(AtomicBool::new(false));
+        let (rx, flag) = (Arc::clone(&ch), Arc::clone(&gave_up));
         rt.spawn("receiver", move |ctx| {
             assert_eq!(rx.recv_by(ctx, 3u64), None);
+            flag.store(true, Ordering::Release);
             assert_eq!(rx.recv(ctx), 7, "late sender still rendezvouses");
         });
-        let tx = Arc::clone(&ch);
+        let (tx, flag) = (Arc::clone(&ch), Arc::clone(&gave_up));
         rt.spawn("late-sender", move |ctx| {
-            std::thread::sleep(Duration::from_millis(30));
+            // Send only once the timed receive has given up.
+            while !flag.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
             tx.send(ctx, 7);
         });
         rt.run().expect("no wedge");
@@ -529,6 +567,86 @@ mod tests {
                 }
             });
             rt.run().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        }
+    }
+
+    /// Six senders on two channels, half of them timed with budgets of
+    /// one or two milliseconds, against one untimed `select` server: each
+    /// rendezvous unparks only the taken offer's sender, and timed
+    /// senders withdraw while the server polls and registers. Every value
+    /// must change hands exactly once or come back to its sender.
+    #[test]
+    fn many_senders_against_a_select_server_lose_and_duplicate_nothing() {
+        use crate::runtime::RtConfig;
+        const SENDERS: u64 = 6;
+        const VALUES: u64 = 20;
+        const STOP: u64 = u64::MAX;
+        for seed in [11u64, 12, 13] {
+            let mut rt = RtSim::with_config(RtConfig {
+                jitter_seed: Some(seed),
+                ..RtConfig::default()
+            });
+            let chans = [Arc::new(RtChannel::new("a")), Arc::new(RtChannel::new("b"))];
+            let returned = Arc::new(Mutex::new(Vec::new()));
+            let finished = Arc::new(AtomicU64::new(0));
+            for i in 0..SENDERS {
+                let ch = Arc::clone(&chans[(i % 2) as usize]);
+                let (returned, finished) = (Arc::clone(&returned), Arc::clone(&finished));
+                rt.spawn(&format!("s{i}"), move |ctx| {
+                    for k in 0..VALUES {
+                        let v = i * 1000 + k;
+                        if i < SENDERS / 2 {
+                            ch.send(ctx, v);
+                        } else if let Err(back) = ch.send_by(ctx, v, 1 + 5 * (k % 3)) {
+                            assert_eq!(back, v, "the unsent value comes back");
+                            returned.lock().push(back);
+                        }
+                    }
+                    finished.fetch_add(1, Ordering::Release);
+                });
+            }
+            let (a, b) = (Arc::clone(&chans[0]), Arc::clone(&chans[1]));
+            let received = Arc::new(Mutex::new(Vec::new()));
+            let got = Arc::clone(&received);
+            rt.spawn("server", move |ctx| loop {
+                let (_, v) = select(ctx, &mut [(&*a, true), (&*b, true)]);
+                if v == STOP {
+                    break;
+                }
+                got.lock().push(v);
+                // A millisecond's pause every third value outlasts some
+                // timed senders' budgets, so offers are withdrawn while
+                // the server polls and registers.
+                if v % 3 == 0 {
+                    ctx.sleep(1);
+                }
+            });
+            let stop = Arc::clone(&chans[0]);
+            rt.spawn("closer", move |ctx| {
+                while finished.load(Ordering::Acquire) < SENDERS {
+                    std::thread::yield_now();
+                }
+                stop.send(ctx, STOP);
+            });
+            rt.run().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let mut seen: Vec<u64> = received.lock().clone();
+            seen.extend(returned.lock().iter());
+            seen.sort_unstable();
+            let sent: Vec<u64> = (0..SENDERS)
+                .flat_map(|i| (0..VALUES).map(move |k| i * 1000 + k))
+                .collect();
+            assert_eq!(
+                seen, sent,
+                "seed {seed}: each value received or returned, once"
+            );
+            for ch in &chans {
+                assert_eq!(
+                    ch.pending_senders(),
+                    0,
+                    "seed {seed}: {} drained",
+                    ch.name()
+                );
+            }
         }
     }
 

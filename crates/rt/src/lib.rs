@@ -32,6 +32,12 @@
 //!   here every mechanism is an explicit single-mutex state machine and
 //!   all hand-off races (timeout vs. concurrent grant, select vs.
 //!   delivery) are resolved under that mutex.
+//! * **Wake after unlock, and only who can proceed.** Every notify runs
+//!   after the notifier has released the mutex its waiters re-take, so a
+//!   woken waiter finds it free instead of waking into a held lock and
+//!   sleeping again (the offline `parking_lot` shim's cost,
+//!   `vendor/README.md`). A channel receiver that takes a queued offer
+//!   unparks that offer's sender alone.
 //! * **Deadlock detection is a wall-clock watchdog**, necessarily
 //!   approximate: a wedged OS thread cannot be introspected or forced to
 //!   unwind, so it is reported blocked on `"wall-clock watchdog"` and
@@ -62,3 +68,31 @@ pub use pathexpr::{RtPathResource, RtPredicateView};
 pub use runtime::{KillPoint, RtConfig, RtCtx, RtKill, RtSim};
 pub use semaphore::{RtLock, RtSemaphore, TryResult};
 pub use serializer::{RtCrowdId, RtGuardView, RtQueueId, RtSerializer, RtSerializerCtx};
+
+use parking_lot::{Condvar, Mutex, MutexGuard};
+
+/// Releases `guard`, then, if `wake`, wakes every waiter on `cv`: a
+/// waiter notified while the notifier still holds the mutex would wake
+/// into it and sleep again.
+fn unlock_then_wake<T>(guard: MutexGuard<'_, T>, cv: &Condvar, wake: bool) {
+    drop(guard);
+    if wake {
+        cv.notify_all();
+    }
+}
+
+/// [`unlock_then_wake`] for a caller that goes on to wait on `lock`:
+/// re-locks after notifying. Its own grant may land in between, which its
+/// wait loop checks before it sleeps.
+fn wake_then_relock<'a, T>(
+    lock: &'a Mutex<T>,
+    guard: MutexGuard<'a, T>,
+    cv: &Condvar,
+    wake: bool,
+) -> MutexGuard<'a, T> {
+    if !wake {
+        return guard;
+    }
+    unlock_then_wake(guard, cv, true);
+    lock.lock()
+}

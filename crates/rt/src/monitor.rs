@@ -19,6 +19,7 @@
 //! (the waiter resumes with possession and must re-check its predicate).
 
 use crate::runtime::RtCtx;
+use crate::{unlock_then_wake, wake_then_relock};
 use bloom_sim::{Deadline, Pid, Poisoned};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashSet, VecDeque};
@@ -149,7 +150,10 @@ impl MonCore {
     }
 
     /// Hands possession onward; called by the holder with the lock held.
-    fn release_locked(&self, s: &mut MonState) {
+    /// Returns whether it granted a waiter, which the caller then wakes
+    /// after unlocking.
+    #[must_use]
+    fn release_locked(&self, s: &mut MonState) -> bool {
         s.holder = None;
         let next = s
             .pending_handoff
@@ -161,9 +165,12 @@ impl MonCore {
                 // Hand-off: busy stays true, so a barger arriving before
                 // the grantee collects finds the monitor occupied.
                 s.granted.insert(t);
-                self.cv.notify_all();
+                true
             }
-            None => s.busy = false,
+            None => {
+                s.busy = false;
+                false
+            }
         }
     }
 
@@ -275,9 +282,8 @@ impl<S: Send> RtMonitor<S> {
         let mut s = self.core.state.lock();
         // Possession may have dissolved while the body waited on a
         // condition (poison broadcast); release only what we still hold.
-        if s.holder == Some(ctx.pid()) {
-            self.core.release_locked(&mut s);
-        }
+        let wake = s.holder == Some(ctx.pid()) && self.core.release_locked(&mut s);
+        unlock_then_wake(s, &self.core.cv, wake);
         Ok(r)
     }
 
@@ -332,7 +338,7 @@ impl Drop for PoisonOnUnwind<'_> {
         // observe the poison flag under this lock, so logging first
         // guarantees `poison:` precedes every `poison-seen:` in the trace.
         self.ctx.emit(&format!("poison:{}", self.core.name), &[]);
-        self.core.cv.notify_all();
+        unlock_then_wake(s, &self.core.cv, true);
     }
 }
 
@@ -390,7 +396,8 @@ impl<S: Send> RtMonitorCtx<'_, S> {
         let ticket = self.ctx.fresh_ticket();
         let mut s = core.state.lock();
         cond.queue.lock().push((ticket, priority));
-        core.release_locked(&mut s);
+        let wake = core.release_locked(&mut s);
+        let mut s = wake_then_relock(&core.state, s, &core.cv, wake);
         match core.await_grant(&mut s, self.ctx.pid(), ticket) {
             Wake::Granted => Ok(()),
             Wake::Poison(p) => {
@@ -437,7 +444,8 @@ impl<S: Send> RtMonitorCtx<'_, S> {
         let ticket = self.ctx.fresh_ticket();
         let mut s = core.state.lock();
         cond.queue.lock().push((ticket, 0));
-        core.release_locked(&mut s);
+        let wake = core.release_locked(&mut s);
+        let mut s = wake_then_relock(&core.state, s, &core.cv, wake);
         loop {
             if s.granted.remove(&ticket) {
                 s.holder = Some(self.ctx.pid());
@@ -512,7 +520,7 @@ impl<S: Send> RtMonitorCtx<'_, S> {
                 s.urgent.push_back(ticket);
                 s.holder = None;
                 s.granted.insert(waiter);
-                core.cv.notify_all();
+                let mut s = wake_then_relock(&core.state, s, &core.cv, true);
                 match core.await_grant(&mut s, self.ctx.pid(), ticket) {
                     Wake::Granted => Ok(()),
                     Wake::Poison(p) => {

@@ -18,6 +18,7 @@
 //! parked-only guard.
 
 use crate::runtime::RtCtx;
+use crate::unlock_then_wake;
 use bloom_pathexpr::backend::{compile, CompiledPath, PathState};
 use bloom_pathexpr::{parse_paths, ParseError, Path};
 use bloom_sim::{Pid, Poisoned};
@@ -285,9 +286,8 @@ impl RtPathResource {
                 .or_default()
                 .push((op.to_string(), act));
             // Starting can enable blocked peers (opening a burst).
-            if m.drain_startable() {
-                self.cv.notify_all();
-            }
+            let wake = m.drain_startable();
+            unlock_then_wake(m, &self.cv, wake);
             return Ok(());
         }
         let ticket = ctx.fresh_ticket();
@@ -363,9 +363,8 @@ impl RtPathResource {
                 .entry(ctx.pid())
                 .or_default()
                 .push((op.to_string(), act));
-            if m.drain_startable() {
-                self.cv.notify_all();
-            }
+            let wake = m.drain_startable();
+            unlock_then_wake(m, &self.cv, wake);
             return Ok(true);
         }
         let Some(budget) = budget else {
@@ -398,14 +397,13 @@ impl RtPathResource {
                 // Timed out: withdraw and re-scan — a `blocked()`
                 // predicate may have just flipped for someone else.
                 m.blocked.retain(|b| b.ticket != ticket);
-                if m.drain_startable() {
-                    self.cv.notify_all();
-                }
-                if let Some(p) = m.poisoned.clone() {
+                let wake = m.drain_startable();
+                let poisoned = m.poisoned.clone();
+                if poisoned.is_some() {
                     ctx.emit(&format!("poison-seen:{}", self.name), &[]);
-                    return Err(p);
                 }
-                return Ok(false);
+                unlock_then_wake(m, &self.cv, wake);
+                return poisoned.map_or(Ok(false), Err);
             }
             self.cv.wait_for(&mut m, budget - elapsed);
         }
@@ -465,9 +463,8 @@ impl RtPathResource {
             m.open.remove(&ctx.pid());
         }
         m.apply_exit(op, &act);
-        if m.drain_startable() {
-            self.cv.notify_all();
-        }
+        let wake = m.drain_startable();
+        unlock_then_wake(m, &self.cv, wake);
     }
 
     /// Whether a process died mid-operation, leaving the paths' token
@@ -577,7 +574,7 @@ impl Drop for PoisonOnUnwind<'_> {
         self.ctx.emit(&format!("poison:{}", self.res.name), &[]);
         let dead: Vec<u64> = m.blocked.drain(..).map(|b| b.ticket).collect();
         m.poison_woken.extend(dead);
-        self.res.cv.notify_all();
+        unlock_then_wake(m, &self.res.cv, true);
     }
 }
 

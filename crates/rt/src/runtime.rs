@@ -372,6 +372,7 @@ impl RtSim {
                     let mut s = lock.lock();
                     s.outcomes[ctx.pid.0 as usize] = Some(outcome);
                     s.done += 1;
+                    drop(s);
                     cv.notify_all();
                 })
                 .expect("OS refused to spawn a thread");

@@ -11,6 +11,7 @@
 //! `WaitQueue::wake_one` hand-off provides.
 
 use crate::runtime::RtCtx;
+use crate::unlock_then_wake;
 use bloom_sim::{Deadline, Poisoned};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashSet, VecDeque};
@@ -190,22 +191,24 @@ impl RtSemaphore {
         // kills cannot express.
         ctx.jitter();
         let mut s = self.state.lock();
-        match self.fairness {
+        let wake = match self.fairness {
             Fairness::Strong => {
                 if let Some(ticket) = s.queue.pop_front() {
                     // Direct hand-off: the permit never becomes visible
                     // to bargers.
                     s.granted.insert(ticket);
-                    self.cv.notify_all();
+                    true
                 } else {
                     s.count += 1;
+                    false
                 }
             }
             Fairness::Weak => {
                 s.count += 1;
-                self.cv.notify_all();
+                true
             }
-        }
+        };
+        unlock_then_wake(s, &self.cv, wake);
     }
 
     /// Permits immediately available.
@@ -395,8 +398,11 @@ mod tests {
 
         let sem2 = Arc::clone(&sem);
         rt.spawn("releaser", move |ctx| {
-            // Give the waiter real time to park.
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            // Release only once the waiter is queued: a `v` before that
+            // would raise the count, which the barger may take.
+            while sem2.waiting() < 1 {
+                std::thread::yield_now();
+            }
             sem2.v(ctx);
         });
 

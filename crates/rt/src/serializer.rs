@@ -15,6 +15,7 @@
 //! possession, can be re-evaluated against it without racing the holder.
 
 use crate::runtime::RtCtx;
+use crate::{unlock_then_wake, wake_then_relock};
 use bloom_sim::{Deadline, Pid, Poisoned};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashSet, VecDeque};
@@ -181,9 +182,8 @@ impl<S: Send> RtSerializer<S> {
         let mut s = self.core.lock();
         // Possession may have dissolved while the body waited in a queue
         // (poison broadcast); release only what we still hold.
-        if s.holder == Some(ctx.pid()) {
-            self.release_locked(&mut s);
-        }
+        let wake = s.holder == Some(ctx.pid()) && self.release_locked(&mut s);
+        unlock_then_wake(s, &self.cv, wake);
         Ok(r)
     }
 
@@ -263,25 +263,27 @@ impl<S: Send> RtSerializer<S> {
     }
 
     /// Hands possession to the next eligible candidate or frees it; the
-    /// caller must currently hold possession.
-    fn release_locked(&self, s: &mut SerState<S>) {
+    /// caller must currently hold possession. Returns whether it granted
+    /// a waiter, which the caller then wakes after unlocking.
+    #[must_use]
+    fn release_locked(&self, s: &mut SerState<S>) -> bool {
         s.holder = None;
-        match self.select_winner(s) {
+        let ticket = match self.select_winner(s) {
             Some((_, Some(qi))) => {
-                let w = s.queues[qi]
+                s.queues[qi]
                     .waiters
                     .pop_front()
-                    .expect("winner heads queue");
-                s.granted.insert(w.ticket);
-                self.cv.notify_all();
+                    .expect("winner heads queue")
+                    .ticket
             }
-            Some((_, None)) => {
-                let t = s.entry.pop_front().expect("winner is entry front");
-                s.granted.insert(t);
-                self.cv.notify_all();
+            Some((_, None)) => s.entry.pop_front().expect("winner is entry front"),
+            None => {
+                s.busy = false;
+                return false;
             }
-            None => s.busy = false,
-        }
+        };
+        s.granted.insert(ticket);
+        true
     }
 }
 
@@ -321,7 +323,7 @@ impl<S: Send> Drop for PoisonOnUnwind<'_, S> {
         // observe the poison flag under this lock, so logging first
         // guarantees `poison:` precedes every `poison-seen:` in the trace.
         self.ctx.emit(&format!("poison:{}", self.ser.name), &[]);
-        self.ser.cv.notify_all();
+        unlock_then_wake(s, &self.ser.cv, true);
     }
 }
 
@@ -348,11 +350,13 @@ impl<S: Send> Drop for LeaveCrowdOnUnwind<'_, S> {
         // Claim possession on behalf of the dead member and hand it
         // straight to whoever became eligible; if someone is inside,
         // their release re-evaluates anyway.
+        let mut wake = false;
         if !s.busy {
             s.busy = true;
             s.holder = Some(me);
-            self.ser.release_locked(&mut s);
+            wake = self.ser.release_locked(&mut s);
         }
+        unlock_then_wake(s, &self.ser.cv, wake);
     }
 }
 
@@ -426,9 +430,9 @@ impl<S: Send> RtSerializerCtx<'_, S> {
         Self::insert_waiter(&mut s, queue, ticket, priority, guard);
         // Releasing possession may select *us* (the oldest eligible
         // head); then we take our entry back and keep possession.
-        if self.hand_off_maybe_self(&mut s, queue, ticket) {
+        let Some(mut s) = self.hand_off_maybe_self(s, queue, ticket) else {
             return Ok(());
-        }
+        };
         match self.ser.await_grant(&mut s, self.ctx.pid(), ticket) {
             Wake::Granted => Ok(()),
             Wake::Poison(p) => {
@@ -459,9 +463,9 @@ impl<S: Send> RtSerializerCtx<'_, S> {
         let ticket = self.ctx.fresh_ticket();
         let mut s = self.ser.core.lock();
         Self::insert_waiter(&mut s, queue, ticket, 0, Box::new(guard));
-        if self.hand_off_maybe_self(&mut s, queue, ticket) {
+        let Some(mut s) = self.hand_off_maybe_self(s, queue, ticket) else {
             return true;
-        }
+        };
         loop {
             if s.granted.remove(&ticket) {
                 s.holder = Some(self.ctx.pid());
@@ -513,17 +517,23 @@ impl<S: Send> RtSerializerCtx<'_, S> {
         );
     }
 
-    /// Releases possession after self-enqueueing; returns `true` if the
-    /// caller itself won the hand-off and keeps possession.
-    fn hand_off_maybe_self(&self, s: &mut SerState<S>, queue: RtQueueId, ticket: u64) -> bool {
-        if let Some((t, Some(qi))) = self.ser.select_winner(s) {
+    /// Releases possession after self-enqueueing. Returns `None` if the
+    /// caller itself won the hand-off and keeps possession; otherwise
+    /// wakes whoever was granted and returns the re-taken lock.
+    fn hand_off_maybe_self<'g>(
+        &'g self,
+        mut s: MutexGuard<'g, SerState<S>>,
+        queue: RtQueueId,
+        ticket: u64,
+    ) -> Option<MutexGuard<'g, SerState<S>>> {
+        if let Some((t, Some(qi))) = self.ser.select_winner(&s) {
             if qi == queue.0 && t == ticket {
                 s.queues[qi].waiters.pop_front();
-                return true; // still the holder; busy stays true
+                return None; // still the holder; busy stays true
             }
         }
-        self.ser.release_locked(s);
-        false
+        let wake = self.ser.release_locked(&mut s);
+        Some(wake_then_relock(&self.ser.core, s, &self.ser.cv, wake))
     }
 
     /// Joins `crowd`, releases possession, runs `body` outside the
@@ -535,7 +545,8 @@ impl<S: Send> RtSerializerCtx<'_, S> {
         {
             let mut s = self.ser.core.lock();
             s.crowds[crowd.0].members.push(self.ctx.pid());
-            self.ser.release_locked(&mut s);
+            let wake = self.ser.release_locked(&mut s);
+            unlock_then_wake(s, &self.ser.cv, wake);
         }
         let cleanup = LeaveCrowdOnUnwind {
             ser: self.ser,
