@@ -6,7 +6,7 @@
 //! hundreds of processes the schedule tree cannot be enumerated, and the
 //! honest framing flips to the *nomercy* style: declare **laws** — pure
 //! predicates over a whole run that must never be false — and let a
-//! sampler ([`bloom_sim::Sampler`]) search for counterexamples. A law
+//! sampler ([`bloom_sim::ExploreConfig::sample`]) search for counterexamples. A law
 //! with no counterexample after N sampled schedules means exactly "not
 //! yet found" — nothing more; a law *with* a counterexample means a
 //! concrete, replayable, shrinkable decision vector that exhibits the
@@ -172,7 +172,7 @@ impl LawSet {
     }
 
     /// The names of the laws this run violated — the key list a
-    /// [`bloom_sim::Sampler`] map closure returns per iteration. Each
+    /// [`bloom_sim::ExploreConfig::sample`] map closure returns per iteration. Each
     /// violated law appears once, in declaration order.
     pub fn violated(&self, result: &Result<SimReport, SimError>) -> Vec<String> {
         let view = RunView::new(result);

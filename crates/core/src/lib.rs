@@ -33,7 +33,7 @@
 //!   for schedule trees too big to enumerate. Declared laws (safety and
 //!   starvation-freedom predicates over the event vocabulary) are
 //!   searched for counterexamples by seeded sampling
-//!   ([`bloom_sim::Sampler`]), and violating-run fractions are bucketed
+//!   ([`bloom_sim::ExploreConfig::sample`]), and violating-run fractions are bucketed
 //!   by [`classify_rate`] for the R3 report tables.
 //! * [`profile`] / [`independence`](mod@independence) (§4.1, §4.2, §5) — expressive-power
 //!   ratings per (mechanism, info type), the paper's own findings encoded

@@ -309,18 +309,13 @@ impl<S: Send> Monitor<S> {
         self.watched.lock().push(Arc::clone(cond));
     }
 
-    /// Whether a previous holder died inside the monitor.
-    ///
-    /// **Explore-unsafe probe** — see [`Cond::len`]; solution code that
-    /// branches on poisoning must use [`Monitor::is_poisoned_ctx`].
+    /// Whether a previous holder died inside the monitor: a probe for
+    /// test assertions and post-run inspection. It records no footprint,
+    /// so a process must not branch on it during an explored schedule;
+    /// solution code observes poisoning through [`Monitor::try_enter`]'s
+    /// `Err`, which is recorded.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.lock().is_some()
-    }
-
-    /// Instrumented [`Monitor::is_poisoned`] (footprint-recorded read).
-    pub fn is_poisoned_ctx(&self, ctx: &Ctx) -> bool {
-        ctx.note_sync_obj_op(&self.obj, Access::Read);
-        self.is_poisoned()
     }
 
     /// Clones the poison verdict, recording the observation in the trace.

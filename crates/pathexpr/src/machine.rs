@@ -589,49 +589,26 @@ impl PathResource {
 
     /// Number of executions of `op` currently in progress.
     ///
-    /// **Explore-unsafe probe**: records no footprint, so a process that
-    /// branches on it during an explored schedule is invisible to the
-    /// object-granular prune. Solution code must use
-    /// [`PathResource::active_count_ctx`]; this bare form exists for test
-    /// assertions and post-run inspection. (v3 predicates need no marking
-    /// of their own — they are evaluated inside already-marked machine
-    /// operations.)
+    /// A probe for test assertions and post-run inspection. It records no
+    /// footprint, so a process must not branch on it during an explored
+    /// schedule: the revisit prune would not see the read. (v3
+    /// predicates need no probe — they are evaluated inside
+    /// already-marked machine operations.)
     pub fn active_count(&self, op: &str) -> usize {
         self.machine.lock().active.get(op).copied().unwrap_or(0)
     }
 
-    /// Instrumented [`PathResource::active_count`] (footprint-recorded).
-    pub fn active_count_ctx(&self, ctx: &Ctx, op: &str) -> usize {
-        ctx.note_sync_obj_op(&self.obj, Access::Read);
-        self.active_count(op)
-    }
-
-    /// Number of requests currently blocked.
-    ///
-    /// **Explore-unsafe probe** — see [`PathResource::active_count`];
-    /// solution code must use [`PathResource::blocked_count_ctx`].
+    /// Number of requests currently blocked: a probe for test assertions
+    /// and post-run inspection (see [`PathResource::active_count`]).
     pub fn blocked_count(&self) -> usize {
         self.machine.lock().blocked.len()
     }
 
-    /// Instrumented [`PathResource::blocked_count`] (footprint-recorded).
-    pub fn blocked_count_ctx(&self, ctx: &Ctx) -> usize {
-        ctx.note_sync_obj_op(&self.obj, Access::Read);
-        self.blocked_count()
-    }
-
-    /// Whether `op` could start right now (no tokens are consumed).
-    ///
-    /// **Explore-unsafe probe** — see [`PathResource::active_count`];
-    /// solution code must use [`PathResource::can_start_ctx`].
+    /// Whether `op` could start right now (no tokens are consumed): a
+    /// probe for test assertions and post-run inspection (see
+    /// [`PathResource::active_count`]).
     pub fn can_start(&self, op: &str) -> bool {
         self.machine.lock().try_activation(op).is_some()
-    }
-
-    /// Instrumented [`PathResource::can_start`] (footprint-recorded).
-    pub fn can_start_ctx(&self, ctx: &Ctx, op: &str) -> bool {
-        ctx.note_sync_obj_op(&self.obj, Access::Read);
-        self.can_start(op)
     }
 
     // -- Version-3 extensions (Andler: predicates and state variables) ---

@@ -6,7 +6,7 @@
 //! the question becomes *at what rate* they manifest across sampled
 //! schedules of populations up to ~1000 processes, where the schedule
 //! tree is far beyond the DFS explorers. The scenarios are designed for
-//! the sampler ([`bloom_sim::Sampler`]) plus the law layer
+//! the sampler ([`bloom_sim::ExploreConfig::sample`]) plus the law layer
 //! ([`bloom_core::laws`]); each has a companion `*_laws()` set naming
 //! exactly the invariants the R3 report measures.
 //!

@@ -280,31 +280,20 @@ impl Semaphore {
         }
     }
 
-    /// Current count (permits immediately available).
-    ///
-    /// **Explore-unsafe probe** — see [`Semaphore::try_p`]; solution code
-    /// that branches on the count must use [`Semaphore::value_ctx`].
+    /// Current count (permits immediately available): a probe for test
+    /// assertions and post-run inspection. It records no footprint, so a
+    /// process must not branch on it during an explored schedule (see
+    /// [`Semaphore::try_p`]).
     pub fn value(&self) -> u64 {
         *self.count.lock()
     }
 
-    /// Instrumented [`Semaphore::value`] (footprint-recorded read).
-    pub fn value_ctx(&self, ctx: &Ctx) -> u64 {
-        ctx.note_sync_obj_op(&self.obj, Access::Read);
-        self.value()
-    }
-
-    /// Number of processes blocked in [`Semaphore::p`].
-    ///
-    /// **Explore-unsafe probe** — see [`Semaphore::try_p`]; solution code
-    /// that branches on the queue must use [`Semaphore::waiting_ctx`].
+    /// Number of processes blocked in [`Semaphore::p`]: a probe for test
+    /// assertions and post-run inspection. It records no footprint, so a
+    /// process must not branch on it during an explored schedule (see
+    /// [`Semaphore::try_p`]).
     pub fn waiting(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Instrumented [`Semaphore::waiting`] (footprint-recorded read).
-    pub fn waiting_ctx(&self, ctx: &Ctx) -> usize {
-        self.queue.len_ctx(ctx)
     }
 
     /// The configured fairness discipline.
@@ -372,18 +361,12 @@ impl BinarySemaphore {
         self.inner.v(ctx);
     }
 
-    /// Whether the semaphore is currently open.
-    ///
-    /// **Explore-unsafe probe** — see [`Semaphore::try_p`]; solution code
-    /// that branches on the state must use
-    /// [`BinarySemaphore::is_open_ctx`].
+    /// Whether the semaphore is currently open: a probe for test
+    /// assertions and post-run inspection. It records no footprint, so a
+    /// process must not branch on it during an explored schedule (see
+    /// [`Semaphore::try_p`]).
     pub fn is_open(&self) -> bool {
         self.inner.value() == 1
-    }
-
-    /// Instrumented [`BinarySemaphore::is_open`] (footprint-recorded).
-    pub fn is_open_ctx(&self, ctx: &Ctx) -> bool {
-        self.inner.value_ctx(ctx) == 1
     }
 }
 
@@ -447,18 +430,13 @@ impl Lock {
         Ok(r)
     }
 
-    /// Whether a previous holder died inside a closure section.
-    ///
-    /// **Explore-unsafe probe** — see [`Semaphore::try_p`]; solution code
-    /// that branches on poisoning must use [`Lock::is_poisoned_ctx`].
+    /// Whether a previous holder died inside a closure section: a probe
+    /// for test assertions and post-run inspection. It records no
+    /// footprint, so a process must not branch on it during an explored
+    /// schedule; solution code observes poisoning through
+    /// [`Lock::try_with`]'s `Err`, which is recorded.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.lock().is_some()
-    }
-
-    /// Instrumented [`Lock::is_poisoned`] (footprint-recorded read).
-    pub fn is_poisoned_ctx(&self, ctx: &Ctx) -> bool {
-        ctx.note_sync_obj_op(&self.sem.obj, Access::Read);
-        self.is_poisoned()
     }
 
     /// The diagnostic name this lock was created with.

@@ -255,34 +255,21 @@ impl<S: Send> Serializer<S> {
 
     /// Current number of members of `crowd`.
     ///
-    /// **Explore-unsafe probe**: records no footprint, so a process that
-    /// branches on it during an explored schedule is invisible to the
-    /// object-granular prune. Solution code outside a possession body
-    /// must use [`Serializer::crowd_len_ctx`]; guard closures should read
-    /// the [`GuardView`] instead (guard evaluation is already marked by
-    /// the possession machinery).
+    /// A probe for test assertions and post-run inspection. It records no
+    /// footprint, so a process must not branch on it during an explored
+    /// schedule: the revisit prune would not see the read. Inside a
+    /// possession body, [`SerializerCtx::crowd_len`] records its read;
+    /// guard closures read the [`GuardView`], whose evaluation the
+    /// possession machinery already records.
     pub fn crowd_len(&self, crowd: CrowdId) -> usize {
         self.crowds.lock()[crowd.0].members.len()
     }
 
-    /// Instrumented [`Serializer::crowd_len`] (footprint-recorded read).
-    pub fn crowd_len_ctx(&self, ctx: &Ctx, crowd: CrowdId) -> usize {
-        ctx.note_sync_obj_op(&self.obj, Access::Read);
-        self.crowd_len(crowd)
-    }
-
-    /// Current number of waiters in `queue`.
-    ///
-    /// **Explore-unsafe probe** — see [`Serializer::crowd_len`]; solution
-    /// code must use [`Serializer::queue_len_ctx`].
+    /// Current number of waiters in `queue`: a probe for test assertions
+    /// and post-run inspection (see [`Serializer::crowd_len`]; inside a
+    /// possession body, [`SerializerCtx::queue_len`] records its read).
     pub fn queue_len(&self, queue: QueueId) -> usize {
         self.queues.lock()[queue.0].waiters.len()
-    }
-
-    /// Instrumented [`Serializer::queue_len`] (footprint-recorded read).
-    pub fn queue_len_ctx(&self, ctx: &Ctx, queue: QueueId) -> usize {
-        ctx.note_sync_obj_op(&self.obj, Access::Read);
-        self.queue_len(queue)
     }
 
     /// Runs `body` with possession of the serializer.
@@ -327,19 +314,12 @@ impl<S: Send> Serializer<S> {
         Ok(r)
     }
 
-    /// Whether a previous holder died inside the serializer.
-    ///
-    /// **Explore-unsafe probe** — see [`Serializer::crowd_len`]; solution
-    /// code that branches on poisoning must use
-    /// [`Serializer::is_poisoned_ctx`].
+    /// Whether a previous holder died inside the serializer: a probe for
+    /// test assertions and post-run inspection (see
+    /// [`Serializer::crowd_len`]). Solution code observes poisoning
+    /// through [`Serializer::try_enter`]'s `Err`, which is recorded.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.lock().is_some()
-    }
-
-    /// Instrumented [`Serializer::is_poisoned`] (footprint-recorded read).
-    pub fn is_poisoned_ctx(&self, ctx: &Ctx) -> bool {
-        ctx.note_sync_obj_op(&self.obj, Access::Read);
-        self.is_poisoned()
     }
 
     /// Clones the poison verdict, recording the observation in the trace.

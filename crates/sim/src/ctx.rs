@@ -2,7 +2,7 @@
 
 use crate::baton::{Baton, Go, Report};
 use crate::footprint::{Access, ObjId};
-use crate::kernel::{obey, stop_process, Cancelled, ProcessStatus, Shared, StopOutcome, TimerKind};
+use crate::kernel::{obey, stop_process, Cancelled, ProcessStatus, Shared, StopOutcome};
 use crate::metrics::SimMetrics;
 use crate::symbolic::SymValue;
 use crate::trace::EventKind;
@@ -275,54 +275,28 @@ impl Ctx {
                 },
             );
         }
-        loop {
-            let report = match timeout {
-                None => Report::Parked { reason },
-                Some(ticks) => Report::ParkedTimeout { reason, ticks },
-            };
-            match stop_process(&self.shared, self.pid, report) {
-                // Picked right back at our own stop. A timed park gets here
-                // when its own timeout fired with nobody else ready:
-                // `timed_out` is set. A plain park gets here only through
-                // a fault-plan spurious wake, absorbed below: no timer of
-                // ours can ready it (a stale park timeout carries an older
-                // token), and an unpark needs another process to run.
-                StopOutcome::SelfResume => assert!(
-                    timeout.is_some()
-                        || self.shared.state.lock().procs[self.pid.index()].spurious_wake,
-                    "a re-picked plain park carries a spurious wake"
-                ),
-                StopOutcome::Handed => obey(self.baton.take())?,
-            }
-            let mut st = self.shared.state.lock();
-            let slot = &mut st.procs[self.pid.index()];
-            if timeout.is_some() {
-                return Ok(!std::mem::take(&mut slot.timed_out));
-            }
-            // A fault-plan spurious wake resumed us without a matching
-            // unpark: absorb it by re-parking, so mechanisms never observe
-            // a wake they did not grant. (A real unpark that raced the
-            // spurious window clears the flag — see Ctx::try_unpark — and
-            // we return normally.) Timed parks get no spurious wakes.
-            if !slot.spurious_wake {
-                return Ok(true);
-            }
-            slot.spurious_wake = false;
-            let clock = st.clock;
-            st.trace.push(
-                clock,
-                self.pid,
-                EventKind::Blocked {
-                    reason: reason.to_string(),
-                },
-            );
+        let report = match timeout {
+            None => Report::Parked { reason },
+            Some(ticks) => Report::ParkedTimeout { reason, ticks },
+        };
+        match stop_process(&self.shared, self.pid, report) {
+            // Picked right back at our own stop: only a timed park gets
+            // here, when its own timeout fired with nobody else ready. No
+            // timer of a plain park can ready it (a stale park timeout
+            // carries an older token), and an unpark needs another process
+            // to run.
+            StopOutcome::SelfResume => assert!(timeout.is_some(), "a plain park self-resumed"),
+            StopOutcome::Handed => obey(self.baton.take())?,
         }
+        if timeout.is_none() {
+            return Ok(true);
+        }
+        let mut st = self.shared.state.lock();
+        Ok(!std::mem::take(&mut st.procs[self.pid.index()].timed_out))
     }
 
-    /// Whether `target` is currently parked — i.e. an unpark delivered now
-    /// would succeed. Mirrors exactly what [`Ctx::try_unpark`] would
-    /// accept: a blocked process, or a ready one whose pending fault-plan
-    /// spurious wake would be converted into the unpark.
+    /// Whether `target` is currently parked (its status is `Blocked`) —
+    /// i.e. whether [`Ctx::try_unpark`] would succeed now.
     ///
     /// Grant paths that scan a queue which may hold *stale* entries (a
     /// timed-out process that has not yet removed its own registration)
@@ -339,7 +313,7 @@ impl Ctx {
         if st.record_quanta {
             st.log.mark(&slot.park_obj, Access::Read);
         }
-        matches!(slot.status, ProcessStatus::Blocked { .. }) || slot.spurious_wake
+        matches!(slot.status, ProcessStatus::Blocked { .. })
     }
 
     /// Makes a parked process runnable again if it is currently parked;
@@ -353,23 +327,16 @@ impl Ctx {
         if st.record_quanta {
             st.log.mark(&slot.park_obj, Access::Write);
         }
-        if !matches!(slot.status, ProcessStatus::Blocked { .. }) {
-            // A pending fault-plan spurious wake means the target is Ready
-            // but will transparently re-park; converting the pending wake
-            // into this real unpark preserves unpark semantics exactly.
-            if !slot.spurious_wake {
-                return false;
-            }
-            slot.spurious_wake = false;
-            if let Some((reason, _)) = slot.wait_episode() {
-                SimMetrics::bump(&mut st.metrics.wakes, reason);
-            }
-            let clock = st.clock;
-            st.trace
-                .push(clock, target, EventKind::Unparked { by: self.pid });
-            return true;
-        }
-        self.deliver_unpark(st, target);
+        let ProcessStatus::Blocked { reason } = &slot.status else {
+            return false;
+        };
+        SimMetrics::bump(&mut st.metrics.wakes, reason);
+        st.settle_blocked_time(target);
+        let clock = st.clock;
+        st.trace
+            .push(clock, target, EventKind::Unparked { by: self.pid });
+        st.procs[target.index()].end_park(ProcessStatus::Ready);
+        st.ready.push(target);
         true
     }
 
@@ -387,50 +354,6 @@ impl Ctx {
             "unpark of {target} which is {:?} (mechanism bug)",
             self.shared.state.lock().procs[target.index()].status
         );
-    }
-
-    /// Shared tail of [`Ctx::try_unpark`]/[`Ctx::unpark`] once `target` is
-    /// known to be blocked: wakes it, or — when a fault-plan delayed wake
-    /// fires on this unpark — converts the wake into a timed sleep. Either
-    /// way the unpark is *delivered* (the hand-off decision is unchanged);
-    /// a delay only shifts when the wakee next runs.
-    fn deliver_unpark(&self, st: &mut crate::kernel::State, target: Pid) {
-        let clock = st.clock;
-        // Metrics: the unpark is delivered either way (a fault-plan delay
-        // only shifts when the wakee runs), so it counts as a wake and
-        // ends the target's blocked episode here.
-        if let ProcessStatus::Blocked { reason } = &st.procs[target.index()].status {
-            SimMetrics::bump(&mut st.metrics.wakes, reason);
-        }
-        st.settle_blocked_time(target);
-        st.trace
-            .push(clock, target, EventKind::Unparked { by: self.pid });
-        let delay = if st.faults.active() {
-            let crate::kernel::State { faults, procs, .. } = &mut *st;
-            faults.on_unpark(target, &procs[target.index()].name)
-        } else {
-            None
-        };
-        match delay {
-            None => {
-                st.procs[target.index()].end_park(ProcessStatus::Ready);
-                st.ready.push(target);
-            }
-            Some(ticks) => {
-                let until = clock.plus(ticks);
-                st.procs[target.index()].end_park(ProcessStatus::Sleeping { until });
-                let tiebreak = st.timer_tiebreak;
-                st.timer_tiebreak += 1;
-                st.timers.push(std::cmp::Reverse((
-                    until,
-                    tiebreak,
-                    target,
-                    TimerKind::Sleep,
-                )));
-                st.trace
-                    .push(clock, target, EventKind::DelayedWake { until });
-            }
-        }
     }
 
     /// Draws a value from a finite integer domain at a *data decision

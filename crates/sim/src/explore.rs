@@ -38,7 +38,7 @@ use crate::error::SimError;
 use crate::fault::FaultPlan;
 use crate::kernel::{ProcessStatus, SimReport};
 use crate::parallel::{explore, ScheduleRecord};
-use crate::sample::{SampleRecord, SampleStrategy, Sampler};
+use crate::sample::{sample, SampleRecord, SampleStrategy};
 use crate::sim::Sim;
 use crate::trace::Decision;
 use std::collections::BTreeMap;
@@ -118,7 +118,8 @@ pub struct ExploreStats {
     /// fresh and actually scheduled. Every executed schedule except the
     /// root is a granted revisit or a granted symbolic value request, so
     /// a complete revisit exploration has
-    /// `schedules == revisits + sym_grants + 1`. Always 0 unpruned.
+    /// `schedules == revisits + sym_grants + 1` (`+ k` for a sweep over
+    /// `k` kill points, one root each). Always 0 unpruned.
     pub revisits: u64,
     /// [`PruneMode::Revisit`] only: total value-sibling branch requests
     /// produced by the symbolic collapse over [`crate::Ctx::choose_value`]
@@ -140,10 +141,18 @@ pub struct ExploreStats {
     /// kept for replay and is identical across worker counts.
     pub first_error: Option<ExploreError>,
     /// Bug-finding statistics when the schedules were *sampled* rather
-    /// than enumerated ([`crate::Sampler`]); `None` for exhaustive
+    /// than enumerated ([`ExploreConfig::sample`]); `None` for exhaustive
     /// exploration. A sampling run never proves absence — `complete` then
     /// means only "every requested iteration ran".
     pub sampling: Option<crate::sample::SampleStats>,
+    /// Per-kill-point counts of a kill-point sweep
+    /// ([`ExploreConfig::run_kill_points`]), in sweep order; every other
+    /// field is then the sum over the points (the first error is the
+    /// earliest point's). Points past the victim's maximum observed
+    /// scheduling-point count are not explored (they can never fire), so
+    /// this may be shorter than `max_points`. Empty for
+    /// [`ExploreConfig::run`] and [`ExploreConfig::sample`].
+    pub per_point: Vec<KillPointCount>,
     /// Where the exploration's wall-clock time went, by phase, summed
     /// over workers. Non-authoritative: a measurement, never part of a
     /// journal, an export, the report or an equality check (its `Debug`
@@ -198,8 +207,9 @@ impl ExploreStats {
     /// Asserts the accounting invariants that hold pruned or not and at
     /// every worker count: the per-depth histograms are exact
     /// decompositions of their totals (no drift, no trailing empty
-    /// buckets) and the revisit tallies are mutually consistent. The
-    /// engine runs this under `debug_assertions` on every stats value it
+    /// buckets), the revisit tallies are mutually consistent, and a
+    /// kill-point sweep's per-point counts sum to its total. The engine
+    /// runs this under `debug_assertions` on every stats value it
     /// returns; tests call it directly on release builds.
     ///
     /// # Panics
@@ -238,14 +248,51 @@ impl ExploreStats {
             self.sym_grants,
             self.sym_requests
         );
+        if !self.per_point.is_empty() {
+            assert_eq!(
+                self.per_point.iter().map(|p| p.schedules).sum::<usize>(),
+                self.schedules,
+                "per-point schedule counts must sum to the total"
+            );
+            assert!(
+                self.per_point.iter().all(|p| p.kills <= p.schedules),
+                "a kill fires at most once per schedule"
+            );
+        }
         if (self.revisits > 0 || self.sym_grants > 0) && self.complete {
+            // One root per exploration: each kill point of a sweep has its own.
+            let roots = self.per_point.len().max(1);
             assert_eq!(
                 self.schedules,
-                self.revisits as usize + self.sym_grants as usize + 1,
+                self.revisits as usize + self.sym_grants as usize + roots,
                 "in revisit mode every non-root schedule is a granted revisit \
                  or a granted symbolic value"
             );
         }
+    }
+
+    /// Folds the exploration of kill point `at`, in which the kill fired
+    /// `kills` times, into a sweep's total.
+    fn add_point(&mut self, at: u64, kills: usize, point: ExploreStats) {
+        self.per_point.push(KillPointCount {
+            point: at,
+            schedules: point.schedules,
+            kills,
+        });
+        self.schedules += point.schedules;
+        self.complete &= point.complete;
+        self.pruned += point.pruned;
+        merge_depth(&mut self.depth_schedules, &point.depth_schedules);
+        merge_depth(&mut self.depth_pruned, &point.depth_pruned);
+        merge_conflicts(&mut self.conflicts, &point.conflicts);
+        self.revisit_requests += point.revisit_requests;
+        self.revisits += point.revisits;
+        self.sym_requests += point.sym_requests;
+        self.sym_grants += point.sym_grants;
+        if self.first_error.is_none() {
+            self.first_error = point.first_error;
+        }
+        self.phases.add(&point.phases);
     }
 }
 
@@ -270,86 +317,6 @@ pub(crate) fn merge_depth(dst: &mut Vec<usize>, src: &[usize]) {
 pub(crate) fn merge_conflicts(dst: &mut BTreeMap<String, u64>, src: &BTreeMap<String, u64>) {
     for (obj, &by) in src {
         *dst.entry(obj.clone()).or_insert(0) += by;
-    }
-}
-
-/// Result summary of a kill-point sweep
-/// ([`ExploreConfig::run_kill_points`]).
-#[derive(Debug, Clone, Default)]
-#[non_exhaustive]
-pub struct KillPointStats {
-    /// Total schedules executed across all explored kill points.
-    pub schedules: usize,
-    /// Whether every explored kill point covered its whole tree.
-    pub complete: bool,
-    /// Total sibling branches skipped by the equivalence prune.
-    pub pruned: usize,
-    /// Per-kill-point counts, in sweep order. Points past the victim's
-    /// maximum observed scheduling-point count are not explored (they can
-    /// never fire), so this may be shorter than `max_points`.
-    pub per_point: Vec<KillPointCount>,
-    /// Schedule histogram by depth, merged across kill points (see
-    /// [`ExploreStats::depth_schedules`]).
-    pub depth_schedules: Vec<usize>,
-    /// Prune histogram by depth, merged across kill points.
-    pub depth_pruned: Vec<usize>,
-    /// Per-object conflict tally, merged across kill points (see
-    /// [`ExploreStats::conflicts`]).
-    pub conflicts: BTreeMap<String, u64>,
-    /// Race-derived branch requests, merged across kill points (see
-    /// [`ExploreStats::revisit_requests`]).
-    pub revisit_requests: u64,
-    /// Granted revisits, merged across kill points (see
-    /// [`ExploreStats::revisits`]).
-    pub revisits: u64,
-    /// Symbolic value requests, merged across kill points (see
-    /// [`ExploreStats::sym_requests`]).
-    pub sym_requests: u64,
-    /// Granted symbolic values, merged across kill points (see
-    /// [`ExploreStats::sym_grants`]).
-    pub sym_grants: u64,
-    /// The first failed schedule: the canonical-first failure of the
-    /// earliest kill point that had one (points are swept in order, so
-    /// this too is deterministic across worker counts).
-    pub first_error: Option<ExploreError>,
-}
-
-impl KillPointStats {
-    /// Asserts the accounting invariants of a kill-point sweep: the depth
-    /// histograms decompose the totals and the per-point counts sum to
-    /// the schedule total (see [`ExploreStats::assert_consistent`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any tally has drifted from its histogram.
-    pub fn assert_consistent(&self) {
-        assert_eq!(
-            self.depth_schedules.iter().sum::<usize>(),
-            self.schedules,
-            "depth_schedules must decompose schedules exactly"
-        );
-        assert_eq!(
-            self.depth_pruned.iter().sum::<usize>(),
-            self.pruned,
-            "depth_pruned must decompose pruned exactly"
-        );
-        assert_eq!(
-            self.per_point.iter().map(|p| p.schedules).sum::<usize>(),
-            self.schedules,
-            "per-point schedule counts must sum to the total"
-        );
-        assert!(
-            self.per_point.iter().all(|p| p.kills <= p.schedules),
-            "a kill fires at most once per schedule"
-        );
-        assert!(
-            self.revisits <= self.revisit_requests,
-            "every granted revisit was first requested"
-        );
-        assert!(
-            self.sym_grants <= self.sym_requests,
-            "every granted symbolic value was first requested"
-        );
     }
 }
 
@@ -509,24 +476,25 @@ impl ExploreConfig {
     /// every interleaving, and an armed-but-idle kill plan leaves the tree
     /// identical to the unfaulted one, so no later point can fire either.
     /// `max_points` may therefore be a loose upper bound at no cost. The
-    /// schedule budget applies to each kill point separately; `schedules`
-    /// in the returned stats is the total.
+    /// schedule budget applies to each kill point separately; the
+    /// returned stats sum the points and list each in
+    /// [`ExploreStats::per_point`].
     pub fn run_kill_points<S, M, T>(
         &self,
         victim: &str,
         max_points: u64,
         setup: S,
         map: M,
-    ) -> (Vec<(u64, ScheduleRecord<T>)>, KillPointStats)
+    ) -> (Vec<(u64, ScheduleRecord<T>)>, ExploreStats)
     where
         S: Fn() -> Sim + Sync,
         M: Fn(u64, &[Decision], &Result<SimReport, SimError>) -> T + Sync,
         T: Send,
     {
         let mut journal = Vec::new();
-        let mut stats = KillPointStats {
+        let mut stats = ExploreStats {
             complete: true,
-            ..KillPointStats::default()
+            ..ExploreStats::default()
         };
         for point in 1..=max_points {
             let kills = AtomicUsize::new(0);
@@ -544,26 +512,10 @@ impl ExploreConfig {
                 },
             );
             let kills = kills.into_inner();
-            stats.schedules += point_stats.schedules;
-            stats.complete &= point_stats.complete;
-            stats.pruned += point_stats.pruned;
-            merge_depth(&mut stats.depth_schedules, &point_stats.depth_schedules);
-            merge_depth(&mut stats.depth_pruned, &point_stats.depth_pruned);
-            merge_conflicts(&mut stats.conflicts, &point_stats.conflicts);
-            stats.revisit_requests += point_stats.revisit_requests;
-            stats.revisits += point_stats.revisits;
-            stats.sym_requests += point_stats.sym_requests;
-            stats.sym_grants += point_stats.sym_grants;
-            if stats.first_error.is_none() {
-                stats.first_error = point_stats.first_error;
-            }
-            stats.per_point.push(KillPointCount {
-                point,
-                schedules: point_stats.schedules,
-                kills,
-            });
+            let complete = point_stats.complete;
+            stats.add_point(point, kills, point_stats);
             journal.extend(point_journal.into_iter().map(|r| (point, r)));
-            if kills == 0 && point_stats.complete {
+            if kills == 0 && complete {
                 break; // the victim never reaches `point` scheduling points
             }
         }
@@ -572,15 +524,19 @@ impl ExploreConfig {
         (journal, stats)
     }
 
-    /// Samples `iterations` seeded schedules instead of enumerating (see
-    /// [`crate::Sampler`]). The schedule budget and prune mode do not
-    /// apply — `iterations` *is* the budget, and sampling proves nothing
-    /// exhaustively — but the worker count does.
+    /// Samples `iterations` seeded schedules instead of enumerating, each
+    /// under a policy seeded from `seed` and the iteration index (see
+    /// [`SampleStrategy`]). The schedule
+    /// budget and prune mode do not apply — `iterations` *is* the budget,
+    /// and sampling proves nothing exhaustively — but the worker count
+    /// does; unset, it is one worker per available core, capped at 8.
     ///
     /// Same visitor shape as [`ExploreConfig::run`], except `map` also
-    /// returns the *law keys* the run violated (empty when clean), which
-    /// feed [`ExploreStats::sampling`]. The journal is sorted by
-    /// iteration index.
+    /// returns the *law keys* the run violated (empty when clean — see
+    /// `bloom-core`'s law layer for the canonical producer), which feed
+    /// [`ExploreStats::sampling`]. The journal is sorted by iteration
+    /// index, and `first_error` is the failing run with the lowest
+    /// iteration index; both are byte-identical across worker counts.
     pub fn sample<S, M, T>(
         &self,
         strategy: SampleStrategy,
@@ -594,11 +550,7 @@ impl ExploreConfig {
         M: Fn(&[Decision], &Result<SimReport, SimError>) -> (T, Vec<String>) + Sync,
         T: Send,
     {
-        let mut sampler = Sampler::walk(iterations, seed).strategy(strategy);
-        if let Some(threads) = self.threads {
-            sampler = sampler.threads(threads);
-        }
-        sampler.run(setup, map)
+        sample(strategy, iterations, seed, self.threads, setup, map)
     }
 }
 
@@ -1057,7 +1009,7 @@ mod tests {
         let revisit = sweep(ExploreConfig::new(10_000).mode(PruneMode::Revisit));
         assert!(full.complete && revisit.complete);
         revisit.assert_consistent();
-        let fired = |stats: &KillPointStats| {
+        let fired = |stats: &ExploreStats| {
             stats
                 .per_point
                 .iter()

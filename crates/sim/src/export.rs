@@ -124,10 +124,6 @@ fn kind_fields(kind: &EventKind) -> String {
         EventKind::StarvationFlagged { age } => {
             format!("\"kind\":\"starvation_flagged\",\"age\":{age}")
         }
-        EventKind::SpuriousWake => "\"kind\":\"spurious_wake\"".to_string(),
-        EventKind::DelayedWake { until } => {
-            format!("\"kind\":\"delayed_wake\",\"until\":{}", until.0)
-        }
         EventKind::ChoseValue { label, value } => {
             format!(
                 "\"kind\":\"chose_value\",\"label\":\"{}\",\"value\":{value}",
@@ -241,7 +237,9 @@ pub fn to_chrome_trace(trace: &Trace, metrics: &SimMetrics) -> String {
                  \"pid\":0,\"tid\":{pid}}}"
             )),
             EventKind::Blocked { reason } => {
-                close_open_span(&mut open_park, &mut ev); // re-park after spurious wake
+                // A timed park's span is still open here when its timeout
+                // went unrecorded (`record_sched_events: false`).
+                close_open_span(&mut open_park, &mut ev);
                 ev.push(format!(
                     "{{\"name\":\"{}\",\"cat\":\"park\",\"ph\":\"b\",\"id\":{pid},\"ts\":{ts},\
                      \"pid\":0,\"tid\":{pid}}}",
@@ -251,12 +249,10 @@ pub fn to_chrome_trace(trace: &Trace, metrics: &SimMetrics) -> String {
             }
             EventKind::Unparked { .. }
             | EventKind::TimerFired
-            | EventKind::SpuriousWake
             | EventKind::Killed
             | EventKind::Aborted => {
                 close_open_span(&mut open_park, &mut ev);
                 let instant = match &e.kind {
-                    EventKind::SpuriousWake => Some(("spurious_wake", "fault")),
                     EventKind::Killed => Some(("killed", "fault")),
                     EventKind::Aborted => Some(("aborted", "recovery")),
                     _ => None,
@@ -268,11 +264,6 @@ pub fn to_chrome_trace(trace: &Trace, metrics: &SimMetrics) -> String {
                     ));
                 }
             }
-            EventKind::DelayedWake { until } => ev.push(format!(
-                "{{\"name\":\"delayed_wake\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\
-                 \"ts\":{ts},\"pid\":0,\"tid\":{pid},\"args\":{{\"until\":{}}}}}",
-                until.0
-            )),
             EventKind::StarvationFlagged { age } => ev.push(format!(
                 "{{\"name\":\"starvation_flagged\",\"cat\":\"watchdog\",\"ph\":\"i\",\
                  \"s\":\"t\",\"ts\":{ts},\"pid\":0,\"tid\":{pid},\"args\":{{\"age\":{age}}}}}"

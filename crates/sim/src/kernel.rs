@@ -86,9 +86,6 @@ pub(crate) struct ProcSlot {
     pub park_token: u64,
     /// Set when the last park ended by timeout rather than unpark.
     pub timed_out: bool,
-    /// Set when a fault-plan spurious wake made this process runnable
-    /// without a matching unpark; [`Ctx::park`] absorbs it by re-parking.
-    pub spurious_wake: bool,
     /// Start of the current *wait episode*, for the starvation watchdog
     /// and the deadlock-recovery victim choice. Re-parking on the same
     /// reason (the re-contend loop of a weak semaphore, a Mesa-style
@@ -274,8 +271,8 @@ impl State {
 
     /// Closes the pid's blocked episode (if one is open) and adds its
     /// duration to the blocked-time metric. Called wherever a process
-    /// stops being `Blocked`: unpark delivery, park-timeout fire, abort,
-    /// spurious wake, and end-of-run finalization.
+    /// stops being `Blocked`: unpark, park-timeout fire, abort, and
+    /// end-of-run finalization.
     pub(crate) fn settle_blocked_time(&mut self, pid: Pid) {
         if let Some(since) = self.procs[pid.index()].blocked_since.take() {
             self.metrics.per_pid[pid.index()].blocked_ticks += self.clock.0 - since.0;
@@ -415,7 +412,6 @@ impl Shared {
             pending: Some(Box::new(f)),
             park_token: 0,
             timed_out: false,
-            spurious_wake: false,
             wait_since: None,
             park_reason: String::new(),
             starvation_flagged: false,
@@ -900,20 +896,6 @@ fn apply_stop(st: &mut State, pid: Pid, report: Report<'_>) {
             // re-contend or recheck loop) continues the current wait
             // episode; anything else starts a fresh one.
             st.procs[pid.index()].begin_park(reason, clock);
-            // Fault plane: a spurious wake makes the process runnable
-            // again with no matching unpark; Ctx::park absorbs it, even
-            // when the pick below comes straight back to this process.
-            if st.faults.active() {
-                let State { faults, procs, .. } = &mut *st;
-                if faults.on_park(pid, &procs[pid.index()].name) {
-                    st.settle_blocked_time(pid);
-                    let slot = &mut st.procs[pid.index()];
-                    slot.end_park(ProcessStatus::Ready);
-                    slot.spurious_wake = true;
-                    st.ready.push(pid);
-                    st.trace.push(clock, pid, EventKind::SpuriousWake);
-                }
-            }
         }
         Report::ParkedTimeout { reason, ticks } => {
             st.prune_safe = false; // timers are time-sensitive: no prune
@@ -1008,7 +990,7 @@ pub(crate) enum StopOutcome {
     /// The pick came straight back to the stopping process: keep running,
     /// zero hand-offs. A yield lands here when the policy re-picks it; a
     /// sleep or a timed park when its own timer fired with no other
-    /// process ready; a plain park after a fault-plan spurious wake.
+    /// process ready. A plain park never does.
     SelfResume,
     /// The CPU went elsewhere: to another process, or nowhere because the
     /// run ended. A still-live caller must now wait on its own baton,

@@ -31,9 +31,8 @@
 //!   (and, via [`ExploreConfig::run_kill_points`], of schedule ×
 //!   kill-point spaces) on one inline worker or a pool of them.
 //! * [`FaultPlan`] — deterministic fault injection: kill a named process
-//!   at its Nth scheduling point, wake a park spuriously, delay a wake.
-//!   Faults are part of the run's coordinates, so a crash scenario replays
-//!   exactly like a schedule.
+//!   at its Nth scheduling point. Kills are part of the run's coordinates,
+//!   so a crash scenario replays exactly like a schedule.
 //! * [`SimMetrics`] — per-run observability counters (dispatches, parks,
 //!   wakes, queue depths, sync ops, replay divergence) attached to every
 //!   [`SimReport`]; strictly *non-authoritative* — metrics observe
@@ -96,10 +95,9 @@ mod waitq;
 pub use ctx::Ctx;
 pub use error::{SimError, SimErrorKind};
 pub use explore::{
-    ExploreConfig, ExploreError, ExploreStats, KillPointCount, KillPointStats, PhaseTimes,
-    PruneMode,
+    ExploreConfig, ExploreError, ExploreStats, KillPointCount, PhaseTimes, PruneMode,
 };
-pub use fault::{DelaySpec, FaultPlan, KillSpec, Poisoned, SpuriousSpec};
+pub use fault::{FaultPlan, KillSpec, Poisoned};
 pub use footprint::{Access, ObjId, Quantum, QuantumLog};
 pub use kernel::{Cancelled, ProcessStatus, ProcessSummary, SimReport, StarvationFlag};
 pub use metrics::{PidMetrics, ReplayDivergence, SimMetrics};
@@ -107,8 +105,7 @@ pub use parallel::ScheduleRecord;
 pub use policy::{FifoPolicy, LifoPolicy, RandomPolicy, ReplayPolicy, SchedPolicy, SplitMix64};
 pub use retry::{retry_with_backoff, Backoff, RetryOutcome};
 pub use sample::{
-    replay_exact, replay_prefix, shrink_prefix, PctPolicy, SampleRecord, SampleStats,
-    SampleStrategy, Sampler,
+    replay_exact, replay_prefix, shrink_prefix, SampleRecord, SampleStats, SampleStrategy,
 };
 pub use sim::{Sim, SimConfig};
 pub use symbolic::{CmpOp, DataChoice, SymValue};

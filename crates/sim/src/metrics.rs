@@ -70,12 +70,10 @@ pub struct SimMetrics {
     /// previous dispatch did.
     pub context_switches: u64,
     /// Parks keyed by wait reason (the queue name passed to
-    /// [`crate::Ctx::park`]). A re-park after an absorbed spurious wake
-    /// counts again: it is a second park.
+    /// [`crate::Ctx::park`]). A re-park on the same queue counts again:
+    /// it is a second park.
     pub parks: BTreeMap<String, u64>,
-    /// Unpark deliveries keyed by the reason the target was parked on
-    /// (including wakes a fault plan converted into delayed sleeps —
-    /// the unpark was still delivered).
+    /// Unpark deliveries keyed by the reason the target was parked on.
     pub wakes: BTreeMap<String, u64>,
     /// Timed parks that ended by timeout rather than unpark, keyed by
     /// reason.

@@ -397,6 +397,7 @@ where
         sym_grants,
         first_error: tally.first_error,
         sampling: None,
+        per_point: Vec::new(),
         phases: tally.phases,
     };
     #[cfg(debug_assertions)]

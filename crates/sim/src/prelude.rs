@@ -7,7 +7,7 @@
 
 pub use crate::{
     replay_exact, replay_prefix, retry_with_backoff, shrink_prefix, Backoff, Ctx, Deadline,
-    ExploreConfig, ExploreStats, FaultPlan, FifoPolicy, KillPointStats, LifoPolicy, Pid, PruneMode,
-    RandomPolicy, ReplayPolicy, RetryOutcome, SampleStats, SampleStrategy, Sampler, SchedPolicy,
-    ScheduleRecord, Sim, SimConfig, SimError, SimReport, SplitMix64, SymValue, Time, WaitQueue,
+    ExploreConfig, ExploreStats, FaultPlan, FifoPolicy, LifoPolicy, Pid, PruneMode, RandomPolicy,
+    ReplayPolicy, RetryOutcome, SampleStats, SampleStrategy, SchedPolicy, ScheduleRecord, Sim,
+    SimConfig, SimError, SimReport, SplitMix64, SymValue, Time, WaitQueue,
 };

@@ -3,12 +3,12 @@
 //! Every mechanism in the workspace exposes its timed waits through one
 //! `*_by(ctx, impl Into<Deadline>)` shape (PR 4). The natural client of
 //! that shape is a retry loop — attempt with bounded patience, withdraw,
-//! pause, try again with more patience — and the R2 liveness scenarios
-//! each hand-roll one. [`retry_with_backoff`] is that loop, made
-//! deterministic and inspectable:
+//! try again — and the R2 liveness scenarios each hand-roll one.
+//! [`retry_with_backoff`] is that loop, made deterministic and
+//! inspectable:
 //!
-//! * the schedule is a fixed vector of virtual-tick patiences (no
-//!   randomized jitter — determinism is load-bearing for exploration);
+//! * every attempt waits the same number of virtual ticks (no randomized
+//!   jitter — determinism is load-bearing for exploration);
 //! * attempts are bounded, so a retry loop can *give up*, which the R2
 //!   classifier must see (`gave-up:` degrades the cell);
 //! * every withdrawal and re-attempt is emitted in the standard liveness
@@ -18,63 +18,20 @@
 
 use crate::ctx::Ctx;
 
-/// A bounded virtual-tick backoff schedule: one patience value per
-/// attempt, plus an optional fixed pause slept between attempts.
+/// A bounded virtual-tick backoff schedule: a number of attempts, each
+/// with the same patience. A re-attempt is immediate, keeping the wait
+/// episode open for the starvation watchdog exactly like the hand-rolled
+/// R2 loops.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Backoff {
-    patience: Vec<u64>,
-    pause: u64,
+    patience: u64,
+    attempts: usize,
 }
 
 impl Backoff {
-    /// The same patience for every attempt.
+    /// `attempts` tries, each waiting `patience` virtual ticks.
     pub fn fixed(patience: u64, attempts: usize) -> Self {
-        Backoff {
-            patience: vec![patience; attempts],
-            pause: 0,
-        }
-    }
-
-    /// Doubling patience, starting at `first` (saturating): the classic
-    /// exponential schedule, truncated to `attempts` tries.
-    pub fn exponential(first: u64, attempts: usize) -> Self {
-        let mut patience = Vec::with_capacity(attempts);
-        let mut p = first;
-        for _ in 0..attempts {
-            patience.push(p);
-            p = p.saturating_mul(2);
-        }
-        Backoff { patience, pause: 0 }
-    }
-
-    /// An explicit per-attempt schedule.
-    pub fn schedule(patience: &[u64]) -> Self {
-        Backoff {
-            patience: patience.to_vec(),
-            pause: 0,
-        }
-    }
-
-    /// Sleeps `ticks` of virtual time between attempts (default 0: the
-    /// re-attempt is immediate, keeping the wait episode open for the
-    /// starvation watchdog exactly like the hand-rolled R2 loops).
-    pub fn pause(mut self, ticks: u64) -> Self {
-        self.pause = ticks;
-        self
-    }
-
-    /// Number of attempts in the schedule.
-    pub fn attempts(&self) -> usize {
-        self.patience.len()
-    }
-
-    /// Patience for the given attempt (clamped to the last entry).
-    pub fn patience_for(&self, attempt: usize) -> u64 {
-        self.patience
-            .get(attempt)
-            .or(self.patience.last())
-            .copied()
-            .unwrap_or(0)
+        Backoff { patience, attempts }
     }
 }
 
@@ -128,21 +85,18 @@ pub fn retry_with_backoff(
     backoff: &Backoff,
     mut attempt: impl FnMut(&Ctx, u64) -> bool,
 ) -> RetryOutcome {
-    for (i, &patience) in backoff.patience.iter().enumerate() {
+    for i in 0..backoff.attempts {
         if i > 0 {
-            if backoff.pause > 0 {
-                ctx.sleep(backoff.pause);
-            }
             ctx.emit(&format!("retry:{label}"), &[i as i64]);
         }
-        if attempt(ctx, patience) {
+        if attempt(ctx, backoff.patience) {
             return RetryOutcome::Acquired { retries: i };
         }
         ctx.emit(&format!("timed-out:{label}"), &[i as i64]);
     }
     ctx.emit(&format!("gave-up:{label}"), &[]);
     RetryOutcome::GaveUp {
-        attempts: backoff.patience.len(),
+        attempts: backoff.attempts,
     }
 }
 
@@ -155,32 +109,20 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn schedules_are_what_they_say() {
-        let b = Backoff::exponential(2, 4);
-        assert_eq!(b.attempts(), 4);
-        assert_eq!(
-            (0..4).map(|i| b.patience_for(i)).collect::<Vec<_>>(),
-            vec![2, 4, 8, 16]
-        );
-        assert_eq!(b.patience_for(99), 16, "clamped to the last entry");
-        assert_eq!(Backoff::fixed(3, 2), Backoff::schedule(&[3, 3]));
-    }
-
-    #[test]
     fn acquires_after_retry_with_the_full_paper_trail() {
         let mut sim = Sim::new();
         let q = Arc::new(WaitQueue::new("slot"));
         let outcome = Arc::new(Mutex::new(None));
         let (q2, out) = (Arc::clone(&q), Arc::clone(&outcome));
         sim.spawn("contender", move |ctx| {
-            let r = retry_with_backoff(ctx, "slot", &Backoff::exponential(1, 5), |ctx, p| {
+            let r = retry_with_backoff(ctx, "slot", &Backoff::fixed(3, 5), |ctx, p| {
                 q2.wait_by(ctx, p)
             });
             *out.lock() = Some(r);
         });
         let q3 = Arc::clone(&q);
         sim.spawn("releaser", move |ctx| {
-            ctx.sleep(4); // outlast the first couple of patiences
+            ctx.sleep(4); // outlast the first attempt
             q3.wake_one(ctx);
         });
         let report = sim.run().expect("clean run");
@@ -198,7 +140,7 @@ mod tests {
         let outcome = Arc::new(Mutex::new(None));
         let out = Arc::clone(&outcome);
         sim.spawn("contender", move |ctx| {
-            let r = retry_with_backoff(ctx, "slot", &Backoff::fixed(2, 3).pause(1), |ctx, p| {
+            let r = retry_with_backoff(ctx, "slot", &Backoff::fixed(2, 3), |ctx, p| {
                 q.wait_by(ctx, p)
             });
             *out.lock() = Some(r);

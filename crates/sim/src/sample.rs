@@ -2,14 +2,14 @@
 //!
 //! [`crate::ExploreConfig::run`] proves properties by visiting every
 //! schedule; past a few processes the tree is astronomically larger than
-//! any budget, and exhaustive walks stop meaning anything. [`Sampler`] is
-//! the third exploration mode: draw schedules at random — but *seeded*
-//! random, so every run is a pure function of `(scenario, seed)` — and
-//! search for counterexamples to declared laws instead of proving their
-//! absence. A sampling run that finds nothing proves nothing; what it
-//! finds, however, arrives as a concrete decision vector that replays
-//! exactly, shrinks to a minimal prefix, and can be handed to the strict
-//! [`ReplayPolicy`] forever after.
+//! any budget, and exhaustive walks stop meaning anything.
+//! [`crate::ExploreConfig::sample`] is the third exploration mode: draw
+//! schedules at random — but *seeded* random, so every run is a pure
+//! function of `(scenario, seed)` — and search for counterexamples to
+//! declared laws instead of proving their absence. A sampling run that
+//! finds nothing proves nothing; what it finds, however, arrives as a
+//! concrete decision vector that replays exactly, shrinks to a minimal
+//! prefix, and can be handed to the strict [`ReplayPolicy`] forever after.
 //!
 //! Two strategies:
 //!
@@ -63,7 +63,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// How one [`Sampler`] iteration picks its schedule.
+/// How one iteration of [`crate::ExploreConfig::sample`] picks its
+/// schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleStrategy {
     /// Probabilistic concurrency testing: random priorities plus
@@ -88,7 +89,7 @@ pub enum SampleStrategy {
 /// have the top bit set; change points demote to `1, 2, …`, so a demoted
 /// process ranks below every undemoted one, and earlier demotions rank
 /// below later ones (the PCT ordering).
-pub struct PctPolicy {
+pub(crate) struct PctPolicy {
     rng: SplitMix64,
     priorities: BTreeMap<Pid, u64>,
     /// Sorted, deduplicated contested-decision depths at which to demote.
@@ -106,7 +107,7 @@ pub struct PctPolicy {
 impl PctPolicy {
     /// Creates a PCT policy with its own seed and change-point budget,
     /// folding fired change depths into `fired`.
-    pub fn new(
+    pub(crate) fn new(
         seed: u64,
         change_points: usize,
         depth_hint: usize,
@@ -236,205 +237,126 @@ impl SampleStats {
     }
 }
 
-/// Seeded schedule sampler: the exploration mode beside the exhaustive
-/// engine of [`crate::ExploreConfig::run`] (see the module docs).
-#[derive(Debug, Clone)]
-pub struct Sampler {
+/// The sampling loop behind [`crate::ExploreConfig::sample`], which
+/// documents it: `iterations` schedules of `setup`'s scenario on
+/// `threads` workers (the per-core default when `None`).
+pub(crate) fn sample<S, M, T>(
+    strategy: SampleStrategy,
     iterations: usize,
     seed: u64,
-    strategy: SampleStrategy,
-    threads: usize,
-}
+    threads: Option<usize>,
+    setup: S,
+    map: M,
+) -> (Vec<SampleRecord<T>>, ExploreStats)
+where
+    S: Fn() -> Sim + Sync,
+    M: Fn(&[Decision], &Result<SimReport, SimError>) -> (T, Vec<String>) + Sync,
+    T: Send,
+{
+    let next = AtomicUsize::new(0);
+    let fired: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+    let violations: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
+    let first_hits: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
+    let first_error: Mutex<Option<(u64, ExploreError)>> = Mutex::new(None);
+    let journals: Mutex<Vec<Vec<SampleRecord<T>>>> = Mutex::new(Vec::new());
 
-impl Sampler {
-    /// Creates a PCT sampler with the default budget (3 change points,
-    /// depth hint 1024) and one worker per available core (capped at 8).
-    pub fn pct(iterations: usize, seed: u64) -> Self {
-        Sampler {
-            iterations,
-            seed,
-            strategy: SampleStrategy::Pct {
-                change_points: 3,
-                depth_hint: 1024,
-            },
-            threads: default_threads(),
-        }
-    }
-
-    /// Creates a swarm/random-walk sampler.
-    pub fn walk(iterations: usize, seed: u64) -> Self {
-        Sampler {
-            iterations,
-            seed,
-            strategy: SampleStrategy::Walk,
-            threads: default_threads(),
-        }
-    }
-
-    /// Overrides the strategy wholesale.
-    pub fn strategy(mut self, strategy: SampleStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Sets the PCT change-point budget (no effect on a walk sampler).
-    pub fn change_points(mut self, change_points: usize) -> Self {
-        if let SampleStrategy::Pct {
-            depth_hint: hint, ..
-        } = self.strategy
-        {
-            self.strategy = SampleStrategy::Pct {
-                change_points,
-                depth_hint: hint,
-            };
-        }
-        self
-    }
-
-    /// Sets the PCT depth hint (no effect on a walk sampler).
-    pub fn depth_hint(mut self, depth_hint: usize) -> Self {
-        if let SampleStrategy::Pct { change_points, .. } = self.strategy {
-            self.strategy = SampleStrategy::Pct {
-                change_points,
-                depth_hint,
-            };
-        }
-        self
-    }
-
-    /// Sets the worker count (min 1). Results are identical for every
-    /// worker count; this only tunes throughput.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The policy seed iteration `i` runs under: a SplitMix64-mixed
-    /// function of the master seed and the index, so iterations are
-    /// independent streams yet the whole campaign is one seed.
-    pub fn iteration_seed(&self, iteration: u64) -> u64 {
-        SplitMix64::new(
-            self.seed
-                .wrapping_add(iteration.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        )
-        .next_u64()
-    }
-
-    /// Samples `iterations` schedules of the scenario produced by `setup`.
-    ///
-    /// `map` is invoked once per run with the decision vector taken and
-    /// the outcome; it returns the journal value plus the *law keys* this
-    /// run violated (empty when clean — see `bloom-core`'s law layer for
-    /// the canonical producer). Violation keys feed the bug-finding
-    /// statistics in [`ExploreStats::sampling`].
-    ///
-    /// Returns the journal sorted by iteration index together with the
-    /// stats. `first_error` is the failing run with the lowest iteration
-    /// index. Both are byte-identical across worker counts.
-    pub fn run<S, M, T>(&self, setup: S, map: M) -> (Vec<SampleRecord<T>>, ExploreStats)
-    where
-        S: Fn() -> Sim + Sync,
-        M: Fn(&[Decision], &Result<SimReport, SimError>) -> (T, Vec<String>) + Sync,
-        T: Send,
-    {
-        let next = AtomicUsize::new(0);
-        let fired: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-        let violations: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
-        let first_hits: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
-        let first_error: Mutex<Option<(u64, ExploreError)>> = Mutex::new(None);
-        let journals: Mutex<Vec<Vec<SampleRecord<T>>>> = Mutex::new(Vec::new());
-
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads {
-                scope.spawn(|| {
-                    let mut journal = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= self.iterations {
-                            break;
-                        }
-                        let iteration = i as u64;
-                        let mut sim = setup();
-                        let iter_seed = self.iteration_seed(iteration);
-                        match self.strategy {
-                            SampleStrategy::Pct {
+    std::thread::scope(|scope| {
+        for _ in 0..threads.unwrap_or_else(default_threads) {
+            scope.spawn(|| {
+                let mut journal = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= iterations {
+                        break;
+                    }
+                    let iteration = i as u64;
+                    let mut sim = setup();
+                    let iter_seed = iteration_seed(seed, iteration);
+                    match strategy {
+                        SampleStrategy::Pct {
+                            change_points,
+                            depth_hint,
+                        } => {
+                            sim.set_policy(PctPolicy::new(
+                                iter_seed,
                                 change_points,
                                 depth_hint,
-                            } => {
-                                sim.set_policy(PctPolicy::new(
-                                    iter_seed,
-                                    change_points,
-                                    depth_hint,
-                                    Arc::clone(&fired),
-                                ));
-                            }
-                            SampleStrategy::Walk => {
-                                sim.set_policy(RandomPolicy::new(iter_seed));
-                            }
+                                Arc::clone(&fired),
+                            ));
                         }
-                        let result = sim.run();
-                        let decisions: &[Decision] = match &result {
-                            Ok(report) => &report.decisions,
-                            Err(err) => &err.report.decisions,
-                        };
-                        let (value, keys) = map(decisions, &result);
-                        if !keys.is_empty() {
-                            let mut v = violations.lock();
-                            let mut f = first_hits.lock();
-                            for key in &keys {
-                                *v.entry(key.clone()).or_insert(0) += 1;
-                                f.entry(key.clone())
-                                    .and_modify(|first| *first = (*first).min(iteration))
-                                    .or_insert(iteration);
-                            }
+                        SampleStrategy::Walk => {
+                            sim.set_policy(RandomPolicy::new(iter_seed));
                         }
-                        if let Err(err) = &result {
-                            let candidate = ExploreError {
-                                choices: decisions.iter().map(|d| d.chosen).collect(),
-                                error: err.clone(),
-                            };
-                            let mut slot = first_error.lock();
-                            match &*slot {
-                                Some((first, _)) if *first <= iteration => {}
-                                _ => *slot = Some((iteration, candidate)),
-                            }
-                        }
-                        journal.push(SampleRecord {
-                            iteration,
-                            choices: decisions.iter().map(|d| d.chosen).collect(),
-                            value,
-                        });
                     }
-                    journals.lock().push(journal);
-                });
-            }
-        });
-
-        let mut journal: Vec<SampleRecord<T>> =
-            journals.into_inner().into_iter().flatten().collect();
-        journal.sort_unstable_by_key(|r| r.iteration);
-        let mut depth_schedules = Vec::new();
-        for r in &journal {
-            bump_depth(&mut depth_schedules, r.choices.len(), 1);
+                    let result = sim.run();
+                    let decisions: &[Decision] = match &result {
+                        Ok(report) => &report.decisions,
+                        Err(err) => &err.report.decisions,
+                    };
+                    let (value, keys) = map(decisions, &result);
+                    if !keys.is_empty() {
+                        let mut v = violations.lock();
+                        let mut f = first_hits.lock();
+                        for key in &keys {
+                            *v.entry(key.clone()).or_insert(0) += 1;
+                            f.entry(key.clone())
+                                .and_modify(|first| *first = (*first).min(iteration))
+                                .or_insert(iteration);
+                        }
+                    }
+                    if let Err(err) = &result {
+                        let candidate = ExploreError {
+                            choices: decisions.iter().map(|d| d.chosen).collect(),
+                            error: err.clone(),
+                        };
+                        let mut slot = first_error.lock();
+                        match &*slot {
+                            Some((first, _)) if *first <= iteration => {}
+                            _ => *slot = Some((iteration, candidate)),
+                        }
+                    }
+                    journal.push(SampleRecord {
+                        iteration,
+                        choices: decisions.iter().map(|d| d.chosen).collect(),
+                        value,
+                    });
+                }
+                journals.lock().push(journal);
+            });
         }
-        let sampling = SampleStats {
-            runs: journal.len(),
-            violations: violations.into_inner(),
-            first_hits: first_hits.into_inner(),
-            change_depths: Arc::try_unwrap(fired).expect("workers joined").into_inner(),
-        };
-        let stats = ExploreStats {
-            schedules: journal.len(),
-            complete: true, // every requested iteration ran; nothing is "covered"
-            depth_schedules,
-            first_error: first_error.into_inner().map(|(_, e)| e),
-            sampling: Some(sampling),
-            ..ExploreStats::default()
-        };
-        (journal, stats)
+    });
+
+    let mut journal: Vec<SampleRecord<T>> = journals.into_inner().into_iter().flatten().collect();
+    journal.sort_unstable_by_key(|r| r.iteration);
+    let mut depth_schedules = Vec::new();
+    for r in &journal {
+        bump_depth(&mut depth_schedules, r.choices.len(), 1);
     }
+    let sampling = SampleStats {
+        runs: journal.len(),
+        violations: violations.into_inner(),
+        first_hits: first_hits.into_inner(),
+        change_depths: Arc::try_unwrap(fired).expect("workers joined").into_inner(),
+    };
+    let stats = ExploreStats {
+        schedules: journal.len(),
+        complete: true, // every requested iteration ran; nothing is "covered"
+        depth_schedules,
+        first_error: first_error.into_inner().map(|(_, e)| e),
+        sampling: Some(sampling),
+        ..ExploreStats::default()
+    };
+    (journal, stats)
 }
 
+/// The policy seed iteration `iteration` runs under: a SplitMix64-mixed
+/// function of the master seed and the index, so iterations are
+/// independent streams yet the whole campaign is one seed.
+fn iteration_seed(seed: u64, iteration: u64) -> u64 {
+    SplitMix64::new(seed.wrapping_add(iteration.wrapping_mul(0x9E37_79B9_7F4A_7C15))).next_u64()
+}
+
+/// One worker per available core, capped at 8.
 fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -540,6 +462,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::ExploreConfig;
     use crate::waitq::WaitQueue;
     use std::collections::BTreeSet;
 
@@ -567,36 +490,47 @@ mod tests {
         sim
     }
 
-    fn journal_of(sampler: &Sampler) -> (Vec<SampleRecord<Vec<i64>>>, ExploreStats) {
-        sampler.run(three_emitters, |_, result| {
-            let Ok(report) = result else {
-                return (Vec::new(), vec!["failed".into()]);
-            };
-            (
-                report
-                    .trace
-                    .user_events()
-                    .map(|(_, _, params)| params[0])
-                    .collect(),
-                Vec::new(),
-            )
-        })
+    fn pct(change_points: usize, depth_hint: usize) -> SampleStrategy {
+        SampleStrategy::Pct {
+            change_points,
+            depth_hint,
+        }
+    }
+
+    fn journal_of(
+        strategy: SampleStrategy,
+        iterations: usize,
+        seed: u64,
+        threads: usize,
+    ) -> (Vec<SampleRecord<Vec<i64>>>, ExploreStats) {
+        ExploreConfig::new(0).threads(threads).sample(
+            strategy,
+            iterations,
+            seed,
+            three_emitters,
+            |_, result| {
+                let Ok(report) = result else {
+                    return (Vec::new(), vec!["failed".into()]);
+                };
+                (
+                    report
+                        .trace
+                        .user_events()
+                        .map(|(_, _, params)| params[0])
+                        .collect(),
+                    Vec::new(),
+                )
+            },
+        )
     }
 
     #[test]
     fn same_seed_same_journal_across_worker_counts() {
-        for strategy in [
-            SampleStrategy::Pct {
-                change_points: 2,
-                depth_hint: 16,
-            },
-            SampleStrategy::Walk,
-        ] {
-            let base = Sampler::walk(40, 7).strategy(strategy).threads(1);
-            let (reference, ref_stats) = journal_of(&base);
+        for strategy in [pct(2, 16), SampleStrategy::Walk] {
+            let (reference, ref_stats) = journal_of(strategy, 40, 7, 1);
             assert_eq!(reference.len(), 40);
             for threads in [2, 4, 8] {
-                let (journal, stats) = journal_of(&base.clone().threads(threads));
+                let (journal, stats) = journal_of(strategy, 40, 7, threads);
                 assert_eq!(
                     journal, reference,
                     "{strategy:?} journal at {threads} workers"
@@ -610,8 +544,8 @@ mod tests {
 
     #[test]
     fn different_seeds_sample_different_schedules() {
-        let (a, _) = journal_of(&Sampler::walk(30, 1).threads(2));
-        let (b, _) = journal_of(&Sampler::walk(30, 2).threads(2));
+        let (a, _) = journal_of(SampleStrategy::Walk, 30, 1, 2);
+        let (b, _) = journal_of(SampleStrategy::Walk, 30, 2, 2);
         assert_ne!(
             a.iter().map(|r| &r.choices).collect::<Vec<_>>(),
             b.iter().map(|r| &r.choices).collect::<Vec<_>>(),
@@ -622,16 +556,20 @@ mod tests {
 
     #[test]
     fn violations_first_hits_and_first_error_are_recorded() {
-        let (journal, stats) = Sampler::walk(50, 11)
-            .threads(4)
-            .run(racy_gate, |_, result| {
+        let (journal, stats) = ExploreConfig::new(0).threads(4).sample(
+            SampleStrategy::Walk,
+            50,
+            11,
+            racy_gate,
+            |_, result| {
                 let keys = if result.is_err() {
                     vec!["no-deadlock".to_string()]
                 } else {
                     Vec::new()
                 };
                 (result.is_ok(), keys)
-            });
+            },
+        );
         let sampling = stats.sampling.as_ref().expect("sampler stats present");
         assert_eq!(sampling.runs, 50);
         let hits = sampling.violations.get("no-deadlock").copied().unwrap_or(0);
@@ -652,10 +590,8 @@ mod tests {
 
     #[test]
     fn pct_change_depth_histogram_is_populated() {
-        let (_, stats) = Sampler::pct(20, 3)
-            .change_points(2)
-            .depth_hint(4)
-            .run(three_emitters, |_, _| ((), Vec::new()));
+        let (_, stats) =
+            ExploreConfig::new(0).sample(pct(2, 4), 20, 3, three_emitters, |_, _| ((), Vec::new()));
         let sampling = stats.sampling.expect("pct stats");
         assert!(
             sampling.change_depths.iter().sum::<usize>() > 0,
@@ -666,17 +602,18 @@ mod tests {
 
     #[test]
     fn sampled_schedules_replay_exactly() {
-        let (journal, _) = Sampler::pct(10, 5).run(three_emitters, |_, result| {
-            let report = result.as_ref().expect("no failure possible");
-            (
-                report
-                    .trace
-                    .user_events()
-                    .map(|(_, _, p)| p[0])
-                    .collect::<Vec<i64>>(),
-                Vec::new(),
-            )
-        });
+        let (journal, _) =
+            ExploreConfig::new(0).sample(pct(3, 1024), 10, 5, three_emitters, |_, result| {
+                let report = result.as_ref().expect("no failure possible");
+                (
+                    report
+                        .trace
+                        .user_events()
+                        .map(|(_, _, p)| p[0])
+                        .collect::<Vec<i64>>(),
+                    Vec::new(),
+                )
+            });
         for record in &journal {
             let report = replay_exact(three_emitters, &record.choices).expect("clean replay");
             let order: Vec<i64> = report.trace.user_events().map(|(_, _, p)| p[0]).collect();
@@ -702,17 +639,18 @@ mod tests {
 
     #[test]
     fn samplers_draw_data_choices_and_replay_them() {
-        for sampler in [Sampler::pct(30, 9).depth_hint(4), Sampler::walk(30, 9)] {
-            let (journal, _) = sampler.run(chooser_pair, |_, result| {
-                let report = result.as_ref().expect("no failure possible");
-                let value = report
-                    .trace
-                    .user_events()
-                    .find(|(_, label, _)| *label == "chose")
-                    .map(|(_, _, p)| p[0])
-                    .expect("chooser ran");
-                (value, Vec::new())
-            });
+        for strategy in [pct(3, 4), SampleStrategy::Walk] {
+            let (journal, _) =
+                ExploreConfig::new(0).sample(strategy, 30, 9, chooser_pair, |_, result| {
+                    let report = result.as_ref().expect("no failure possible");
+                    let value = report
+                        .trace
+                        .user_events()
+                        .find(|(_, label, _)| *label == "chose")
+                        .map(|(_, _, p)| p[0])
+                        .expect("chooser ran");
+                    (value, Vec::new())
+                });
             let distinct: BTreeSet<i64> = journal.iter().map(|r| r.value).collect();
             assert!(
                 distinct.len() > 1,
@@ -742,16 +680,17 @@ mod tests {
     #[test]
     fn shrink_finds_a_locally_minimal_failing_prefix() {
         // Find a failing schedule by sampling, then shrink it.
-        let (_, stats) = Sampler::walk(50, 11).run(racy_gate, |_, result| {
-            (
-                (),
-                if result.is_err() {
-                    vec!["dl".into()]
-                } else {
-                    vec![]
-                },
-            )
-        });
+        let (_, stats) =
+            ExploreConfig::new(0).sample(SampleStrategy::Walk, 50, 11, racy_gate, |_, result| {
+                (
+                    (),
+                    if result.is_err() {
+                        vec!["dl".into()]
+                    } else {
+                        vec![]
+                    },
+                )
+            });
         let full = stats.first_error.expect("deadlock sampled").choices;
         let shrunk = shrink_prefix(racy_gate, &full, |r| r.is_err());
         assert!(shrunk.len() <= full.len());

@@ -17,8 +17,8 @@ pub struct SimConfig {
     /// Whether scheduler-level events (Scheduled/Yielded/…) are recorded in
     /// the trace. User events are always recorded. Disable for benchmarks.
     pub record_sched_events: bool,
-    /// Deterministic faults to inject (kills, spurious wakes, delayed
-    /// wakes). Empty by default. Fault events are always recorded.
+    /// Deterministic kills to inject ([`FaultPlan::kill`]). Empty by
+    /// default. `Killed` events are always recorded.
     pub faults: FaultPlan,
     /// Starvation watchdog bound, in quanta. When set, any non-daemon whose
     /// current wait episode (consecutive parks on the same reason) is older

@@ -38,12 +38,6 @@ pub enum EventKind {
     /// waiting `age` quanta — longer than the configured bound — while
     /// other processes kept making progress.
     StarvationFlagged { age: u64 },
-    /// A fault-plan spurious wake made the process runnable with no
-    /// matching unpark ([`crate::Ctx::park`] absorbs it by re-parking).
-    SpuriousWake,
-    /// A fault plan converted an unpark of this process into a timed sleep
-    /// ending at the given virtual time.
-    DelayedWake { until: Time },
     /// A data decision point fired: the process drew `value` from the
     /// domain registered under `label` via [`crate::Ctx::choose_value`].
     ChoseValue { label: String, value: i64 },
@@ -86,10 +80,6 @@ impl fmt::Display for Event {
             EventKind::Aborted => write!(f, "aborted (deadlock recovery)"),
             EventKind::StarvationFlagged { age } => {
                 write!(f, "starvation watchdog flagged (waiting {age} quanta)")
-            }
-            EventKind::SpuriousWake => write!(f, "spurious wake (fault injection)"),
-            EventKind::DelayedWake { until } => {
-                write!(f, "wake delayed until {until} (fault injection)")
             }
             EventKind::ChoseValue { label, value } => {
                 write!(f, "chose {label} = {value}")

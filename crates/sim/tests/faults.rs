@@ -1,5 +1,5 @@
 //! Behavioral tests for the deterministic fault-injection plane:
-//! kill-points, spurious wakeups, delayed wakes, and their determinism.
+//! kill-points and their determinism.
 
 #![deny(deprecated)]
 
@@ -102,119 +102,11 @@ fn killed_while_parked_is_dequeued_and_never_granted() {
 }
 
 #[test]
-fn spurious_wake_is_absorbed_transparently() {
-    let mut sim = Sim::new();
-    sim.set_fault_plan(FaultPlan::new().spurious_wake("sleeper", 1));
-    let q = Arc::new(WaitQueue::new("q"));
-    let q2 = Arc::clone(&q);
-    sim.spawn("sleeper", move |ctx| {
-        q2.wait(ctx);
-        ctx.emit("woken", &[]);
-    });
-    let q3 = Arc::clone(&q);
-    sim.spawn("waker", move |ctx| {
-        for _ in 0..4 {
-            ctx.yield_now();
-        }
-        q3.wake_one(ctx);
-    });
-    let report = sim.run().expect("clean run");
-    assert_eq!(
-        report.trace.count_user("woken"),
-        1,
-        "exactly one real wake is observed"
-    );
-    let spurious = report
-        .trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == EventKind::SpuriousWake)
-        .count();
-    assert_eq!(spurious, 1, "the spurious wake is in the trace");
-    let blocked = report
-        .trace
-        .events_for(Pid(0))
-        .filter(|e| matches!(e.kind, EventKind::Blocked { .. }))
-        .count();
-    assert_eq!(blocked, 2, "the sleeper re-parked after the spurious wake");
-}
-
-#[test]
-fn real_unpark_during_spurious_window_is_not_lost() {
-    // The spurious wake fires the instant the sleeper parks; the waker
-    // then wakes it before the sleeper is rescheduled. The pending
-    // spurious wake must convert into the real one — not eat it.
-    let mut sim = Sim::new();
-    sim.set_fault_plan(FaultPlan::new().spurious_wake("sleeper", 1));
-    let q = Arc::new(WaitQueue::new("q"));
-    let q2 = Arc::clone(&q);
-    sim.spawn("waker", move |ctx| {
-        ctx.yield_now(); // let the sleeper park (and go spuriously ready)
-        q2.wake_one(ctx);
-    });
-    let q3 = Arc::clone(&q);
-    sim.spawn("sleeper", move |ctx| {
-        q3.wait(ctx);
-        ctx.emit("woken", &[]);
-    });
-    let report = sim.run().expect("no lost wakeup");
-    assert_eq!(report.trace.count_user("woken"), 1);
-}
-
-#[test]
-fn delayed_wake_shifts_resume_time_only() {
-    let run = |delay: Option<u64>| {
-        let mut sim = Sim::new();
-        if let Some(ticks) = delay {
-            sim.set_fault_plan(FaultPlan::new().delay_wake("sleeper", 1, ticks));
-        }
-        let q = Arc::new(WaitQueue::new("q"));
-        let q2 = Arc::clone(&q);
-        sim.spawn("sleeper", move |ctx| {
-            q2.wait(ctx);
-            ctx.emit("resumed", &[]);
-        });
-        let q3 = Arc::clone(&q);
-        sim.spawn("waker", move |ctx| {
-            ctx.yield_now();
-            q3.wake_one(ctx);
-        });
-        sim.run().expect("clean run")
-    };
-    let base = run(None);
-    let delayed = run(Some(50));
-    assert_eq!(base.trace.count_user("resumed"), 1);
-    assert_eq!(
-        delayed.trace.count_user("resumed"),
-        1,
-        "the wake still lands"
-    );
-    let resume_at = |r: &bloom_sim::SimReport| r.trace.first_user("resumed").unwrap().time;
-    assert!(
-        resume_at(&delayed).0 >= resume_at(&base).0 + 50,
-        "resume is pushed out by at least the injected delay"
-    );
-    assert!(
-        delayed
-            .trace
-            .events()
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::DelayedWake { .. })),
-        "trace records the delayed wake"
-    );
-}
-
-#[test]
 fn same_plan_same_seed_identical_trace() {
     let run = || {
         let mut sim = Sim::new();
         sim.set_policy(RandomPolicy::new(0xFA57));
-        sim.set_fault_plan(
-            FaultPlan::new()
-                .kill("b", 2)
-                .spurious_wake("a", 1)
-                .delay_wake("c", 1, 7),
-        );
+        sim.set_fault_plan(FaultPlan::new().kill("b", 2).kill("c", 1));
         let q = Arc::new(WaitQueue::new("q"));
         for name in ["a", "b", "c"] {
             let q = Arc::clone(&q);

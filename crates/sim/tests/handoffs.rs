@@ -3,15 +3,15 @@
 //! A run performs `dispatches - self_resumes + 1` OS hand-offs (see
 //! `SimMetrics::self_resumes`), counting its end as one. The first process runs on
 //! the thread that called `Sim::run`, so its dispatch is a self-resume.
-//! Kills, spurious and delayed wakes, deadlock recovery aborts and the
-//! run's end all happen on the threads of the processes involved, so the
-//! thread driving each run below waits exactly once, for its end.
+//! Kills, due timers, deadlock recovery aborts and the run's end all
+//! happen on the threads of the processes involved, so the thread driving
+//! each run below waits exactly once, for its end.
 
 #![deny(deprecated)]
 
 use bloom_sim::{
-    Cancelled, Ctx, EventKind, FaultPlan, Pid, ProcessStatus, Sim, SimConfig, SimError,
-    SimErrorKind, SimReport, Time, WaitQueue,
+    Cancelled, Ctx, FaultPlan, Pid, ProcessStatus, Sim, SimConfig, SimError, SimErrorKind,
+    SimReport, Time, WaitQueue,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -100,43 +100,19 @@ fn kill_while_parked_dequeues_and_hands_the_cpu_on() {
     assert_eq!(counts, (3, 2));
 }
 
-/// A spurious wake readies a lone plain park at its own stop, so the
-/// pick comes straight back: a self-resume that re-parks, and then a
-/// deadlock.
+/// The peer's finish leaves nobody ready, so it fires the sleeper's due
+/// timer and dispatches the sleeper itself, without the driving thread.
 #[test]
-fn spurious_wake_on_a_lone_park_self_resumes_then_deadlocks() {
+fn due_sleeper_is_dispatched_by_the_finishing_peer() {
     let mut sim = Sim::new();
-    sim.set_fault_plan(FaultPlan::new().spurious_wake("p", 1));
-    sim.spawn("p", |ctx| ctx.park("nobody"));
+    sim.spawn("sleeper", |ctx| ctx.sleep(5));
+    sim.spawn("peer", |ctx| ctx.yield_now());
     let (counts, result) = handoffs(sim);
-    let err = result.expect_err("nobody unparks p");
-    assert!(err.is_deadlock());
-    let spurious = err.report.trace.events().iter();
-    let spurious = spurious.filter(|e| e.kind == EventKind::SpuriousWake);
-    assert_eq!(spurious.count(), 1);
-    assert_eq!(counts, (2, 2));
-}
-
-/// A delayed wake turns the unpark into a sleep; the waker's finish
-/// fires that timer and dispatches the waiter, all without the
-/// driving thread.
-#[test]
-fn delayed_wake_is_dispatched_by_the_finishing_waker() {
-    let mut sim = Sim::new();
-    sim.set_fault_plan(FaultPlan::new().delay_wake("waiter", 1, 5));
-    let q = Arc::new(WaitQueue::new("q"));
-    let q2 = Arc::clone(&q);
-    sim.spawn("waiter", move |ctx| q2.wait(ctx));
-    sim.spawn("waker", move |ctx| {
-        ctx.yield_now();
-        q.wake_one(ctx);
-    });
-    let (counts, result) = handoffs(sim);
-    let report = result.expect("the delayed waiter finishes");
+    let report = result.expect("the sleeper finishes");
     assert_eq!(
         report.final_time,
-        Time(9),
-        "woken at 3, resumed at 3 + 5 + 1"
+        Time(7),
+        "slept at 1, resumed at 1 + 5 + 1"
     );
     assert_eq!(counts, (4, 2));
 }
