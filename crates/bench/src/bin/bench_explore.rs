@@ -23,14 +23,15 @@
 //!
 //! Wall-clock measurement is deliberately confined to this binary — the
 //! deterministic report (`report.rs`) must stay machine-independent; this
-//! artifact, like the criterion benches, is a measurement and says so.
+//! artifact, like `BENCH_realthread.json`, is a measurement and says so.
 //! The prune *counts*, by contrast, are deterministic, and this binary
 //! asserts their soundness while measuring: the pruned tree observes the
 //! full tree's behavior set, and it is byte-identical across 1/2/4/8
 //! worker threads.
 
 use bloom_core::MechanismId;
-use bloom_problems::drivers::footnote3_sim;
+use bloom_problems::drivers::{anomaly_background_sim, footnote3_sim};
+use bloom_problems::extra::dining::stutter_sim;
 use bloom_problems::faults::{crash_sim, CrashMechanism, CrashProblem, VICTIM};
 use bloom_problems::liveness::{deadlock_recovery_sim, LiveMechanism};
 use bloom_problems::r3::{starvation_at_scale, starvation_laws};
@@ -40,67 +41,9 @@ use bloom_problems::workload::{Arrival, Think, WorkloadSpec};
 use bloom_sim::prelude::*;
 use bloom_sim::PhaseTimes;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 use std::time::Instant;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// The experiment-R2 dining-philosophers recovery tree: contested forks,
-/// deadlock detection, and kernel victim-abort on many schedules.
-fn recovery_tree() -> Sim {
-    deadlock_recovery_sim(LiveMechanism::SemaphoreStrong)
-}
-
-/// The footnote-3 anomaly tree (two writers, one reader, Figure-1 paths):
-/// the F1a report section's workload.
-fn anomaly_tree() -> Sim {
-    footnote3_sim(MechanismId::PathV1, RwVariant::ReadersPriority, 2, 1)
-}
-
-/// The footnote-3 tree as explored for the prune comparison: the
-/// Figure-1 scenario of [`anomaly_tree`] plus one background process
-/// working a private semaphore. Every quantum of the bare scenario
-/// touches the single shared path machine, so no reduction can help
-/// there; the background worker is the minimal independent load — its
-/// semaphore quanta conflict with nothing the anomaly processes touch,
-/// which only per-object footprints can see. This is also the
-/// representative case: exploring a subsystem embedded in a larger
-/// program.
-fn anomaly_bg_tree() -> Sim {
-    let mut sim = anomaly_tree();
-    let side = Arc::new(bloom_semaphore::Semaphore::strong("side", 1));
-    sim.spawn("background", move |ctx| {
-        side.p(ctx);
-        ctx.yield_now();
-        side.v(ctx);
-    });
-    sim
-}
-
-/// Stutter-heavy dining scenario for the prune measurement: extra bare
-/// yields between fork operations create quanta that touch nothing and
-/// so race with nothing.
-fn dining_tree(n: usize) -> Sim {
-    let mut sim = Sim::new();
-    let forks: Vec<Arc<bloom_semaphore::Semaphore>> = (0..n)
-        .map(|i| Arc::new(bloom_semaphore::Semaphore::strong(&format!("fork{i}"), 1)))
-        .collect();
-    for i in 0..n {
-        let (a, b) = (i, (i + 1) % n);
-        let (a, b) = (a.min(b), a.max(b));
-        let first = Arc::clone(&forks[a]);
-        let second = Arc::clone(&forks[b]);
-        sim.spawn(&format!("philosopher{i}"), move |ctx| {
-            first.p(ctx);
-            ctx.yield_now();
-            ctx.yield_now();
-            second.p(ctx);
-            second.v(ctx);
-            first.v(ctx);
-        });
-    }
-    sim
-}
 
 struct Measurement {
     schedules: usize,
@@ -338,7 +281,7 @@ const KILL_POINTS: u64 = 64;
 fn bench_kernel() -> Vec<String> {
     // Warm the host pool so its one-time thread spawns don't bill the
     // first-measured row.
-    anomaly_bg_tree().run().expect("warmup run is clean");
+    anomaly_background_sim().run().expect("warmup run is clean");
     let explore = |config: ExploreConfig, setup: fn() -> Sim| {
         let (journal, stats) = config.run(setup, |_, result| HandoffCounts::of(result));
         assert!(stats.complete);
@@ -348,10 +291,12 @@ fn bench_kernel() -> Vec<String> {
     let revisit = ExploreConfig::new(usize::MAX).mode(PruneMode::Revisit);
     vec![
         kernel_row("pooled-replay", "anomaly+background", 5, || {
-            explore(revisit.clone(), anomaly_bg_tree)
+            explore(revisit.clone(), anomaly_background_sim)
         }),
         kernel_row("recovery", "liveness-recovery", 20, || {
-            explore(ExploreConfig::new(usize::MAX), recovery_tree)
+            explore(ExploreConfig::new(usize::MAX), || {
+                deadlock_recovery_sim(LiveMechanism::SemaphoreStrong)
+            })
         }),
         kernel_row("kill-sweep", "monitor-rw-crash", 2, || {
             let (journal, stats) = ExploreConfig::new(usize::MAX).run_kill_points(
@@ -573,14 +518,17 @@ fn main() {
         "host: {} core(s) available",
         bloom_bench::hostmeta::host_cores()
     );
+    let recovery = || deadlock_recovery_sim(LiveMechanism::SemaphoreStrong);
     let trees = [
-        bench_tree("liveness-recovery", 20, recovery_tree),
-        bench_tree("anomaly", 100, anomaly_tree),
+        bench_tree("liveness-recovery", 20, recovery),
+        bench_tree("anomaly", 100, || {
+            footnote3_sim(MechanismId::PathV1, RwVariant::ReadersPriority, 2, 1)
+        }),
     ];
     let pruning = [
-        compare_prunes("liveness-recovery", recovery_tree),
-        compare_prunes("anomaly+background", anomaly_bg_tree),
-        compare_prunes("dining-strong-3", || dining_tree(3)),
+        compare_prunes("liveness-recovery", recovery),
+        compare_prunes("anomaly+background", anomaly_background_sim),
+        compare_prunes("dining-strong-3", || stutter_sim(3)),
     ];
     let kernel = bench_kernel();
     let sampling = if sample { bench_samplers() } else { Vec::new() };

@@ -5,262 +5,155 @@
 //! EXPERIMENTS.md §R4).
 //!
 //! ```text
-//! cargo run --release -p bloom-bench --bin bench_realthread
+//! taskset -c 0 cargo run --release -p bloom-bench --bin bench_realthread
 //! ```
 //!
-//! Like `bench_explore`, wall-clock time is confined to this binary and
-//! the criterion benches — the deterministic report (`report.rs`) stays
+//! The mechanism rows time [`bloom_bench::loops`] uncontended (one
+//! process of 20 000 operations) and contended (four of 5 000, each
+//! yielding inside the critical section). Every cell runs five times; the
+//! archive keeps the median `secs` with `min_secs` and `max_secs`, and
+//! each simulator cell's `parks`, which FIFO makes exact: a contended row
+//! that never parked did not contend.
+//!
+//! Like `bench_explore`, wall-clock time is confined to the measurement
+//! binaries — the deterministic report (`report.rs`) stays
 //! machine-independent, and nothing here feeds `docs/report.txt`. The
 //! numbers answer the paper-era question the simulator cannot: what the
 //! five disciplines *cost* on metal, uncontended and contended, and what
 //! the simulator's one-running-process execution model costs relative to
 //! free-running threads on the same workload. Correctness on real
 //! threads is the conformance suite's job (`tests/rt_conformance.rs`);
-//! this binary only measures, with a `run_ok` flag per cell asserting
-//! the run at least completed cleanly.
+//! this binary only asserts that every run was clean and left the final
+//! state its loop's readback wants.
 
+use bloom_bench::loops::{rt_loop, rt_sim, sim_loop, LoopMech, Readback};
 use bloom_monitor::Monitor;
-use bloom_pathexpr::PathResource;
-use bloom_rt::{RtChannel, RtConfig, RtMonitor, RtPathResource, RtSemaphore, RtSerializer, RtSim};
-use bloom_semaphore::Semaphore;
+use bloom_rt::{RtMonitor, RtSerializer, RtSim};
 use bloom_serializer::Serializer;
 use bloom_sim::Sim;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Operations per uncontended cell (one thread, back to back).
+/// Operations per uncontended cell (one process, back to back).
 const OPS: usize = 20_000;
-/// Threads in the contended cells; each performs `OPS / CONTENDERS` ops.
+/// Processes in the contended cells; each performs `OPS / CONTENDERS` ops.
 const CONTENDERS: usize = 4;
+/// Timed runs per cell; the archive keeps their median and extremes.
+const RUNS: usize = 5;
 
-struct Cell {
-    secs: f64,
-    ops_per_sec: f64,
+/// A built cell, ready to run.
+enum Runner {
+    Sim(Sim),
+    Rt(RtSim),
 }
 
-fn cell(ops: usize, secs: f64) -> Cell {
-    Cell {
-        secs,
-        ops_per_sec: ops as f64 / secs,
-    }
+/// `RUNS` timed runs of one cell on one backend.
+struct Timing {
+    /// Each run's seconds, sorted.
+    secs: Vec<f64>,
+    /// The simulator's parks per run (FIFO makes them the same every
+    /// run); `None` on real threads.
+    parks: Option<u64>,
 }
 
-fn time_real(build: impl FnOnce(&mut RtSim)) -> f64 {
-    let mut rt = RtSim::with_config(RtConfig {
-        // Generous overall budget: these are long straight-line runs, not
-        // the short conformance scenarios the 5s default is sized for.
-        watchdog: Duration::from_secs(120),
-        ..RtConfig::default()
-    });
-    build(&mut rt);
-    let start = Instant::now();
-    rt.run().expect("bench run is clean");
-    start.elapsed().as_secs_f64()
-}
-
-fn time_sim(build: impl FnOnce(&mut Sim)) -> f64 {
-    let mut sim = Sim::new();
-    build(&mut sim);
-    let start = Instant::now();
-    sim.run().expect("bench run is clean");
-    start.elapsed().as_secs_f64()
-}
-
-/// One acquire/release benchmark: the same mechanism shape built for both
-/// backends, in uncontended (1 × `OPS`) and contended
-/// (`CONTENDERS` × `OPS/CONTENDERS`) layouts.
-struct AcquireBench {
-    mechanism: &'static str,
-    sim: fn(&mut Sim, usize, usize),
-    real: fn(&mut RtSim, usize, usize),
-}
-
-fn sim_semaphore(sim: &mut Sim, threads: usize, ops: usize) {
-    let sem = Arc::new(Semaphore::strong("s", 1));
-    for i in 0..threads {
-        let s = Arc::clone(&sem);
-        sim.spawn(&format!("w{i}"), move |ctx| {
-            for _ in 0..ops {
-                s.p(ctx);
-                s.v(ctx);
-            }
-        });
-    }
-}
-
-fn real_semaphore(rt: &mut RtSim, threads: usize, ops: usize) {
-    let sem = Arc::new(RtSemaphore::strong("s", 1));
-    for i in 0..threads {
-        let s = Arc::clone(&sem);
-        rt.spawn(&format!("w{i}"), move |ctx| {
-            for _ in 0..ops {
-                s.p(ctx);
-                s.v(ctx);
-            }
-        });
-    }
-}
-
-fn sim_monitor(sim: &mut Sim, threads: usize, ops: usize) {
-    let m = Arc::new(Monitor::hoare("m", 0i64));
-    for i in 0..threads {
-        let m = Arc::clone(&m);
-        sim.spawn(&format!("w{i}"), move |ctx| {
-            for _ in 0..ops {
-                m.enter(ctx, |mc| mc.state(|v| *v += 1));
-            }
-        });
-    }
-}
-
-fn real_monitor(rt: &mut RtSim, threads: usize, ops: usize) {
-    let m = Arc::new(RtMonitor::hoare("m", 0i64));
-    for i in 0..threads {
-        let m = Arc::clone(&m);
-        rt.spawn(&format!("w{i}"), move |ctx| {
-            for _ in 0..ops {
-                m.enter(ctx, |mc| mc.state(|v| *v += 1));
-            }
-        });
-    }
-}
-
-fn sim_serializer(sim: &mut Sim, threads: usize, ops: usize) {
-    let s = Arc::new(Serializer::new("s", 0i64));
-    for i in 0..threads {
-        let s = Arc::clone(&s);
-        sim.spawn(&format!("w{i}"), move |ctx| {
-            for _ in 0..ops {
-                s.enter(ctx, |sc| sc.state(|v| *v += 1));
-            }
-        });
-    }
-}
-
-fn real_serializer(rt: &mut RtSim, threads: usize, ops: usize) {
-    let s = Arc::new(RtSerializer::new("s", 0i64));
-    for i in 0..threads {
-        let s = Arc::clone(&s);
-        rt.spawn(&format!("w{i}"), move |ctx| {
-            for _ in 0..ops {
-                s.enter(ctx, |sc| sc.state(|v| *v += 1));
-            }
-        });
-    }
-}
-
-fn sim_pathexpr(sim: &mut Sim, threads: usize, ops: usize) {
-    let r = Arc::new(PathResource::parse("r", "path op end").expect("static path"));
-    for i in 0..threads {
-        let r = Arc::clone(&r);
-        sim.spawn(&format!("w{i}"), move |ctx| {
-            for _ in 0..ops {
-                r.perform(ctx, "op", || ());
-            }
-        });
-    }
-}
-
-fn real_pathexpr(rt: &mut RtSim, threads: usize, ops: usize) {
-    let r = Arc::new(RtPathResource::parse("r", "path op end").expect("static path"));
-    for i in 0..threads {
-        let r = Arc::clone(&r);
-        rt.spawn(&format!("w{i}"), move |ctx| {
-            for _ in 0..ops {
-                r.perform(ctx, "op", || ());
-            }
-        });
-    }
-}
-
-/// Channels are rendezvous, so "acquire" is one message: `threads`
-/// senders split `ops` sends and one server receives them all.
-fn sim_channel(sim: &mut Sim, threads: usize, ops: usize) {
-    let ch = Arc::new(bloom_channel::Channel::<i64>::new("ch"));
-    for i in 0..threads {
-        let ch = Arc::clone(&ch);
-        sim.spawn(&format!("w{i}"), move |ctx| {
-            for _ in 0..ops {
-                ch.send(ctx, 1);
-            }
-        });
-    }
-    let ch2 = Arc::clone(&ch);
-    sim.spawn("server", move |ctx| {
-        for _ in 0..threads * ops {
-            ch2.recv(ctx);
+/// Builds and runs a cell `RUNS` times, timing only the runs, and asserts
+/// after each that the run was clean and left the final state its
+/// readback wants.
+fn time_cell(name: &str, build: impl Fn() -> (Runner, Readback)) -> Timing {
+    let mut secs = Vec::with_capacity(RUNS);
+    let mut parks = None;
+    for _ in 0..RUNS {
+        let (runner, readback) = build();
+        let start = Instant::now();
+        let (result, on_sim) = match runner {
+            Runner::Sim(sim) => (sim.run(), true),
+            Runner::Rt(rt) => (rt.run(), false),
+        };
+        secs.push(start.elapsed().as_secs_f64());
+        let report = result.unwrap_or_else(|err| panic!("{name}: bench run failed: {err}"));
+        for (what, got, want) in readback() {
+            assert_eq!(got, want, "{name}: {what}");
         }
-    });
-}
-
-fn real_channel(rt: &mut RtSim, threads: usize, ops: usize) {
-    let ch = Arc::new(RtChannel::<i64>::new("ch"));
-    for i in 0..threads {
-        let ch = Arc::clone(&ch);
-        rt.spawn(&format!("w{i}"), move |ctx| {
-            for _ in 0..ops {
-                ch.send(ctx, 1);
+        if on_sim {
+            let run_parks = report.metrics.total_parks();
+            if let Some(parks) = parks {
+                assert_eq!(parks, run_parks, "{name}: FIFO runs park alike");
             }
-        });
-    }
-    let ch2 = Arc::clone(&ch);
-    rt.spawn("server", move |ctx| {
-        for _ in 0..threads * ops {
-            ch2.recv(ctx);
+            parks = Some(run_parks);
         }
+    }
+    secs.sort_by(f64::total_cmp);
+    Timing { secs, parks }
+}
+
+impl Timing {
+    fn median(&self) -> f64 {
+        self.secs[self.secs.len() / 2]
+    }
+
+    fn ops_per_sec(&self, ops: usize) -> f64 {
+        ops as f64 / self.median()
+    }
+
+    fn json(&self, ops: usize) -> String {
+        let parks = self
+            .parks
+            .map_or(String::new(), |p| format!(", \"parks\": {p}"));
+        format!(
+            "{{ \"secs\": {:.6}, \"min_secs\": {:.6}, \"max_secs\": {:.6}, \
+             \"ops_per_sec\": {:.0}, \"run_ok\": true{parks} }}",
+            self.median(),
+            self.secs[0],
+            self.secs[self.secs.len() - 1],
+            self.ops_per_sec(ops)
+        )
+    }
+}
+
+/// Times one problem row on both backends from its two spawn functions.
+/// The row has no readback: its run only has to be clean.
+fn time_problem(
+    name: &str,
+    build_sim: impl Fn(&mut Sim),
+    build_real: impl Fn(&mut RtSim),
+) -> (Timing, Timing) {
+    let no_readback = || -> Readback { Box::new(Vec::new) };
+    let sim = time_cell(&format!("{name} sim"), || {
+        let mut sim = Sim::new();
+        build_sim(&mut sim);
+        (Runner::Sim(sim), no_readback())
     });
+    let real = time_cell(&format!("{name} real"), || {
+        let mut rt = rt_sim();
+        build_real(&mut rt);
+        (Runner::Rt(rt), no_readback())
+    });
+    (sim, real)
 }
 
-const ACQUIRES: [AcquireBench; 5] = [
-    AcquireBench {
-        mechanism: "semaphore",
-        sim: sim_semaphore,
-        real: real_semaphore,
-    },
-    AcquireBench {
-        mechanism: "monitor",
-        sim: sim_monitor,
-        real: real_monitor,
-    },
-    AcquireBench {
-        mechanism: "serializer",
-        sim: sim_serializer,
-        real: real_serializer,
-    },
-    AcquireBench {
-        mechanism: "pathexpr",
-        sim: sim_pathexpr,
-        real: real_pathexpr,
-    },
-    AcquireBench {
-        mechanism: "channel",
-        sim: sim_channel,
-        real: real_channel,
-    },
-];
-
-fn backend_json(c: &Cell) -> String {
-    format!(
-        "{{ \"secs\": {:.6}, \"ops_per_sec\": {:.0}, \"run_ok\": true }}",
-        c.secs, c.ops_per_sec
-    )
-}
-
-fn acquire_entry(b: &AcquireBench, mode: &str, threads: usize, per_thread: usize) -> String {
-    let total = threads * per_thread;
-    let sim_cell = cell(total, time_sim(|s| (b.sim)(s, threads, per_thread)));
-    let real_cell = cell(total, time_real(|rt| (b.real)(rt, threads, per_thread)));
+fn acquire_entry(mech: LoopMech, mode: &str, procs: usize, ops: usize) -> String {
+    let total = procs * ops;
+    let name = format!("{} ({mode})", mech.name());
+    let sim = time_cell(&format!("{name} sim"), || {
+        let (sim, readback) = sim_loop(mech, procs, ops);
+        (Runner::Sim(sim), readback)
+    });
+    let real = time_cell(&format!("{name} real"), || {
+        let (rt, readback) = rt_loop(mech, procs, ops);
+        (Runner::Rt(rt), readback)
+    });
     eprintln!(
-        "{} ({mode}): sim {:.0} ops/s, real {:.0} ops/s",
-        b.mechanism, sim_cell.ops_per_sec, real_cell.ops_per_sec
+        "{name}: sim {:.0} ops/s, real {:.0} ops/s",
+        sim.ops_per_sec(total),
+        real.ops_per_sec(total)
     );
     format!(
         "{{\n      \"mechanism\": \"{}\",\n      \"mode\": \"{mode}\",\n      \
-         \"threads\": {threads},\n      \"ops\": {total},\n      \
+         \"threads\": {procs},\n      \"ops\": {total},\n      \
          \"sim\": {},\n      \"real\": {}\n    }}",
-        b.mechanism,
-        backend_json(&sim_cell),
-        backend_json(&real_cell)
+        mech.name(),
+        sim.json(total),
+        real.json(total)
     )
 }
 
@@ -330,13 +223,13 @@ fn oneslot(items: usize) -> (String, String) {
             }
         });
     };
-    let sim_cell = cell(items, time_sim(build_sim));
-    let real_cell = cell(items, time_real(build_real));
+    let (sim, real) = time_problem("one-slot-buffer", build_sim, build_real);
     eprintln!(
         "one-slot-buffer: sim {:.0} items/s, real {:.0} items/s",
-        sim_cell.ops_per_sec, real_cell.ops_per_sec
+        sim.ops_per_sec(items),
+        real.ops_per_sec(items)
     );
-    (backend_json(&sim_cell), backend_json(&real_cell))
+    (sim.json(items), real.json(items))
 }
 
 /// Readers/writers on the serializer (crowds for readers, exclusive
@@ -399,13 +292,13 @@ fn readers_writers(rounds: usize) -> (String, String) {
         });
     };
     let total = rounds * 3;
-    let sim_cell = cell(total, time_sim(build_sim));
-    let real_cell = cell(total, time_real(build_real));
+    let (sim, real) = time_problem("readers-writers", build_sim, build_real);
     eprintln!(
         "readers-writers: sim {:.0} ops/s, real {:.0} ops/s",
-        sim_cell.ops_per_sec, real_cell.ops_per_sec
+        sim.ops_per_sec(total),
+        real.ops_per_sec(total)
     );
-    (backend_json(&sim_cell), backend_json(&real_cell))
+    (sim.json(total), real.json(total))
 }
 
 fn main() {
@@ -416,9 +309,10 @@ fn main() {
     );
 
     let mut acquire_entries = Vec::new();
-    for b in &ACQUIRES {
-        acquire_entries.push(acquire_entry(b, "uncontended", 1, OPS));
-        acquire_entries.push(acquire_entry(b, "contended", CONTENDERS, OPS / CONTENDERS));
+    for mech in LoopMech::ALL {
+        for (mode, procs) in [("uncontended", 1), ("contended", CONTENDERS)] {
+            acquire_entries.push(acquire_entry(mech, mode, procs, OPS / procs));
+        }
     }
 
     let (oneslot_sim, oneslot_real) = oneslot(10_000);
@@ -435,7 +329,7 @@ fn main() {
     ];
 
     let json = format!(
-        "{{\n  {meta},\n  \"tick_micros\": 200,\n  \
+        "{{\n  {meta},\n  \"tick_micros\": 200,\n  \"runs_per_cell\": {RUNS},\n  \
          \"acquire\": [\n    {}\n  ],\n  \"problems\": [\n    {}\n  ]\n}}\n",
         acquire_entries.join(",\n    "),
         problems.join(",\n    ")

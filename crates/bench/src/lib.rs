@@ -34,6 +34,7 @@
 //! output.
 
 pub mod hostmeta;
+pub mod loops;
 pub mod rt_conformance;
 
 use bloom_core::checks::check_priority_over;

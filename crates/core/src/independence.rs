@@ -1,6 +1,6 @@
 //! Constraint-independence (additivity) analysis (paper §4.2, §5.1.2).
 //!
-//! The paper's ease-of-use criterion: complex schemes are easy to build
+//! The paper's ease-of-use requirement: complex schemes are easy to build
 //! and modify only if each constraint can be implemented without regard to
 //! the others. Its test: compare solutions to *similar* problems — ones
 //! sharing some constraints and differing in others — and check that the

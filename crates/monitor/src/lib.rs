@@ -126,43 +126,34 @@ impl Cond {
 
     /// Number of processes waiting on this condition.
     ///
-    /// **Explore-unsafe probe**: records no footprint, so a monitor body
-    /// that branches on it is invisible to the object-granular prune.
-    /// Solution code must use [`Cond::len_ctx`]; this bare form exists
-    /// for test assertions and post-run inspection.
+    /// Records no footprint, yet a monitor body may branch on it during an
+    /// explored schedule. Every change to a condition queue happens in a
+    /// quantum that writes the monitor's object: a wait enqueues and
+    /// releases possession in one quantum, a timed-out waiter withdraws
+    /// and re-acquires in one, and signals mark the write before they
+    /// touch the queue. (Kill and recovery unwinds change queues too, but
+    /// their runs carry the conservative footprint.) Every quantum inside
+    /// a body reads or writes that object as well: it begins at entry or
+    /// at a resume, which acquires or checks for poison, and `state`,
+    /// `signal` and the final release write it. So the probe's quantum
+    /// conflicts with every quantum that could change its answer. The one
+    /// exception is a body that yields or blocks on another mechanism:
+    /// the quantum after that touches the monitor only once it calls
+    /// [`MonitorCtx::state`], so call that before the probe.
     pub fn len(&self) -> usize {
         self.queue.len()
     }
 
-    /// Instrumented [`Cond::len`] (footprint-recorded read).
-    pub fn len_ctx(&self, ctx: &Ctx) -> usize {
-        self.queue.len_ctx(ctx)
-    }
-
-    /// Whether no process waits on this condition (Hoare's `¬queue`).
-    ///
-    /// **Explore-unsafe probe** — see [`Cond::len`]; solution code must
-    /// use [`Cond::is_empty_ctx`].
+    /// Whether no process waits on this condition (Hoare's `¬queue`). See
+    /// [`Cond::len`] for why a body may branch on it.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
 
-    /// Instrumented [`Cond::is_empty`] (footprint-recorded read).
-    pub fn is_empty_ctx(&self, ctx: &Ctx) -> bool {
-        self.queue.is_empty_ctx(ctx)
-    }
-
-    /// Priority of the frontmost waiter (Hoare's `minrank`), if any.
-    ///
-    /// **Explore-unsafe probe** — see [`Cond::len`]; solution code must
-    /// use [`Cond::min_priority_ctx`].
+    /// Priority of the frontmost waiter (Hoare's `minrank`), if any. See
+    /// [`Cond::len`] for why a body may branch on it.
     pub fn min_priority(&self) -> Option<i64> {
         self.queue.min_priority()
-    }
-
-    /// Instrumented [`Cond::min_priority`] (footprint-recorded read).
-    pub fn min_priority_ctx(&self, ctx: &Ctx) -> Option<i64> {
-        self.queue.min_priority_ctx(ctx)
     }
 
     /// The condition's diagnostic name.
@@ -679,6 +670,9 @@ impl<S: Send> MonitorCtx<'_, S> {
             self.monitor.signaling == Signaling::SignalAndContinue,
             "signal_all requires signal-and-continue semantics"
         );
+        // A queue change writes the monitor, as `signal_checked`'s does
+        // (see `Cond::len`).
+        self.ctx.note_sync_obj_op(&self.monitor.obj, Access::Write);
         cond.queue.wake_all(self.ctx);
     }
 }

@@ -193,6 +193,23 @@ pub fn footnote3_sim(
     sim
 }
 
+/// The anomaly+background tree of the prune measurements: F1a's path-v1
+/// scenario ([`footnote3_sim`] with two writers and one reader) plus one
+/// `background` process working a private semaphore. Every quantum of the
+/// bare scenario touches the one shared path machine, so no reduction can
+/// help there; the background worker is the minimal independent load,
+/// whose quanta conflict with nothing the anomaly processes touch.
+pub fn anomaly_background_sim() -> Sim {
+    let mut sim = footnote3_sim(MechanismId::PathV1, rw::RwVariant::ReadersPriority, 2, 1);
+    let side = Arc::new(bloom_semaphore::Semaphore::strong("side", 1));
+    sim.spawn("background", move |ctx| {
+        side.p(ctx);
+        ctx.yield_now();
+        side.v(ctx);
+    });
+    sim
+}
+
 /// `n_processes` clients each issue `seeks_each` seeks at tracks drawn from
 /// `workload_seed`, with random pauses, against the disk scheduler.
 pub fn disk_sim(

@@ -24,29 +24,62 @@ pub mod dining {
     use parking_lot::Mutex;
     use std::sync::Arc;
 
-    /// Runs `n` naive philosophers (left fork, then right fork). Returns
-    /// the simulation error — which must be a deadlock for some schedule.
-    ///
-    /// Each philosopher yields between picking up the forks, so the
-    /// circular-wait interleaving is reachable under FIFO scheduling.
-    pub fn naive_run(n: usize) -> Result<(), SimError> {
+    /// `n` naive philosophers: each takes its left fork (`fork{i}`), yields
+    /// once, then takes its right (`fork{i+1 mod n}`). Some schedules
+    /// deadlock.
+    pub fn naive_sim(n: usize) -> Sim {
+        table(n, false, 1)
+    }
+
+    /// `n` philosophers under resource ordering: each takes its
+    /// lower-numbered fork first and yields once before the other. No
+    /// schedule deadlocks.
+    pub fn ordered_sim(n: usize) -> Sim {
+        table(n, true, 1)
+    }
+
+    /// [`ordered_sim`] with two yields between the forks: the stutter-heavy
+    /// dining tree of the prune measurements, whose bare yields create
+    /// quanta that touch nothing and so race with nothing.
+    pub fn stutter_sim(n: usize) -> Sim {
+        table(n, true, 2)
+    }
+
+    /// `n` philosophers `philosopher{i}`, spawned in order, over strong
+    /// semaphores `fork{i}`: each takes its first fork, yields `yields`
+    /// times, takes its second, and puts both down, second first.
+    /// `ordered` takes the lower-numbered fork first; otherwise the left.
+    fn table(n: usize, ordered: bool, yields: usize) -> Sim {
         let mut sim = Sim::new();
         let forks: Vec<Arc<Semaphore>> = (0..n)
             .map(|i| Arc::new(Semaphore::strong(&format!("fork{i}"), 1)))
             .collect();
         for i in 0..n {
-            let left = Arc::clone(&forks[i]);
-            let right = Arc::clone(&forks[(i + 1) % n]);
+            let (left, right) = (i, (i + 1) % n);
+            let (a, b) = if ordered {
+                (left.min(right), left.max(right))
+            } else {
+                (left, right)
+            };
+            let (first, second) = (Arc::clone(&forks[a]), Arc::clone(&forks[b]));
             sim.spawn(&format!("philosopher{i}"), move |ctx| {
-                left.p(ctx);
-                ctx.yield_now(); // everyone holds their left fork…
-                right.p(ctx); // …and waits forever for the right one
-                ctx.emit("ate", &[i as i64]);
-                right.v(ctx);
-                left.v(ctx);
+                first.p(ctx);
+                for _ in 0..yields {
+                    ctx.yield_now();
+                }
+                second.p(ctx);
+                second.v(ctx);
+                first.v(ctx);
             });
         }
-        sim.run().map(|_| ())
+        sim
+    }
+
+    /// Runs [`naive_sim`] under FIFO, where everyone holds their left fork
+    /// and waits forever for the right one. Returns the simulation error
+    /// — which must be a deadlock.
+    pub fn naive_run(n: usize) -> Result<(), SimError> {
+        naive_sim(n).run().map(|_| ())
     }
 
     /// The resource-ordering cure: the last philosopher picks forks in the
@@ -161,29 +194,9 @@ pub mod dining {
         fn exhaustive_exploration_quantifies_the_deadlock() {
             use bloom_sim::ExploreConfig;
 
-            let naive = |n: usize| {
-                move || {
-                    let mut sim = Sim::new();
-                    let forks: Vec<Arc<Semaphore>> = (0..n)
-                        .map(|i| Arc::new(Semaphore::strong(&format!("fork{i}"), 1)))
-                        .collect();
-                    for i in 0..n {
-                        let left = Arc::clone(&forks[i]);
-                        let right = Arc::clone(&forks[(i + 1) % n]);
-                        sim.spawn(&format!("philosopher{i}"), move |ctx| {
-                            left.p(ctx);
-                            ctx.yield_now();
-                            right.p(ctx);
-                            right.v(ctx);
-                            left.v(ctx);
-                        });
-                    }
-                    sim
-                }
-            };
             let (journal, stats) = ExploreConfig::new(300_000)
                 .threads(4)
-                .run(naive(3), |_, result| result.is_err());
+                .run(|| naive_sim(3), |_, result| result.is_err());
             let schedules = journal.len();
             let deadlocks = journal.iter().filter(|r| r.value).count();
             assert!(stats.complete, "3-philosopher tree fully explored");
@@ -194,33 +207,9 @@ pub mod dining {
             );
 
             // The ordered variant never deadlocks, over the same tree size.
-            let ordered = || {
-                let mut sim = Sim::new();
-                let n = 3;
-                let forks: Vec<Arc<Semaphore>> = (0..n)
-                    .map(|i| Arc::new(Semaphore::strong(&format!("fork{i}"), 1)))
-                    .collect();
-                for i in 0..n {
-                    let (a, b) = {
-                        let left = i;
-                        let right = (i + 1) % n;
-                        (left.min(right), left.max(right))
-                    };
-                    let first = Arc::clone(&forks[a]);
-                    let second = Arc::clone(&forks[b]);
-                    sim.spawn(&format!("philosopher{i}"), move |ctx| {
-                        first.p(ctx);
-                        ctx.yield_now();
-                        second.p(ctx);
-                        second.v(ctx);
-                        first.v(ctx);
-                    });
-                }
-                sim
-            };
             let (journal, stats) = ExploreConfig::new(300_000)
                 .threads(4)
-                .run(ordered, |_, result| result.is_err());
+                .run(|| ordered_sim(3), |_, result| result.is_err());
             let ordered_deadlocks = journal.iter().filter(|r| r.value).count();
             assert!(stats.complete);
             assert_eq!(

@@ -8,7 +8,7 @@
 //! so the trace reflects grant order exactly.
 //!
 //! The grant logic encodes exclusion and priority **together**, which is
-//! exactly the monolithic structure Bloom's ease-of-use criterion
+//! exactly the monolithic structure Bloom's ease-of-use requirement
 //! penalizes: changing the priority policy rewrites the grant logic
 //! wholesale, and the [`SolutionDesc`] component attribution reflects that.
 

@@ -116,9 +116,10 @@ impl Ctx {
     /// state must call this (or [`Ctx::note_sync_obj`]) before doing so;
     /// over-marking is always safe (it only weakens pruning),
     /// under-marking makes the prune unsound. Operations that do not take
-    /// a `&Ctx` (e.g. `WaitQueue::len`) cannot be marked: scenarios that
-    /// let such calls influence control flow between scheduling points
-    /// must not enable pruning.
+    /// a `&Ctx` (e.g. `WaitQueue::len`) cannot be marked: a process that
+    /// branches on one needs another marked object to carry the
+    /// dependency (see `WaitQueue::len`), or its scenario must not enable
+    /// pruning.
     ///
     /// This is the conservative fallback of the footprint contract: it
     /// marks the quantum as touching *everything*

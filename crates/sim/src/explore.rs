@@ -43,7 +43,6 @@ use crate::sim::Sim;
 use crate::trace::Decision;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Which reduction [`ExploreConfig::mode`] applies.
@@ -331,28 +330,14 @@ pub struct KillPointCount {
     pub kills: usize,
 }
 
-/// An optional progress callback, newtyped so the builders that hold one
-/// can `#[derive(Debug)]` over *all* their fields instead of maintaining a
-/// hand-written impl that silently goes stale when a field is added:
-/// closures have no useful `Debug`, so this prints only whether a callback
-/// is installed.
-#[derive(Clone, Default)]
-pub(crate) struct ProgressCallback(pub(crate) Option<Arc<dyn Fn(usize) + Send + Sync>>);
-
-impl std::fmt::Debug for ProgressCallback {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.is_some() { "Some(..)" } else { "None" })
-    }
-}
-
 /// The front door for exploration: one builder, one visitor signature,
 /// three verbs.
 ///
-/// Collects the knobs — budget, prune mode, worker count, progress
-/// callback — once, then runs the campaign with [`ExploreConfig::run`]
-/// (exhaustive), [`ExploreConfig::run_kill_points`] (exhaustive × fault
-/// sweep), or [`ExploreConfig::sample`] (seeded sampling for trees too big
-/// to enumerate). All three verbs share the `(setup, map)` shape: `setup`
+/// Collects the knobs — budget, prune mode, worker count — once, then
+/// runs the campaign with [`ExploreConfig::run`] (exhaustive),
+/// [`ExploreConfig::run_kill_points`] (exhaustive × fault sweep), or
+/// [`ExploreConfig::sample`] (seeded sampling for trees too big to
+/// enumerate). All three verbs share the `(setup, map)` shape: `setup`
 /// builds a fresh [`Sim`] per run, `map` sees each run's decision vector
 /// and outcome, and the journal of mapped values comes back sorted — so
 /// results are identical whatever the worker count:
@@ -385,20 +370,16 @@ pub struct ExploreConfig {
     pub(crate) budget: usize,
     pub(crate) mode: Option<PruneMode>,
     pub(crate) threads: Option<usize>,
-    pub(crate) progress_every: usize,
-    pub(crate) progress: ProgressCallback,
 }
 
 impl ExploreConfig {
     /// Creates a configuration with the given schedule budget: unpruned,
-    /// worker count unset, no progress callback.
+    /// worker count unset.
     pub fn new(budget: usize) -> Self {
         ExploreConfig {
             budget,
             mode: None,
             threads: None,
-            progress_every: 0,
-            progress: ProgressCallback::default(),
         }
     }
 
@@ -416,22 +397,6 @@ impl ExploreConfig {
     /// tunes throughput.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Installs a progress callback fired at *virtual* milestones — once
-    /// for every `every`-th schedule claimed from the budget, with the
-    /// running claim count as argument — never on wall-clock time, so
-    /// observing progress cannot perturb determinism. For an exhaustive
-    /// exploration the set of milestones is a pure function of the tree;
-    /// only the thread a callback runs on varies. `every == 0` disables
-    /// the callback.
-    pub fn progress<F>(mut self, every: usize, callback: F) -> Self
-    where
-        F: Fn(usize) + Send + Sync + 'static,
-    {
-        self.progress_every = every;
-        self.progress = ProgressCallback(Some(Arc::new(callback)));
         self
     }
 
@@ -569,8 +534,8 @@ fn victim_killed(victim: &str, result: &Result<SimReport, SimError>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use std::collections::BTreeSet;
+    use std::sync::Arc;
 
     /// The ordered user-event labels of a run that cannot fail.
     fn labels(result: &Result<SimReport, SimError>) -> Vec<String> {
@@ -887,8 +852,7 @@ mod tests {
     }
 
     /// One `ExploreConfig` drives both ways of running the engine — one
-    /// inline worker and a pool of workers — with the same knobs; the
-    /// inline worker's progress milestones fire every `every` schedules.
+    /// inline worker and a pool of workers — with the same knobs.
     #[test]
     fn explore_config_builds_both_strategies() {
         let three = || {
@@ -898,20 +862,8 @@ mod tests {
             }
             sim
         };
-        let ticks = Arc::new(Mutex::new(Vec::new()));
-        let ticks2 = Arc::clone(&ticks);
-        let config = ExploreConfig::new(10_000)
-            .mode(PruneMode::Revisit)
-            .progress(2, move |n| ticks2.lock().push(n));
+        let config = ExploreConfig::new(10_000).mode(PruneMode::Revisit);
         let (_, inline) = config.run(three, |_, _| ());
-        let inline_ticks = std::mem::take(&mut *ticks.lock());
-        assert_eq!(
-            inline_ticks,
-            (1..=inline.schedules / 2)
-                .map(|i| i * 2)
-                .collect::<Vec<_>>(),
-            "inline milestones fire every 2 schedules, in order"
-        );
         let (_, pooled) = config.threads(2).run(three, |_, _| ());
         assert_eq!(pooled.schedules, inline.schedules);
         assert_eq!(pooled.pruned, inline.pruned);

@@ -436,11 +436,6 @@ where
             sync.update(|f| f.stop = true);
             break;
         }
-        if config.progress_every > 0 && (claim + 1).is_multiple_of(config.progress_every) {
-            if let Some(progress) = &config.progress.0 {
-                progress(claim + 1);
-            }
-        }
 
         let mut sim = setup();
         sim.set_policy(ReplayPolicy::prefix(prefix.clone()));
@@ -817,25 +812,6 @@ mod tests {
             let first = stats.first_error.expect("failure is propagated");
             assert_eq!(first.choices, serial_first.choices);
             assert!(first.error.is_deadlock());
-        }
-    }
-
-    /// Progress milestones are a pure function of the tree for exhaustive
-    /// explorations: same set for every thread count, never wall-clock.
-    #[test]
-    fn progress_milestones_are_deterministic() {
-        for threads in [1, 2, 4, 8] {
-            let ticks = Arc::new(Mutex::new(Vec::new()));
-            let ticks2 = Arc::clone(&ticks);
-            let (_, stats) = ExploreConfig::new(10_000)
-                .threads(threads)
-                .progress(2, move |n| ticks2.lock().push(n))
-                .run(three_emitters, |_, _| ());
-            assert!(stats.complete);
-            assert_eq!(stats.schedules, 6, "3! = 6 schedules");
-            let mut ticks = ticks.lock().clone();
-            ticks.sort_unstable();
-            assert_eq!(ticks, vec![2, 4, 6], "milestones fire every 2 claims");
         }
     }
 

@@ -213,51 +213,27 @@ impl WaitQueue {
 
     /// Number of processes currently waiting.
     ///
-    /// **Explore-unsafe probe**: records no footprint. A process that
-    /// *branches* on the result during an explored schedule is invisible
-    /// to the object-granular prune — the explorer may skip a sibling
-    /// reordering that would change the answer. Solution code must use
-    /// [`WaitQueue::len_ctx`]; this bare form exists for test assertions
-    /// and post-run inspection.
+    /// Records no footprint. The queue's own changes are footprinted, but
+    /// a process that branches on this during an explored schedule needs
+    /// another object to carry the dependency: one that every change to
+    /// the queue writes and that its own quantum touches (a monitor's
+    /// condition probes lean on the monitor's object). Otherwise use it
+    /// only for test assertions and post-run inspection.
     pub fn len(&self) -> usize {
         self.cell.waiters.lock().len()
     }
 
-    /// Instrumented [`WaitQueue::len`]: records the read in the quantum's
-    /// footprint so the explorers keep schedules that reorder around it.
-    pub fn len_ctx(&self, ctx: &Ctx) -> usize {
-        ctx.note_sync_obj_op(&self.obj, Access::Read);
-        self.len()
-    }
-
     /// Whether the queue has no waiters. This is Hoare's *condition queue
-    /// interrogation* (`nonempty`/`queue` in the monitor paper).
-    ///
-    /// **Explore-unsafe probe** — see [`WaitQueue::len`]; solution code
-    /// must use [`WaitQueue::is_empty_ctx`].
+    /// interrogation* (`nonempty`/`queue` in the monitor paper). Records
+    /// no footprint; see [`WaitQueue::len`].
     pub fn is_empty(&self) -> bool {
         self.cell.waiters.lock().is_empty()
     }
 
-    /// Instrumented [`WaitQueue::is_empty`] (footprint-recorded).
-    pub fn is_empty_ctx(&self, ctx: &Ctx) -> bool {
-        ctx.note_sync_obj_op(&self.obj, Access::Read);
-        self.is_empty()
-    }
-
-    /// Priority of the frontmost waiter, if any (Hoare's `minrank`, used by
-    /// the disk-scheduler and alarm-clock monitors).
-    ///
-    /// **Explore-unsafe probe** — see [`WaitQueue::len`]; solution code
-    /// must use [`WaitQueue::min_priority_ctx`].
+    /// Priority of the frontmost waiter, if any (Hoare's `minrank`).
+    /// Records no footprint; see [`WaitQueue::len`].
     pub fn min_priority(&self) -> Option<i64> {
         self.cell.waiters.lock().front().map(|w| w.priority)
-    }
-
-    /// Instrumented [`WaitQueue::min_priority`] (footprint-recorded).
-    pub fn min_priority_ctx(&self, ctx: &Ctx) -> Option<i64> {
-        ctx.note_sync_obj_op(&self.obj, Access::Read);
-        self.min_priority()
     }
 
     /// The frontmost waiter's pid without waking it.

@@ -11,38 +11,8 @@
 //! space of the dining philosophers: what fraction of schedules deadlocks
 //! naively, and that the two classic cures drive it to zero.
 
-use bloom_semaphore::Semaphore;
+use bloom_problems::extra::dining::{naive_sim, ordered_sim};
 use bloom_sim::prelude::*;
-use std::sync::Arc;
-
-/// Builds `n` philosophers; `ordered` selects the resource-ordering cure.
-fn philosophers(n: usize, ordered: bool) -> impl Fn() -> Sim {
-    move || {
-        let mut sim = Sim::new();
-        let forks: Vec<Arc<Semaphore>> = (0..n)
-            .map(|i| Arc::new(Semaphore::strong(&format!("fork{i}"), 1)))
-            .collect();
-        for i in 0..n {
-            let (first_idx, second_idx) = if ordered {
-                let left = i;
-                let right = (i + 1) % n;
-                (left.min(right), left.max(right))
-            } else {
-                (i, (i + 1) % n)
-            };
-            let first = Arc::clone(&forks[first_idx]);
-            let second = Arc::clone(&forks[second_idx]);
-            sim.spawn(&format!("philosopher{i}"), move |ctx| {
-                first.p(ctx);
-                ctx.yield_now(); // think with one fork in hand
-                second.p(ctx);
-                second.v(ctx);
-                first.v(ctx);
-            });
-        }
-        sim
-    }
-}
 
 fn explore(label: &str, setup: impl Fn() -> Sim + Sync) {
     let (journal, stats) = ExploreConfig::new(2_000_000)
@@ -61,11 +31,11 @@ fn main() {
     println!("schedule the simulator reports as one (all processes blocked).\n");
 
     for n in [2usize, 3, 4] {
-        explore(&format!("naive, {n} philosophers"), philosophers(n, false));
+        explore(&format!("naive, {n} philosophers"), || naive_sim(n));
     }
     println!();
     for n in [2usize, 3, 4] {
-        explore(&format!("ordered, {n} philosophers"), philosophers(n, true));
+        explore(&format!("ordered, {n} philosophers"), || ordered_sim(n));
     }
 
     println!(

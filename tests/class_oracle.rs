@@ -24,18 +24,21 @@
 
 #![deny(deprecated)]
 
+#[path = "support/sem_workload.rs"]
+mod sem_workload;
+
 use bloom_core::MechanismId;
-use bloom_problems::drivers::footnote3_sim;
+use bloom_problems::drivers::{anomaly_background_sim, footnote3_sim};
+use bloom_problems::extra::dining::stutter_sim;
 use bloom_problems::liveness::{deadlock_recovery_sim, LiveMechanism};
 use bloom_problems::rw::RwVariant;
-use bloom_semaphore::Semaphore;
 use bloom_sim::prelude::*;
 use bloom_sim::{Access, QuantumLog};
 use proptest::prelude::*;
+use sem_workload::{build_sim, workload};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 const BUDGET: usize = 100_000;
 
@@ -194,58 +197,28 @@ fn check_tree(name: &str, setup: impl Fn() -> Sim + Sync) -> Counts {
     counts
 }
 
-/// The footnote-3 scenario plus one background process working a private
-/// semaphore (the anomaly+background tree of `bench_explore`).
-fn anomaly_bg_tree() -> Sim {
-    let mut sim = footnote3_sim(MechanismId::PathV1, RwVariant::ReadersPriority, 2, 1);
-    let side = Arc::new(Semaphore::strong("side", 1));
-    sim.spawn("background", move |ctx| {
-        side.p(ctx);
-        ctx.yield_now();
-        side.v(ctx);
-    });
-    sim
-}
-
-/// Three dining philosophers on strong semaphores, with stutters between
-/// fork operations (the dining-strong-3 tree of `bench_explore`).
-fn dining_tree() -> Sim {
-    let n = 3;
-    let mut sim = Sim::new();
-    let forks: Vec<Arc<Semaphore>> = (0..n)
-        .map(|i| Arc::new(Semaphore::strong(&format!("fork{i}"), 1)))
-        .collect();
-    for i in 0..n {
-        let (a, b) = (i.min((i + 1) % n), i.max((i + 1) % n));
-        let (first, second) = (Arc::clone(&forks[a]), Arc::clone(&forks[b]));
-        sim.spawn(&format!("philosopher{i}"), move |ctx| {
-            first.p(ctx);
-            ctx.yield_now();
-            ctx.yield_now();
-            second.p(ctx);
-            second.v(ctx);
-            first.v(ctx);
-        });
-    }
-    sim
-}
-
 fn f1a(mech: MechanismId) -> impl Fn() -> Sim + Sync {
     move || footnote3_sim(mech, RwVariant::ReadersPriority, 2, 1)
 }
 
-/// The three `bench_explore` trees: revisit runs more schedules than
-/// there are classes on each (243/231, 148/44, 99/17).
+/// The three `bench_explore` trees, built as `bench_explore` and the
+/// benchmark build them: revisit runs more schedules than there are
+/// classes on each (243/231, 148/44, 99/17), and the full trees keep the
+/// counts both archive (492, 1 850, 492).
 #[test]
 fn revisit_hits_every_class_of_the_bench_explore_trees() {
     let recovery = check_tree("liveness-recovery", || {
         deadlock_recovery_sim(LiveMechanism::SemaphoreStrong)
     });
-    let anomaly = check_tree("anomaly+background", anomaly_bg_tree);
-    let dining = check_tree("dining-strong-3", dining_tree);
+    let anomaly = check_tree("anomaly+background", anomaly_background_sim);
+    let dining = check_tree("dining-strong-3", || stutter_sim(3));
     for counts in [&recovery, &anomaly, &dining] {
         assert!(counts.classes <= counts.revisit && counts.revisit < counts.full);
     }
+    assert_eq!(
+        [recovery.full, anomaly.full, dining.full],
+        [492, 1_850, 492]
+    );
     assert_eq!(
         [recovery.revisit, anomaly.revisit, dining.revisit],
         [243, 148, 99]
@@ -292,77 +265,6 @@ fn revisit_misses_294_classes_of_the_f1a_csp_cell() {
             missed: 294,
         }
     );
-}
-
-/// One step of a generated process program (the workload family of
-/// `prune_soundness`).
-#[derive(Debug, Clone, Copy)]
-enum Step {
-    /// A critical section on semaphore `k` with a yield inside.
-    Crit(usize),
-    /// A nonblocking attempt on semaphore `k`: the critical section on a
-    /// hit, an observable miss otherwise.
-    TryCrit(usize),
-    /// A user event with no synchronization.
-    Note(u8),
-}
-
-fn step() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (0usize..2).prop_map(Step::Crit),
-        (0usize..2).prop_map(Step::TryCrit),
-        (0u8..3).prop_map(Step::Note),
-    ]
-}
-
-type Workload = (Vec<Step>, Vec<Step>, Option<u8>);
-
-fn workload() -> impl Strategy<Value = Workload> {
-    (
-        prop::collection::vec(step(), 1..3),
-        prop::collection::vec(step(), 1..3),
-        prop_oneof![Just(None), (0u8..3).prop_map(Some)],
-    )
-}
-
-fn build_sim(workload: &Workload) -> Sim {
-    let mut sim = Sim::new();
-    let sems: Arc<[Semaphore; 2]> =
-        Arc::new([Semaphore::strong("s0", 1), Semaphore::strong("s1", 1)]);
-    for (i, program) in [workload.0.clone(), workload.1.clone()]
-        .into_iter()
-        .enumerate()
-    {
-        let sems = Arc::clone(&sems);
-        sim.spawn(&format!("p{i}"), move |ctx| {
-            for op in program {
-                match op {
-                    Step::Crit(k) => {
-                        sems[k].p(ctx);
-                        ctx.emit(&format!("enter:c{k}"), &[]);
-                        ctx.yield_now();
-                        ctx.emit(&format!("exit:c{k}"), &[]);
-                        sems[k].v(ctx);
-                    }
-                    Step::TryCrit(k) => {
-                        if sems[k].try_p_ctx(ctx) {
-                            ctx.emit(&format!("enter:c{k}"), &[]);
-                            ctx.yield_now();
-                            ctx.emit(&format!("exit:c{k}"), &[]);
-                            sems[k].v(ctx);
-                        } else {
-                            ctx.emit(&format!("miss:{k}"), &[]);
-                        }
-                    }
-                    Step::Note(tag) => ctx.emit(&format!("note:{i}:{tag}"), &[]),
-                }
-            }
-        });
-    }
-    if let Some(tag) = workload.2 {
-        sim.spawn("p2", move |ctx| ctx.emit(&format!("note:2:{tag}"), &[]));
-    }
-    sim
 }
 
 proptest! {
