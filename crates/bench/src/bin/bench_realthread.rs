@@ -101,7 +101,7 @@ impl Timing {
             .map_or(String::new(), |p| format!(", \"parks\": {p}"));
         format!(
             "{{ \"secs\": {:.6}, \"min_secs\": {:.6}, \"max_secs\": {:.6}, \
-             \"ops_per_sec\": {:.0}, \"run_ok\": true{parks} }}",
+             \"ops_per_sec\": {:.0}{parks} }}",
             self.median(),
             self.secs[0],
             self.secs[self.secs.len() - 1],

@@ -145,12 +145,9 @@ impl<T: Send> Channel<T> {
     /// withdrawn and the value dropped (see the crate-level *Crash
     /// safety* notes).
     pub fn send(&self, ctx: &Ctx, value: T) {
-        if self.deliver_or_enqueue(ctx, value) {
-            return;
+        if self.send_inner(ctx, value, None).is_err() {
+            unreachable!("an untimed send cannot time out");
         }
-        let withdraw = WithdrawOfferOnUnwind { chan: self, ctx };
-        ctx.park(self.send_reason());
-        std::mem::forget(withdraw);
     }
 
     /// Timed [`Channel::send`]: blocks until `deadline` at the latest.
@@ -165,11 +162,17 @@ impl<T: Send> Channel<T> {
         let Some(ticks) = ctx.remaining(deadline) else {
             return Err(value);
         };
+        self.send_inner(ctx, value, Some(ticks))
+    }
+
+    /// The one send, waiting at most `timeout` ticks when that is `Some`;
+    /// a timed-out send hands its value back.
+    fn send_inner(&self, ctx: &Ctx, value: T, timeout: Option<u64>) -> Result<(), T> {
         if self.deliver_or_enqueue(ctx, value) {
             return Ok(());
         }
         let withdraw = WithdrawOfferOnUnwind { chan: self, ctx };
-        let woken = ctx.park_timeout(self.send_reason(), ticks);
+        let woken = ctx.park(self.send_reason(), timeout);
         std::mem::forget(withdraw);
         if woken {
             return Ok(()); // a receiver took the value

@@ -264,8 +264,12 @@ mod tests {
         // Wedged: survivor parks forever behind the corpse.
         let mut sim = Sim::new();
         sim.set_fault_plan(FaultPlan::new().kill("victim", 1));
-        sim.spawn("victim", |ctx| ctx.park("the-resource"));
-        sim.spawn("stuck", |ctx| ctx.park("the-resource"));
+        sim.spawn("victim", |ctx| {
+            ctx.park("the-resource", None);
+        });
+        sim.spawn("stuck", |ctx| {
+            ctx.park("the-resource", None);
+        });
         let wedged = sim.run();
         assert_eq!(classify_crash(&wedged), CrashOutcome::Wedged);
     }
@@ -279,8 +283,12 @@ mod tests {
         // A reported deadlock is loud, hence contained.
         let mut sim = Sim::new();
         sim.set_fault_plan(FaultPlan::new().kill("victim", 1));
-        sim.spawn("victim", |ctx| ctx.park("lost"));
-        sim.spawn("stuck", |ctx| ctx.park("lost"));
+        sim.spawn("victim", |ctx| {
+            ctx.park("lost", None);
+        });
+        sim.spawn("stuck", |ctx| {
+            ctx.park("lost", None);
+        });
         let r = sim.run();
         assert!(r.is_err());
         crate::checks::expect_clean(&check_crash_containment(&r, &victims), "loud deadlock");

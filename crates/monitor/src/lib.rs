@@ -404,20 +404,6 @@ impl<S> Drop for PoisonOnUnwind<'_, S> {
     }
 }
 
-/// Removes the parked process's own queue entry if the park unwinds —
-/// a kill-point while waiting on a condition or the urgent queue must not
-/// leave a dead entry for a later signal to be wasted on.
-struct DequeueOnUnwind<'a> {
-    queue: &'a WaitQueue,
-    ctx: &'a Ctx,
-}
-
-impl Drop for DequeueOnUnwind<'_> {
-    fn drop(&mut self) {
-        self.queue.remove_current(self.ctx);
-    }
-}
-
 /// Capability to use a monitor from inside [`Monitor::enter`].
 #[derive(Debug)]
 pub struct MonitorCtx<'a, S> {
@@ -464,7 +450,7 @@ impl<S: Send> MonitorCtx<'_, S> {
     /// `priority` order (FIFO among equals). Panics on a poison wake, like
     /// [`MonitorCtx::wait`].
     pub fn wait_priority(&self, cond: &Cond, priority: i64) {
-        if let Err(p) = self.wait_priority_checked(cond, priority) {
+        if let Err(p) = self.wait_inner(cond, priority, None) {
             panic!("{p}");
         }
     }
@@ -473,35 +459,7 @@ impl<S: Send> MonitorCtx<'_, S> {
     /// poisoned returns the verdict instead of panicking. On `Err` the
     /// caller does *not* have possession and must leave the body promptly.
     pub fn wait_checked(&self, cond: &Cond) -> Result<(), Poisoned> {
-        self.wait_priority_checked(cond, 0)
-    }
-
-    /// Priority variant of [`MonitorCtx::wait_checked`].
-    pub fn wait_priority_checked(&self, cond: &Cond, priority: i64) -> Result<(), Poisoned> {
-        // Enqueue, release possession, park: atomic under the cooperative
-        // invariant. If we die while parked, the unwind guard removes our
-        // entry so a later signal is never wasted on a corpse.
-        cond.queue.enqueue_current(self.ctx, priority);
-        self.monitor.release(self.ctx);
-        let cleanup = DequeueOnUnwind {
-            queue: &cond.queue,
-            ctx: self.ctx,
-        };
-        self.ctx.park(cond.queue.name());
-        std::mem::forget(cleanup);
-        if let Some(p) = self.monitor.observe_poison(self.ctx) {
-            return Err(p);
-        }
-        if self.monitor.signaling == Signaling::SignalAndContinue {
-            // Mesa: we were only made runnable; re-contend for possession.
-            self.monitor.acquire(self.ctx);
-            if let Some(p) = self.monitor.observe_poison(self.ctx) {
-                // The holder died while we sat on the entry queue.
-                return Err(p);
-            }
-        }
-        // Hoare: possession was handed to us by the signaller.
-        Ok(())
+        self.wait_inner(cond, 0, None).map(|_| ())
     }
 
     /// Timed [`MonitorCtx::wait`]: waits on `cond` until `deadline` at the
@@ -521,65 +479,56 @@ impl<S: Send> MonitorCtx<'_, S> {
     ///
     /// # Panics
     ///
-    /// Panics on a poison wake (use [`MonitorCtx::wait_by_checked`]) and
-    /// under [`Signaling::SignalAndExit`], whose deferred hand-off cannot
-    /// be withdrawn once granted.
+    /// Panics on a poison wake (or a poisoning discovered while re-entering
+    /// after a timeout), like [`MonitorCtx::wait`], and under
+    /// [`Signaling::SignalAndExit`], whose deferred hand-off cannot be
+    /// withdrawn once granted.
     pub fn wait_by(&self, cond: &Cond, deadline: impl Into<Deadline>) -> bool {
-        match self.wait_by_checked(cond, deadline) {
-            Ok(signalled) => signalled,
-            Err(p) => panic!("{p}"),
-        }
-    }
-
-    /// Like [`MonitorCtx::wait_by`], but a poison wake (or a poisoning
-    /// discovered while re-entering after a timeout) is returned as a value.
-    /// On `Err` the caller does *not* have possession and must leave the
-    /// body promptly. An expired deadline returns `Ok(false)` without a
-    /// poison check — possession was never released, so the caller's view
-    /// of the monitor is unchanged.
-    pub fn wait_by_checked(
-        &self,
-        cond: &Cond,
-        deadline: impl Into<Deadline>,
-    ) -> Result<bool, Poisoned> {
         assert!(
             self.monitor.signaling != Signaling::SignalAndExit,
             "timed waits are not supported under signal-and-exit semantics: \
              a deferred hand-off cannot be withdrawn"
         );
         let Some(ticks) = self.ctx.remaining(deadline) else {
-            return Ok(false);
+            return false;
         };
-        cond.queue.enqueue_current(self.ctx, 0);
+        self.wait_inner(cond, 0, Some(ticks))
+            .unwrap_or_else(|p| panic!("{p}"))
+    }
+
+    /// The one condition wait, for at most `timeout` ticks when that is
+    /// `Some`: `Ok(true)` if signalled, `Ok(false)` if it timed out and
+    /// re-entered, `Err` on a poison wake or a poisoning found on
+    /// re-entry (possession is not held then).
+    fn wait_inner(
+        &self,
+        cond: &Cond,
+        priority: i64,
+        timeout: Option<u64>,
+    ) -> Result<bool, Poisoned> {
+        // Enqueue, release possession, park: atomic under the cooperative
+        // invariant. If we die while parked, the queue's unwind guard
+        // removes our entry so a later signal is never wasted on a corpse.
+        cond.queue.enqueue_current(self.ctx, priority);
         self.monitor.release(self.ctx);
-        let cleanup = DequeueOnUnwind {
-            queue: &cond.queue,
-            ctx: self.ctx,
-        };
-        let woken = self.ctx.park_timeout(cond.queue.name(), ticks);
-        std::mem::forget(cleanup);
-        if !woken {
-            // Withdraw: remove the stale registration (idempotent — a
-            // signaller may already have skipped past it) and re-acquire
-            // possession as a fresh entrant.
-            cond.queue.remove_current(self.ctx);
-            self.monitor.acquire(self.ctx);
-            if let Some(p) = self.monitor.observe_poison(self.ctx) {
-                return Err(p);
-            }
-            return Ok(false);
-        }
-        if let Some(p) = self.monitor.observe_poison(self.ctx) {
-            return Err(p);
-        }
-        if self.monitor.signaling == Signaling::SignalAndContinue {
-            // Mesa: we were only made runnable; re-contend for possession.
-            self.monitor.acquire(self.ctx);
+        let signalled = cond.queue.park_enqueued(self.ctx, timeout);
+        if signalled {
             if let Some(p) = self.monitor.observe_poison(self.ctx) {
                 return Err(p);
             }
         }
-        Ok(true)
+        // Hoare: possession was handed to us by the signaller. Mesa: we
+        // were only made runnable; re-contend for possession. A timed-out
+        // waiter (its registration withdrawn) re-enters like a fresh
+        // entrant under either discipline.
+        if !signalled || self.monitor.signaling == Signaling::SignalAndContinue {
+            self.monitor.acquire(self.ctx);
+            if let Some(p) = self.monitor.observe_poison(self.ctx) {
+                // The holder died while we sat on the entry queue.
+                return Err(p);
+            }
+        }
+        Ok(signalled)
     }
 
     /// Signals `cond`: resumes its frontmost waiter, if any.
@@ -619,19 +568,14 @@ impl<S: Send> MonitorCtx<'_, S> {
                 self.monitor.urgent.enqueue_current(self.ctx, 0);
                 let Some(pid) = cond.queue.wake_one(self.ctx) else {
                     // Every entry was stale — timed-out waiters that have
-                    // not yet withdrawn (see `wait_by_checked`). The
+                    // not yet withdrawn (see `wait_inner`). The
                     // signal is a no-op after all; take back the urgent
                     // registration and keep possession.
                     self.monitor.urgent.remove_current(self.ctx);
                     return Ok(());
                 };
                 *self.monitor.holder.lock() = Some(pid);
-                let cleanup = DequeueOnUnwind {
-                    queue: &self.monitor.urgent,
-                    ctx: self.ctx,
-                };
-                self.ctx.park(self.monitor.urgent.name());
-                std::mem::forget(cleanup);
+                self.monitor.urgent.park_enqueued(self.ctx, None);
                 // Resumed: possession handed back to us — unless the wake
                 // was the poison broadcast of a dying holder.
                 if let Some(p) = self.monitor.observe_poison(self.ctx) {

@@ -297,14 +297,8 @@ impl PathResource {
         op: &str,
         body: impl FnOnce() -> R,
     ) -> Result<R, Poisoned> {
-        self.begin_checked(ctx, op)?;
-        // From here we hold an activation: dying inside the body leaves
-        // tokens consumed forever, so the unwind must poison the resource.
-        let cleanup = PoisonOnUnwind { res: self, ctx };
-        let r = body();
-        std::mem::forget(cleanup);
-        self.finish(ctx, op);
-        Ok(r)
+        self.perform_inner(ctx, op, None, body)
+            .map(|r| r.expect("an untimed request always starts"))
     }
 
     /// Starts operation `op` (the first half of [`PathResource::perform`]).
@@ -317,69 +311,9 @@ impl PathResource {
     ///
     /// Panics if the resource is (or becomes) poisoned.
     pub fn begin(&self, ctx: &Ctx, op: &str) {
-        if let Err(p) = self.begin_checked(ctx, op) {
+        if let Err(p) = self.request(ctx, op, None) {
             panic!("{p}");
         }
-    }
-
-    fn begin_checked(&self, ctx: &Ctx, op: &str) -> Result<(), Poisoned> {
-        if let Some(p) = self.observe_poison(ctx) {
-            return Err(p);
-        }
-        // Starting (or queuing) mutates the machine.
-        ctx.note_sync_obj(&self.obj, Access::Write);
-        let started = {
-            let mut m = self.machine.lock();
-            match m.try_activation(op) {
-                Some(act) => {
-                    m.apply_enter(op, &act);
-                    m.open
-                        .entry(ctx.pid())
-                        .or_default()
-                        .push((op.to_string(), act));
-                    true
-                }
-                None => {
-                    m.blocked.push_back(Blocked {
-                        pid: ctx.pid(),
-                        op: op.to_string(),
-                    });
-                    false
-                }
-            }
-        };
-        if started {
-            // Starting can enable blocked peers (opening a burst).
-            self.wake_startable(ctx);
-            return Ok(());
-        }
-        // If we die while parked here, our request must not linger in the
-        // queue: it can never be granted and poisons nothing.
-        let cleanup = UnblockOnUnwind { res: self, ctx };
-        ctx.park(&format!("{}.{}", self.name, op));
-        std::mem::forget(cleanup);
-        // The resumed quantum re-reads the machine (grant-vs-poison
-        // disambiguation below) and may dequeue, so it must be marked.
-        ctx.note_sync_obj_op(&self.obj, Access::Write);
-        // A granting waker applied our enter effects, recorded our
-        // activation, and *removed us from the blocked queue* before
-        // unparking. A poison broadcast wakes us still-queued instead.
-        let still_blocked = {
-            let mut m = self.machine.lock();
-            let me = ctx.pid();
-            let was = m.blocked.iter().any(|b| b.pid == me);
-            if was {
-                m.blocked.retain(|b| b.pid != me);
-            }
-            was
-        };
-        if still_blocked {
-            let p = self
-                .observe_poison(ctx)
-                .expect("woken without grant can only happen on poison");
-            return Err(p);
-        }
-        Ok(())
     }
 
     /// Timed [`PathResource::begin`]: requests `op`, giving up at
@@ -396,34 +330,66 @@ impl PathResource {
     ///
     /// # Panics
     ///
-    /// Panics if the resource is (or becomes) poisoned; use
-    /// [`PathResource::request_by_checked`] to handle that as a value.
+    /// Panics if the resource is (or becomes) poisoned, whether the poison
+    /// woke the parked request or arrived with the timeout.
     pub fn request_by(&self, ctx: &Ctx, op: &str, deadline: impl Into<Deadline>) -> bool {
-        match self.request_by_checked(ctx, op, deadline) {
-            Ok(started) => started,
-            Err(p) => panic!("{p}"),
-        }
+        self.request(ctx, op, Some(deadline.into()))
+            .unwrap_or_else(|p| panic!("{p}"))
     }
 
-    /// Like [`PathResource::request_by`], but poisoning — whether it woke
-    /// the parked request or arrived with the timeout — is returned as a
-    /// value.
-    pub fn request_by_checked(
+    /// Timed [`PathResource::perform`]: runs `body` as `op` if the paths
+    /// permit it to start by `deadline`, returning `None` on timeout.
+    /// Accepts anything convertible into a [`Deadline`]. Panics on poison
+    /// like `perform`.
+    pub fn perform_by<R>(
         &self,
         ctx: &Ctx,
         op: &str,
         deadline: impl Into<Deadline>,
-    ) -> Result<bool, Poisoned> {
+        body: impl FnOnce() -> R,
+    ) -> Option<R> {
+        self.perform_inner(ctx, op, Some(deadline.into()), body)
+            .unwrap_or_else(|p| panic!("{p}"))
+    }
+
+    /// The one perform: `Ok(None)` if the request timed out (see
+    /// [`PathResource::request`]).
+    fn perform_inner<R>(
+        &self,
+        ctx: &Ctx,
+        op: &str,
+        deadline: Option<Deadline>,
+        body: impl FnOnce() -> R,
+    ) -> Result<Option<R>, Poisoned> {
+        if !self.request(ctx, op, deadline)? {
+            return Ok(None);
+        }
+        // From here we hold an activation: dying inside the body leaves
+        // tokens consumed forever, so the unwind must poison the resource.
+        let cleanup = PoisonOnUnwind { res: self, ctx };
+        let r = body();
+        std::mem::forget(cleanup);
+        self.finish(ctx, op);
+        Ok(Some(r))
+    }
+
+    /// The one request: starts `op` or queues it and parks until it is
+    /// granted or, with a `deadline`, until that expires. `Ok(true)` means
+    /// the operation started, `Ok(false)` that the deadline expired first
+    /// (the request is withdrawn) and `Err` that the resource is poisoned.
+    /// An already-expired deadline makes one activation attempt and
+    /// queues nothing.
+    fn request(&self, ctx: &Ctx, op: &str, deadline: Option<Deadline>) -> Result<bool, Poisoned> {
         if let Some(p) = self.observe_poison(ctx) {
             return Err(p);
         }
-        let Some(ticks) = ctx.remaining(deadline) else {
-            ctx.note_sync_obj(&self.obj, Access::Write);
-            let started = self.try_start_now(ctx, op);
-            if started {
-                self.wake_startable(ctx);
-            }
-            return Ok(started);
+        // An expired deadline neither queues nor parks.
+        let (queue, timeout) = match deadline {
+            None => (true, None),
+            Some(deadline) => match ctx.remaining(deadline) {
+                Some(ticks) => (true, Some(ticks)),
+                None => (false, None),
+            },
         };
         // Starting (or queuing) mutates the machine.
         ctx.note_sync_obj(&self.obj, Access::Write);
@@ -439,36 +405,49 @@ impl PathResource {
                     true
                 }
                 None => {
-                    m.blocked.push_back(Blocked {
-                        pid: ctx.pid(),
-                        op: op.to_string(),
-                    });
+                    if queue {
+                        m.blocked.push_back(Blocked {
+                            pid: ctx.pid(),
+                            op: op.to_string(),
+                        });
+                    }
                     false
                 }
             }
         };
         if started {
+            // Starting can enable blocked peers (opening a burst).
             self.wake_startable(ctx);
             return Ok(true);
         }
+        if !queue {
+            return Ok(false);
+        }
+        // If we die while parked here, our request must not linger in the
+        // queue: it can never be granted and poisons nothing.
         let cleanup = UnblockOnUnwind { res: self, ctx };
-        let woken = ctx.park_timeout(&format!("{}.{}", self.name, op), ticks);
+        let woken = ctx.park(&format!("{}.{}", self.name, op), timeout);
         std::mem::forget(cleanup);
+        let me = ctx.pid();
         if !woken {
             // Timed out: withdraw. A granting waker cannot have selected us
             // after the timer fired (`drain_startable` skips non-parked
             // entries), so the entry is still ours to remove.
-            let me = ctx.pid();
             self.machine.lock().blocked.retain(|b| b.pid != me);
             self.wake_startable(ctx);
-            if let Some(p) = self.observe_poison(ctx) {
-                return Err(p);
-            }
-            return Ok(false);
+            return match self.observe_poison(ctx) {
+                Some(p) => Err(p),
+                None => Ok(false),
+            };
         }
+        // The resumed quantum re-reads the machine (grant-vs-poison
+        // disambiguation below) and may dequeue, so it must be marked.
+        ctx.note_sync_obj_op(&self.obj, Access::Write);
+        // A granting waker applied our enter effects, recorded our
+        // activation, and *removed us from the blocked queue* before
+        // unparking. A poison broadcast wakes us still-queued instead.
         let still_blocked = {
             let mut m = self.machine.lock();
-            let me = ctx.pid();
             let was = m.blocked.iter().any(|b| b.pid == me);
             if was {
                 m.blocked.retain(|b| b.pid != me);
@@ -482,59 +461,6 @@ impl PathResource {
             return Err(p);
         }
         Ok(true)
-    }
-
-    /// Timed [`PathResource::perform`]: runs `body` as `op` if the paths
-    /// permit it to start by `deadline`, returning `None` on timeout.
-    /// Accepts anything convertible into a [`Deadline`]. Panics on poison
-    /// like `perform`; use [`PathResource::try_perform_by`] for the
-    /// checked form.
-    pub fn perform_by<R>(
-        &self,
-        ctx: &Ctx,
-        op: &str,
-        deadline: impl Into<Deadline>,
-        body: impl FnOnce() -> R,
-    ) -> Option<R> {
-        match self.try_perform_by(ctx, op, deadline, body) {
-            Ok(r) => r,
-            Err(p) => panic!("{p}"),
-        }
-    }
-
-    /// Checked form of [`PathResource::perform_by`].
-    pub fn try_perform_by<R>(
-        &self,
-        ctx: &Ctx,
-        op: &str,
-        deadline: impl Into<Deadline>,
-        body: impl FnOnce() -> R,
-    ) -> Result<Option<R>, Poisoned> {
-        if !self.request_by_checked(ctx, op, deadline)? {
-            return Ok(None);
-        }
-        let cleanup = PoisonOnUnwind { res: self, ctx };
-        let r = body();
-        std::mem::forget(cleanup);
-        self.finish(ctx, op);
-        Ok(Some(r))
-    }
-
-    /// A single activation attempt: starts `op` if the paths permit it
-    /// right now, else changes nothing (no queue entry).
-    fn try_start_now(&self, ctx: &Ctx, op: &str) -> bool {
-        let mut m = self.machine.lock();
-        match m.try_activation(op) {
-            Some(act) => {
-                m.apply_enter(op, &act);
-                m.open
-                    .entry(ctx.pid())
-                    .or_default()
-                    .push((op.to_string(), act));
-                true
-            }
-            None => false,
-        }
     }
 
     /// Finishes operation `op` (the second half of [`PathResource::perform`]).

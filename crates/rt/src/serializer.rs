@@ -448,7 +448,8 @@ impl<S: Send> RtSerializerCtx<'_, S> {
     /// guarantee was met, `false` on timeout (after which possession has
     /// been re-acquired, so the caller can handle the failure inside the
     /// serializer). An expired deadline gives up immediately, keeping
-    /// possession.
+    /// possession. Panics on a poison wake, whether it comes while queued
+    /// or while re-entering after the timeout, like `enqueue`.
     pub fn enqueue_by(
         &self,
         queue: RtQueueId,
@@ -472,9 +473,11 @@ impl<S: Send> RtSerializerCtx<'_, S> {
                 return true;
             }
             if s.poison_woken.remove(&ticket) {
-                // Mirror the simulator: a poison broadcast reads as a
-                // wake; the enclosing `try_enter` skips the release.
-                return true;
+                // Like `enqueue`: a poison wake is loud, never a met
+                // guarantee without possession.
+                let p = s.poisoned.clone().expect("poison wake implies poison");
+                drop(s);
+                self.poisoned(p);
             }
             let elapsed = start.elapsed();
             if elapsed >= budget {
@@ -487,12 +490,21 @@ impl<S: Send> RtSerializerCtx<'_, S> {
                     return false;
                 }
                 s.entry.push_back(ticket);
-                return match self.ser.await_grant(&mut s, self.ctx.pid(), ticket) {
-                    Wake::Granted | Wake::Poison(_) => false,
-                };
+                if let Wake::Poison(p) = self.ser.await_grant(&mut s, self.ctx.pid(), ticket) {
+                    drop(s);
+                    self.poisoned(p);
+                }
+                return false;
             }
             self.ser.cv.wait_for(&mut s, budget - elapsed);
         }
+    }
+
+    /// Records that this process saw the poison and panics with it.
+    fn poisoned(&self, p: Poisoned) -> ! {
+        self.ctx
+            .emit(&format!("poison-seen:{}", self.ser.name), &[]);
+        panic!("{p}");
     }
 
     fn insert_waiter(
@@ -699,6 +711,49 @@ mod tests {
         let report = rt.run().expect("kill is contained");
         assert_eq!(report.trace.count_user("poison:s"), 1);
         assert!(ser.is_poisoned());
+    }
+
+    /// A timed waiter woken by the poison broadcast reports it like
+    /// `enqueue` does: it sees the poison and panics with the verdict.
+    #[test]
+    fn poisoned_serializer_panics_timed_queue_waiters() {
+        let mut rt = RtSim::with_config(RtConfig {
+            kill: Some(KillPoint {
+                process: "victim".into(),
+                at_point: 2,
+            }),
+            ..RtConfig::default()
+        });
+        let ser = Arc::new(RtSerializer::new("s", ()));
+        let q = ser.queue("q");
+
+        let ser1 = Arc::clone(&ser);
+        rt.spawn("waiter", move |ctx| {
+            ser1.enter(ctx, |sc| {
+                // Never met; the budget (10 s of wall time) outlasts the kill.
+                sc.enqueue_by(q, 50_000u64, |_| false);
+                ctx.emit("returned", &[]);
+            });
+        });
+
+        let ser2 = Arc::clone(&ser);
+        rt.spawn("victim", move |ctx| {
+            while ser2.queue_len(q) == 0 {
+                std::thread::sleep(Duration::from_millis(1)); // let the waiter queue
+            }
+            let _ = ser2.try_enter(ctx, |sc| sc.ctx().chaos());
+        });
+
+        let err = rt.run().expect_err("the waiter panics on the poison");
+        assert!(
+            matches!(&err.kind, bloom_sim::SimErrorKind::ProcessPanicked { pid: Pid(0), message }
+                if message.contains("poisoned")),
+            "{err}"
+        );
+        let trace = &err.report.trace;
+        assert_eq!(trace.count_user("poison:s"), 1);
+        assert_eq!(trace.count_user("poison-seen:s"), 1);
+        assert_eq!(trace.count_user("returned"), 0);
     }
 
     #[test]

@@ -111,44 +111,60 @@ impl Semaphore {
 
     /// Dijkstra's P operation: decrement the count, blocking while it is zero.
     pub fn p(&self, ctx: &Ctx) {
+        self.acquire(ctx, None);
+    }
+
+    /// The one blocking P, waiting at most `timeout` ticks when that is
+    /// `Some`.
+    fn acquire(&self, ctx: &Ctx, timeout: Option<u64>) -> TryResult {
         match self.fairness {
             Fairness::Strong => {
                 // The count is kernel-invisible shared state: mark the
                 // quantum (see `Ctx::note_sync_obj`) before touching it.
                 ctx.note_sync_obj_op(&self.obj, Access::Write);
-                let available = {
-                    let mut count = self.count.lock();
-                    if *count > 0 {
-                        *count -= 1;
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if !available {
-                    // The permit will be handed to us directly by `v`
-                    // without touching the count — the resumed quantum
+                if self.try_p() || self.queue.wait_priority(ctx, 0, timeout) {
+                    // Taken from the count, or handed to us directly by
+                    // `v` without touching the count — the resumed quantum
                     // reads no shared state, so it is deliberately *not*
                     // marked: a bare stutter after a hand-off keeps an
                     // empty footprint and races with nothing.
-                    self.queue.wait(ctx);
+                    TryResult::Acquired
+                } else {
+                    TryResult::TimedOut
                 }
             }
-            Fairness::Weak => loop {
-                // Each re-contention (including the first attempt and
-                // every post-wake retry) touches the shared count.
-                ctx.note_sync_obj_op(&self.obj, Access::Write);
-                {
-                    let mut count = self.count.lock();
-                    if *count > 0 {
-                        *count -= 1;
-                        return;
+            Fairness::Weak => {
+                let until = timeout.map(|ticks| ctx.now().plus(ticks));
+                loop {
+                    // Each re-contention (including the first attempt and
+                    // every post-wake retry) touches the shared count.
+                    ctx.note_sync_obj_op(&self.obj, Access::Write);
+                    if self.try_p() {
+                        return TryResult::Acquired;
                     }
+                    let left = match until {
+                        None => None,
+                        Some(until) => {
+                            let now = ctx.now();
+                            if now >= until {
+                                return TryResult::TimedOut;
+                            }
+                            Some(until.0 - now.0)
+                        }
+                    };
+                    if !self.queue.wait_priority(ctx, 0, left) {
+                        // Timed out parked; the barging discipline grants
+                        // one last look at the count.
+                        return if self.try_p() {
+                            TryResult::Acquired
+                        } else {
+                            TryResult::TimedOut
+                        };
+                    }
+                    // Re-contend: a barger may have taken the permit
+                    // between our wake-up and our next dispatch.
                 }
-                self.queue.wait(ctx);
-                // Re-contend: a barger may have taken the permit between
-                // our wake-up and our next dispatch.
-            },
+            }
         }
     }
 
@@ -189,7 +205,7 @@ impl Semaphore {
     /// through repeated acquire attempts without re-computing remaining
     /// ticks.
     ///
-    /// The timeout-vs-wake race (see [`WaitQueue::wait_by`]) cannot
+    /// The timeout-vs-wake race (see [`WaitQueue::park_enqueued`]) cannot
     /// lose a permit in either direction: a `v` that skips a waiter whose
     /// timer already fired falls back to incrementing the count, and a
     /// hand-off that wins the race simply delivers the permit. On a strong
@@ -197,57 +213,15 @@ impl Semaphore {
     /// if a permit became free in the same instant (hand-off order is
     /// king); a weak waiter re-contends one final time before giving up.
     pub fn p_by(&self, ctx: &Ctx, deadline: impl Into<Deadline>) -> TryResult {
-        // The non-parking fast path below mutates the count without any
-        // kernel-visible operation; the timed paths disable pruning for
-        // the whole run anyway (timers), so the entry mark is what keeps
-        // the fast path honest.
-        ctx.note_sync_obj_op(&self.obj, Access::Write);
-        let deadline = deadline.into();
         let Some(ticks) = ctx.remaining(deadline) else {
             // Expired: one permit check, no parking.
-            return if self.try_p() {
+            return if self.try_p_ctx(ctx) {
                 TryResult::Acquired
             } else {
                 TryResult::TimedOut
             };
         };
-        match self.fairness {
-            Fairness::Strong => {
-                if self.try_p() {
-                    return TryResult::Acquired;
-                }
-                if self.queue.wait_by(ctx, ticks) {
-                    // Woken by v's direct hand-off: the permit is ours.
-                    TryResult::Acquired
-                } else {
-                    TryResult::TimedOut
-                }
-            }
-            Fairness::Weak => {
-                let abs = match deadline.absolute() {
-                    Some(t) => t,
-                    None => ctx.now().plus(ticks),
-                };
-                loop {
-                    if self.try_p() {
-                        return TryResult::Acquired;
-                    }
-                    let now = ctx.now();
-                    if now >= abs {
-                        return TryResult::TimedOut;
-                    }
-                    if !self.queue.wait_by(ctx, abs.0 - now.0) {
-                        // Timed out parked; the barging discipline grants
-                        // one last look at the count.
-                        return if self.try_p() {
-                            TryResult::Acquired
-                        } else {
-                            TryResult::TimedOut
-                        };
-                    }
-                }
-            }
-        }
+        self.acquire(ctx, Some(ticks))
     }
 
     /// Runs `f` with a permit held, releasing it even if `f` unwinds

@@ -594,7 +594,8 @@ impl<S: Send> SerializerCtx<'_, S> {
         queue: QueueId,
         guard: impl Fn(&GuardView<'_, S>) -> bool + Send + 'static,
     ) -> Result<(), Poisoned> {
-        self.enqueue_inner(queue, 0, Box::new(guard))
+        self.enqueue_inner(queue, 0, Box::new(guard), None)
+            .map(|_| ())
     }
 
     /// Like [`SerializerCtx::enqueue`], but the queue is ordered by
@@ -609,17 +610,50 @@ impl<S: Send> SerializerCtx<'_, S> {
         priority: i64,
         guard: impl Fn(&GuardView<'_, S>) -> bool + Send + 'static,
     ) {
-        if let Err(p) = self.enqueue_inner(queue, priority, Box::new(guard)) {
+        if let Err(p) = self.enqueue_inner(queue, priority, Box::new(guard), None) {
             panic!("{p}");
         }
     }
 
+    /// Like [`SerializerCtx::enqueue`], but gives up at `deadline` — the
+    /// Atkinson–Hewitt *timeout* feature: an enqueue carries a time bound,
+    /// and an expired wait returns control (with possession re-acquired) so
+    /// the process can handle the failure inside the serializer. Accepts
+    /// anything convertible into a [`Deadline`] — a tick count (`u64`), a
+    /// `Duration`, or an explicit [`Deadline`]. Returns `true` if the
+    /// guarantee was met, `false` on timeout. An already-expired deadline
+    /// gives up immediately — possession is kept and no scheduling point is
+    /// consumed — so retry loops can thread one fixed deadline through
+    /// repeated attempts.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a poison wake, or on a poisoning found while re-entering
+    /// after a timeout, like [`SerializerCtx::enqueue`].
+    pub fn enqueue_by(
+        &self,
+        queue: QueueId,
+        deadline: impl Into<Deadline>,
+        guard: impl Fn(&GuardView<'_, S>) -> bool + Send + 'static,
+    ) -> bool {
+        let Some(ticks) = self.ctx.remaining(deadline) else {
+            return false;
+        };
+        self.enqueue_inner(queue, 0, Box::new(guard), Some(ticks))
+            .unwrap_or_else(|p| panic!("{p}"))
+    }
+
+    /// The one enqueue, waiting at most `timeout` ticks when that is
+    /// `Some`: `Ok(true)` once the guarantee is met and possession handed
+    /// over, `Ok(false)` if it timed out and re-entered, `Err` on a poison
+    /// wake or a poisoning found on re-entry (possession is not held then).
     fn enqueue_inner(
         &self,
         queue: QueueId,
         priority: i64,
         guard: Guard<S>,
-    ) -> Result<(), Poisoned> {
+        timeout: Option<u64>,
+    ) -> Result<bool, Poisoned> {
         let ticket = self.ctx.fresh_ticket();
         let me = self.ctx.pid();
         {
@@ -642,87 +676,30 @@ impl<S: Send> SerializerCtx<'_, S> {
         // Releasing possession may select *us* (we might be the oldest
         // eligible head); in that case keep possession and continue.
         if self.ser.hand_off(self.ctx, Some(me)) {
-            return Ok(()); // we stay in possession
+            return Ok(true); // we stay in possession
         }
-        self.park_in(queue);
+        let reason = format!("{}.{}", self.ser.name, self.ser.queues.lock()[queue.0].name);
+        let cleanup = DequeueOnUnwind {
+            ser: self.ser,
+            queue,
+            ctx: self.ctx,
+        };
+        let woken = self.ctx.park(&reason, timeout);
+        std::mem::forget(cleanup);
+        // Woken with possession handed to us, or by a poison broadcast.
+        if !woken {
+            // Timed out: deregister (idempotent — a releaser may have
+            // skipped and dropped our stale entry already) and re-enter
+            // the serializer.
+            self.ser.queues.lock()[queue.0]
+                .waiters
+                .retain(|w| w.pid != me);
+            self.ser.acquire(self.ctx);
+        }
         match self.ser.observe_poison(self.ctx) {
             Some(p) => Err(p),
-            None => Ok(()),
+            None => Ok(woken),
         }
-    }
-
-    /// Like [`SerializerCtx::enqueue`], but gives up at `deadline` — the
-    /// Atkinson–Hewitt *timeout* feature: an enqueue carries a time bound,
-    /// and an expired wait returns control (with possession re-acquired) so
-    /// the process can handle the failure inside the serializer. Accepts
-    /// anything convertible into a [`Deadline`] — a tick count (`u64`), a
-    /// `Duration`, or an explicit [`Deadline`]. Returns `true` if the
-    /// guarantee was met, `false` on timeout. An already-expired deadline
-    /// gives up immediately — possession is kept and no scheduling point is
-    /// consumed — so retry loops can thread one fixed deadline through
-    /// repeated attempts.
-    pub fn enqueue_by(
-        &self,
-        queue: QueueId,
-        deadline: impl Into<Deadline>,
-        guard: impl Fn(&GuardView<'_, S>) -> bool + Send + 'static,
-    ) -> bool {
-        let Some(ticks) = self.ctx.remaining(deadline) else {
-            return false;
-        };
-        let ticket = self.ctx.fresh_ticket();
-        let me = self.ctx.pid();
-        {
-            let mut queues = self.ser.queues.lock();
-            let waiters = &mut queues[queue.0].waiters;
-            let at = waiters
-                .iter()
-                .position(|w| (w.priority, w.ticket) > (0, ticket))
-                .unwrap_or(waiters.len());
-            waiters.insert(
-                at,
-                SWaiter {
-                    pid: me,
-                    ticket,
-                    priority: 0,
-                    guard: Box::new(guard),
-                },
-            );
-        }
-        if self.ser.hand_off(self.ctx, Some(me)) {
-            return true;
-        }
-        let reason = format!("{}.{}", self.ser.name, self.ser.queues.lock()[queue.0].name);
-        let cleanup = DequeueOnUnwind {
-            ser: self.ser,
-            queue,
-            ctx: self.ctx,
-        };
-        let woken = self.ctx.park_timeout(&reason, ticks);
-        std::mem::forget(cleanup);
-        if woken {
-            return true; // the guarantee was met and possession handed over
-        }
-        // Timed out: deregister (idempotent — a releaser may have skipped
-        // and dropped our stale entry already) and re-enter the serializer.
-        self.ser.queues.lock()[queue.0]
-            .waiters
-            .retain(|w| w.pid != me);
-        self.ser.acquire(self.ctx);
-        false
-    }
-
-    fn park_in(&self, queue: QueueId) {
-        let reason = format!("{}.{}", self.ser.name, self.ser.queues.lock()[queue.0].name);
-        let cleanup = DequeueOnUnwind {
-            ser: self.ser,
-            queue,
-            ctx: self.ctx,
-        };
-        self.ctx.park(&reason);
-        std::mem::forget(cleanup);
-        // Woken with possession handed to us (or by a poison broadcast —
-        // the caller checks).
     }
 
     /// Joins `crowd`, releases possession, runs `body` outside the

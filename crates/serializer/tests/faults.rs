@@ -5,7 +5,7 @@
 #![deny(deprecated)]
 
 use bloom_serializer::Serializer;
-use bloom_sim::{FaultPlan, Pid, Sim};
+use bloom_sim::{EventKind, FaultPlan, Pid, Poisoned, Sim, SimError, SimErrorKind};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -43,6 +43,87 @@ fn holder_death_poisons_and_wakes_queued_waiters() {
     assert_eq!(report.trace.count_user("poison:s"), 1);
     assert_eq!(report.trace.count_user("poisoned-while-queued"), 1);
     assert_eq!(report.killed(), vec![Pid(1)]);
+}
+
+/// Asserts that the timed waiter (pid 0) observed the poison of `s`,
+/// left by the victim (pid 1), and panicked with the verdict.
+fn assert_waiter_panicked_on_poison(err: &SimError) {
+    let verdict = Poisoned {
+        primitive: "s".to_string(),
+        by: Pid(1),
+    };
+    assert!(
+        matches!(&err.kind, SimErrorKind::ProcessPanicked { pid: Pid(0), message }
+            if *message == verdict.to_string()),
+        "{err}"
+    );
+    let trace = &err.report.trace;
+    assert_eq!(trace.count_user("poison:s"), 1);
+    assert_eq!(trace.count_user("poison-seen:s"), 1);
+    assert_eq!(trace.count_user("returned"), 0, "enqueue_by returned");
+}
+
+/// A timed waiter woken by the poison broadcast reports it like an
+/// untimed one: it sees the poison and panics, rather than reading the
+/// wake as a met guarantee and running on without possession.
+#[test]
+fn timed_waiter_woken_by_poison_panics_with_the_verdict() {
+    let mut sim = Sim::new();
+    let s = Arc::new(Serializer::new("s", false));
+    let q = s.queue("gate");
+    sim.set_fault_plan(FaultPlan::new().kill("victim", 2));
+    let s1 = Arc::clone(&s);
+    sim.spawn("waiter", move |ctx| {
+        s1.enter(ctx, |sc| {
+            let met = sc.enqueue_by(q, 1_000u64, |v| *v.state());
+            ctx.emit("returned", &[i64::from(met)]);
+        });
+    });
+    let s2 = Arc::clone(&s);
+    sim.spawn("victim", move |ctx| {
+        ctx.yield_now(); // stop 1: let the waiter park on its guarantee
+        let _ = s2.try_enter(ctx, |sc| {
+            sc.ctx().yield_now(); // stop 2: killed holding possession
+            sc.state(|b| *b = true);
+        });
+    });
+    let err = sim.run().expect_err("the waiter panics on the poison");
+    assert_waiter_panicked_on_poison(&err);
+}
+
+/// A timed waiter that timed out and is re-entering when the holder dies
+/// reports the poison too, rather than returning `false` as if it held
+/// possession again.
+#[test]
+fn timed_waiter_reentering_a_poisoned_serializer_panics_with_the_verdict() {
+    let mut sim = Sim::new();
+    let s = Arc::new(Serializer::new("s", false));
+    let q = s.queue("gate");
+    sim.set_fault_plan(FaultPlan::new().kill("victim", 3));
+    let s1 = Arc::clone(&s);
+    sim.spawn("waiter", move |ctx| {
+        s1.enter(ctx, |sc| {
+            let met = sc.enqueue_by(q, 2u64, |v| *v.state());
+            ctx.emit("returned", &[i64::from(met)]);
+        });
+    });
+    let s2 = Arc::clone(&s);
+    sim.spawn("victim", move |ctx| {
+        ctx.yield_now(); // stop 1: let the waiter park on its guarantee
+        let _ = s2.try_enter(ctx, |sc| {
+            sc.ctx().sleep(5); // stop 2: the waiter times out meanwhile
+            sc.ctx().yield_now(); // stop 3: killed holding possession
+        });
+    });
+    let err = sim.run().expect_err("the waiter panics on the poison");
+    assert_waiter_panicked_on_poison(&err);
+    assert!(
+        err.report
+            .trace
+            .events_for(Pid(0))
+            .any(|e| matches!(&e.kind, EventKind::Blocked { reason } if reason == "s.entry")),
+        "the timed-out waiter re-entered through the entry queue"
+    );
 }
 
 /// A process dying while waiting in a queue is dequeued: its guarantee can

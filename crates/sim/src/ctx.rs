@@ -159,16 +159,6 @@ impl Ctx {
         SimMetrics::bump(&mut st.metrics.sync_ops, obj.kind());
     }
 
-    /// [`Ctx::note_sync`], plus a per-mechanism operation count in
-    /// [`crate::SimMetrics::sync_ops`] under `mechanism`. Conservative
-    /// sibling of [`Ctx::note_sync_obj_op`] for operations with no single
-    /// identifiable object.
-    pub fn note_sync_op(&self, mechanism: &str) {
-        self.note_sync();
-        let mut st = self.shared.state.lock();
-        SimMetrics::bump(&mut st.metrics.sync_ops, mechanism);
-    }
-
     /// Records an access to `obj` in the current quantum's footprint (when
     /// the footprint log is recorded).
     fn mark_obj(&self, obj: &ObjId, access: Access) {
@@ -218,43 +208,36 @@ impl Ctx {
         self.stop_or_unwind(Report::Slept { ticks });
     }
 
-    /// Parks this process until another process calls [`Ctx::unpark`] on it.
+    /// Parks this process until another process calls [`Ctx::unpark`] on
+    /// it or, with `timeout: Some(ticks)`, until `ticks` quanta of virtual
+    /// time elapse. Returns `true` if woken by an unpark, `false` on
+    /// timeout (an untimed park always returns `true`).
     ///
     /// `reason` is recorded in the trace and shown in deadlock diagnostics.
     /// Mechanism crates call this *after* registering the process on their
     /// own wait queue; thanks to the cooperative invariant the
     /// register-then-park sequence is atomic with respect to other processes.
     ///
-    /// A shutdown cancellation unwinds the process (payload [`Cancelled`]),
-    /// so drop guards deregister it; see [`Ctx::park_cancellable`] for the
-    /// form that returns instead.
-    pub fn park(&self, reason: &str) {
-        if let Err(cancelled) = self.park_cancellable(reason, None) {
-            cancelled.unwind();
-        }
-    }
-
-    /// Parks this process until [`Ctx::unpark`] *or* until `ticks` quanta
-    /// of virtual time elapse. Returns `true` if woken by an unpark,
-    /// `false` on timeout.
-    ///
     /// On timeout the caller is still registered on whatever wait queue it
     /// joined and must deregister itself (see
-    /// [`crate::WaitQueue::wait_by`], which handles this). A leaked
+    /// [`crate::WaitQueue::park_enqueued`], which handles this). A leaked
     /// registration is caught loudly: in debug builds the kernel asserts at
     /// the end of every non-panicked run that no wait queue still holds an
     /// entry, and grant paths must consult [`Ctx::is_parked`] before
     /// granting to a queue entry, so a timed-out waiter that has not yet
     /// deregistered is never the target of a grant.
-    pub fn park_timeout(&self, reason: &str, ticks: u64) -> bool {
-        self.park_cancellable(reason, Some(ticks))
+    ///
+    /// A shutdown cancellation unwinds the process (payload [`Cancelled`]),
+    /// so drop guards deregister it: this is the unwinding twin of
+    /// [`Ctx::park_cancellable`], which returns the cancellation instead.
+    pub fn park(&self, reason: &str, timeout: Option<u64>) -> bool {
+        self.park_cancellable(reason, timeout)
             .unwrap_or_else(|cancelled| cancelled.unwind())
     }
 
-    /// The one park: [`Ctx::park`] with `timeout: None`,
-    /// [`Ctx::park_timeout`] with `Some(ticks)`, except that a shutdown
-    /// cancellation is returned as `Err(Cancelled)` instead of unwinding.
-    /// `Ok(true)` means woken by an unpark, `Ok(false)` timed out.
+    /// The one park: [`Ctx::park`], except that a shutdown cancellation is
+    /// returned as `Err(Cancelled)` instead of unwinding. `Ok(true)` means
+    /// woken by an unpark, `Ok(false)` timed out.
     ///
     /// On `Err` the caller still holds whatever registrations it made
     /// before parking and must remove them itself before it returns (the

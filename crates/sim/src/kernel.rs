@@ -322,7 +322,7 @@ pub(crate) struct Shared {
     /// end of a non-panicked run, after shutdown unwinds have dequeued all
     /// cancelled waiters, a debug assertion checks that every registered
     /// queue is empty — catching mechanisms whose timed paths leak a stale
-    /// registration after `park_timeout` returns `false`.
+    /// registration after a timed `Ctx::park` returns `false`.
     pub queues: Mutex<Vec<Arc<crate::waitq::QueueCell>>>,
     /// Count of process bodies started on pooled hosts that have not yet
     /// returned or finished unwinding, plus one slot for the run itself
@@ -1227,7 +1227,7 @@ pub(crate) fn drive(shared: &Arc<Shared>) -> Result<SimReport, SimError> {
     shared.wait_jobs();
     let mut st = shared.state.lock();
     let error = st.run_error.take();
-    // Queue hygiene (the `park_timeout` stale-registration footgun): by
+    // Queue hygiene (the timed park's stale-registration footgun): by
     // now every registration must be gone — removed by a wake, by timeout
     // self-removal, or by an unwind guard when run end cancelled a still-
     // parked process. A leftover entry means some timed wait path returned
@@ -1302,7 +1302,7 @@ mod tests {
         let woken = Arc::new(AtomicBool::new(true));
         let seen = Arc::clone(&woken);
         sim.spawn("waiter", move |ctx| {
-            seen.store(ctx.park_timeout("nobody", 4), Ordering::SeqCst);
+            seen.store(ctx.park("nobody", Some(4)), Ordering::SeqCst);
         });
         let report = sim.run().expect("the timeout ends the wait");
         assert!(!woken.load(Ordering::SeqCst));

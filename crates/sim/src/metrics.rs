@@ -82,9 +82,9 @@ pub struct SimMetrics {
     /// (same-named queues share an entry).
     pub queue_high_water: BTreeMap<String, u64>,
     /// Synchronization operations reported by the mechanism crates through
-    /// [`crate::Ctx::note_sync_op`], keyed by the mechanism label. Rides
-    /// the existing footprint instrumentation (`note_sync` and
-    /// `note_sync_obj`), so it adds no new scheduling points.
+    /// [`crate::Ctx::note_sync_obj_op`], keyed by the object's kind
+    /// (`semaphore`, `monitor`, …). Rides the footprint mark each such
+    /// operation already makes, so it adds no new scheduling points.
     pub sync_ops: BTreeMap<String, u64>,
     /// Per-process counters, indexed by pid.
     pub per_pid: Vec<PidMetrics>,

@@ -83,29 +83,26 @@ impl WaitQueue {
 
     /// Parks the calling process at the back of the queue (FIFO order).
     pub fn wait(&self, ctx: &Ctx) {
-        self.wait_priority(ctx, 0);
+        self.wait_priority(ctx, 0, None);
     }
 
     /// Parks the calling process ordered by `priority` (lower values are
-    /// woken first), with FIFO arrival order breaking ties.
-    ///
-    /// If the process dies while parked (a fault-plan kill-point or a
-    /// panic), its entry is removed from the queue during the unwind, so a
-    /// later wake is never granted to a dead process.
-    pub fn wait_priority(&self, ctx: &Ctx, priority: i64) {
+    /// woken first), with FIFO arrival order breaking ties, for at most
+    /// `timeout` ticks when that is `Some`. Returns `true` if woken,
+    /// `false` on timeout (see [`WaitQueue::park_enqueued`]).
+    pub fn wait_priority(&self, ctx: &Ctx, priority: i64, timeout: Option<u64>) -> bool {
         self.enqueue_current(ctx, priority);
-        let cleanup = DequeueOnUnwind { queue: self, ctx };
-        ctx.park(self.name());
-        std::mem::forget(cleanup);
+        self.park_enqueued(ctx, timeout)
     }
 
     /// Registers the calling process on the queue *without* parking it.
     ///
-    /// The caller must follow up with [`Ctx::park`] before any
-    /// other process can run; under the simulator's cooperative invariant
-    /// any non-blocking work done in between (such as releasing a monitor)
-    /// is atomic with the enqueue, which is exactly what monitor `wait`
-    /// needs: enqueue on the condition, release possession, park.
+    /// The caller must follow up with [`WaitQueue::park_enqueued`] before
+    /// any other process can run; under the simulator's cooperative
+    /// invariant any non-blocking work done in between (such as releasing
+    /// a monitor) is atomic with the enqueue, which is exactly what
+    /// monitor `wait` needs: enqueue on the condition, release possession,
+    /// park.
     pub fn enqueue_current(&self, ctx: &Ctx, priority: i64) {
         self.bind(ctx);
         ctx.note_sync_obj(&self.obj, Access::Write);
@@ -189,6 +186,23 @@ impl WaitQueue {
         self.cell.waiters.lock().retain(|w| w.pid != ctx.pid());
     }
 
+    /// Parks the calling process, which [`WaitQueue::enqueue_current`]
+    /// registered, until a wake or, with `timeout: Some(ticks)`, until
+    /// `ticks` quanta elapse. Returns `true` if woken, `false` on timeout,
+    /// after which the entry is withdrawn (idempotently: a waker may have
+    /// skipped past it already). If the process dies while parked (a
+    /// fault-plan kill-point or a panic), its entry is removed during the
+    /// unwind, so a later wake is never granted to a dead process.
+    pub fn park_enqueued(&self, ctx: &Ctx, timeout: Option<u64>) -> bool {
+        let cleanup = DequeueOnUnwind { queue: self, ctx };
+        let woken = ctx.park(self.name(), timeout);
+        std::mem::forget(cleanup);
+        if !woken {
+            self.remove_current(ctx);
+        }
+        woken
+    }
+
     /// Parks the calling process at the back of the queue until woken by a
     /// [`WaitQueue::wake_one`]/[`WaitQueue::wake_all`] or until `deadline`
     /// (a tick count, a [`Deadline`], or a `Duration` — see
@@ -199,16 +213,7 @@ impl WaitQueue {
         let Some(ticks) = ctx.remaining(deadline) else {
             return false;
         };
-        self.enqueue_current(ctx, 0);
-        let cleanup = DequeueOnUnwind { queue: self, ctx };
-        let woken = ctx.park_timeout(self.name(), ticks);
-        std::mem::forget(cleanup);
-        if !woken {
-            // A waker may have skipped past our stale entry already; the
-            // removal is idempotent.
-            self.remove_current(ctx);
-        }
-        woken
+        self.wait_priority(ctx, 0, Some(ticks))
     }
 
     /// Number of processes currently waiting.
@@ -306,7 +311,7 @@ mod tests {
             let q = Arc::clone(&q);
             let order = Arc::clone(&order);
             sim.spawn(&format!("w{i}"), move |ctx| {
-                q.wait_priority(ctx, prio);
+                q.wait_priority(ctx, prio, None);
                 order.lock().push(i);
             });
         }

@@ -93,9 +93,11 @@ fn daemon_ignoring_cancelled_is_unwound_when_it_blocks_again() {
         |ctx| {
             let _ = ctx.park_cancellable("again", None);
         },
-        |ctx| ctx.park("again"),
         |ctx| {
-            let _ = ctx.park_timeout("again", 5);
+            ctx.park("again", None);
+        },
+        |ctx| {
+            ctx.park("again", Some(5));
         },
         |ctx| ctx.yield_now(),
         |ctx| ctx.sleep(3),

@@ -242,7 +242,7 @@ fn deadlock_recovery_aborts_victims_until_run_completes() {
 }
 
 /// The queue-hygiene assertion: a mechanism that times out of a park but
-/// forgets to deregister (the `park_timeout` footgun) fails the run
+/// forgets to deregister (the timed-park footgun) fails the run
 /// loudly at the end instead of silently absorbing a future grant.
 #[cfg(debug_assertions)]
 #[test]
@@ -253,7 +253,7 @@ fn leaked_timed_registration_fails_loudly() {
     let q2 = Arc::clone(&q);
     sim.spawn("leaker", move |ctx| {
         q2.enqueue_current(ctx, 0);
-        let woken = ctx.park_timeout("leaky", 2);
+        let woken = ctx.park("leaky", Some(2));
         assert!(!woken);
         // Deliberate bug: no remove_current — the registration leaks.
     });

@@ -211,8 +211,190 @@ proptest! {
 // Timed acquisition (R2): withdrawal leaves the primitives consistent
 // ---------------------------------------------------------------------------
 
+/// A blocking operation with an untimed and a timed form.
+#[derive(Debug, Clone, Copy)]
+enum Blocking {
+    SemaphoreStrong,
+    SemaphoreWeak,
+    MonitorHoare,
+    MonitorMesa,
+    Serializer,
+    PathExpr,
+    ChannelSend,
+}
+
+impl Blocking {
+    const ALL: [Blocking; 7] = [
+        Blocking::SemaphoreStrong,
+        Blocking::SemaphoreWeak,
+        Blocking::MonitorHoare,
+        Blocking::MonitorMesa,
+        Blocking::Serializer,
+        Blocking::PathExpr,
+        Blocking::ChannelSend,
+    ];
+}
+
+/// A budget no run of [`blocking_loop`] comes near.
+const NEVER: u64 = 1 << 40;
+
+/// `procs` processes each pass `ops` times through one critical section
+/// guarded by `form`, emitting `cs` inside and yielding there so the
+/// others block; for the channel, `procs` senders and one receiver that
+/// emits each value. `timed` swaps every wait for its timed form at a
+/// deadline of [`NEVER`] ticks.
+fn blocking_loop(form: Blocking, timed: bool, procs: usize, ops: usize) -> bloom_sim::Sim {
+    use bloom_channel::Channel;
+    use bloom_monitor::{Cond, Monitor, Signaling};
+    use bloom_pathexpr::PathResource;
+    use bloom_semaphore::{Semaphore, TryResult};
+    use bloom_serializer::Serializer;
+    use bloom_sim::Ctx;
+    use std::sync::Arc;
+
+    type Pass = Arc<dyn Fn(&Ctx, i64) + Send + Sync>;
+    let mut sim = bloom_sim::Sim::new();
+    let pass: Pass = match form {
+        Blocking::SemaphoreStrong | Blocking::SemaphoreWeak => {
+            let sem = Arc::new(if matches!(form, Blocking::SemaphoreStrong) {
+                Semaphore::strong("s", 1)
+            } else {
+                Semaphore::weak("s", 1)
+            });
+            Arc::new(move |ctx, i| {
+                if timed {
+                    assert_eq!(sem.p_by(ctx, NEVER), TryResult::Acquired);
+                } else {
+                    sem.p(ctx);
+                }
+                ctx.emit("cs", &[i]);
+                ctx.yield_now();
+                sem.v(ctx);
+            })
+        }
+        Blocking::MonitorHoare | Blocking::MonitorMesa => {
+            let signaling = if matches!(form, Blocking::MonitorHoare) {
+                Signaling::Hoare
+            } else {
+                Signaling::SignalAndContinue
+            };
+            let m = Arc::new(Monitor::new("m", signaling, false));
+            let free = Cond::new("free");
+            Arc::new(move |ctx, i| {
+                m.enter(ctx, |mc| {
+                    while mc.state(|busy| *busy) {
+                        if timed {
+                            assert!(mc.wait_by(&free, NEVER));
+                        } else {
+                            mc.wait(&free);
+                        }
+                    }
+                    mc.state(|busy| *busy = true);
+                });
+                ctx.emit("cs", &[i]);
+                ctx.yield_now();
+                m.enter(ctx, |mc| {
+                    mc.state(|busy| *busy = false);
+                    mc.signal(&free);
+                });
+            })
+        }
+        Blocking::Serializer => {
+            let s = Arc::new(Serializer::new("s", false));
+            let q = s.queue("q");
+            Arc::new(move |ctx, i| {
+                s.enter(ctx, |sc| {
+                    if timed {
+                        assert!(sc.enqueue_by(q, NEVER, |v| !*v.state()));
+                    } else {
+                        sc.enqueue(q, |v| !*v.state());
+                    }
+                    sc.state(|busy| *busy = true);
+                });
+                ctx.emit("cs", &[i]);
+                ctx.yield_now();
+                s.enter(ctx, |sc| sc.state(|busy| *busy = false));
+            })
+        }
+        Blocking::PathExpr => {
+            let r = Arc::new(PathResource::parse("r", "path op end").expect("static path"));
+            Arc::new(move |ctx, i| {
+                let body = || {
+                    ctx.emit("cs", &[i]);
+                    ctx.yield_now();
+                };
+                if timed {
+                    assert!(r.perform_by(ctx, "op", NEVER, body).is_some());
+                } else {
+                    r.perform(ctx, "op", body);
+                }
+            })
+        }
+        Blocking::ChannelSend => {
+            let ch = Arc::new(Channel::<i64>::new("ch"));
+            let rx = Arc::clone(&ch);
+            let total = procs * ops;
+            sim.spawn("receiver", move |ctx| {
+                for _ in 0..total {
+                    let v = rx.recv(ctx);
+                    ctx.emit("got", &[v]);
+                }
+            });
+            Arc::new(move |ctx, i| {
+                if timed {
+                    assert!(ch.send_by(ctx, i, NEVER).is_ok());
+                } else {
+                    ch.send(ctx, i);
+                }
+            })
+        }
+    };
+    for i in 0..procs {
+        let pass = Arc::clone(&pass);
+        sim.spawn(&format!("w{i}"), move |ctx| {
+            for _ in 0..ops {
+                pass(ctx, i as i64);
+            }
+        });
+    }
+    sim
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Every timed form is its untimed form when its deadline never
+    /// fires: under FIFO and a random schedule, each mechanism's
+    /// contended loop takes the same decisions and emits the same user
+    /// events either way.
+    #[test]
+    fn timed_forms_agree_with_untimed_when_the_deadline_never_fires(
+        procs in 2usize..5,
+        ops in 1usize..4,
+        seed in any::<u64>(),
+    ) {
+        use bloom_sim::EventKind;
+
+        for form in Blocking::ALL {
+            for policy in [None, Some(seed)] {
+                let [untimed, timed] = [false, true].map(|timed| {
+                    run(blocking_loop(form, timed, procs, ops), policy)
+                        .unwrap_or_else(|e| panic!("{form:?} (timed: {timed}): {e}"))
+                });
+                let user = |report: &bloom_sim::SimReport| -> Vec<bloom_sim::Event> {
+                    report
+                        .trace
+                        .events()
+                        .iter()
+                        .filter(|e| matches!(e.kind, EventKind::User { .. }))
+                        .cloned()
+                        .collect()
+                };
+                prop_assert_eq!(&untimed.decisions, &timed.decisions, "{:?} {:?}", form, policy);
+                prop_assert_eq!(user(&untimed), user(&timed), "{:?} {:?}", form, policy);
+            }
+        }
+    }
 
     /// Whatever the schedule, fairness, patience and retry budget, a
     /// timed-out P withdraws without consuming or leaking anything:
