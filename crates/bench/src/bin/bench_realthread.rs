@@ -12,8 +12,10 @@
 //! process of 20 000 operations) and contended (four of 5 000, each
 //! yielding inside the critical section). Every cell runs five times; the
 //! archive keeps the median `secs` with `min_secs` and `max_secs`, and
-//! each simulator cell's `parks`, which FIFO makes exact: a contended row
-//! that never parked did not contend.
+//! each simulator cell's `parks` and `sync_ops` (the counted mechanism
+//! operations per kind), which FIFO makes exact: a contended row that
+//! never parked did not contend, and CI pins every cell's counts so that
+//! cheaper counting cannot change what is counted.
 //!
 //! Like `bench_explore`, wall-clock time is confined to the measurement
 //! binaries — the deterministic report (`report.rs`) stays
@@ -31,6 +33,7 @@ use bloom_monitor::Monitor;
 use bloom_rt::{RtMonitor, RtSerializer, RtSim};
 use bloom_serializer::Serializer;
 use bloom_sim::Sim;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,9 +54,9 @@ enum Runner {
 struct Timing {
     /// Each run's seconds, sorted.
     secs: Vec<f64>,
-    /// The simulator's parks per run (FIFO makes them the same every
-    /// run); `None` on real threads.
-    parks: Option<u64>,
+    /// The simulator's parks and counted operations per kind, per run
+    /// (FIFO makes them the same every run); `None` on real threads.
+    counts: Option<(u64, BTreeMap<String, u64>)>,
 }
 
 /// Builds and runs a cell `RUNS` times, timing only the runs, and asserts
@@ -61,7 +64,7 @@ struct Timing {
 /// readback wants.
 fn time_cell(name: &str, build: impl Fn() -> (Runner, Readback)) -> Timing {
     let mut secs = Vec::with_capacity(RUNS);
-    let mut parks = None;
+    let mut counts = None;
     for _ in 0..RUNS {
         let (runner, readback) = build();
         let start = Instant::now();
@@ -75,15 +78,15 @@ fn time_cell(name: &str, build: impl Fn() -> (Runner, Readback)) -> Timing {
             assert_eq!(got, want, "{name}: {what}");
         }
         if on_sim {
-            let run_parks = report.metrics.total_parks();
-            if let Some(parks) = parks {
-                assert_eq!(parks, run_parks, "{name}: FIFO runs park alike");
+            let run = (report.metrics.total_parks(), report.metrics.sync_ops);
+            if let Some(counts) = &counts {
+                assert_eq!(counts, &run, "{name}: FIFO runs count alike");
             }
-            parks = Some(run_parks);
+            counts = Some(run);
         }
     }
     secs.sort_by(f64::total_cmp);
-    Timing { secs, parks }
+    Timing { secs, counts }
 }
 
 impl Timing {
@@ -96,12 +99,16 @@ impl Timing {
     }
 
     fn json(&self, ops: usize) -> String {
-        let parks = self
-            .parks
-            .map_or(String::new(), |p| format!(", \"parks\": {p}"));
+        let counts = self.counts.as_ref().map_or(String::new(), |(parks, sync)| {
+            let sync: Vec<String> = sync.iter().map(|(k, n)| format!("\"{k}\": {n}")).collect();
+            format!(
+                ", \"parks\": {parks}, \"sync_ops\": {{ {} }}",
+                sync.join(", ")
+            )
+        });
         format!(
             "{{ \"secs\": {:.6}, \"min_secs\": {:.6}, \"max_secs\": {:.6}, \
-             \"ops_per_sec\": {:.0}{parks} }}",
+             \"ops_per_sec\": {:.0}{counts} }}",
             self.median(),
             self.secs[0],
             self.secs[self.secs.len() - 1],

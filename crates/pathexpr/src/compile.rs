@@ -22,7 +22,6 @@
 
 use crate::ast::{Path, PathExpr};
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// Where a transition takes its token from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,21 +68,6 @@ pub struct CompiledPath {
     pub bursts: Vec<BurstDef>,
     /// Occurrences per operation name, in syntactic order.
     pub occurrences: BTreeMap<String, Vec<Occurrence>>,
-    /// Pretty-printed source, for diagnostics.
-    pub source: String,
-}
-
-impl fmt::Display for CompiledPath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} [{} places, {} bursts, {} ops]",
-            self.source,
-            self.initial.len(),
-            self.bursts.len(),
-            self.occurrences.len()
-        )
-    }
 }
 
 struct Compiler {
@@ -158,7 +142,6 @@ pub fn compile(path: &Path) -> CompiledPath {
         initial: c.initial,
         bursts: c.bursts,
         occurrences: c.occurrences,
-        source: path.to_string(),
     }
 }
 

@@ -28,8 +28,11 @@
 //!   by the ablation experiments to contrast mechanism versions.
 //!
 //! The compilation scheme (a token machine generalizing the original
-//! semaphore encoding) is documented in the private `compile` module; the
-//! scheduling discipline in [`PathResource`].
+//! semaphore encoding) is documented in the private `compile` module. The
+//! machine that runs it — the conjunction of paths and the longest-waiting
+//! scan — is the doc-hidden `backend` module, which the simulator's
+//! [`PathResource`] and bloom-rt's `RtPathResource` both run on; each adds
+//! only its own blocking protocol.
 //!
 //! Both of the paper's figures — the readers-priority (Figure 1) and
 //! writers-priority (Figure 2) path solutions, *including the footnote-3
@@ -37,25 +40,13 @@
 //! `bloom-problems` and the workspace integration tests.
 
 mod ast;
+#[doc(hidden)]
+pub mod backend;
 mod compile;
 mod machine;
 mod parse;
 
 pub use ast::{Path, PathExpr};
-pub use machine::{PathResource, PredicateView};
+pub use backend::PredicateView;
+pub use machine::PathResource;
 pub use parse::{parse_path, parse_paths, ParseError};
-
-/// Compiler internals shared with the real-thread backend.
-///
-/// `bloom-rt` re-implements the *runtime* (blocking, FIFO selection,
-/// poisoning) on OS threads, but the path grammar and the token-machine
-/// semantics of `take`/`put` must be the single source of truth — a
-/// divergence there would make the differential conformance suite
-/// compare two different languages. These items are re-exported for that
-/// one consumer; they are not a stable public API.
-#[doc(hidden)]
-pub mod backend {
-    pub use crate::compile::{
-        compile, BurstDef, CompiledPath, Occurrence, PathState, PutPort, TakePort,
-    };
-}

@@ -1,193 +1,18 @@
-//! The multi-path runtime: [`PathResource`].
+//! The simulator's path-expression runtime: [`PathResource`].
 //!
-//! A resource is governed by the *conjunction* of several paths: an
-//! operation may start only when **every** path naming it has an enabled
-//! occurrence, and starting consumes tokens in all of them atomically.
-//! Blocked requests wait in one global FIFO; whenever the machine state
-//! changes, the queue is re-scanned in arrival order and the
-//! longest-waiting request whose operation became startable is resumed —
-//! implementing the selection assumption Bloom makes explicit in §5.1
-//! ("the selection operator always chooses the process that has been
-//! waiting longest").
+//! The token machine — the conjunction of paths, the op table and the
+//! longest-waiting FIFO scan — is the shared [`crate::backend::Machine`];
+//! this module adds the simulator's blocking protocol around it: parking
+//! on the op's reason, the parked-only grant guard, timed withdrawal,
+//! poisoning, and the footprint marks the explorers read.
 
 use crate::ast::Path;
-use crate::compile::{compile, CompiledPath, PathState};
+use crate::backend::{Machine, PredicateView};
 use crate::parse::{parse_paths, ParseError};
-use bloom_sim::{Access, Ctx, Deadline, ObjId, Pid, Poisoned};
+use bloom_sim::{Access, Ctx, Deadline, ObjId, Poisoned};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, VecDeque};
-
-/// The occurrence choice made in each path when an operation started;
-/// needed again at exit to apply the matching put ports.
-type Activation = Vec<(usize, usize)>;
-
-#[derive(Debug)]
-struct Blocked {
-    pid: Pid,
-    op: String,
-}
-
-/// Synchronization-state snapshot passed to version-3 predicates.
-///
-/// This is the Andler extension the paper cites as the version "closest
-/// to satisfying our requirements": boolean predicates over counts and
-/// state variables attached to operations. Note that [`PredicateView::blocked`]
-/// counts the requesting process itself once it has been queued (i.e.
-/// during re-scans), but not on its first admission attempt.
-#[derive(Debug)]
-pub struct PredicateView<'a> {
-    active: &'a BTreeMap<String, usize>,
-    blocked: &'a VecDeque<Blocked>,
-    completed: &'a BTreeMap<String, u64>,
-    vars: &'a BTreeMap<String, i64>,
-}
-
-impl PredicateView<'_> {
-    /// Executions of `op` currently in progress.
-    pub fn active(&self, op: &str) -> usize {
-        self.active.get(op).copied().unwrap_or(0)
-    }
-
-    /// Requests for `op` currently blocked.
-    pub fn blocked(&self, op: &str) -> usize {
-        self.blocked.iter().filter(|b| b.op == op).count()
-    }
-
-    /// Executions of `op` completed so far (history information).
-    pub fn completed(&self, op: &str) -> u64 {
-        self.completed.get(op).copied().unwrap_or(0)
-    }
-
-    /// A state variable's value (0 if never written).
-    pub fn var(&self, name: &str) -> i64 {
-        self.vars.get(name).copied().unwrap_or(0)
-    }
-}
-
-type Predicate = Box<dyn Fn(&PredicateView<'_>) -> bool + Send>;
-type VarUpdate = Box<dyn Fn(&mut BTreeMap<String, i64>) + Send>;
-
-struct Machine {
-    compiled: Vec<CompiledPath>,
-    states: Vec<PathState>,
-    /// Global FIFO of blocked requests, in arrival order.
-    blocked: VecDeque<Blocked>,
-    /// Stack of open activations per process (operations nest: a path
-    /// procedure may invoke further operations of the same resource).
-    open: BTreeMap<Pid, Vec<(String, Activation)>>,
-    /// Number of executions of each operation currently in progress.
-    active: BTreeMap<String, usize>,
-    /// Completed executions per operation (for v3 predicates).
-    completed: BTreeMap<String, u64>,
-    /// Andler state variables (v3).
-    vars: BTreeMap<String, i64>,
-    /// v3 predicates per operation: all must hold for the op to start.
-    predicates: BTreeMap<String, Vec<Predicate>>,
-    /// v3 state-variable updates, run at enter/exit of their operation.
-    on_enter: BTreeMap<String, Vec<VarUpdate>>,
-    on_exit: BTreeMap<String, Vec<VarUpdate>>,
-}
-
-impl Machine {
-    /// Finds an enabled occurrence in every path that names `op`, subject
-    /// to the operation's v3 predicates.
-    fn try_activation(&self, op: &str) -> Option<Activation> {
-        if let Some(preds) = self.predicates.get(op) {
-            let view = PredicateView {
-                active: &self.active,
-                blocked: &self.blocked,
-                completed: &self.completed,
-                vars: &self.vars,
-            };
-            if !preds.iter().all(|p| p(&view)) {
-                return None;
-            }
-        }
-        let mut act = Vec::new();
-        for (pi, compiled) in self.compiled.iter().enumerate() {
-            if let Some(occs) = compiled.occurrences.get(op) {
-                let state = &self.states[pi];
-                let choice = occs
-                    .iter()
-                    .position(|occ| state.can_take(compiled, occ.take))?;
-                act.push((pi, choice));
-            }
-        }
-        Some(act)
-    }
-
-    fn apply_enter(&mut self, op: &str, act: &Activation) {
-        for &(pi, oi) in act {
-            let occ = self.compiled[pi].occurrences[op][oi];
-            self.states[pi].take(&self.compiled[pi], occ.take);
-        }
-        *self.active.entry(op.to_string()).or_insert(0) += 1;
-        if let Some(updates) = self.on_enter.get(op) {
-            for update in updates {
-                update(&mut self.vars);
-            }
-        }
-    }
-
-    fn apply_exit(&mut self, op: &str, act: &Activation) {
-        for &(pi, oi) in act {
-            let occ = self.compiled[pi].occurrences[op][oi];
-            self.states[pi].put(&self.compiled[pi], occ.put);
-        }
-        let n = self
-            .active
-            .get_mut(op)
-            .expect("exit of op that never started");
-        *n -= 1;
-        *self.completed.entry(op.to_string()).or_insert(0) += 1;
-        if let Some(updates) = self.on_exit.get(op) {
-            for update in updates {
-                update(&mut self.vars);
-            }
-        }
-    }
-
-    /// Starts every blocked request that has become startable, oldest
-    /// first, restarting the scan after each start (starting one request —
-    /// e.g. opening a burst — can enable another). Returns the pids to
-    /// unpark, in start order.
-    ///
-    /// `is_parked` guards against the timed-wait race: an entry whose
-    /// process already woke by timeout (runnable, but not yet dispatched to
-    /// withdraw its request) is *skipped, not granted* — the process will
-    /// report the timeout and must not be charged an activation it will
-    /// never finish. Its entry stays queued for its own withdrawal.
-    fn drain_startable(&mut self, is_parked: &dyn Fn(Pid) -> bool) -> Vec<Pid> {
-        let mut woken = Vec::new();
-        loop {
-            let found = self
-                .blocked
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| is_parked(b.pid))
-                .find_map(|(i, b)| self.try_activation(&b.op).map(|act| (i, act)));
-            match found {
-                Some((i, act)) => {
-                    let b = self.blocked.remove(i).expect("index valid");
-                    self.apply_enter(&b.op, &act);
-                    self.open.entry(b.pid).or_default().push((b.op, act));
-                    woken.push(b.pid);
-                }
-                None => return woken,
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for Machine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Machine")
-            .field("paths", &self.compiled.len())
-            .field("blocked", &self.blocked.len())
-            .field("active", &self.active)
-            .finish()
-    }
-}
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A shared resource whose synchronization is specified by path expressions.
 ///
@@ -230,7 +55,7 @@ pub struct PathResource {
     name: String,
     /// Identity for object-granular dependency tracking.
     obj: ObjId,
-    machine: Mutex<Machine>,
+    machine: Mutex<Machine<()>>,
     /// Set when a process died mid-operation; sticky once set.
     poisoned: Mutex<Option<Poisoned>>,
 }
@@ -238,23 +63,10 @@ pub struct PathResource {
 impl PathResource {
     /// Builds a resource from already-parsed paths.
     pub fn from_paths(name: &str, paths: &[Path]) -> Self {
-        let compiled: Vec<CompiledPath> = paths.iter().map(compile).collect();
-        let states = compiled.iter().map(PathState::new).collect();
         PathResource {
             name: name.to_string(),
             obj: ObjId::new("pathexpr", name),
-            machine: Mutex::new(Machine {
-                compiled,
-                states,
-                blocked: VecDeque::new(),
-                open: BTreeMap::new(),
-                active: BTreeMap::new(),
-                completed: BTreeMap::new(),
-                vars: BTreeMap::new(),
-                predicates: BTreeMap::new(),
-                on_enter: BTreeMap::new(),
-                on_exit: BTreeMap::new(),
-            }),
+            machine: Mutex::new(Machine::new(name, paths)),
             poisoned: Mutex::new(None),
         }
     }
@@ -393,47 +205,34 @@ impl PathResource {
         };
         // Starting (or queuing) mutates the machine.
         ctx.note_sync_obj(&self.obj, Access::Write);
-        let started = {
+        let me = ctx.pid();
+        let reason = {
             let mut m = self.machine.lock();
-            match m.try_activation(op) {
-                Some(act) => {
-                    m.apply_enter(op, &act);
-                    m.open
-                        .entry(ctx.pid())
-                        .or_default()
-                        .push((op.to_string(), act));
-                    true
-                }
-                None => {
-                    if queue {
-                        m.blocked.push_back(Blocked {
-                            pid: ctx.pid(),
-                            op: op.to_string(),
-                        });
-                    }
-                    false
-                }
+            let id = m.intern(op);
+            if m.try_start(me, id) {
+                None
+            } else if queue {
+                m.enqueue(me, id, ());
+                Some(Arc::clone(m.reason(id)))
+            } else {
+                return Ok(false);
             }
         };
-        if started {
+        let Some(reason) = reason else {
             // Starting can enable blocked peers (opening a burst).
             self.wake_startable(ctx);
             return Ok(true);
-        }
-        if !queue {
-            return Ok(false);
-        }
+        };
         // If we die while parked here, our request must not linger in the
         // queue: it can never be granted and poisons nothing.
         let cleanup = UnblockOnUnwind { res: self, ctx };
-        let woken = ctx.park(&format!("{}.{}", self.name, op), timeout);
+        let woken = ctx.park(&reason, timeout);
         std::mem::forget(cleanup);
-        let me = ctx.pid();
         if !woken {
             // Timed out: withdraw. A granting waker cannot have selected us
             // after the timer fired (`drain_startable` skips non-parked
             // entries), so the entry is still ours to remove.
-            self.machine.lock().blocked.retain(|b| b.pid != me);
+            self.machine.lock().withdraw(me);
             self.wake_startable(ctx);
             return match self.observe_poison(ctx) {
                 Some(p) => Err(p),
@@ -446,15 +245,7 @@ impl PathResource {
         // A granting waker applied our enter effects, recorded our
         // activation, and *removed us from the blocked queue* before
         // unparking. A poison broadcast wakes us still-queued instead.
-        let still_blocked = {
-            let mut m = self.machine.lock();
-            let was = m.blocked.iter().any(|b| b.pid == me);
-            if was {
-                m.blocked.retain(|b| b.pid != me);
-            }
-            was
-        };
-        if still_blocked {
+        if self.machine.lock().withdraw(me) {
             let p = self
                 .observe_poison(ctx)
                 .expect("woken without grant can only happen on poison");
@@ -466,34 +257,21 @@ impl PathResource {
     /// Finishes operation `op` (the second half of [`PathResource::perform`]).
     pub fn finish(&self, ctx: &Ctx, op: &str) {
         ctx.note_sync_obj_op(&self.obj, Access::Write);
-        {
-            let mut m = self.machine.lock();
-            let stack = m.open.get_mut(&ctx.pid()).expect("finish without begin");
-            // Most recent matching activation: operations usually nest, but
-            // gate patterns (begin inside one op, finish after it) overlap,
-            // so search rather than require strict LIFO order.
-            let pos = stack
-                .iter()
-                .rposition(|(open_op, _)| open_op == op)
-                .unwrap_or_else(|| panic!("finish of {op} without a matching begin"));
-            let (_, act) = stack.remove(pos);
-            if stack.is_empty() {
-                m.open.remove(&ctx.pid());
-            }
-            m.apply_exit(op, &act);
-        }
+        self.machine.lock().finish(ctx.pid(), op);
         self.wake_startable(ctx);
     }
 
+    /// Starts every queued request the machine now permits, oldest first,
+    /// and unparks each. A queued process that already woke by timeout
+    /// (runnable, but not yet dispatched to withdraw its request) is
+    /// *skipped, not granted*: it will report the timeout and must not be
+    /// charged an activation it will never finish. Its entry stays queued
+    /// for its own withdrawal.
     fn wake_startable(&self, ctx: &Ctx) {
         ctx.note_sync_obj_op(&self.obj, Access::Write);
-        let woken = self
-            .machine
+        self.machine
             .lock()
-            .drain_startable(&|pid| ctx.is_parked(pid));
-        for pid in woken {
-            ctx.unpark(pid);
-        }
+            .drain_startable(|pid| ctx.is_parked(pid), |pid, ()| ctx.unpark(pid));
     }
 
     /// Whether a process died mid-operation, leaving the paths' token
@@ -521,20 +299,20 @@ impl PathResource {
     /// predicates need no probe — they are evaluated inside
     /// already-marked machine operations.)
     pub fn active_count(&self, op: &str) -> usize {
-        self.machine.lock().active.get(op).copied().unwrap_or(0)
+        self.machine.lock().view().active(op)
     }
 
     /// Number of requests currently blocked: a probe for test assertions
     /// and post-run inspection (see [`PathResource::active_count`]).
     pub fn blocked_count(&self) -> usize {
-        self.machine.lock().blocked.len()
+        self.machine.lock().queued().count()
     }
 
     /// Whether `op` could start right now (no tokens are consumed): a
     /// probe for test assertions and post-run inspection (see
     /// [`PathResource::active_count`]).
     pub fn can_start(&self, op: &str) -> bool {
-        self.machine.lock().try_activation(op).is_some()
+        self.machine.lock().can_start(op)
     }
 
     // -- Version-3 extensions (Andler: predicates and state variables) ---
@@ -554,50 +332,27 @@ impl PathResource {
         op: &str,
         predicate: impl Fn(&PredicateView<'_>) -> bool + Send + 'static,
     ) {
-        self.machine
-            .lock()
-            .predicates
-            .entry(op.to_string())
-            .or_default()
-            .push(Box::new(predicate));
+        self.machine.lock().add_predicate(op, predicate);
     }
 
     /// Registers a state-variable update to run whenever `op` starts.
-    pub fn on_enter(
-        &self,
-        op: &str,
-        update: impl Fn(&mut std::collections::BTreeMap<String, i64>) + Send + 'static,
-    ) {
-        self.machine
-            .lock()
-            .on_enter
-            .entry(op.to_string())
-            .or_default()
-            .push(Box::new(update));
+    pub fn on_enter(&self, op: &str, update: impl Fn(&mut BTreeMap<String, i64>) + Send + 'static) {
+        self.machine.lock().on_enter(op, update);
     }
 
     /// Registers a state-variable update to run whenever `op` finishes.
-    pub fn on_exit(
-        &self,
-        op: &str,
-        update: impl Fn(&mut std::collections::BTreeMap<String, i64>) + Send + 'static,
-    ) {
-        self.machine
-            .lock()
-            .on_exit
-            .entry(op.to_string())
-            .or_default()
-            .push(Box::new(update));
+    pub fn on_exit(&self, op: &str, update: impl Fn(&mut BTreeMap<String, i64>) + Send + 'static) {
+        self.machine.lock().on_exit(op, update);
     }
 
     /// Completed executions of `op` (v3 history information).
     pub fn completed_count(&self, op: &str) -> u64 {
-        self.machine.lock().completed.get(op).copied().unwrap_or(0)
+        self.machine.lock().view().completed(op)
     }
 
     /// Current value of a v3 state variable (0 if never written).
     pub fn var(&self, name: &str) -> i64 {
-        self.machine.lock().vars.get(name).copied().unwrap_or(0)
+        self.machine.lock().view().var(name)
     }
 }
 
@@ -621,15 +376,7 @@ impl Drop for PoisonOnUnwind<'_> {
             by: self.ctx.pid(),
         });
         self.ctx.emit(&format!("poison:{}", self.res.name), &[]);
-        let blocked: Vec<Pid> = self
-            .res
-            .machine
-            .lock()
-            .blocked
-            .iter()
-            .map(|b| b.pid)
-            .collect();
-        for pid in blocked {
+        for pid in self.res.machine.lock().queued() {
             self.ctx.try_unpark(pid);
         }
     }
@@ -645,8 +392,7 @@ struct UnblockOnUnwind<'a> {
 
 impl Drop for UnblockOnUnwind<'_> {
     fn drop(&mut self) {
-        let me = self.ctx.pid();
-        self.res.machine.lock().blocked.retain(|b| b.pid != me);
+        self.res.machine.lock().withdraw(self.ctx.pid());
     }
 }
 
@@ -744,35 +490,52 @@ mod tests {
         assert!(!s.3, "no reader/writer overlap");
     }
 
+    /// Five paths name `op`, more than an activation holds inline.
+    const WIDE: &str = "path op end path op , a end path { op } , b end \
+                        path 3 : (op) end path 2 : (op , c) end";
+
+    /// Under one path and under the five of [`WIDE`]: queued requests
+    /// start longest-waiting first, the conjunction excludes, and `free`,
+    /// named in no path, runs inside a held `op`. Both ops are counted.
     #[test]
     fn blocked_requests_resume_longest_waiting_first() {
-        let mut sim = Sim::new();
-        let r = Arc::new(PathResource::parse("s", "path a end").unwrap());
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let r0 = Arc::clone(&r);
-        sim.spawn("holder", move |ctx| {
-            r0.perform(ctx, "a", || {
-                for _ in 0..5 {
-                    ctx.yield_now(); // let the others queue up
-                }
-            });
-        });
-        for i in 0..3 {
-            let r = Arc::clone(&r);
-            let order = Arc::clone(&order);
-            sim.spawn(&format!("w{i}"), move |ctx| {
-                for _ in 0..i {
-                    ctx.yield_now(); // stagger arrival order
-                }
-                r.perform(ctx, "a", || order.lock().push(i));
-            });
+        for src in ["path op end", WIDE] {
+            let mut sim = Sim::new();
+            let r = Arc::new(PathResource::parse("s", src).unwrap());
+            let log = Arc::new(Mutex::new((0u32, 0u32, Vec::new()))); // inside, peak, order
+            for i in 0..4 {
+                let (r, log) = (Arc::clone(&r), Arc::clone(&log));
+                sim.spawn(&format!("p{i}"), move |ctx| {
+                    for _ in 0..i {
+                        ctx.yield_now(); // stagger arrival order
+                    }
+                    r.perform(ctx, "op", || {
+                        {
+                            let mut l = log.lock();
+                            l.0 += 1;
+                            l.1 = l.1.max(l.0);
+                            l.2.push(i);
+                        }
+                        assert_eq!(r.active_count("op"), 1);
+                        r.perform(ctx, "free", || assert_eq!(r.active_count("free"), 1));
+                        for _ in 0..8 {
+                            ctx.yield_now(); // let the others queue up
+                        }
+                        log.lock().0 -= 1;
+                    });
+                });
+            }
+            sim.run().unwrap();
+            let l = log.lock();
+            assert_eq!(l.1, 1, "{src}: exclusion");
+            assert_eq!(
+                l.2,
+                vec![0, 1, 2, 3],
+                "{src}: FIFO service of blocked requests"
+            );
+            assert_eq!((r.active_count("op"), r.completed_count("op")), (0, 4));
+            assert_eq!((r.active_count("free"), r.completed_count("free")), (0, 4));
         }
-        sim.run().unwrap();
-        assert_eq!(
-            *order.lock(),
-            vec![0, 1, 2],
-            "FIFO service of blocked requests"
-        );
     }
 
     #[test]

@@ -45,6 +45,10 @@
 //!
 //! What deliberately matches:
 //!
+//! * path expressions' token machine, which is not a copy at all: both
+//!   backends run `bloom_pathexpr::backend::Machine` (conjunction, op
+//!   table, longest-waiting FIFO scan), and this crate adds only the
+//!   thread protocol around it;
 //! * the event vocabulary and its *decision-point* placement (a releaser
 //!   granting a parked process emits `enter` on the waiter's behalf via
 //!   [`RtCtx::emit_for`], exactly like the simulator's `enter_for`);
@@ -64,7 +68,7 @@ mod serializer;
 
 pub use channel::{select, select_by, RtChannel};
 pub use monitor::{RtCond, RtMonitor, RtMonitorCtx, Signaling};
-pub use pathexpr::{RtPathResource, RtPredicateView};
+pub use pathexpr::RtPathResource;
 pub use runtime::{KillPoint, RtConfig, RtCtx, RtKill, RtSim};
 pub use semaphore::{RtLock, RtSemaphore, TryResult};
 pub use serializer::{RtCrowdId, RtGuardView, RtQueueId, RtSerializer, RtSerializerCtx};

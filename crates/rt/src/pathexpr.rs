@@ -1,92 +1,35 @@
-//! Real-thread path expressions — the `bloom_pathexpr::PathResource`
-//! runtime re-implemented on OS threads.
+//! Real-thread path expressions: `bloom_pathexpr::PathResource`'s API
+//! on OS threads.
 //!
-//! The path *language* is not duplicated: grammar, compilation, and the
-//! token-machine `take`/`put` semantics come from
-//! `bloom_pathexpr::backend`, so both backends are constrained by the
-//! same compiled machines and a conformance divergence can only come
-//! from the runtime (blocking, FIFO selection, poisoning) — which is
-//! exactly what the differential suite is meant to exercise.
-//!
-//! The runtime is the standard single-mutex state machine of this crate:
-//! one `Mutex<Machine>` holding every path's token state plus the global
-//! FIFO of blocked requests, one broadcast condvar, and a `granted`
-//! ticket set for direct hand-off. As everywhere in `bloom-rt`, a
-//! timed-out request that finds a grant already issued *accepts* it —
-//! settled under the machine mutex — rather than withdrawing, which is
-//! the documented envelope delta from the simulator's `drain_startable`
-//! parked-only guard.
+//! Nothing of the path language or its machine is duplicated here: the
+//! grammar, the compilation, the token machine, the op table, v3
+//! predicate views and the longest-waiting FIFO scan are
+//! `bloom_pathexpr::backend::Machine`, the same code the simulator's
+//! resource runs. What this module adds is the thread protocol: the
+//! machine under one mutex, a condvar broadcast, a `granted` ticket set
+//! for direct hand-off, a `poison_woken` set and the poisoned verdict. A
+//! conformance divergence for path expressions can therefore only come
+//! from that protocol (blocking, grant hand-off, timeouts, poisoning),
+//! which is what the differential suite exercises. As everywhere in
+//! `bloom-rt`, a timed-out request that finds a grant already issued
+//! *accepts* it — settled under the mutex — rather than withdrawing,
+//! which is the documented envelope delta from the simulator's
+//! parked-only drain guard.
 
 use crate::runtime::RtCtx;
 use crate::unlock_then_wake;
-use bloom_pathexpr::backend::{compile, CompiledPath, PathState};
-use bloom_pathexpr::{parse_paths, ParseError, Path};
-use bloom_sim::{Pid, Poisoned};
-use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use bloom_pathexpr::backend::Machine;
+use bloom_pathexpr::{parse_paths, ParseError, Path, PredicateView};
+use bloom_sim::{Deadline, Poisoned};
+use parking_lot::{Condvar, Mutex};
+use std::collections::{BTreeMap, HashSet};
 use std::time::Instant;
 
-/// The occurrence choice made in each path when an operation started;
-/// needed again at exit to apply the matching put ports.
-type Activation = Vec<(usize, usize)>;
-
+/// The machine and the thread protocol around it, under one mutex.
 #[derive(Debug)]
-struct Blocked {
-    ticket: u64,
-    pid: Pid,
-    op: String,
-}
-
-/// Synchronization-state snapshot passed to version-3 predicates —
-/// mirror of `bloom_pathexpr::PredicateView` for the real-thread
-/// backend. Predicates run under the machine mutex: they must not call
-/// back into the resource.
-#[derive(Debug)]
-pub struct RtPredicateView<'a> {
-    active: &'a BTreeMap<String, usize>,
-    blocked: &'a VecDeque<Blocked>,
-    completed: &'a BTreeMap<String, u64>,
-    vars: &'a BTreeMap<String, i64>,
-}
-
-impl RtPredicateView<'_> {
-    /// Executions of `op` currently in progress.
-    pub fn active(&self, op: &str) -> usize {
-        self.active.get(op).copied().unwrap_or(0)
-    }
-
-    /// Requests for `op` currently blocked.
-    pub fn blocked(&self, op: &str) -> usize {
-        self.blocked.iter().filter(|b| b.op == op).count()
-    }
-
-    /// Executions of `op` completed so far (history information).
-    pub fn completed(&self, op: &str) -> u64 {
-        self.completed.get(op).copied().unwrap_or(0)
-    }
-
-    /// A state variable's value (0 if never written).
-    pub fn var(&self, name: &str) -> i64 {
-        self.vars.get(name).copied().unwrap_or(0)
-    }
-}
-
-type Predicate = Box<dyn Fn(&RtPredicateView<'_>) -> bool + Send>;
-type VarUpdate = Box<dyn Fn(&mut BTreeMap<String, i64>) + Send>;
-
-struct Machine {
-    compiled: Vec<CompiledPath>,
-    states: Vec<PathState>,
-    /// Global FIFO of blocked requests, in arrival-ticket order.
-    blocked: VecDeque<Blocked>,
-    /// Stack of open activations per process (operations nest).
-    open: HashMap<Pid, Vec<(String, Activation)>>,
-    active: BTreeMap<String, usize>,
-    completed: BTreeMap<String, u64>,
-    vars: BTreeMap<String, i64>,
-    predicates: HashMap<String, Vec<Predicate>>,
-    on_enter: HashMap<String, Vec<VarUpdate>>,
-    on_exit: HashMap<String, Vec<VarUpdate>>,
+struct State {
+    /// Queued requests are keyed by their wait ticket.
+    machine: Machine<u64>,
     /// Set when a process died mid-operation; sticky once set.
     poisoned: Option<Poisoned>,
     /// Tickets whose request a waker started (enter applied, activation
@@ -96,90 +39,26 @@ struct Machine {
     poison_woken: HashSet<u64>,
 }
 
-impl Machine {
-    /// Finds an enabled occurrence in every path that names `op`, subject
-    /// to the operation's v3 predicates.
-    fn try_activation(&self, op: &str) -> Option<Activation> {
-        if let Some(preds) = self.predicates.get(op) {
-            let view = RtPredicateView {
-                active: &self.active,
-                blocked: &self.blocked,
-                completed: &self.completed,
-                vars: &self.vars,
-            };
-            if !preds.iter().all(|p| p(&view)) {
-                return None;
-            }
-        }
-        let mut act = Vec::new();
-        for (pi, compiled) in self.compiled.iter().enumerate() {
-            if let Some(occs) = compiled.occurrences.get(op) {
-                let state = &self.states[pi];
-                let choice = occs
-                    .iter()
-                    .position(|occ| state.can_take(compiled, occ.take))?;
-                act.push((pi, choice));
-            }
-        }
-        Some(act)
-    }
-
-    fn apply_enter(&mut self, op: &str, act: &Activation) {
-        for &(pi, oi) in act {
-            let occ = self.compiled[pi].occurrences[op][oi];
-            self.states[pi].take(&self.compiled[pi], occ.take);
-        }
-        *self.active.entry(op.to_string()).or_insert(0) += 1;
-        if let Some(updates) = self.on_enter.get(op) {
-            for update in updates {
-                update(&mut self.vars);
-            }
-        }
-    }
-
-    fn apply_exit(&mut self, op: &str, act: &Activation) {
-        for &(pi, oi) in act {
-            let occ = self.compiled[pi].occurrences[op][oi];
-            self.states[pi].put(&self.compiled[pi], occ.put);
-        }
-        let n = self
-            .active
-            .get_mut(op)
-            .expect("exit of op that never started");
-        *n -= 1;
-        *self.completed.entry(op.to_string()).or_insert(0) += 1;
-        if let Some(updates) = self.on_exit.get(op) {
-            for update in updates {
-                update(&mut self.vars);
-            }
-        }
-    }
-
-    /// Starts every blocked request that has become startable, oldest
-    /// first, restarting the scan after each start (starting one request —
-    /// e.g. opening a burst — can enable another). Grants are handed off
-    /// directly: the enter effects are applied *here* and the ticket put
-    /// in `granted`, so the woken thread owns a started activation the
-    /// moment it observes the grant.
+impl State {
+    /// Starts every queued request that has become startable, oldest
+    /// first, handing each off by its ticket: the woken thread owns a
+    /// started activation the moment it observes the grant. Returns
+    /// whether anything was granted.
     fn drain_startable(&mut self) -> bool {
-        let mut any = false;
-        loop {
-            let found = self
-                .blocked
-                .iter()
-                .enumerate()
-                .find_map(|(i, b)| self.try_activation(&b.op).map(|act| (i, act)));
-            match found {
-                Some((i, act)) => {
-                    let b = self.blocked.remove(i).expect("index valid");
-                    self.apply_enter(&b.op, &act);
-                    self.open.entry(b.pid).or_default().push((b.op, act));
-                    self.granted.insert(b.ticket);
-                    any = true;
-                }
-                None => return any,
-            }
-        }
+        let granted = &mut self.granted;
+        self.machine.drain_startable(
+            |_| true,
+            |_, ticket| {
+                granted.insert(ticket);
+            },
+        )
+    }
+
+    /// The poison verdict, if any, recording its observation.
+    fn observe_poison(&self, ctx: &RtCtx, name: &str) -> Option<Poisoned> {
+        let p = self.poisoned.clone()?;
+        ctx.emit(&format!("poison-seen:{name}"), &[]);
+        Some(p)
     }
 }
 
@@ -189,33 +68,17 @@ impl Machine {
 /// selection, crash poisoning).
 pub struct RtPathResource {
     name: String,
-    machine: Mutex<Machine>,
+    state: Mutex<State>,
     cv: Condvar,
-}
-
-enum Wake {
-    Granted,
-    Poison(Poisoned),
 }
 
 impl RtPathResource {
     /// Builds a resource from already-parsed paths.
     pub fn from_paths(name: &str, paths: &[Path]) -> Self {
-        let compiled: Vec<CompiledPath> = paths.iter().map(compile).collect();
-        let states = compiled.iter().map(PathState::new).collect();
         RtPathResource {
             name: name.to_string(),
-            machine: Mutex::new(Machine {
-                compiled,
-                states,
-                blocked: VecDeque::new(),
-                open: HashMap::new(),
-                active: BTreeMap::new(),
-                completed: BTreeMap::new(),
-                vars: BTreeMap::new(),
-                predicates: HashMap::new(),
-                on_enter: HashMap::new(),
-                on_exit: HashMap::new(),
+            state: Mutex::new(State {
+                machine: Machine::new(name, paths),
                 poisoned: None,
                 granted: HashSet::new(),
                 poison_woken: HashSet::new(),
@@ -253,72 +116,16 @@ impl RtPathResource {
         op: &str,
         body: impl FnOnce() -> R,
     ) -> Result<R, Poisoned> {
-        self.begin_checked(ctx, op)?;
-        // From here we hold an activation: dying inside the body leaves
-        // tokens consumed forever, so the unwind must poison the resource.
-        let cleanup = PoisonOnUnwind { res: self, ctx };
-        let r = body();
-        std::mem::forget(cleanup);
-        self.finish(ctx, op);
-        Ok(r)
+        self.perform_inner(ctx, op, None, body)
+            .map(|r| r.expect("an untimed request always starts"))
     }
 
     /// Starts operation `op` (the first half of
     /// [`RtPathResource::perform`]). The `begin`/`finish` form has no
     /// crash protection for the operation body. Panics on poison.
     pub fn begin(&self, ctx: &RtCtx, op: &str) {
-        if let Err(p) = self.begin_checked(ctx, op) {
+        if let Err(p) = self.request(ctx, op, None) {
             panic!("{p}");
-        }
-    }
-
-    fn begin_checked(&self, ctx: &RtCtx, op: &str) -> Result<(), Poisoned> {
-        ctx.chaos();
-        let mut m = self.machine.lock();
-        if let Some(p) = m.poisoned.clone() {
-            ctx.emit(&format!("poison-seen:{}", self.name), &[]);
-            return Err(p);
-        }
-        if let Some(act) = m.try_activation(op) {
-            m.apply_enter(op, &act);
-            m.open
-                .entry(ctx.pid())
-                .or_default()
-                .push((op.to_string(), act));
-            // Starting can enable blocked peers (opening a burst).
-            let wake = m.drain_startable();
-            unlock_then_wake(m, &self.cv, wake);
-            return Ok(());
-        }
-        let ticket = ctx.fresh_ticket();
-        m.blocked.push_back(Blocked {
-            ticket,
-            pid: ctx.pid(),
-            op: op.to_string(),
-        });
-        match self.await_wake(&mut m, ticket) {
-            Wake::Granted => Ok(()),
-            Wake::Poison(p) => {
-                ctx.emit(&format!("poison-seen:{}", self.name), &[]);
-                Err(p)
-            }
-        }
-    }
-
-    /// Parks until the ticket is granted or poison-woken.
-    fn await_wake<'a>(&'a self, m: &mut MutexGuard<'a, Machine>, ticket: u64) -> Wake {
-        loop {
-            if m.granted.remove(&ticket) {
-                return Wake::Granted;
-            }
-            if m.poison_woken.remove(&ticket) {
-                let p = m
-                    .poisoned
-                    .clone()
-                    .expect("poison wake without a poison verdict");
-                return Wake::Poison(p);
-            }
-            self.cv.wait(m);
         }
     }
 
@@ -329,84 +136,9 @@ impl RtPathResource {
     /// withdrawn and the queue re-scanned, since `blocked()` predicate
     /// counts just changed. An already-expired deadline degenerates to a
     /// single activation attempt. Panics on poison.
-    pub fn request_by(
-        &self,
-        ctx: &RtCtx,
-        op: &str,
-        deadline: impl Into<bloom_sim::Deadline>,
-    ) -> bool {
-        match self.request_by_checked(ctx, op, deadline) {
-            Ok(started) => started,
-            Err(p) => panic!("{p}"),
-        }
-    }
-
-    /// Like [`RtPathResource::request_by`], but poisoning is returned as
-    /// a value.
-    pub fn request_by_checked(
-        &self,
-        ctx: &RtCtx,
-        op: &str,
-        deadline: impl Into<bloom_sim::Deadline>,
-    ) -> Result<bool, Poisoned> {
-        ctx.chaos();
-        let budget = ctx.wall_budget(deadline);
-        let start = Instant::now();
-        let mut m = self.machine.lock();
-        if let Some(p) = m.poisoned.clone() {
-            ctx.emit(&format!("poison-seen:{}", self.name), &[]);
-            return Err(p);
-        }
-        if let Some(act) = m.try_activation(op) {
-            m.apply_enter(op, &act);
-            m.open
-                .entry(ctx.pid())
-                .or_default()
-                .push((op.to_string(), act));
-            let wake = m.drain_startable();
-            unlock_then_wake(m, &self.cv, wake);
-            return Ok(true);
-        }
-        let Some(budget) = budget else {
-            // Expired deadline: single attempt only, nothing queued.
-            return Ok(false);
-        };
-        let ticket = ctx.fresh_ticket();
-        m.blocked.push_back(Blocked {
-            ticket,
-            pid: ctx.pid(),
-            op: op.to_string(),
-        });
-        loop {
-            if m.granted.remove(&ticket) {
-                // A grant that raced the timeout is accepted, not
-                // withdrawn — the rt envelope delta, settled under the
-                // machine mutex.
-                return Ok(true);
-            }
-            if m.poison_woken.remove(&ticket) {
-                let p = m
-                    .poisoned
-                    .clone()
-                    .expect("poison wake without a poison verdict");
-                ctx.emit(&format!("poison-seen:{}", self.name), &[]);
-                return Err(p);
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= budget {
-                // Timed out: withdraw and re-scan — a `blocked()`
-                // predicate may have just flipped for someone else.
-                m.blocked.retain(|b| b.ticket != ticket);
-                let wake = m.drain_startable();
-                let poisoned = m.poisoned.clone();
-                if poisoned.is_some() {
-                    ctx.emit(&format!("poison-seen:{}", self.name), &[]);
-                }
-                unlock_then_wake(m, &self.cv, wake);
-                return poisoned.map_or(Ok(false), Err);
-            }
-            self.cv.wait_for(&mut m, budget - elapsed);
-        }
+    pub fn request_by(&self, ctx: &RtCtx, op: &str, deadline: impl Into<Deadline>) -> bool {
+        self.request(ctx, op, Some(deadline.into()))
+            .unwrap_or_else(|p| panic!("{p}"))
     }
 
     /// Timed [`RtPathResource::perform`]: runs `body` as `op` if the
@@ -416,31 +148,85 @@ impl RtPathResource {
         &self,
         ctx: &RtCtx,
         op: &str,
-        deadline: impl Into<bloom_sim::Deadline>,
+        deadline: impl Into<Deadline>,
         body: impl FnOnce() -> R,
     ) -> Option<R> {
-        match self.try_perform_by(ctx, op, deadline, body) {
-            Ok(r) => r,
-            Err(p) => panic!("{p}"),
-        }
+        self.perform_inner(ctx, op, Some(deadline.into()), body)
+            .unwrap_or_else(|p| panic!("{p}"))
     }
 
-    /// Checked form of [`RtPathResource::perform_by`].
-    pub fn try_perform_by<R>(
+    /// The one perform: `Ok(None)` if the request timed out.
+    fn perform_inner<R>(
         &self,
         ctx: &RtCtx,
         op: &str,
-        deadline: impl Into<bloom_sim::Deadline>,
+        deadline: Option<Deadline>,
         body: impl FnOnce() -> R,
     ) -> Result<Option<R>, Poisoned> {
-        if !self.request_by_checked(ctx, op, deadline)? {
+        if !self.request(ctx, op, deadline)? {
             return Ok(None);
         }
+        // From here we hold an activation: dying inside the body leaves
+        // tokens consumed forever, so the unwind must poison the resource.
         let cleanup = PoisonOnUnwind { res: self, ctx };
         let r = body();
         std::mem::forget(cleanup);
         self.finish(ctx, op);
         Ok(Some(r))
+    }
+
+    /// The one request: starts `op` or queues it and waits until it is
+    /// granted or, with a `deadline`, until that expires. `Ok(true)`
+    /// means the operation started, `Ok(false)` that the deadline expired
+    /// first (the request is withdrawn) and `Err` that the resource is
+    /// poisoned. An already-expired deadline makes one activation attempt
+    /// and queues nothing.
+    fn request(&self, ctx: &RtCtx, op: &str, deadline: Option<Deadline>) -> Result<bool, Poisoned> {
+        ctx.chaos();
+        // `Some(None)`: the deadline has already expired.
+        let budget = deadline.map(|d| (ctx.wall_budget(d), Instant::now()));
+        let mut st = self.state.lock();
+        if let Some(p) = st.observe_poison(ctx, &self.name) {
+            return Err(p);
+        }
+        let id = st.machine.intern(op);
+        if st.machine.try_start(ctx.pid(), id) {
+            // Starting can enable blocked peers (opening a burst).
+            let wake = st.drain_startable();
+            unlock_then_wake(st, &self.cv, wake);
+            return Ok(true);
+        }
+        if let Some((None, _)) = budget {
+            return Ok(false);
+        }
+        let ticket = ctx.fresh_ticket();
+        st.machine.enqueue(ctx.pid(), id, ticket);
+        loop {
+            // A grant that raced the timeout is accepted, not withdrawn:
+            // the rt envelope delta, settled under the mutex.
+            if st.granted.remove(&ticket) {
+                return Ok(true);
+            }
+            if st.poison_woken.remove(&ticket) {
+                let p = st.observe_poison(ctx, &self.name);
+                return Err(p.expect("poison wake without a poison verdict"));
+            }
+            let Some((Some(budget), start)) = budget else {
+                self.cv.wait(&mut st);
+                continue;
+            };
+            let elapsed = start.elapsed();
+            if elapsed >= budget {
+                // Timed out: withdraw and re-scan — a `blocked()`
+                // predicate may have just flipped for someone else.
+                st.machine.withdraw(ctx.pid());
+                let wake = st.drain_startable();
+                let poisoned = st.observe_poison(ctx, &self.name);
+                unlock_then_wake(st, &self.cv, wake);
+                return poisoned.map_or(Ok(false), Err);
+            }
+            self.cv.wait_for(&mut st, budget - elapsed);
+        }
     }
 
     /// Finishes operation `op` (the second half of
@@ -450,102 +236,73 @@ impl RtPathResource {
         // poison guard, so it must be kill-atomic (see [`RtCtx::jitter`])
         // — dying here would strand the consumed tokens unpoisoned.
         ctx.jitter();
-        let mut m = self.machine.lock();
-        let stack = m.open.get_mut(&ctx.pid()).expect("finish without begin");
-        // Most recent matching activation: operations usually nest, but
-        // gate patterns overlap, so search rather than require LIFO.
-        let pos = stack
-            .iter()
-            .rposition(|(open_op, _)| open_op == op)
-            .unwrap_or_else(|| panic!("finish of {op} without a matching begin"));
-        let (_, act) = stack.remove(pos);
-        if stack.is_empty() {
-            m.open.remove(&ctx.pid());
-        }
-        m.apply_exit(op, &act);
-        let wake = m.drain_startable();
-        unlock_then_wake(m, &self.cv, wake);
+        let mut st = self.state.lock();
+        st.machine.finish(ctx.pid(), op);
+        let wake = st.drain_startable();
+        unlock_then_wake(st, &self.cv, wake);
     }
 
     /// Whether a process died mid-operation, leaving the paths' token
     /// state unrecoverable.
     pub fn is_poisoned(&self) -> bool {
-        self.machine.lock().poisoned.is_some()
+        self.state.lock().poisoned.is_some()
     }
 
     /// Number of executions of `op` currently in progress.
     pub fn active_count(&self, op: &str) -> usize {
-        self.machine.lock().active.get(op).copied().unwrap_or(0)
+        self.state.lock().machine.view().active(op)
     }
 
     /// Number of requests currently blocked.
     pub fn blocked_count(&self) -> usize {
-        self.machine.lock().blocked.len()
+        self.state.lock().machine.queued().count()
     }
 
     /// Whether `op` could start right now (no tokens are consumed).
     pub fn can_start(&self, op: &str) -> bool {
-        self.machine.lock().try_activation(op).is_some()
+        self.state.lock().machine.can_start(op)
     }
 
     // -- Version-3 extensions (Andler: predicates and state variables) ---
 
     /// Attaches a predicate to `op`: the operation may start only when
     /// the predicate holds, in addition to the path constraints. Call
-    /// before the run starts. The predicate runs under the machine mutex
-    /// and must not call back into the resource.
+    /// before the run starts. The predicate runs under the resource's
+    /// mutex and must not call back into the resource.
     pub fn add_predicate(
         &self,
         op: &str,
-        predicate: impl Fn(&RtPredicateView<'_>) -> bool + Send + 'static,
+        predicate: impl Fn(&PredicateView<'_>) -> bool + Send + 'static,
     ) {
-        self.machine
-            .lock()
-            .predicates
-            .entry(op.to_string())
-            .or_default()
-            .push(Box::new(predicate));
+        self.state.lock().machine.add_predicate(op, predicate);
     }
 
     /// Registers a state-variable update to run whenever `op` starts.
     pub fn on_enter(&self, op: &str, update: impl Fn(&mut BTreeMap<String, i64>) + Send + 'static) {
-        self.machine
-            .lock()
-            .on_enter
-            .entry(op.to_string())
-            .or_default()
-            .push(Box::new(update));
+        self.state.lock().machine.on_enter(op, update);
     }
 
     /// Registers a state-variable update to run whenever `op` finishes.
     pub fn on_exit(&self, op: &str, update: impl Fn(&mut BTreeMap<String, i64>) + Send + 'static) {
-        self.machine
-            .lock()
-            .on_exit
-            .entry(op.to_string())
-            .or_default()
-            .push(Box::new(update));
+        self.state.lock().machine.on_exit(op, update);
     }
 
     /// Completed executions of `op` (v3 history information).
     pub fn completed_count(&self, op: &str) -> u64 {
-        self.machine.lock().completed.get(op).copied().unwrap_or(0)
+        self.state.lock().machine.view().completed(op)
     }
 
     /// Current value of a v3 state variable (0 if never written).
     pub fn var(&self, name: &str) -> i64 {
-        self.machine.lock().vars.get(name).copied().unwrap_or(0)
+        self.state.lock().machine.view().var(name)
     }
 }
 
 impl std::fmt::Debug for RtPathResource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let m = self.machine.lock();
         f.debug_struct("RtPathResource")
             .field("name", &self.name)
-            .field("paths", &m.compiled.len())
-            .field("blocked", &m.blocked.len())
-            .field("active", &m.active)
+            .field("state", &*self.state.lock())
             .finish()
     }
 }
@@ -564,17 +321,20 @@ impl Drop for PoisonOnUnwind<'_> {
         if self.ctx.cancelling() {
             return;
         }
-        let mut m = self.res.machine.lock();
-        if m.poisoned.is_none() {
-            m.poisoned = Some(Poisoned {
+        let mut guard = self.res.state.lock();
+        let st = &mut *guard;
+        if st.poisoned.is_none() {
+            st.poisoned = Some(Poisoned {
                 primitive: self.res.name.clone(),
                 by: self.ctx.pid(),
             });
         }
         self.ctx.emit(&format!("poison:{}", self.res.name), &[]);
-        let dead: Vec<u64> = m.blocked.drain(..).map(|b| b.ticket).collect();
-        m.poison_woken.extend(dead);
-        unlock_then_wake(m, &self.res.cv, true);
+        let woken = &mut st.poison_woken;
+        st.machine.withdraw_all(|ticket| {
+            woken.insert(ticket);
+        });
+        unlock_then_wake(guard, &self.res.cv, true);
     }
 }
 
@@ -653,45 +413,55 @@ mod tests {
         assert!(!inside.lock().2, "no reader/writer overlap");
     }
 
+    /// Five paths name `op`, more than an activation holds inline.
+    const WIDE: &str = "path op end path op , a end path { op } , b end \
+                        path 3 : (op) end path 2 : (op , c) end";
+
+    /// Under one path and under the five of [`WIDE`]: queued requests
+    /// start longest-waiting first, the conjunction excludes, and `free`,
+    /// named in no path, runs inside a held `op`. Both ops are counted.
     #[test]
     fn blocked_requests_resume_longest_waiting_first() {
-        let mut rt = RtSim::new();
-        let r = Arc::new(RtPathResource::parse("s", "path a end").unwrap());
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let queued = Arc::new(Mutex::new(0usize));
-        let r0 = Arc::clone(&r);
-        rt.spawn("holder", move |ctx| {
-            r0.perform(ctx, "a", || {
-                // Hold until all three waiters are queued.
-                while r0.blocked_count() < 3 {
-                    std::thread::yield_now();
-                }
-            });
-        });
-        for i in 0..3 {
-            let r = Arc::clone(&r);
-            let order = Arc::clone(&order);
-            let queued = Arc::clone(&queued);
-            rt.spawn(&format!("w{i}"), move |ctx| {
-                // Serialize arrivals so FIFO has a defined meaning: go
-                // only once every earlier waiter is blocked.
-                loop {
-                    let q = *queued.lock();
-                    if q == i && r.active_count("a") == 1 && r.blocked_count() == i {
-                        break;
+        for src in ["path op end", WIDE] {
+            let mut rt = RtSim::new();
+            let r = Arc::new(RtPathResource::parse("s", src).unwrap());
+            let log = Arc::new(Mutex::new((0u32, 0u32, Vec::new()))); // inside, peak, order
+            for i in 0..4 {
+                let (r, log) = (Arc::clone(&r), Arc::clone(&log));
+                rt.spawn(&format!("p{i}"), move |ctx| {
+                    // Serialize arrivals so FIFO has a defined meaning: go
+                    // only once every earlier waiter is blocked.
+                    while i > 0 && !(r.active_count("op") == 1 && r.blocked_count() == i - 1) {
+                        std::thread::yield_now();
                     }
-                    std::thread::yield_now();
-                }
-                *queued.lock() += 1;
-                r.perform(ctx, "a", || order.lock().push(i));
-            });
+                    r.perform(ctx, "op", || {
+                        {
+                            let mut l = log.lock();
+                            l.0 += 1;
+                            l.1 = l.1.max(l.0);
+                            l.2.push(i);
+                        }
+                        assert_eq!(r.active_count("op"), 1);
+                        r.perform(ctx, "free", || assert_eq!(r.active_count("free"), 1));
+                        // The first holder waits until all three others queue.
+                        while i == 0 && r.blocked_count() < 3 {
+                            std::thread::yield_now();
+                        }
+                        log.lock().0 -= 1;
+                    });
+                });
+            }
+            rt.run().expect("no wedge");
+            let l = log.lock();
+            assert_eq!(l.1, 1, "{src}: exclusion");
+            assert_eq!(
+                l.2,
+                vec![0, 1, 2, 3],
+                "{src}: FIFO service of blocked requests"
+            );
+            assert_eq!((r.active_count("op"), r.completed_count("op")), (0, 4));
+            assert_eq!((r.active_count("free"), r.completed_count("free")), (0, 4));
         }
-        rt.run().expect("no wedge");
-        assert_eq!(
-            *order.lock(),
-            vec![0, 1, 2],
-            "FIFO service of blocked requests"
-        );
     }
 
     #[test]
@@ -732,7 +502,7 @@ mod tests {
         let mut rt = RtSim::with_config(RtConfig {
             kill: Some(KillPoint {
                 process: "victim".into(),
-                at_point: 2, // begin_checked is point 1; dies inside the body
+                at_point: 2, // the request is point 1; dies inside the body
             }),
             ..RtConfig::default()
         });
@@ -768,7 +538,7 @@ mod tests {
         let mut rt = RtSim::with_config(RtConfig {
             kill: Some(KillPoint {
                 process: "doomed".into(),
-                at_point: 1, // dies at begin_checked's entry chaos point
+                at_point: 1, // dies at the request's entry chaos point
             }),
             ..RtConfig::default()
         });

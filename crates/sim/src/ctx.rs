@@ -159,10 +159,12 @@ impl Ctx {
         SimMetrics::bump(&mut st.metrics.sync_ops, obj.kind());
     }
 
-    /// Records an access to `obj` in the current quantum's footprint (when
-    /// the footprint log is recorded).
+    /// Records an access to `obj` in the current quantum's footprint when
+    /// the footprint log is recorded; otherwise takes no lock.
     fn mark_obj(&self, obj: &ObjId, access: Access) {
-        self.shared.state.lock().mark_obj(obj, access);
+        if self.shared.record_quanta.load(Ordering::Relaxed) {
+            self.shared.state.lock().mark_obj(obj, access);
+        }
     }
 
     /// Ends the current quantum with a yield or a sleep and waits until

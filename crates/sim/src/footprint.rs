@@ -37,39 +37,53 @@ use std::sync::Arc;
 /// explores. Two objects with the same kind and name are deliberately the
 /// *same* object: a collision only merges footprints, which is
 /// conservative, never unsound.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ObjId(Arc<str>);
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ObjId {
+    name: Arc<str>,
+    /// Where the kind prefix ends, fixed at construction: the metrics key
+    /// of every counted operation is read without a scan.
+    kind_len: usize,
+}
 
 impl ObjId {
     /// An object id for a mechanism instance: `kind` is the mechanism
     /// family (used as the metrics key by
     /// [`crate::Ctx::note_sync_obj_op`]), `name` its diagnostic name.
     pub fn new(kind: &str, name: &str) -> ObjId {
-        ObjId(Arc::from(format!("{kind}:{name}")))
+        ObjId::pseudo(&format!("{kind}:{name}"))
     }
 
     /// A kernel-internal pseudo-object (the global ticket dispenser, the
     /// user-event trace, a process's park slot). Pseudo-objects model
     /// cross-mechanism ordering the conflict relation must not lose.
     pub(crate) fn pseudo(name: &str) -> ObjId {
-        ObjId(Arc::from(name))
+        ObjId {
+            name: Arc::from(name),
+            kind_len: name.find(':').unwrap_or(name.len()),
+        }
     }
 
     /// The full `kind:name` string.
     pub fn as_str(&self) -> &str {
-        &self.0
+        &self.name
     }
 
     /// The kind prefix (everything before the first `:`), used as the
     /// per-mechanism metrics key.
     pub fn kind(&self) -> &str {
-        self.0.split(':').next().unwrap_or(&self.0)
+        &self.name[..self.kind_len]
+    }
+}
+
+impl fmt::Debug for ObjId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("ObjId").field(&self.as_str()).finish()
     }
 }
 
 impl fmt::Display for ObjId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(&self.name)
     }
 }
 
@@ -210,7 +224,7 @@ impl QuantumLog {
         let found = self
             .slots
             .iter()
-            .position(|s| Arc::ptr_eq(&s.obj.0, &obj.0))
+            .position(|s| Arc::ptr_eq(&s.obj.name, &obj.name))
             .or_else(|| self.slots.iter().position(|s| s.obj == *obj));
         match found {
             Some(slot) => slot as u32,
@@ -510,5 +524,8 @@ pub(crate) mod tests {
         assert_eq!(id.as_str(), "semaphore:forks0");
         assert_eq!(id.to_string(), "semaphore:forks0");
         assert_eq!(ObjId::pseudo("ticket").kind(), "ticket");
+        // The prefix ends at the first `:`, whatever the kind was.
+        assert_eq!(ObjId::new("a:b", "c").kind(), "a");
+        assert_eq!(format!("{id:?}"), "ObjId(\"semaphore:forks0\")");
     }
 }

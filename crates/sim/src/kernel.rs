@@ -196,7 +196,8 @@ pub(crate) struct State {
     /// this lock.)
     pub log: QuantumLog,
     /// Whether to record `log`: off unless a prune mode or the caller asks
-    /// (see [`SimConfig::record_quanta`]).
+    /// (see [`SimConfig::record_quanta`]). Mirrored, for marks made
+    /// without this lock, by [`Shared::record_quanta`].
     pub record_quanta: bool,
     /// The scheduling policy consulted at contested dispatches.
     pub policy: Box<dyn SchedPolicy>,
@@ -311,6 +312,13 @@ pub(crate) struct Shared {
     /// ([`crate::Quantum::is_all`]) regardless of what it marked in
     /// [`State::log`]. Cleared at each dispatch.
     pub quantum_all: AtomicBool,
+    /// [`State::record_quanta`], readable without the state lock: a
+    /// footprint mark made while the log is off takes no lock at all. Set
+    /// only through [`Shared::set_record_quanta`], before the run starts;
+    /// every process starts after a hand-off through the state lock, so
+    /// `Relaxed` loads see the final value, and a mark that reads it on
+    /// takes the lock anyway.
+    pub record_quanta: AtomicBool,
     /// Set (before any cancellation) when the run is shutting down. Unwind
     /// guards in the mechanism crates consult this via
     /// [`Ctx::cancelling`]: a shutdown unwind is not a crash, and multiple
@@ -347,6 +355,7 @@ impl Shared {
             state: Mutex::new(State::new(cfg, faults)),
             tickets: AtomicU64::new(0),
             quantum_all: AtomicBool::new(false),
+            record_quanta: AtomicBool::new(cfg.record_quanta),
             cancelling: AtomicBool::new(false),
             queues: Mutex::new(Vec::new()),
             jobs: Mutex::new(0),
@@ -355,6 +364,13 @@ impl Shared {
             ticket_obj: ObjId::pseudo("ticket"),
             park_order_obj: ObjId::pseudo("park"),
         })
+    }
+
+    /// Turns the footprint log on or off, under the lock and in its
+    /// lock-free mirror.
+    pub(crate) fn set_record_quanta(&self, on: bool) {
+        self.record_quanta.store(on, Ordering::Relaxed);
+        self.state.lock().set_record_quanta(on);
     }
 
     /// Draws a fresh, strictly increasing ticket.

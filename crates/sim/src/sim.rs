@@ -120,7 +120,7 @@ impl Sim {
     /// setup chose; an unpruned exploration keeps the setup's choice.
     pub fn set_record_quanta(&mut self, on: bool) -> &mut Self {
         self.config.record_quanta = on;
-        self.shared.state.lock().set_record_quanta(on);
+        self.shared.set_record_quanta(on);
         self
     }
 
